@@ -29,7 +29,8 @@ from .invariants import (
     minor_gcd_chain,
 )
 from .matrices import Pencil, RatMatrix
-from .oscillate import classify_stability, expm_projectors, sample_trajectory, solve_jordan, solve_modal
+from .oscillate import (classify_stability, expm_projectors, first_order_matrix,
+                        sample_trajectory, solve_jordan, solve_modal)
 from .quadpairs import remarkable_circumstance_check, theta_components, verify_theorem
 from .spectral import adjugate_eigenvector, char_roots, nullspace_at_root
 
@@ -78,8 +79,9 @@ def _root_doc(root) -> dict:
     }
 
 
-def _emit(doc, args) -> None:
-    text = sio.dump_document(doc)
+def _emit(result, args) -> None:
+    """Write a CSV string as is, or a document as deterministic JSON."""
+    text = result if isinstance(result, str) else sio.dump_document(result)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -87,12 +89,15 @@ def _emit(doc, args) -> None:
         sys.stdout.write(text)
 
 
-def _emit_text(text: str, args) -> None:
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _positive_rational(text: str) -> Fraction:
+    """argparse type for --width: a rational number above zero."""
+    try:
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}")
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive: {text!r}")
+    return value
 
 
 def _pick_root(roots, args):
@@ -130,8 +135,7 @@ def _cmd_charpoly(args) -> dict:
 
 def _cmd_roots(args) -> dict:
     pencil = _load_pencil_like(args.input)
-    width = Fraction(args.width) if args.width else DEFAULT_WIDTH
-    roots = char_roots(pencil, width)
+    roots = char_roots(pencil, args.width or DEFAULT_WIDTH)
     return {
         "provenance": _provenance("sturm-root-isolation", "sturm-1829"),
         "path": "exact",
@@ -291,17 +295,8 @@ def _cmd_solve(args) -> dict:
         doc = sio.modal_solution_to_doc(sol)
         doc["provenance"] = _provenance("modal-superposition", "lagrange-1788")
         return doc
-    # first-order recast x = (y, y'): dx/dt = [[0, I], [-A^-1 B, 0]] x
-    n = model.size
-    Ainv = model.mass.inverse()
-    AB = Ainv @ model.stiffness
-    rows = []
-    for i in range(n):
-        rows.append([Fraction(0)] * n + [Fraction(1 if j == i else 0) for j in range(n)])
-    for i in range(n):
-        rows.append([-AB.entry(i, j) for j in range(n)] + [Fraction(0)] * n)
-    big = RatMatrix.from_rows(rows)
-    sol = solve_jordan(big, list(ic.positions) + list(ic.velocities), path=args.path)
+    x0 = list(ic.positions) + list(ic.velocities)
+    sol = solve_jordan(first_order_matrix(model), x0, path=args.path)
     blocks = []
     for b in sol.blocks:
         blocks.append(
@@ -358,7 +353,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--input", required=True)
         p.add_argument("--output", default=None)
         p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
-        p.add_argument("--width", default=None, help="root isolation width (rational)")
+        p.add_argument("--width", type=_positive_rational, default=None,
+                       help="root isolation width (positive rational)")
         p.add_argument(
             "--path", choices=["exact", "float", "auto"], default="auto"
         )
@@ -414,10 +410,7 @@ def run(argv=None) -> int:
     except EngineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    if isinstance(result, str):
-        _emit_text(result, args)
-    else:
-        _emit(result, args)
+    _emit(result, args)
     return EXIT_OK
 
 

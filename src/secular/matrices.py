@@ -1,12 +1,14 @@
 """Exact rational matrices, polynomial matrices and pencils.
 
 `RatMatrix` holds Fraction entries; determinants run through fraction-free
-Bareiss elimination on an integer model of the matrix.  `PolyMatrix` holds
-`Poly` entries; its determinant is computed by evaluating at enough integer
-points and interpolating, which is exact in rational arithmetic and avoids
-intermediate polynomial blow-up.  A `Pencil` packages a matrix couple (A, B)
-with its orientation: "sA-B" (generalized/frequency form, determinant in s)
-or "A-sB" (characteristic-matrix form such as A - xI).
+Bareiss elimination on an integer model of the matrix, inverses and
+adjugates through one Gauss-Jordan pass.  `PolyMatrix` holds `Poly`
+entries; its determinant and its adjugate are computed by evaluating at
+enough integer points and interpolating, which is exact in rational
+arithmetic and avoids intermediate polynomial blow-up.  A `Pencil` packages
+a matrix couple (A, B) with its orientation: "sA-B" (generalized/frequency
+form, determinant in s) or "A-sB" (characteristic-matrix form such as
+A - xI).
 
 Indices are 0-based throughout the code; serialized documents use 1-based
 indices (see `secular.io`).
@@ -22,7 +24,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import PreconditionError
-from .polynomials import Poly, _lagrange
+from .polynomials import Poly, _lagrange, _lagrange_basis, _lagrange_combine
 
 __all__ = [
     "RatMatrix",
@@ -33,11 +35,7 @@ __all__ = [
     "minor",
     "adjugate_pencil",
     "transpose_check",
-    "ADJUGATE_SIZE_CAP",
 ]
-
-# Entrywise adjugates compute n^2 minors; keep that at desk scale.
-ADJUGATE_SIZE_CAP = 8
 
 Vector = tuple[Fraction, ...]
 
@@ -191,10 +189,6 @@ class RatMatrix:
             for k in range(self.rows)
         ]
 
-    def is_positive_definite(self) -> bool:
-        """Sylvester criterion; matrix must be symmetric."""
-        return self.is_symmetric() and all(d > 0 for d in self.leading_principal_minors())
-
     def rank(self) -> int:
         reduced, pivots = _rref(self.to_rows())
         return len(pivots)
@@ -218,29 +212,48 @@ class RatMatrix:
             basis.append(tuple(v))
         return basis
 
+    def _gauss_jordan(self) -> tuple[int, "RatMatrix | None"]:
+        """Rank, and the inverse (None when singular), from one Gauss-Jordan
+        pass over [self | I]."""
+        n, eye = self.rows, RatMatrix.identity(self.rows)
+        reduced, pivots = _rref([list(self.row(i) + eye.row(i)) for i in range(n)])
+        rank = sum(1 for c in pivots if c < n)
+        inverse = RatMatrix.from_rows([r[n:] for r in reduced]) if rank == n else None
+        return rank, inverse
+
     def adjugate(self) -> "RatMatrix":
-        """Transposed cofactor matrix: self @ adj = det * I."""
+        """Transposed cofactor matrix: self @ adj = det * I.
+
+        Nonsingular: det * inverse.  Rank n-1: adj = c * v w^T for the right
+        and left null vectors v, w (columns of adj lie in the right kernel,
+        rows in the left one), with c fixed by one cofactor.  Lower rank:
+        every cofactor vanishes.
+        """
         if not self.is_square:
             raise PreconditionError("adjugate of a non-square matrix")
         n = self.rows
-        if n == 1:
-            return RatMatrix.from_rows([[1]])
-        idx = list(range(n))
-        out = [[Fraction(0)] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                sub = self.submatrix(
-                    [r for r in idx if r != i], [c for c in idx if c != j]
-                )
-                sign = -1 if (i + j) % 2 else 1
-                out[j][i] = sign * det_rational(sub)
-        return RatMatrix.from_rows(out)
+        rank, inv = self._gauss_jordan()
+        if inv is not None:
+            return inv.scale(det_rational(self))
+        if rank < n - 1:
+            return RatMatrix.zeros(n, n)
+        (v,) = self.nullspace()
+        (w,) = self.transpose().nullspace()
+        i = next(k for k, x in enumerate(v) if x != 0)
+        j = next(k for k, x in enumerate(w) if x != 0)
+        # adj[i][j] is the signed minor with row j and column i deleted
+        rows, cols = [k for k in range(n) if k != j], [k for k in range(n) if k != i]
+        minor_ji = det_rational(self.submatrix(rows, cols))
+        c = (-minor_ji if (i + j) % 2 else minor_ji) / (v[i] * w[j])
+        return RatMatrix(n, n, tuple(c * a * b for a in v for b in w))
 
     def inverse(self) -> "RatMatrix":
-        d = self.det()
-        if d == 0:
+        if not self.is_square:
+            raise PreconditionError("inverse of a non-square matrix")
+        _rank, inv = self._gauss_jordan()
+        if inv is None:
             raise PreconditionError("inverse of a singular matrix")
-        return self.adjugate().scale(Fraction(1) / d)
+        return inv
 
 
 def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
@@ -362,15 +375,15 @@ class PolyMatrix:
             [[self.entry(i, j) for j in keep_cols] for i in keep_rows]
         )
 
+    def row_degrees(self) -> list[int]:
+        """Largest entry degree of each row; -1 for a zero row."""
+        return [max(p.degree() for p in self.entries[i * self.cols:(i + 1) * self.cols])
+                for i in range(self.rows)]
+
     def degree_bound(self) -> int:
         """Upper bound for deg(det): sum over rows of the max entry degree."""
-        total = 0
-        for i in range(self.rows):
-            d = max(self.entry(i, j).degree() for j in range(self.cols))
-            if d < 0:
-                return 0  # a zero row forces a zero determinant
-            total += d
-        return total
+        degrees = self.row_degrees()
+        return 0 if -1 in degrees else sum(degrees)  # a zero row forces det = 0
 
     def det(self) -> Poly:
         return det_pencil(self)
@@ -427,24 +440,24 @@ def minor(P: PolyMatrix, drop_rows: Sequence[int], drop_cols: Sequence[int]) -> 
 
 def adjugate_pencil(P: PolyMatrix) -> PolyMatrix:
     """Adjugate (transposed cofactors) with the standard (-1)^(i+j) signs,
-    so that P @ adj(P) = det(P) * I as a polynomial identity."""
+    so that P @ adj(P) = det(P) * I as a polynomial identity.
+
+    An entry is a minor that omits one row, so its degree is at most
+    D = (sum of row degrees) - (smallest row degree), zero rows counting 0.
+    The rational adjugate is taken at the integers 0..D and all n^2 entries
+    are interpolated against one shared Lagrange basis.
+    """
     if not P.is_square:
         raise PreconditionError("adjugate of a non-square matrix")
     n = P.rows
-    if n > ADJUGATE_SIZE_CAP:
-        raise PreconditionError(
-            f"adjugate size {n} exceeds cost guard {ADJUGATE_SIZE_CAP}"
-        )
-    if n == 1:
-        return PolyMatrix.from_rows([[Poly([1])]])
-    out = [[Poly()] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            cof = minor(P, [i], [j])
-            if (i + j) % 2:
-                cof = -cof
-            out[j][i] = cof
-    return PolyMatrix.from_rows(out)
+    degrees = [max(d, 0) for d in P.row_degrees()]
+    bound = sum(degrees) - min(degrees, default=0)
+    points = [Fraction(k) for k in range(bound + 1)]
+    values = [P.evaluate(x).adjugate().entries for x in points]
+    basis = _lagrange_basis(points)
+    return PolyMatrix(
+        n, n, tuple(_lagrange_combine(basis, entry) for entry in zip(*values))
+    )
 
 
 ORIENTATIONS = ("sA-B", "A-sB")

@@ -32,6 +32,7 @@ from math import factorial
 import numpy as np
 
 from .errors import InternalError, PathUnavailableError, PreconditionError
+from .invariants import inertia
 from .matrices import Pencil, RatMatrix
 from .polynomials import Poly
 from .realroots import RealRoot, root_sign, sturm_isolate
@@ -54,6 +55,7 @@ __all__ = [
     "frequency_poly_in_rho",
     "solve_modal",
     "solve_jordan",
+    "first_order_matrix",
     "spectral_projectors",
     "expm_projectors",
     "scalar_residue_solve",
@@ -318,7 +320,7 @@ def solve_modal(
     """
     if ic.size != model.size or len(ic.velocities) != model.size:
         raise PreconditionError("initial conditions have the wrong dimension")
-    if not model.mass.is_positive_definite():
+    if inertia(model.mass).positives != model.size:
         raise PreconditionError(
             "modal solution needs a positive definite kinetic matrix"
         )
@@ -528,6 +530,15 @@ def _poly_of_matrix(p: Poly, M: RatMatrix) -> RatMatrix:
         if c:
             out = out + power.scale(c)
     return out
+
+
+def first_order_matrix(model: MechModel) -> RatMatrix:
+    """System matrix of the recast x = (y, y'): dx/dt = [[0, I], [-A^-1 B, 0]] x."""
+    n = model.size
+    AB = model.mass.inverse() @ model.stiffness
+    rows = [[Fraction(0)] * n + [Fraction(int(j == i)) for j in range(n)] for i in range(n)]
+    rows += [[-AB.entry(i, j) for j in range(n)] + [Fraction(0)] * n for i in range(n)]
+    return RatMatrix.from_rows(rows)
 
 
 def solve_jordan(M: RatMatrix, ic, path: str = "auto") -> JordanSolution:
@@ -793,10 +804,8 @@ def classify_stability(model: MechModel) -> StabilityVerdict:
     else:
         historical = "conditional"
 
-    from .invariants import inertia
-
     symmetric = pencil.is_symmetric()
-    a_pd = model.mass.is_positive_definite()
+    a_pd = symmetric and inertia(model.mass).positives == model.size
     b_psd = symmetric and inertia(model.stiffness).negatives == 0
     corrected = "stable" if (symmetric and a_pd and b_psd) else "unstable"
     corrected_rule = (

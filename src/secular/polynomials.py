@@ -329,19 +329,26 @@ def _interp_points(count: int) -> list[int]:
     return pts
 
 
+def _lagrange_basis(points: Sequence[Fraction]) -> list[Poly]:
+    """Lagrange basis: basis[i] is 1 at points[i] and 0 at the other points."""
+    basis = []
+    for i, xi in enumerate(points):
+        term = ONE
+        for j, xj in enumerate(points):
+            if j != i:
+                term = term * Poly([-xj, 1]).scale(Fraction(1, xi - xj))
+        basis.append(term)
+    return basis
+
+
+def _lagrange_combine(basis: Sequence[Poly], values: Sequence[Fraction]) -> Poly:
+    """Interpolating polynomial taking values[i] at the i-th basis point."""
+    return sum((b.scale(v) for b, v in zip(basis, values) if v != 0), ZERO)
+
+
 def _lagrange(points: Sequence[Fraction], values: Sequence[Fraction]) -> Poly:
     """Interpolating polynomial through (points[i], values[i])."""
-    total = ZERO
-    for i, (xi, vi) in enumerate(zip(points, values)):
-        if vi == 0:
-            continue
-        term = Poly.const(vi)
-        for j, xj in enumerate(points):
-            if j == i:
-                continue
-            term = term * Poly([-xj, 1]).scale(Fraction(1, xi - xj))
-        total = total + term
-    return total
+    return _lagrange_combine(_lagrange_basis(points), values)
 
 
 def _kronecker_split_squarefree(f: Poly) -> list[Poly]:
@@ -374,8 +381,9 @@ def _kronecker_split_squarefree(f: Poly) -> list[Poly]:
                 divisor_sets.append([Fraction(x) for x in ds])
             else:
                 divisor_sets.append([Fraction(s * x) for x in ds for s in (1, -1)])
+        basis = _lagrange_basis(points)
         for combo in itertools.product(*divisor_sets):
-            cand = _lagrange(points, list(combo))
+            cand = _lagrange_combine(basis, combo)
             if cand.degree() < 1 or cand.degree() > d:
                 continue
             if any(c.denominator != 1 for c in cand.coeffs):

@@ -64,12 +64,12 @@ class QuadraticPair:
             raise PreconditionError("both forms must be symmetric")
         if phi.rows != psi.rows:
             raise PreconditionError("forms must have the same size")
-        minors = phi.leading_principal_minors()
-        if minors[-1] == 0:
+        rep = inertia(phi)
+        if rep.zeros > 0:
             raise PreconditionError("Phi must have nonzero determinant")
-        if all(d > 0 for d in minors):
+        if rep.positives == phi.rows:
             kind = "positive"
-        elif all((d > 0) == (k % 2 == 1) for k, d in enumerate(minors)):
+        elif rep.negatives == phi.rows:
             kind = "negative"
         else:
             raise PreconditionError(
@@ -267,10 +267,6 @@ def theta_components(pair: QuadraticPair, path: str = "auto") -> ThetaDecomposit
     return ThetaDecomposition(tuple(comps), mode, n)
 
 
-def _exact_rank(M: RatMatrix) -> int:
-    return M.rank()
-
-
 def verify_theorem(
     dec: ThetaDecomposition,
     pair: QuadraticPair,
@@ -292,7 +288,7 @@ def verify_theorem(
             assert isinstance(c.theta, RatMatrix)
             sum_theta = sum_theta + c.theta
             sum_s_theta = sum_s_theta + c.theta.scale(c.root.value)
-            ranks_ok &= _exact_rank(c.theta) == c.multiplicity
+            ranks_ok &= c.theta.rank() == c.multiplicity
             rep = inertia(c.theta.scale(sign))
             semidef_ok &= rep.negatives == 0
         phi_res = max(

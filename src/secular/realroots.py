@@ -189,6 +189,8 @@ def sturm_isolate(p: Poly, target_width=Fraction(1, 10**30)) -> list[RealRoot]:
     if p.is_zero():
         raise PreconditionError("root isolation of the zero polynomial")
     target_width = Fraction(target_width)
+    if target_width <= 0:  # bisection would never stop
+        raise PreconditionError("isolation width must be positive")
     if p.degree() == 0:
         return []
     parts = squarefree_decompose(p)
@@ -277,6 +279,8 @@ def refine_root(root: RealRoot, width) -> RealRoot:
     Exact roots, and intervals already narrow enough, come back unchanged.
     """
     width = Fraction(width)
+    if width <= 0:  # bisection would never stop
+        raise PreconditionError("refinement width must be positive")
     if root.is_exact or root.width() <= width:
         return root
     lo, hi = root.lo, root.hi

@@ -4,12 +4,14 @@ The exact path evaluates the characteristic matrix at a rational root and
 reads eigenvectors off the adjugate (first non-null column) or off an exact
 nullspace.  Isolated irrational roots route to a floating path: the interval
 is refined to width 10^-30, the characteristic matrix is evaluated at the
-midpoint, and nullspaces are taken with a relative singular-value threshold
-of 10^-10.
+midpoint, and nullspaces are taken by SVD with a relative singular-value
+threshold of 10^-10; at a simple root the one null vector is the normalized
+adjugate column.
 
-For a symmetric pencil whose leading matrix is definite, every root is real
-and vectors of distinct roots are orthogonal in both matrices of the couple;
-`cauchy_orthogonality` re-verifies that identity on demand.
+For a symmetric pencil whose leading matrix is definite (by `inertia`),
+every root is real and vectors of distinct roots are orthogonal in both
+matrices of the couple; `cauchy_orthogonality` re-verifies that identity on
+demand.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InternalError, PathUnavailableError, PreconditionError
+from .invariants import inertia
 from .matrices import Pencil, RatMatrix
 from .polynomials import Poly
 from .realroots import RealRoot, refine_root, sturm_isolate
@@ -96,22 +99,15 @@ def char_roots(pencil: Pencil, target_width=FLOAT_ROOT_WIDTH) -> list[RealRoot]:
             "singular pencil (determinant identically zero)"
         )
     roots = sturm_isolate(charpoly, target_width)
-    if pencil.is_symmetric() and _is_definite(pencil.leading()):
-        if sum(r.multiplicity for r in roots) != charpoly.degree():
+    if pencil.is_symmetric():
+        rep = inertia(pencil.leading())
+        definite = pencil.size in (rep.positives, rep.negatives)
+        if definite and sum(r.multiplicity for r in roots) != charpoly.degree():
             raise InternalError(
                 "symmetric definite pencil produced complex roots; this"
                 " contradicts the real-root theorem and signals a bug"
             )
     return roots
-
-
-def _is_definite(M: RatMatrix) -> bool:
-    if not M.is_symmetric():
-        return False
-    minors = M.leading_principal_minors()
-    pos = all(d > 0 for d in minors)
-    neg = all((d > 0) == (k % 2 == 1) for k, d in enumerate(minors))
-    return pos or neg
 
 
 def _root_point(root: RealRoot) -> Fraction:
@@ -146,46 +142,27 @@ def adjugate_eigenvector(pencil: Pencil, root: RealRoot, path: str = "auto"):
     characteristic matrix at the root.
 
     Exact path: satisfies (characteristic matrix)(root) @ v = 0 exactly; the
-    vector is sign-normalized (first nonzero entry positive).  An all-zero
-    adjugate means the root has higher geometric multiplicity; use
-    `nullspace_at_root` then.
+    vector is sign-normalized (first nonzero entry positive).  Floating
+    path: the adjugate has rank one exactly when the nullity is one, and
+    its columns then span the nullspace, so the vector is the unit SVD null
+    vector.  An all-zero adjugate (nullity above one) means the root has
+    higher geometric multiplicity; use `nullspace_at_root` then.
     """
     mode = _decide_path(root, path)
     if mode == "exact":
-        M0 = pencil.evaluate(root.value)
-        adj = M0.adjugate()
+        adj = pencil.evaluate(root.value).adjugate()
         for j in range(adj.cols):
             col = adj.col(j)
             if any(v != 0 for v in col):
                 return _sign_normalize(col)
-        raise PreconditionError(
-            "adjugate vanishes at this root (geometric multiplicity > 1);"
-            " use nullspace_at_root"
-        )
-    M0 = pencil.evaluate(_root_point(root)).to_numpy()
-    n = M0.shape[0]
-    # float adjugate through cofactors of the evaluated matrix
-    adj = np.zeros((n, n))
-    idx = list(range(n))
-    for i in range(n):
-        for j in range(n):
-            sub = M0[np.ix_([r for r in idx if r != i], [c for c in idx if c != j])]
-            adj[j, i] = (-1) ** (i + j) * (np.linalg.det(sub) if n > 1 else 1.0)
-    scale = np.max(np.abs(adj))
-    if scale == 0:
-        raise PreconditionError(
-            "adjugate vanishes at this root (geometric multiplicity > 1);"
-            " use nullspace_at_root"
-        )
-    for j in range(n):
-        col = adj[:, j]
-        if np.max(np.abs(col)) > FLOAT_NULL_THRESHOLD * scale:
-            col = col / np.linalg.norm(col)
-            lead = col[np.argmax(np.abs(col) > FLOAT_NULL_THRESHOLD)]
-            if lead < 0:
-                col = -col
-            return tuple(float(x) for x in col)
-    raise PreconditionError("adjugate numerically vanishes at this root")
+    else:
+        basis = _float_nullspace(pencil.evaluate(_root_point(root)).to_numpy())
+        if len(basis) == 1:
+            return basis[0]
+    raise PreconditionError(
+        "adjugate vanishes at this root (geometric multiplicity > 1);"
+        " use nullspace_at_root"
+    )
 
 
 def _float_nullspace(M: np.ndarray, threshold: float = FLOAT_NULL_THRESHOLD):
@@ -224,6 +201,7 @@ def cauchy_orthogonality(dec: SpectralDecomposition, B: RatMatrix) -> Orthogonal
     worst: Fraction | float = Fraction(0) if exact else 0.0
     pairs = 0
     groups = list(zip(dec.roots, dec.vectors))
+    Bf = None if exact else B.to_numpy()
     for a in range(len(groups)):
         for b in range(a + 1, len(groups)):
             for v in groups[a][1]:
@@ -233,7 +211,6 @@ def cauchy_orthogonality(dec: SpectralDecomposition, B: RatMatrix) -> Orthogonal
                         val = abs(_bilinear(B, v, w))
                         worst = max(worst, val)
                     else:
-                        Bf = B.to_numpy()
                         val = abs(float(np.array(v) @ Bf @ np.array(w)))
                         worst = max(worst, val)
     ok = (worst == 0) if exact else (worst <= 1e-9)

@@ -1,7 +1,8 @@
 """Independent reference computations used to pin expected test values.
 
 Everything here deliberately avoids the code paths it checks: determinants
-by cofactor expansion instead of interpolation/Bareiss, the matrix
+by cofactor expansion instead of interpolation/Bareiss, adjugates entry by
+entry from those cofactors instead of elimination/interpolation, the matrix
 exponential by a scaled-and-squared Taylor series instead of spectral
 projectors, root brackets by plain bisection instead of Sturm machinery, and
 ODE residuals by central finite differences instead of symbolic derivatives.
@@ -118,3 +119,35 @@ def cayley_orthogonal(skew_rows) -> RatMatrix:
     n = S.rows
     eye = RatMatrix.identity(n)
     return (eye - S) @ (eye + S).inverse()
+
+
+def cofactor_adjugate_rat(M: RatMatrix) -> RatMatrix:
+    """Adjugate by its definition: adj[j][i] = (-1)^(i+j) * minor(i, j)."""
+    n = M.rows
+    if n == 1:
+        return RatMatrix.from_rows([[1]])
+    out = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            sub = M.submatrix(
+                [r for r in range(n) if r != i], [c for c in range(n) if c != j]
+            )
+            minor = cofactor_det_rat(sub)
+            out[j][i] = -minor if (i + j) % 2 else minor
+    return RatMatrix.from_rows(out)
+
+
+def cofactor_adjugate_poly(P: PolyMatrix) -> PolyMatrix:
+    """Polynomial adjugate by its definition, entry by entry."""
+    n = P.rows
+    if n == 1:
+        return PolyMatrix.from_rows([[Poly([1])]])
+    out = [[Poly()] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            sub = P.submatrix(
+                [r for r in range(n) if r != i], [c for c in range(n) if c != j]
+            )
+            minor = cofactor_det_poly(sub)
+            out[j][i] = -minor if (i + j) % 2 else minor
+    return PolyMatrix.from_rows(out)

@@ -220,6 +220,18 @@ class TestWidthFlag:
         assert approxs[0] == pytest.approx(-math.sqrt(2), abs=1e-3)
         assert approxs[1] == pytest.approx(math.sqrt(2), abs=1e-3)
 
+    @pytest.mark.parametrize("width", ["0", "-1", "abc", "1/0"])
+    def test_invalid_width_exits_2(self, tmp_path, width, capsys, one_second):
+        doc = write_json(
+            tmp_path,
+            "m.json",
+            {"rows": 2, "cols": 2, "entries": ["0/1", "2/1", "1/1", "0/1"]},
+        )
+        with pytest.raises(SystemExit) as exc:
+            run(["roots", "--input", doc, "--width", width])
+        assert exc.value.code == 2
+        assert "--width" in capsys.readouterr().err
+
 
 class TestDeterminism:
     def test_byte_identical_repeats(self, tmp_path, note23_file):

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +18,12 @@ from secular.matrices import (
 )
 from secular.polynomials import Poly
 
-from oracles import cofactor_det_poly, cofactor_det_rat
+from oracles import (
+    cofactor_adjugate_poly,
+    cofactor_adjugate_rat,
+    cofactor_det_poly,
+    cofactor_det_rat,
+)
 
 NOTE23 = RatMatrix.from_rows([[1, -1, 0], [-1, 2, 1], [0, 1, 1]])
 
@@ -147,10 +153,75 @@ class TestAdjugate:
         P = Pencil(phi, RatMatrix.identity(2), "sA-B").char_matrix()
         assert adjugate_pencil(P).is_symmetric()
 
-    def test_size_guard(self):
-        big = PolyMatrix.from_constant(RatMatrix.identity(9))
-        with pytest.raises(PreconditionError):
-            adjugate_pencil(big)
+    def test_identity_beyond_former_size_cap(self):
+        rng = random.Random(41)
+        for n in (9, 10):
+            A = RatMatrix.from_rows(
+                [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+            )
+            B = RatMatrix.from_rows(
+                [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+            )
+            P = Pencil(A, B, "sA-B").char_matrix()
+            prod = P.mul(adjugate_pencil(P))
+            d = det_pencil(P)
+            assert d.degree() == n
+            for i in range(n):
+                for j in range(n):
+                    assert prod.entry(i, j) == (d if i == j else Poly())
+
+
+def random_rank_matrix(rng, n, rank):
+    """n x n rational matrix of exactly the given rank, as L @ R."""
+    while True:
+        L = RatMatrix.from_rows(
+            [[rng.randint(-3, 3) for _ in range(rank)] for _ in range(n)]
+        )
+        R = RatMatrix.from_rows(
+            [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)]
+             for _ in range(rank)]
+        )
+        M = L @ R if rank else RatMatrix.zeros(n, n)
+        if M.rank() == rank:
+            return M
+
+
+class TestAdjugateAgainstCofactorOracle:
+    def test_rational_adjugate_and_inverse_by_rank(self):
+        rng = random.Random(13)
+        for n in range(1, 6):
+            for rank in sorted({n, n - 1, max(n - 2, 0), 0}):
+                for _ in range(4):
+                    M = random_rank_matrix(rng, n, rank)
+                    expected = cofactor_adjugate_rat(M)
+                    got = M.adjugate()
+                    assert got == expected
+                    assert all(type(v) is Fraction for v in got.entries)
+                    if rank == n:
+                        d = cofactor_det_rat(M)
+                        assert M.inverse() == expected.scale(1 / d)
+                    else:
+                        with pytest.raises(PreconditionError, match="singular"):
+                            M.inverse()
+
+    def test_pencil_adjugate_with_zero_rows_and_rank_loss(self):
+        rng = random.Random(29)
+        for trial in range(60):
+            n = rng.randint(1, 4)
+            degree = rng.randint(0, 3)
+            rows = [
+                [Poly([rng.randint(-3, 3)
+                       for _ in range(rng.randint(0, degree + 1))])
+                 for _ in range(n)]
+                for _ in range(n)
+            ]
+            if n > 1 and trial % 3 == 0:
+                rows[rng.randrange(n)] = [Poly()] * n
+            if n > 2 and trial % 3 == 1:
+                # two equal rows: det = 0 and the adjugate has rank <= 1
+                rows[0] = list(rows[1])
+            P = PolyMatrix.from_rows(rows)
+            assert adjugate_pencil(P) == cofactor_adjugate_poly(P)
 
 
 class TestTranspose:

@@ -12,6 +12,7 @@ from secular.oscillate import (
     build_model,
     classify_stability,
     expm_projectors,
+    first_order_matrix,
     frequency_poly_in_rho,
     loaded_string_frequency_series,
     sample_trajectory,
@@ -382,18 +383,9 @@ class TestTrajectory:
         ic = InitialConditions.of([1, Fraction(-1, 2)], [0, 1])
         modal = solve_modal(model, ic)
         n = model.size
-        Ainv = model.mass.inverse()
-        AB = Ainv @ model.stiffness
-        rows = []
-        for i in range(n):
-            rows.append(
-                [Fraction(0)] * n
-                + [Fraction(1 if j == i else 0) for j in range(n)]
-            )
-        for i in range(n):
-            rows.append([-AB.entry(i, j) for j in range(n)] + [Fraction(0)] * n)
-        big = RatMatrix.from_rows(rows)
-        jordan = solve_jordan(big, list(ic.positions) + list(ic.velocities))
+        jordan = solve_jordan(
+            first_order_matrix(model), list(ic.positions) + list(ic.velocities)
+        )
         for t in np.linspace(0.0, 20.0, 101):
             ym = modal.evaluate(float(t))
             yj = jordan.evaluate(float(t))[:n]

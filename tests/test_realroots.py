@@ -144,6 +144,15 @@ class TestRefine:
         root = sturm_isolate(P(-2, 0, 1), Fraction(1, 1000))[1]
         assert refine_root(root, Fraction(1)) == root
 
+    @pytest.mark.parametrize("width", [0, -1, Fraction(-1, 3)])
+    def test_non_positive_width_rejected(self, width, one_second):
+        # bisection towards a width <= 0 never stops
+        with pytest.raises(PreconditionError, match="positive"):
+            sturm_isolate(P(-2, 0, 1), width)
+        root = sturm_isolate(P(-2, 0, 1))[1]
+        with pytest.raises(PreconditionError, match="positive"):
+            refine_root(root, width)
+
 
 class TestRootSign:
     def test_exact_signs(self):

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from secular.errors import PathUnavailableError, PreconditionError
 from secular.matrices import Pencil, RatMatrix
 from secular.polynomials import Poly
-from secular.realroots import RealRoot
+from secular.realroots import RealRoot, refine_root
 from secular.spectral import (
+    FLOAT_ROOT_WIDTH,
     adjugate_eigenvector,
     cauchy_orthogonality,
     char_roots,
@@ -18,7 +19,7 @@ from secular.spectral import (
     spectral_decompose,
 )
 
-from oracles import cayley_orthogonal
+from oracles import cayley_orthogonal, cofactor_adjugate_rat
 
 NOTE23 = RatMatrix.from_rows([[1, -1, 0], [-1, 2, 1], [0, 1, 1]])
 
@@ -95,6 +96,37 @@ class TestAdjugateEigenvector:
         import numpy as np
 
         assert float(np.max(np.abs(Mf @ np.array(v)))) < 1e-9
+
+    def test_float_vector_is_normalized_adjugate_column(self):
+        import numpy as np
+
+        rng = random.Random(17)
+        pencils = [Pencil.classical(RatMatrix.from_rows([[0, 1], [1, 1]]))]
+        for n in (3, 4, 5):
+            rows = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    rows[i][j] = rows[j][i] = rng.randint(-4, 4)
+            pencils.append(Pencil.similarity(RatMatrix.from_rows(rows)))
+        checked = 0
+        for pencil in pencils:
+            for root in char_roots(pencil):
+                if root.is_exact or root.multiplicity > 1:
+                    continue
+                point = refine_root(root, FLOAT_ROOT_WIDTH).approx()
+                adj = cofactor_adjugate_rat(pencil.evaluate(point)).to_numpy()
+                scale = np.max(np.abs(adj))
+                col = next(
+                    adj[:, j] for j in range(adj.shape[1])
+                    if np.max(np.abs(adj[:, j])) > 1e-10 * scale
+                )
+                col = col / np.linalg.norm(col)
+                if col[np.argmax(np.abs(col) > 1e-10)] < 0:
+                    col = -col
+                v = adjugate_eigenvector(pencil, root, path="float")
+                assert float(np.max(np.abs(np.array(v) - col))) <= 1e-12
+                checked += 1
+        assert checked >= 8
 
 
 class TestNullspaceAtRoot:
