@@ -89,12 +89,17 @@ def _emit(result, args) -> None:
         sys.stdout.write(text)
 
 
-def _positive_rational(text: str) -> Fraction:
-    """argparse type for --width: a rational number above zero."""
+def _rational(text: str) -> Fraction:
+    """argparse type for --root: a rational number such as 3, -2/5 or 0.25."""
     try:
-        value = Fraction(text)
+        return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}")
+
+
+def _positive_rational(text: str) -> Fraction:
+    """argparse type for --width: a rational number above zero."""
+    value = _rational(text)
     if value <= 0:
         raise argparse.ArgumentTypeError(f"must be positive: {text!r}")
     return value
@@ -102,7 +107,7 @@ def _positive_rational(text: str) -> Fraction:
 
 def _pick_root(roots, args):
     if args.root is not None:
-        wanted = Fraction(args.root)
+        wanted = args.root
         for r in roots:
             if (r.is_exact and r.value == wanted) or (
                 not r.is_exact and r.lo < wanted < r.hi
@@ -135,7 +140,7 @@ def _cmd_charpoly(args) -> dict:
 
 def _cmd_roots(args) -> dict:
     pencil = _load_pencil_like(args.input)
-    roots = char_roots(pencil, args.width or DEFAULT_WIDTH)
+    roots = char_roots(pencil, args.width)
     return {
         "provenance": _provenance("sturm-root-isolation", "sturm-1829"),
         "path": "exact",
@@ -348,48 +353,36 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def add(name, handler, **extra):
+    def add(name, handler, **flags):
         p = sub.add_parser(name)
         p.add_argument("--input", required=True)
         p.add_argument("--output", default=None)
-        p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
-        p.add_argument("--width", type=_positive_rational, default=None,
-                       help="root isolation width (positive rational)")
-        p.add_argument(
-            "--path", choices=["exact", "float", "auto"], default="auto"
-        )
-        for key, kwargs in extra.items():
+        for key, kwargs in flags.items():
             p.add_argument(f"--{key.replace('_', '-')}", **kwargs)
         p.set_defaults(handler=handler)
-        return p
 
+    path = {"choices": ["exact", "float", "auto"], "default": "auto"}
     add("charpoly", _cmd_charpoly)
-    add("roots", _cmd_roots)
-    add(
-        "eigvec",
-        _cmd_eigvec,
-        root={"default": None, "help": "exact rational root value p/q"},
-        root_index={"type": int, "default": None, "help": "1-based root index"},
-    )
+    add("roots", _cmd_roots,
+        width={"type": _positive_rational, "default": DEFAULT_WIDTH,
+               "help": "root isolation width (positive rational)"})
+    add("eigvec", _cmd_eigvec, path=path,
+        root={"type": _rational, "default": None,
+              "help": "exact rational root value p/q"},
+        root_index={"type": int, "default": None, "help": "1-based root index"})
     add("invariant-factors", _cmd_invariant_factors)
     add("elementary-divisors", _cmd_elementary_divisors)
     add("diagonalizable", _cmd_diagonalizable)
     add("inertia", _cmd_inertia)
     add("darboux-steps", _cmd_darboux_steps)
-    add("weierstrass-reduce", _cmd_weierstrass_reduce)
+    add("weierstrass-reduce", _cmd_weierstrass_reduce, path=path,
+        tolerance={"type": float, "default": DEFAULT_TOLERANCE})
     add("expm", _cmd_expm, time={"type": float, "default": 1.0})
-    add(
-        "solve",
-        _cmd_solve,
-        method={"choices": ["modal", "jordan"], "default": "modal"},
-    )
+    add("solve", _cmd_solve, path=path,
+        method={"choices": ["modal", "jordan"], "default": "modal"})
     add("classify", _cmd_classify)
-    add(
-        "trajectory",
-        _cmd_trajectory,
-        t_max={"type": float, "default": None},
-        t_steps={"type": int, "default": None},
-    )
+    add("trajectory", _cmd_trajectory, path=path,
+        t_max={"type": float, "default": None}, t_steps={"type": int, "default": None})
     return parser
 
 

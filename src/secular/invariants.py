@@ -2,11 +2,13 @@
 diagonalizability criterion, and quadratic-form inertia.
 
 The chain Delta_1 | Delta_2 | ... | Delta_n collects the monic GCDs of all
-k x k minors of a polynomial matrix, computed by literal exhaustive
-enumeration (desk scale; guarded).  Quotients of consecutive entries give the
-invariant factors, whose irreducible-power parts are the elementary divisors;
-a matrix is diagonalizable exactly when all of those are simple, equivalently
-when every invariant factor is square-free.
+k x k minors of a polynomial matrix.  It is read off a Smith form over Q[x]
+built by Euclidean elimination, with no size cap: unimodular row and column
+operations leave every minor GCD unchanged, so by theorem Delta_k is the
+monic product of the first k diagonal entries.  Quotients of consecutive
+entries give the invariant factors, whose irreducible-power parts are the
+elementary divisors; a matrix is diagonalizable exactly when all of those are
+simple, equivalently when every invariant factor is square-free.
 
 Inertia of a symmetric rational matrix is read off the sign permanences of
 the leading-principal-minor sequence (determinant down to 1) whenever that
@@ -16,12 +18,13 @@ with the classic off-diagonal pivot trick takes over.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd as int_gcd
+from math import lcm as int_lcm
 
 from .errors import InternalError, PreconditionError
-from .matrices import Pencil, PolyMatrix, RatMatrix, det_pencil
+from .matrices import Pencil, PolyMatrix, RatMatrix
 from .polynomials import Poly, kronecker_factor, poly_gcd, squarefree_decompose
 from .realroots import RealRoot, refine_root, sturm_isolate
 
@@ -37,10 +40,7 @@ __all__ = [
     "is_diagonalizable",
     "inertia",
     "darboux_signature_steps",
-    "MINOR_CHAIN_SIZE_CAP",
 ]
-
-MINOR_CHAIN_SIZE_CAP = 6
 
 
 @dataclass(frozen=True)
@@ -94,46 +94,78 @@ class InertiaReport:
         return (self.positives, self.negatives, self.zeros)
 
 
-def _all_minors(P: PolyMatrix, k: int) -> list[Poly]:
-    idx = range(P.rows)
-    out = []
-    for rows in itertools.combinations(idx, k):
-        for cols in itertools.combinations(idx, k):
-            out.append(det_pencil(P.submatrix(rows, cols)))
-    return out
-
-
 def minor_gcd_chain(P: PolyMatrix) -> MinorGcdChain:
-    """Delta_k = monic gcd of all k x k minors, by brute-force enumeration.
+    """Delta_k = monic gcd of all k x k minors, from a Smith form over Q[x].
 
-    Rejects singular pencils (determinant identically zero): their completion
-    is out of scope here.
+    Elimination brings P to diag(d_1, ..., d_n) with d_k | d_(k+1), so
+    Delta_k = monic(d_1 ... d_k).  Rejects singular pencils (determinant
+    identically zero): their completion is out of scope here.
     """
     if not P.is_square:
         raise PreconditionError("minor chain of a non-square matrix")
-    n = P.rows
-    if n > MINOR_CHAIN_SIZE_CAP:
-        raise PreconditionError(
-            f"minor enumeration size {n} exceeds cost guard {MINOR_CHAIN_SIZE_CAP}"
-        )
-    full = det_pencil(P)
-    if full.is_zero():
-        raise PreconditionError(
-            "singular pencil (determinant identically zero): Kronecker's"
-            " singular case is out of scope"
-        )
-    deltas = []
-    for k in range(1, n):
-        g = Poly()
-        for m in _all_minors(P, k):
-            if m.is_zero():
-                continue
-            g = m.monic() if g.is_zero() else poly_gcd(g, m)
-            if g.degree() == 0:
-                break
-        deltas.append(g.monic())
-    deltas.append(full.monic())
-    return MinorGcdChain(tuple(deltas))
+    if P.rows == 0:
+        return MinorGcdChain((Poly([1]),))  # the empty determinant
+    block = [[P.entry(i, j) for j in range(P.cols)] for i in range(P.rows)]
+    deltas = [Poly([1])]
+    while block:
+        deltas.append(deltas[-1] * _smith_pivot(block).monic())
+        block = [row[1:] for row in block[1:]]
+    return MinorGcdChain(tuple(deltas[1:]))
+
+
+def _smith_pivot(a: list[list[Poly]]) -> Poly:
+    """Reduce the block `a` in place until a[0][0] is alone in its row and
+    column and divides every other entry; return that pivot.
+
+    The pivot is the nonzero entry of least (degree, coefficient bits).  Its
+    column, then its row, are reduced by divmod; a row the pivot does not
+    divide is added into row 0 and reduced too.  A nonzero remainder has
+    lower degree and becomes the next pivot, so each pass either returns or
+    lowers the pivot degree.  Rows are kept primitive against coefficient
+    growth.
+    """
+    while True:
+        sizes = [(p.degree(), _bits(p), i, j)
+                 for i, row in enumerate(a) for j, p in enumerate(row) if p]
+        if not sizes:
+            raise PreconditionError(
+                "singular pencil (determinant identically zero): Kronecker's"
+                " singular case is out of scope"
+            )
+        _, _, i, j = min(sizes)
+        a[0], a[i] = a[i], a[0]
+        for row in a:
+            row[0], row[j] = row[j], row[0]
+        pivot = a[0][0]
+        for i in range(1, len(a)):
+            if a[i][0]:
+                q = a[i][0] // pivot
+                a[i] = _primitive([x - q * y for x, y in zip(a[i], a[0])])
+        if any(row[0] for row in a[1:]):
+            continue
+        # Column 0 is clear below the pivot, so column operations change only
+        # row 0: each entry becomes its remainder.
+        rest = [x % pivot for x in a[0][1:]]
+        if not any(rest) and pivot.degree() > 0:  # constants divide everything
+            stray = next((r for r in a[1:] if any(x % pivot for x in r[1:])), None)
+            if stray is not None:
+                rest = [x % pivot for x in stray[1:]]
+        if not any(rest):
+            return pivot
+        a[0] = _primitive([pivot] + rest)
+
+
+def _bits(p: Poly) -> int:
+    return sum(c.numerator.bit_length() + c.denominator.bit_length() for c in p.coeffs)
+
+
+def _primitive(row: list[Poly]) -> list[Poly]:
+    """The row divided by its content: integer coefficients with gcd 1."""
+    num, den = 0, 1
+    for p in row:
+        for c in p.coeffs:
+            num, den = int_gcd(num, c.numerator), int_lcm(den, c.denominator)
+    return [p.scale(Fraction(den, num)) for p in row] if num else row
 
 
 def invariant_factors(chain: MinorGcdChain) -> InvariantFactors:

@@ -89,6 +89,8 @@ def matrix_from_doc(doc: Any) -> RatMatrix:
         entries = doc["entries"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed matrix document: {exc}") from None
+    if rows < 0 or cols < 0:
+        raise ParseError("matrix rows and cols must not be negative")
     if not isinstance(entries, list) or len(entries) != rows * cols:
         raise ParseError("matrix entries do not match rows*cols")
     M = RatMatrix(rows, cols, tuple(parse_fraction(v) for v in entries))

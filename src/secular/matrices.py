@@ -32,7 +32,6 @@ __all__ = [
     "Pencil",
     "det_rational",
     "det_pencil",
-    "minor",
     "adjugate_pencil",
     "transpose_check",
 ]
@@ -362,14 +361,6 @@ class PolyMatrix:
             self.rows, self.cols, tuple(p.evaluate(Fraction(x)) for p in self.entries)
         )
 
-    def evaluate_float(self, x: float) -> np.ndarray:
-        return np.array(
-            [
-                [float(self.entry(i, j).evaluate(Fraction(x))) for j in range(self.cols)]
-                for i in range(self.rows)
-            ]
-        )
-
     def submatrix(self, keep_rows: Sequence[int], keep_cols: Sequence[int]) -> "PolyMatrix":
         return PolyMatrix.from_rows(
             [[self.entry(i, j) for j in keep_cols] for i in keep_rows]
@@ -417,25 +408,6 @@ def det_pencil(P: PolyMatrix) -> Poly:
     points = [Fraction(k) for k in range(bound + 1)]
     values = [det_rational(P.evaluate(x)) for x in points]
     return _lagrange(points, values)
-
-
-def minor(P: PolyMatrix, drop_rows: Sequence[int], drop_cols: Sequence[int]) -> Poly:
-    """Determinant of the submatrix left after deleting the given rows and
-    columns (0-based, unsigned)."""
-    drop_r, drop_c = set(drop_rows), set(drop_cols)
-    if len(drop_r) != len(drop_rows) or len(drop_c) != len(drop_cols):
-        raise PreconditionError("duplicate indices in minor")
-    if any(i < 0 or i >= P.rows for i in drop_r) or any(
-        j < 0 or j >= P.cols for j in drop_c
-    ):
-        raise PreconditionError("minor index out of range")
-    if len(drop_r) != len(drop_c):
-        raise PreconditionError("minor must drop as many rows as columns")
-    keep_r = [i for i in range(P.rows) if i not in drop_r]
-    keep_c = [j for j in range(P.cols) if j not in drop_c]
-    if len(keep_r) != len(keep_c):
-        raise PreconditionError("remaining matrix is not square")
-    return det_pencil(P.submatrix(keep_r, keep_c))
 
 
 def adjugate_pencil(P: PolyMatrix) -> PolyMatrix:

@@ -32,8 +32,8 @@ from .errors import PathUnavailableError, PreconditionError
 from .invariants import inertia
 from .matrices import Pencil, PolyMatrix, RatMatrix, adjugate_pencil
 from .polynomials import Poly, squarefree_decompose
-from .realroots import RealRoot, refine_root
-from .spectral import FLOAT_ROOT_WIDTH, char_roots
+from .realroots import RealRoot, refine_root, sturm_isolate
+from .spectral import FLOAT_ROOT_WIDTH
 
 __all__ = [
     "QuadraticPair",
@@ -212,7 +212,8 @@ def theta_components(pair: QuadraticPair, path: str = "auto") -> ThetaDecomposit
 
     pencil = pair.pencil()
     n = pair.size
-    roots = char_roots(pencil)
+    f = pencil.char_poly()
+    roots = sturm_isolate(f, FLOAT_ROOT_WIDTH)
     if sum(r.multiplicity for r in roots) != n:
         raise PreconditionError("characteristic roots are not all real")
     all_exact = all(r.is_exact for r in roots)
@@ -221,7 +222,6 @@ def theta_components(pair: QuadraticPair, path: str = "auto") -> ThetaDecomposit
             "exact path requested but the characteristic roots are irrational"
         )
     mode = "exact" if (all_exact and path != "float") else "float"
-    f = pencil.char_poly()
     adj = adjugate_pencil(pencil.char_matrix())
     comps = []
     if mode == "exact":

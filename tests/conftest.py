@@ -4,16 +4,21 @@ import pytest
 
 
 @pytest.fixture
-def one_second():
-    """Turn a hang into a failure: the test gets one second of wall time."""
+def deadline():
+    """Turn a hang into a failure: deadline(s) gives the rest of the test s
+    seconds of wall time."""
 
     def expire(signum, frame):
-        raise TimeoutError("test ran past its one-second deadline")
+        raise TimeoutError("test ran past its deadline")
 
     previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, 1.0)
     try:
-        yield
+        yield lambda seconds: signal.setitimer(signal.ITIMER_REAL, seconds)
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture
+def one_second(deadline):
+    deadline(1.0)

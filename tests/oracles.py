@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the code paths it checks: determinants
 by cofactor expansion instead of interpolation/Bareiss, adjugates entry by
-entry from those cofactors instead of elimination/interpolation, the matrix
+entry from those cofactors instead of elimination/interpolation, minor-GCD
+chains by enumerating every minor instead of Smith-form elimination, the matrix
 exponential by a scaled-and-squared Taylor series instead of spectral
 projectors, root brackets by plain bisection instead of Sturm machinery, and
 ODE residuals by central finite differences instead of symbolic derivatives.
@@ -10,12 +11,15 @@ ODE residuals by central finite differences instead of symbolic derivatives.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
 
-from secular.matrices import PolyMatrix, RatMatrix
-from secular.polynomials import Poly
+from secular.errors import PreconditionError
+from secular.invariants import MinorGcdChain
+from secular.matrices import PolyMatrix, RatMatrix, det_pencil
+from secular.polynomials import Poly, poly_gcd
 
 
 def cofactor_det_poly(P: PolyMatrix) -> Poly:
@@ -151,3 +155,29 @@ def cofactor_adjugate_poly(P: PolyMatrix) -> PolyMatrix:
             minor = cofactor_det_poly(sub)
             out[j][i] = -minor if (i + j) % 2 else minor
     return PolyMatrix.from_rows(out)
+
+
+def minor_gcd_chain_by_minors(P: PolyMatrix) -> MinorGcdChain:
+    """The chain by its definition: Delta_k = monic gcd of all k x k minors.
+
+    Enumerates C(n, k)^2 interpolated determinants for every k, so it is for
+    small n only; singular matrices raise the engine's error.
+    """
+    n = P.rows
+    full = det_pencil(P)
+    if full.is_zero():
+        raise PreconditionError(
+            "singular pencil (determinant identically zero): Kronecker's"
+            " singular case is out of scope"
+        )
+    deltas = []
+    for k in range(1, n):
+        g = Poly()
+        for rows in itertools.combinations(range(n), k):
+            for cols in itertools.combinations(range(n), k):
+                m = det_pencil(P.submatrix(rows, cols))
+                if not m.is_zero():
+                    g = poly_gcd(g, m) if g else m.monic()
+        deltas.append(g)
+    deltas.append(full.monic())
+    return MinorGcdChain(tuple(deltas))

@@ -233,6 +233,26 @@ class TestWidthFlag:
         assert "--width" in capsys.readouterr().err
 
 
+class TestFlags:
+    @pytest.mark.parametrize("root", ["abc", "1/0"])
+    def test_invalid_root_exits_2(self, note23_file, root, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["eigvec", "--input", note23_file, "--root", root])
+        assert exc.value.code == 2
+        assert "--root" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "verb, flag",
+        [("charpoly", ["--path", "float"]), ("inertia", ["--width", "1/10"]),
+         ("roots", ["--tolerance", "1e-6"]), ("expm", ["--path", "exact"])],
+    )
+    def test_flag_only_on_verbs_that_read_it(self, note23_file, verb, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run([verb, "--input", note23_file] + flag)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 class TestDeterminism:
     def test_byte_identical_repeats(self, tmp_path, note23_file):
         _, first = run_to_file(["roots", "--input", note23_file], tmp_path, "a.json")
@@ -267,6 +287,13 @@ class TestExitCodes:
             tmp_path, "m.json", {"rows": 2, "cols": 2, "entries": ["1/1"]}
         )
         assert run(["charpoly", "--input", doc]) == 2
+
+    def test_negative_dimensions(self, tmp_path):
+        # rows * cols matches the single entry, but no matrix has -1 rows
+        doc = write_json(
+            tmp_path, "m.json", {"rows": -1, "cols": -1, "entries": ["2/1"]}
+        )
+        assert run(["inertia", "--input", doc]) == 2
 
     def test_precondition_singular_pencil(self, tmp_path):
         doc = write_json(

@@ -12,8 +12,10 @@ from secular.invariants import (
     is_diagonalizable,
     minor_gcd_chain,
 )
-from secular.matrices import Pencil, PolyMatrix, RatMatrix
+from secular.matrices import Pencil, PolyMatrix, RatMatrix, det_pencil
 from secular.polynomials import Poly
+
+from oracles import minor_gcd_chain_by_minors
 
 NOTE23 = RatMatrix.from_rows([[1, -1, 0], [-1, 2, 1], [0, 1, 1]])
 
@@ -79,10 +81,143 @@ class TestMinorGcdChain:
         with pytest.raises(PreconditionError, match="singular"):
             minor_gcd_chain(Pencil(Z, Z, "sA-B").char_matrix())
 
-    def test_size_guard(self):
-        P = Pencil.similarity(RatMatrix.identity(7)).char_matrix()
-        with pytest.raises(PreconditionError):
-            minor_gcd_chain(P)
+    @pytest.mark.parametrize(
+        "blocks, nontrivial",
+        [
+            # (eigenvalue, Jordan block size) -> roots of the invariant
+            # factors that are not 1, in chain order
+            ([(2, 3), (2, 2), (-1, 2), (0, 1)], [[2, 2], [2, 2, 2, -1, -1, 0]]),
+            ([(1, 3), (1, 3), (1, 2), (5, 1)], [[1, 1], [1, 1, 1], [1, 1, 1, 5]]),
+            ([(2, 4), (2, 3), (2, 2), (-3, 1)],
+             [[2, 2], [2, 2, 2], [2, 2, 2, 2, -3]]),
+        ],
+    )
+    def test_planted_jordan_beyond_former_size_cap(self, blocks, nontrivial):
+        n = sum(size for _, size in blocks)
+        J = block_diag(*(jordan_block(lam, size) for lam, size in blocks))
+        rng = random.Random(n)
+        while True:
+            U = RatMatrix.from_rows(
+                [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+            )
+            if U.det() != 0:
+                break
+        M = U @ J @ U.inverse()
+        inv = invariant_factors(minor_gcd_chain(Pencil.similarity(M).char_matrix()))
+        assert list(inv) == [Poly([1])] * (n - len(nontrivial)) + [
+            Poly.from_roots(roots) for roots in nontrivial
+        ]
+
+    def test_dense_rational_12x12(self, deadline):
+        rng = random.Random(12)
+        M = RatMatrix.from_rows(
+            [[Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(12)]
+             for _ in range(12)]
+        )
+        P = Pencil.similarity(M).char_matrix()
+        deadline(5.0)
+        chain = minor_gcd_chain(P)
+        assert chain.deltas[-1] == det_pencil(P).monic()
+        invariant_factors(chain)  # raises unless it is a divisibility chain
+
+
+def chain_or_error(P: PolyMatrix, chain_of):
+    try:
+        return chain_of(P)
+    except PreconditionError as exc:
+        return str(exc)
+
+
+def differential_case(rng, kind, n) -> PolyMatrix:
+    """A seeded polynomial matrix of one kind; see TestSmithFormAgainstMinors."""
+
+    def entry(denominators=(1,)):
+        return Fraction(rng.randint(-3, 3), rng.choice(denominators))
+
+    def square(denominators=(1,)):
+        return RatMatrix.from_rows(
+            [[entry(denominators) for _ in range(n)] for _ in range(n)]
+        )
+
+    if kind == "similarity":
+        return Pencil.similarity(square()).char_matrix()
+    if kind == "rational":
+        return Pencil.similarity(square((1, 2, 5))).char_matrix()
+    if kind in ("sA-B", "A-sB"):
+        return Pencil(square((1, 3)), square((1, 3)), kind).char_matrix()
+    if kind == "jordan":
+        # repeated eigenvalues with chained blocks, conjugated by a
+        # unimodular upper-triangular matrix
+        rows = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            rows[i][i] = Fraction(rng.choice((-1, 1)))
+            if i and rows[i][i] == rows[i - 1][i - 1]:
+                rows[i - 1][i] = Fraction(rng.randint(0, 1))
+        U = RatMatrix.from_rows(
+            [[int(i == j) or (rng.randint(-2, 2) if j > i else 0)
+              for j in range(n)] for i in range(n)]
+        )
+        M = U @ RatMatrix.from_rows(rows) @ U.inverse()
+        return Pencil.similarity(M).char_matrix()
+    if kind == "diagonal":
+        # unordered products of x - 1, x and x + 1: elimination has to move
+        # factors between diagonal entries to reach a divisibility chain
+        return PolyMatrix.from_rows(
+            [[Poly.from_roots([rng.choice((-1, 0, 1)) for _ in range(rng.randint(0, 3))])
+              if i == j else Poly() for j in range(n)] for i in range(n)]
+        )
+    rows = [
+        # diagonal entries have degree 2, the others degree <= 2
+        [Poly([entry((1, 2)), entry((1, 2)), rng.choice((1, -2, Fraction(1, 3)))])
+         if i == j else Poly([entry((1, 2)) for _ in range(rng.randint(0, 3))])
+         for j in range(n)]
+        for i in range(n)
+    ]
+    if kind == "singular":
+        # last row = x * (first row) + (row before it); zero when n = 1
+        rows[-1] = ([Poly([0, 1]) * a + b for a, b in zip(rows[0], rows[-2])]
+                    if n > 1 else [Poly()])
+    return PolyMatrix.from_rows(rows)
+
+
+class TestSmithFormAgainstMinors:
+    """The elimination chain equals the literal minor-GCD definition."""
+
+    @pytest.mark.parametrize(
+        "kind",
+        ["similarity", "rational", "sA-B", "A-sB", "jordan", "diagonal", "poly",
+         "singular"],
+    )
+    def test_matches_minor_enumeration(self, kind):
+        rng = random.Random(kind)
+        for n in (1, 2, 3, 4, 5):
+            P = differential_case(rng, kind, n)
+            assert chain_or_error(P, minor_gcd_chain) == chain_or_error(
+                P, minor_gcd_chain_by_minors
+            ), (kind, n)
+
+
+class TestSmithFormAgainstSympy:
+    """Invariant factors of xI - M agree with sympy's Smith normal form."""
+
+    def test_invariant_factors_match(self):
+        sympy = pytest.importorskip("sympy")
+        from sympy.matrices.normalforms import invariant_factors as sympy_factors
+
+        x = sympy.symbols("x")
+        rng = random.Random(4)
+        for kind in ("similarity", "rational", "jordan") * 4:
+            n = rng.randint(1, 4)
+            P = differential_case(rng, kind, n)
+            M = sympy.Matrix(n, n, lambda i, j: -P.entry(i, j)[0])
+            want = [
+                sympy.Poly(f, x).monic().all_coeffs()[::-1]
+                for f in sympy_factors(x * sympy.eye(n) - M, domain=sympy.QQ[x])
+            ]
+            got = invariant_factors(minor_gcd_chain(P))
+            assert [
+                [Fraction(int(c.p), int(c.q)) for c in coeffs] for coeffs in want
+            ] == [list(f.coeffs) for f in got], (kind, n)
 
 
 class TestInvariantFactors:

@@ -13,7 +13,6 @@ from secular.matrices import (
     adjugate_pencil,
     det_pencil,
     det_rational,
-    minor,
     transpose_check,
 )
 from secular.polynomials import Poly
@@ -99,26 +98,6 @@ class TestPencilDet:
         )
         # det = x^2(3x + 2) + 1
         assert det_pencil(Q) == Poly([1, 0, 2, 3])
-
-
-class TestMinor:
-    def setup_method(self):
-        self.P = Pencil.classical(NOTE23).char_matrix()
-
-    def test_drop_first_row_col(self):
-        # (1-x)(2-x) - 1 = x^2 - 3x + 1
-        assert minor(self.P, [0], [0]) == Poly([1, -3, 1])
-
-    def test_corner_constant(self):
-        assert minor(self.P, [0], [2]) == Poly([-1])
-
-    def test_single_entry(self):
-        got = minor(self.P, [0, 1], [1, 2])
-        assert got == self.P.entry(2, 0)
-
-    def test_out_of_range(self):
-        with pytest.raises(PreconditionError):
-            minor(self.P, [3], [0])
 
 
 class TestAdjugate:
