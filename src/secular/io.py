@@ -81,11 +81,18 @@ def matrix_to_doc(M: RatMatrix) -> dict:
     return doc
 
 
+def _dimension(value: Any) -> int:
+    # int() would truncate 2.5 and overflow on 1e400 (inf)
+    if isinstance(value, float) and not value.is_integer():
+        raise ParseError(f"matrix rows and cols must be integers, not {value!r}")
+    return int(value)
+
+
 def matrix_from_doc(doc: Any) -> RatMatrix:
     if not isinstance(doc, dict):
         raise ParseError("matrix document must be an object")
     try:
-        rows, cols = int(doc["rows"]), int(doc["cols"])
+        rows, cols = _dimension(doc["rows"]), _dimension(doc["cols"])
         entries = doc["entries"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed matrix document: {exc}") from None

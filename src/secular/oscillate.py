@@ -779,7 +779,9 @@ def classify_stability(model: MechModel) -> StabilityVerdict:
     everything else -- including repeated or zero K -- is case 3
     (conditional).  The corrected rule: stable iff the couple is symmetric,
     A positive definite and B positive semidefinite, regardless of root
-    multiplicity.
+    multiplicity.  Every solution stays bounded only when B is positive
+    definite; a singular B leaves zero-frequency modes that drift as
+    E + V t, and the rule text says so.
     """
     pencil = model.pencil()
     charpoly = pencil.char_poly()
@@ -805,17 +807,30 @@ def classify_stability(model: MechModel) -> StabilityVerdict:
         historical = "conditional"
 
     symmetric = pencil.is_symmetric()
+    b_inertia = inertia(model.stiffness) if symmetric else None
     a_pd = symmetric and inertia(model.mass).positives == model.size
-    b_psd = symmetric and inertia(model.stiffness).negatives == 0
+    b_psd = symmetric and b_inertia.negatives == 0
     corrected = "stable" if (symmetric and a_pd and b_psd) else "unstable"
-    corrected_rule = (
-        "weierstrass-1858: a symmetric couple with positive definite kinetic"
-        " matrix and positive semidefinite stiffness stays bounded whether or"
-        " not the characteristic roots are distinct"
-        if corrected == "stable"
-        else "weierstrass-1858: symmetry/definiteness condition violated;"
-        " some solution grows without bound"
-    )
+    if corrected == "unstable":
+        corrected_rule = (
+            "weierstrass-1858: symmetry/definiteness condition violated;"
+            " some solution grows without bound"
+        )
+    elif b_inertia.positives == model.size:
+        corrected_rule = (
+            "weierstrass-1858: a symmetric couple with positive definite kinetic"
+            " matrix and positive semidefinite stiffness stays bounded whether or"
+            " not the characteristic roots are distinct"
+        )
+    else:
+        corrected_rule = (
+            "weierstrass-1858: a symmetric couple with positive definite"
+            " kinetic matrix and singular positive semidefinite stiffness: the"
+            " nonzero-frequency modes stay bounded whether or not the"
+            " characteristic roots are distinct, but each zero-frequency mode"
+            " drifts as E + V t unless the initial velocity has no component"
+            " along it"
+        )
     return StabilityVerdict(
         historical,
         _HISTORICAL_RULES[historical],

@@ -8,19 +8,29 @@ the original (possibly non-square-free) polynomial.
 Isolation uses Sturm's root-counting theorem.  The Sturm chain is built from
 an integer model of the square-free part with primitive-part normalisation
 after every pseudo-remainder, which keeps coefficient growth in check while
-preserving the sign structure the theorem needs.  Rational roots are split
-off first (divisor candidates of the integer model), so bisection endpoints
-can never collide with the remaining irrational roots; a defensive nudge
-handles the case anyway.
+preserving the sign structure the theorem needs.  Every sign is taken in
+integers: the sign of p at n/d is that of d**deg * p(n/d), which homogeneous
+Horner computes without fractions.  Bisection keeps both endpoints as
+unreduced numerators over one denominator that doubles at each halving, so
+the endpoints are exactly those of Fraction bisection.
+
+Rational roots are split off first.  A rational root p/q of the integer model
+has q dividing its leading coefficient lc, and such rationals lie at least
+1/lc**2 apart, so once an isolating interval is narrower than 1/(2 lc**2) the
+one candidate `limit_denominator(lc)` of its midpoint decides whether its
+root is rational.  If any are, the irrational roots are isolated afresh
+from the deflated polynomial, so bisection endpoints can never collide with
+them; a defensive nudge handles the case anyway.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import lcm
 
 from .errors import PreconditionError
-from .polynomials import Poly, squarefree_decompose, _divisors
+from .polynomials import Poly, squarefree_decompose
 
 __all__ = [
     "RealRoot",
@@ -123,60 +133,111 @@ def sturm_chain(p: Poly) -> list[Poly]:
     return chain
 
 
-def _variations(chain: list[Poly], x: Fraction) -> int:
-    signs = []
-    for q in chain:
-        v = q.evaluate(x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
+def _ints(q: Poly) -> tuple[int, ...]:
+    """Coefficients of an integer polynomial as ints, lowest degree first."""
+    return tuple(c.numerator for c in q.coeffs)
+
+
+def _int_model(p: Poly) -> tuple[int, ...]:
+    """The primitive integer multiple of p with positive leading coefficient."""
+    return _ints(p.integer_primitive()[1])
+
+
+def _sign_at(cs: tuple[int, ...], n: int, d: int) -> int:
+    """Sign of the integer polynomial cs at n/d (d > 0).
+
+    Homogeneous Horner computes d**deg * cs(n/d), which has the same sign,
+    in integers alone."""
+    acc, dk = 0, 1
+    for c in reversed(cs):
+        acc = acc * n + c * dk
+        dk *= d
+    return (acc > 0) - (acc < 0)
+
+
+def _variations(chain: list[tuple[int, ...]], n: int, d: int) -> int:
+    signs = [s for s in (_sign_at(q, n, d) for q in chain) if s]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
 def count_roots(chain: list[Poly], a: Fraction, b: Fraction) -> int:
     """Number of distinct real roots in (a, b] for a square-free chain."""
-    return _variations(chain, a) - _variations(chain, b)
+    a, b = Fraction(a), Fraction(b)
+    ints = [_ints(q) for q in chain]
+    return (_variations(ints, a.numerator, a.denominator)
+            - _variations(ints, b.numerator, b.denominator))
 
 
-def _cauchy_bound(p: Poly) -> Fraction:
-    lead = abs(p.leading())
-    return 1 + max((abs(c) for c in p.coeffs[:-1]), default=Fraction(0)) / lead
+def _halve(cs, a, b, d):
+    """Split the interval (a/d, b/d) at its midpoint m/d over the doubled
+    denominator; a midpoint that is a root of cs moves halfway toward a.
+
+    Returns (a, m, b, d) over the new denominator and the sign of cs at m.
+    The endpoints stay unreduced, so every number is the one Fraction
+    bisection gives.
+    """
+    m, a, b, d = a + b, 2 * a, 2 * b, 2 * d
+    s = _sign_at(cs, m, d)
+    while s == 0:
+        m, a, b, d = a + m, 2 * a, 2 * b, 2 * d
+        s = _sign_at(cs, m, d)
+    return a, m, b, d, s
 
 
-def _rational_roots(p: Poly) -> list[Fraction]:
-    """All rational roots of p (each reported once), via divisor candidates
-    of an integer model."""
-    _, pz = p.integer_primitive()
+def _isolate(chain: list[tuple[int, ...]]) -> list[tuple[int, int, int]]:
+    """Isolating intervals (a, b, d), meaning (a/d, b/d), of every real root
+    of the square-free chain[0], from Sturm bisection of its Cauchy interval.
+    """
+    cs = chain[0]
+    bound = 1 + Fraction(max(abs(c) for c in cs[:-1]), cs[-1])
+    n, d = bound.numerator, bound.denominator
+    stack = [(-n, n, d, _variations(chain, -n, d), _variations(chain, n, d))]
+    intervals = []
+    while stack:
+        a, b, d, va, vb = stack.pop()
+        if va - vb == 1:
+            intervals.append((a, b, d))
+        elif va - vb > 1:
+            a, m, b, d, _ = _halve(cs, a, b, d)
+            vm = _variations(chain, m, d)
+            stack.append((a, m, d, va, vm))
+            stack.append((m, b, d, vm, vb))
+    return intervals
+
+
+def _narrow(cs, a, b, d, wide) -> tuple[int, int, int]:
+    """Bisect the isolating interval (a/d, b/d) of the square-free integer
+    polynomial cs while wide(a, b, d) holds."""
+    lo_positive = _sign_at(cs, a, d) > 0
+    while wide(a, b, d):
+        a, m, b, d, s = _halve(cs, a, b, d)
+        if (s > 0) != lo_positive:
+            b = m
+        else:
+            a = m
+    return a, b, d
+
+
+def _rational_roots(cs, intervals) -> list[Fraction]:
+    """The rational roots of the square-free integer polynomial cs, given an
+    isolating interval for each of its real roots.
+
+    A rational root p/q has q | lc (lc the leading coefficient), and two
+    such rationals lie at least 1/lc**2 apart.  Once an interval is narrower
+    than 1/(2 lc**2), the rational of denominator at most lc nearest its
+    midpoint is the only candidate for its root.  A midpoint that lands on
+    the root is nudged like any other, which keeps the root inside the
+    interval, so the candidate still finds it.
+    """
+    lc = cs[-1]
     roots = []
-    k = 0
-    while pz[k] == 0:
-        k += 1
-    if k:
-        roots.append(Fraction(0))
-        pz = Poly(pz.coeffs[k:])
-    if pz.degree() >= 1:
-        c0, cn = pz[0], pz.leading()
-        seen = set()
-        for num in _divisors(c0.numerator):
-            for den in _divisors(cn.numerator):
-                for cand in (Fraction(num, den), Fraction(-num, den)):
-                    if cand not in seen:
-                        seen.add(cand)
-                        if pz.evaluate(cand) == 0:
-                            roots.append(cand)
-    return sorted(roots)
-
-
-def _bisect_once(p: Poly, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
-    """Halve an isolating interval of p, nudging if the midpoint is a root."""
-    mid = (lo + hi) / 2
-    v = p.evaluate(mid)
-    while v == 0:
-        # exactness makes a root hit detectable; halve toward the interior
-        mid = (lo + mid) / 2
-        v = p.evaluate(mid)
-    if (p.evaluate(lo) > 0) != (v > 0):
-        return lo, mid
-    return mid, hi
+    for a, b, d in intervals:
+        a, b, d = _narrow(cs, a, b, d, lambda a, b, d: 2 * lc * lc * (b - a) >= d)
+        cand = Fraction(a + b, 2 * d).limit_denominator(lc)
+        p, q = cand.numerator, cand.denominator
+        if a * q <= p * d <= b * q and _sign_at(cs, p, q) == 0:
+            roots.append(cand)
+    return roots
 
 
 def sturm_isolate(p: Poly, target_width=Fraction(1, 10**30)) -> list[RealRoot]:
@@ -193,62 +254,53 @@ def sturm_isolate(p: Poly, target_width=Fraction(1, 10**30)) -> list[RealRoot]:
         raise PreconditionError("isolation width must be positive")
     if p.degree() == 0:
         return []
-    parts = squarefree_decompose(p)
+    parts = [(_int_model(f), f, e) for f, e in squarefree_decompose(p)]
 
     def factor_of_exact(r: Fraction) -> tuple[Poly, int]:
-        for f, e in parts:
-            if f.evaluate(r) == 0:
+        for fz, f, e in parts:
+            if _sign_at(fz, r.numerator, r.denominator) == 0:
                 return f, e
         raise AssertionError("rational root lost during decomposition")
 
-    def factor_of_interval(lo: Fraction, hi: Fraction) -> tuple[Poly, int]:
-        for f, e in parts:
-            if (f.evaluate(lo) > 0) != (f.evaluate(hi) > 0):
+    def factor_of_interval(a: int, b: int, d: int) -> tuple[Poly, int]:
+        for fz, f, e in parts:
+            if (_sign_at(fz, a, d) > 0) != (_sign_at(fz, b, d) > 0):
                 return f, e
         raise AssertionError("isolated root lost during decomposition")
 
     squarefree = Poly([1])
-    for f, _ in parts:
+    for _, f, _ in parts:
         squarefree = squarefree * f
 
-    exact_values = _rational_roots(squarefree)
+    chain = [_ints(q) for q in sturm_chain(squarefree)]
+    intervals = _isolate(chain)
+    exact_values = _rational_roots(chain[0], intervals)
     roots = [
         RealRoot.exact(r, *factor_of_exact(r)) for r in exact_values
     ]
 
-    deflated = squarefree
-    for r in exact_values:
-        deflated = deflated // Poly([-r, 1])
+    if exact_values:
+        # the printed intervals come from isolating what is left
+        deflated = squarefree
+        for r in exact_values:
+            deflated = deflated // Poly([-r, 1])
+        chain = [_ints(q) for q in sturm_chain(deflated)]
+        intervals = _isolate(chain) if deflated.degree() >= 1 else []
+    exact = [(r.numerator, r.denominator) for r in exact_values]
+    tn, td = target_width.numerator, target_width.denominator
 
-    if deflated.degree() >= 1:
-        chain = sturm_chain(deflated)
-        work = deflated
-        bound = _cauchy_bound(work)
-        stack = [(-bound, bound)]
-        intervals: list[tuple[Fraction, Fraction]] = []
-        while stack:
-            lo, hi = stack.pop()
-            n = count_roots(chain, lo, hi)
-            if n == 0:
-                continue
-            if n == 1:
-                intervals.append((lo, hi))
-                continue
-            mid = (lo + hi) / 2
-            while work.evaluate(mid) == 0:
-                mid = (lo + mid) / 2
-            stack.append((lo, mid))
-            stack.append((mid, hi))
-        for lo, hi in intervals:
-            # narrow below the target width and separate the interval (ends
-            # included) from every exact rational root, so the defining
-            # factor is nonzero at both endpoints
-            while hi - lo >= target_width or any(
-                lo <= r <= hi for r in exact_values
-            ):
-                lo, hi = _bisect_once(work, lo, hi)
-            f, e = factor_of_interval(lo, hi)
-            roots.append(RealRoot.isolated(lo, hi, f, e))
+    def wide(a: int, b: int, d: int) -> bool:
+        # narrow below the target width and separate the interval (ends
+        # included) from every exact rational root, so the defining factor
+        # is nonzero at both endpoints
+        return (b - a) * td >= tn * d or any(
+            a * den <= num * d <= b * den for num, den in exact
+        )
+
+    for a, b, d in intervals:
+        a, b, d = _narrow(chain[0], a, b, d, wide)
+        f, e = factor_of_interval(a, b, d)
+        roots.append(RealRoot.isolated(Fraction(a, d), Fraction(b, d), f, e))
 
     return sorted(roots, key=lambda r: r.approx())
 
@@ -284,6 +336,12 @@ def refine_root(root: RealRoot, width) -> RealRoot:
     if root.is_exact or root.width() <= width:
         return root
     lo, hi = root.lo, root.hi
-    while hi - lo > width:
-        lo, hi = _bisect_once(root.poly, lo, hi)
-    return replace(root, lo=lo, hi=hi)
+    d = lcm(lo.denominator, hi.denominator)
+    a, b, d = _narrow(
+        _int_model(root.poly),
+        lo.numerator * (d // lo.denominator),
+        hi.numerator * (d // hi.denominator),
+        d,
+        lambda a, b, d: (b - a) * width.denominator > width.numerator * d,
+    )
+    return replace(root, lo=Fraction(a, d), hi=Fraction(b, d))

@@ -21,6 +21,84 @@ NOTE23_DOC = {
 }
 
 
+# `secular roots` stdout on [[2, 1, 0], [1, 3, 1], [0, 1, 4]] (roots 3 and
+# 3 +- sqrt(3)) as Fraction bisection printed it, byte for byte; integer sign
+# evaluation must not move a digit.
+TRIDIAGONAL_DOC = {
+    "rows": 3,
+    "cols": 3,
+    "entries": ["2", "1", "0", "1", "3", "1", "0", "1", "4"],
+}
+TRIDIAGONAL_ROOTS = (
+    '{\n'
+    '  "path": "exact",\n'
+    '  "provenance": {\n'
+    '    "algorithm": "sturm-root-isolation",\n'
+    '    "source": "sturm-1829"\n'
+    '  },\n'
+    '  "roots": [\n'
+    '    {\n'
+    '      "approx": 1.2679491924311228,\n'
+    '      "interval": [\n'
+    '        "12858532438753691542802718607293/10141204801825835211973625643008",\n'
+    '        "3214633109688422885700679651825/2535301200456458802993406410752"\n'
+    '      ],\n'
+    '      "kind": "isolated",\n'
+    '      "multiplicity": 1\n'
+    '    },\n'
+    '    {\n'
+    '      "kind": "exact",\n'
+    '      "multiplicity": 1,\n'
+    '      "value": "3/1"\n'
+    '    },\n'
+    '    {\n'
+    '      "approx": 4.732050807568878,\n'
+    '      "interval": [\n'
+    '        "47988696372201319729039035250743/10141204801825835211973625643008",\n'
+    '        "23994348186100659864519517625375/5070602400912917605986812821504"\n'
+    '      ],\n'
+    '      "kind": "isolated",\n'
+    '      "multiplicity": 1\n'
+    '    }\n'
+    '  ]\n'
+    '}\n'
+)
+TRIDIAGONAL_ROOTS_WIDTH_1000 = (
+    '{\n'
+    '  "path": "exact",\n'
+    '  "provenance": {\n'
+    '    "algorithm": "sturm-root-isolation",\n'
+    '    "source": "sturm-1829"\n'
+    '  },\n'
+    '  "roots": [\n'
+    '    {\n'
+    '      "approx": 1.26763916015625,\n'
+    '      "interval": [\n'
+    '        "10381/8192",\n'
+    '        "2597/2048"\n'
+    '      ],\n'
+    '      "kind": "isolated",\n'
+    '      "multiplicity": 1\n'
+    '    },\n'
+    '    {\n'
+    '      "kind": "exact",\n'
+    '      "multiplicity": 1,\n'
+    '      "value": "3/1"\n'
+    '    },\n'
+    '    {\n'
+    '      "approx": 4.73175048828125,\n'
+    '      "interval": [\n'
+    '        "38759/8192",\n'
+    '        "19383/4096"\n'
+    '      ],\n'
+    '      "kind": "isolated",\n'
+    '      "multiplicity": 1\n'
+    '    }\n'
+    '  ]\n'
+    '}\n'
+)
+
+
 @pytest.fixture
 def note23_file(tmp_path):
     path = tmp_path / "note23.json"
@@ -233,6 +311,23 @@ class TestWidthFlag:
         assert "--width" in capsys.readouterr().err
 
 
+class TestLargeCoefficients:
+    def test_exact_roots_of_1e12_entries(self, tmp_path, deadline, capsys):
+        # rational roots are found without enumerating divisors of 10^24
+        deadline(1.0)
+        doc = write_json(
+            tmp_path,
+            "m.json",
+            {"rows": 2, "cols": 2, "entries": ["0", "1e12", "1e12", "0"]},
+        )
+        assert run(["roots", "--input", doc]) == 0
+        roots = json.loads(capsys.readouterr().out)["roots"]
+        assert [(r["kind"], r["value"]) for r in roots] == [
+            ("exact", "-1000000000000/1"),
+            ("exact", "1000000000000/1"),
+        ]
+
+
 class TestFlags:
     @pytest.mark.parametrize("root", ["abc", "1/0"])
     def test_invalid_root_exits_2(self, note23_file, root, capsys):
@@ -254,6 +349,16 @@ class TestFlags:
 
 
 class TestDeterminism:
+    @pytest.mark.parametrize(
+        "flags, expected",
+        [([], TRIDIAGONAL_ROOTS),
+         (["--width", "1/1000"], TRIDIAGONAL_ROOTS_WIDTH_1000)],
+    )
+    def test_roots_stdout_pinned(self, tmp_path, capsys, flags, expected):
+        doc = write_json(tmp_path, "m.json", TRIDIAGONAL_DOC)
+        assert run(["roots", "--input", doc] + flags) == 0
+        assert capsys.readouterr().out == expected
+
     def test_byte_identical_repeats(self, tmp_path, note23_file):
         _, first = run_to_file(["roots", "--input", note23_file], tmp_path, "a.json")
         _, second = run_to_file(["roots", "--input", note23_file], tmp_path, "b.json")
@@ -294,6 +399,21 @@ class TestExitCodes:
             tmp_path, "m.json", {"rows": -1, "cols": -1, "entries": ["2/1"]}
         )
         assert run(["inertia", "--input", doc]) == 2
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # json reads 1e400 as inf, which int() cannot convert
+            '{"rows": 1e400, "cols": 2, "entries": ["1/1", "2/1"]}',
+            # int() would truncate 2.5 to 2
+            '{"rows": 2.5, "cols": 2, "entries": ["1/1", "2/1", "2/1", "1/1"]}',
+        ],
+    )
+    def test_non_integral_dimensions(self, tmp_path, capsys, text):
+        doc = tmp_path / "m.json"
+        doc.write_text(text)
+        assert run(["inertia", "--input", str(doc)]) == 2
+        assert "must be integers" in capsys.readouterr().err
 
     def test_precondition_singular_pencil(self, tmp_path):
         doc = write_json(

@@ -331,6 +331,28 @@ class TestClassifyStability:
         assert v.corrected == "stable"
         assert not v.agreement
 
+    def test_definite_stiffness_rule_stays_bounded(self):
+        v = classify_stability(build_model("coupled-springs", {}))
+        assert "stays bounded" in v.corrected_rule
+        assert "drift" not in v.corrected_rule
+
+    def test_singular_stiffness_rule_names_drift(self):
+        # free-free pair: B = [[1, -1], [-1, 1]] is positive semidefinite and
+        # singular, so a push along (1, 1) drifts off as E + V t
+        model = build_model(
+            "custom",
+            {},
+            mass=RatMatrix.identity(2),
+            stiffness=RatMatrix.from_rows([[1, -1], [-1, 1]]),
+        )
+        v = classify_stability(model)
+        assert v.corrected == "stable"
+        assert "stays bounded" not in v.corrected_rule
+        assert "drifts as E + V t" in v.corrected_rule
+        sol = solve_modal(model, InitialConditions.of([0, 0], [1, 0]))
+        assert sol.has_drift
+        assert np.max(np.abs(sol.evaluate(100.0))) > 49
+
     def test_planted_positive_growth_unstable_twice(self):
         model = build_model(
             "custom",

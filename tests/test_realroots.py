@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from secular.errors import PreconditionError
+from secular.matrices import RatMatrix
+from secular.oscillate import build_model
 from secular.polynomials import Poly
 from secular.realroots import RealRoot, refine_root, root_sign, sturm_isolate
 
@@ -172,3 +175,206 @@ class TestRootSign:
         neg = RealRoot.isolated(Fraction(-2), Fraction(1), P(2, 0, 0, 1))
         assert root_sign(pos) == 1
         assert root_sign(neg) == -1
+
+
+# Endpoints of `sturm_isolate` as Fraction bisection printed them before signs
+# were taken in integers; the integer engine must reproduce every one, since
+# any change to the bisection tree, the nudge or the stopping rule moves them.
+GOLDEN_LOADED_STRING_12 = [
+    (
+        "6379267751949762731652631092686983007221/82688615161788046621600029605919675383808",
+        "12758535503899525463305262185484983998685/165377230323576093243200059211839350767616",
+    ),
+    (
+        "7494130253246688843127265178217816218499/18375247813730677027022228801315483418624",
+        "33723586139610099794072693302035681975367/82688615161788046621600029605919675383808",
+    ),
+    (
+        "55589177105471417771493536591952543390455/55125743441192031081066686403946450255872",
+        "20845941414551781664310076221996081019451/20672153790447011655400007401479918845952",
+    ),
+    (
+        "156212649220583287681707994199982868973089/82688615161788046621600029605919675383808",
+        "312425298441166575363415988400076755930421/165377230323576093243200059211839350767616",
+    ),
+    (
+        "507071685756430263371951713821460533477689/165377230323576093243200059211839350767616",
+        "126767921439107565842987928455392887865483/41344307580894023310800014802959837691904",
+    ),
+    (
+        "251539702736757268211780143506257594585681/55125743441192031081066686403946450255872",
+        "377309554105135902317670215259441900870643/82688615161788046621600029605919675383808",
+    ),
+    (
+        "265191121911848530322952090081270380760265/41344307580894023310800014802959837691904",
+        "39287573616570152640437346678710834852789/6125082604576892342340742933771827806208",
+    ),
+    (
+        "1433936901486080527098618189428364554967803/165377230323576093243200059211839350767616",
+        "716968450743040263549309094714237786476023/82688615161788046621600029605919675383808",
+    ),
+    (
+        "157263227930680206224852837275952356905937/13781435860298007770266671600986612563968",
+        "1887158735168162474698234047311539300855487/165377230323576093243200059211839350767616",
+    ),
+    (
+        "2442190650394592769352196405156813480802559/165377230323576093243200059211839350767616",
+        "407031775065765461558699400859487416464467/27562871720596015540533343201973225127936",
+    ),
+    (
+        "3140840747677649262350239331992125798279713/165377230323576093243200059211839350767616",
+        "785210186919412315587559832998059204065989/41344307580894023310800014802959837691904",
+    ),
+    (
+        "2045116628591011587409734979408283104898195/82688615161788046621600029605919675383808",
+        "1363411085727341058273156652938892409260211/55125743441192031081066686403946450255872",
+    ),
+]
+
+# A = L^T L + I and B = M^T M for L, M drawn from [-3, 3] by random.Random(4)
+GOLDEN_CUSTOM_MASS = [[15, 8, 3, -4], [8, 20, 12, -14], [3, 12, 23, -9], [-4, -14, -9, 24]]
+GOLDEN_CUSTOM_STIFFNESS = [[23, 4, 15, 5], [4, 15, 3, 9], [15, 3, 18, -4], [5, 9, -4, 20]]
+GOLDEN_CUSTOM = [
+    (
+        "10347441560212189245916346711216997/86545041778781677698982921237430272",
+        "124169298722546270950996160535326975/1038540501345380132387795054849163264",
+    ),
+    (
+        "168738131202947724992973803832206285/519270250672690066193897527424581632",
+        "112492087468631816661982535888378527/346180167115126710795931684949721088",
+    ),
+    (
+        "2488477145842306036780478895050417101/1038540501345380132387795054849163264",
+        "51843273871714709099593310313565419/21636260444695419424745730309357568",
+    ),
+    (
+        "4393143972440943170943103612102864805/1038540501345380132387795054849163264",
+        "549142996555117896367887951512948477/129817562668172516548474381856145408",
+    ),
+]
+
+GOLDEN_SQRT2 = [
+    (
+        "-7170914684772625909597688093115/5070602400912917605986812821504",
+        "-896364335596578238699711011639/633825300114114700748351602688",
+    ),
+    (
+        "896364335596578238699711011639/633825300114114700748351602688",
+        "7170914684772625909597688093115/5070602400912917605986812821504",
+    ),
+]
+
+
+def endpoints(roots):
+    return [(str(r.lo), str(r.hi)) for r in roots]
+
+
+class TestGoldenIntervals:
+    def test_loaded_string_12(self):
+        model = build_model("loaded-string", {"n": 12, "a": Fraction(3, 2)})
+        roots = sturm_isolate(model.pencil().char_poly())
+        assert endpoints(roots) == GOLDEN_LOADED_STRING_12
+
+    def test_custom_pencil(self):
+        model = build_model(
+            "custom",
+            mass=RatMatrix.from_rows(GOLDEN_CUSTOM_MASS),
+            stiffness=RatMatrix.from_rows(GOLDEN_CUSTOM_STIFFNESS),
+        )
+        roots = sturm_isolate(model.pencil().char_poly())
+        assert endpoints(roots) == GOLDEN_CUSTOM
+
+    def test_sqrt2_default_width(self):
+        assert endpoints(sturm_isolate(P(-2, 0, 1))) == GOLDEN_SQRT2
+
+    @pytest.mark.parametrize(
+        "width, expected",
+        [
+            (Fraction(1, 10**30), [GOLDEN_SQRT2[0], ("1", "1"), GOLDEN_SQRT2[1]]),
+            # wide enough already; only the exact root 1 forces narrowing
+            (10, [("-3", "0"), ("1", "1"), ("9/8", "3/2")]),
+            (1, [("-3/2", "-3/4"), ("1", "1"), ("9/8", "3/2")]),
+        ],
+    )
+    def test_narrowed_clear_of_exact_root(self, width, expected):
+        roots = sturm_isolate(P(-1, 1) * P(-2, 0, 1), width)
+        assert [r.kind for r in roots] == ["isolated", "exact", "isolated"]
+        assert endpoints(roots) == expected
+
+    def test_refine_continues_the_same_bisection(self):
+        # refining a coarse interval lands where isolating finely does
+        coarse = sturm_isolate(P(-2, 0, 1), Fraction(1, 1000))[1]
+        fine = refine_root(coarse, Fraction(1, 10**30))
+        assert endpoints([fine]) == [GOLDEN_SQRT2[1]]
+
+
+def _sympy_case(rng):
+    """A seeded polynomial of degree <= 8 mixing repeated rational roots,
+    irrational roots and complex pairs."""
+    roots, degree = [], rng.randint(1, 8)
+    factors = []
+    while degree > 0:
+        pick = rng.random()
+        if pick < 0.5 or degree == 1:
+            r = Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 3, 4, 6]))
+            mult = min(degree, rng.choice([1, 1, 1, 2, 3]))
+            roots += [r] * mult
+            degree -= mult
+        elif pick < 0.8:
+            k = rng.choice([2, 3, 5, 7, 10, Fraction(1, 2), Fraction(9, 2)])
+            factors.append(P(-k, 0, 1))  # x^2 - k, k not a square
+            degree -= 2
+        else:
+            factors.append(P(rng.randint(1, 5), rng.randint(-2, 2), 1))
+            degree -= 2
+    p = Poly.from_roots(roots)
+    for f in factors:
+        p = p * f
+    return p * rng.choice([1, -3, Fraction(5, 2)])
+
+
+# Rational roots that bisection of the Cauchy interval (-B, B) reaches as
+# midpoints: 0 is the first midpoint, and (x - 3)(x + 1) has B = 4, so -1
+# and 3 are midpoints too; each case hits at least one root exactly.
+DYADIC_HITS = [
+    Poly.from_roots([0]) * P(-2, 0, 1),
+    Poly.from_roots([3, -1]),
+    Poly.from_roots([3, -1, 0]) * P(-5, 0, 1),
+    Poly.from_roots([-2, -2, Fraction(5, 2)]) * P(-3, 0, 1),
+    Poly.from_roots([Fraction(1, 2), Fraction(5, 2), Fraction(5, 2)]) * P(-3, 0, 1),
+]
+
+
+class TestAgainstSympy:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_seeded(self, seed):
+        self.check(_sympy_case(random.Random(seed)))
+
+    @pytest.mark.parametrize("p", DYADIC_HITS, ids=str)
+    def test_roots_at_dyadic_midpoints(self, p):
+        self.check(p)
+
+    @staticmethod
+    def check(p):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        sp = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                         for c in reversed(p.coeffs)], x)
+        distinct = []
+        for r in sympy.real_roots(sp):
+            if distinct and distinct[-1][0] == r:
+                distinct[-1][1] += 1
+            else:
+                distinct.append([r, 1])
+        roots = sturm_isolate(p)
+        assert len(roots) == len(distinct)
+        assert len(sp.intervals()) == len(roots)
+        for ours, (theirs, mult) in zip(roots, distinct):
+            assert ours.multiplicity == mult
+            assert ours.is_exact == theirs.is_Rational
+            if ours.is_exact:
+                assert sympy.Rational(ours.value.numerator,
+                                      ours.value.denominator) == theirs
+            else:
+                value = theirs.evalf(80)
+                assert ours.lo < Fraction(str(value)) < ours.hi
