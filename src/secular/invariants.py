@@ -26,7 +26,7 @@ from math import lcm as int_lcm
 from .errors import InternalError, PreconditionError
 from .matrices import Pencil, PolyMatrix, RatMatrix
 from .polynomials import Poly, kronecker_factor, poly_gcd, squarefree_decompose
-from .realroots import RealRoot, refine_root, sturm_isolate
+from .realroots import RealRoot, refine_root
 
 __all__ = [
     "MinorGcdChain",
@@ -332,8 +332,7 @@ def darboux_signature_steps(M: RatMatrix) -> list[tuple[RealRoot, int]]:
     if not M.is_symmetric():
         raise PreconditionError("signature steps require a symmetric matrix")
     n = M.rows
-    charpoly = Pencil.similarity(M).char_poly()
-    roots = sturm_isolate(charpoly)
+    roots = Pencil.similarity(M).roots()
     if not roots:
         return []
     # rational sample points strictly between consecutive roots

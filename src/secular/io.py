@@ -12,6 +12,8 @@ shortest round-trip repr, and no timestamps enter the payload.
 from __future__ import annotations
 
 import json
+import re
+import sys
 from fractions import Fraction
 from typing import Any
 
@@ -35,7 +37,6 @@ __all__ = [
     "poly_to_doc",
     "matrix_to_doc",
     "matrix_from_doc",
-    "pencil_to_doc",
     "pencil_from_doc",
     "pair_from_doc",
     "scenario_from_doc",
@@ -47,10 +48,20 @@ __all__ = [
 ]
 
 
+_EXPONENT = re.compile(r"([0-9_.]*)[eE]([-+]?[0-9_]+)\s*$")
+
+
 def parse_fraction(text: Any) -> Fraction:
     try:
         if isinstance(text, bool):
             raise ValueError("boolean is not a rational literal")
+        if isinstance(text, str) and (match := _EXPONENT.search(text)):
+            # Fraction would build 10**exponent, however many digits that has;
+            # Python before 3.10.7 has no digit limit
+            limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+            digits = sum(c.isdigit() for c in match[1]) + abs(int(match[2]))
+            if limit and digits > limit:
+                raise ValueError(f"exponent expands beyond {limit} digits")
         if isinstance(text, (int, str)):
             return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -104,14 +115,6 @@ def matrix_from_doc(doc: Any) -> RatMatrix:
     if doc.get("symmetric") and not M.is_symmetric():
         raise ParseError("matrix flagged symmetric but is not")
     return M
-
-
-def pencil_to_doc(p: Pencil) -> dict:
-    return {
-        "A": matrix_to_doc(p.A),
-        "B": matrix_to_doc(p.B),
-        "orientation": p.orientation,
-    }
 
 
 def pencil_from_doc(doc: Any) -> Pencil:

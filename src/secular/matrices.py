@@ -8,7 +8,8 @@ enough integer points and interpolating, which is exact in rational
 arithmetic and avoids intermediate polynomial blow-up.  A `Pencil` packages
 a matrix couple (A, B) with its orientation: "sA-B" (generalized/frequency
 form, determinant in s) or "A-sB" (characteristic-matrix form such as
-A - xI).
+A - xI).  A pencil computes its determinant, its isolated real roots (per
+width) and the adjugate of its characteristic matrix once, on first use.
 
 Indices are 0-based throughout the code; serialized documents use 1-based
 indices (see `secular.io`).
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm as int_lcm
 from typing import Callable, Iterable, Sequence
 
@@ -25,6 +27,7 @@ import numpy as np
 
 from .errors import PreconditionError
 from .polynomials import Poly, _lagrange, _lagrange_basis, _lagrange_combine
+from .realroots import RealRoot, sturm_isolate
 
 __all__ = [
     "RatMatrix",
@@ -77,10 +80,6 @@ class RatMatrix:
         return cls.from_rows(
             [[values[i] if i == j else 0 for j in range(n)] for i in range(n)]
         )
-
-    @classmethod
-    def column(cls, values: Sequence) -> "RatMatrix":
-        return cls.from_rows([[v] for v in values])
 
     # -- access --------------------------------------------------------------
 
@@ -331,10 +330,6 @@ class PolyMatrix:
             raise PreconditionError("ragged matrix rows")
         return cls(len(rows), ncols, tuple(p for r in rows for p in r))
 
-    @classmethod
-    def from_constant(cls, M: RatMatrix) -> "PolyMatrix":
-        return cls(M.rows, M.cols, tuple(Poly([v]) for v in M.entries))
-
     def entry(self, i: int, j: int) -> Poly:
         return self.entries[i * self.cols + j]
 
@@ -491,8 +486,29 @@ class Pencil:
             rows.append(row)
         return PolyMatrix.from_rows(rows)
 
+    # A cached_property writes the instance __dict__, which a frozen dataclass
+    # allows; equality and hashing still see only A, B and the orientation.
+    _char_poly = cached_property(lambda self: det_pencil(self.char_matrix()))
+    _roots = cached_property(lambda self: {})  # width -> isolated roots
+    _char_adjugate = cached_property(lambda self: adjugate_pencil(self.char_matrix()))
+
     def char_poly(self) -> Poly:
-        return det_pencil(self.char_matrix())
+        """det of the characteristic matrix, computed on first use."""
+        return self._char_poly
+
+    def roots(self, width=Fraction(1, 10**30)) -> list[RealRoot]:
+        """Real roots of `char_poly` isolated to `width`, once per width."""
+        width = Fraction(width)
+        if width not in self._roots:
+            f = self.char_poly()
+            if f.is_zero():
+                raise PreconditionError("singular pencil (determinant identically zero)")
+            self._roots[width] = sturm_isolate(f, width)
+        return list(self._roots[width])
+
+    def char_adjugate(self) -> PolyMatrix:
+        """Adjugate of the characteristic matrix, computed on first use."""
+        return self._char_adjugate
 
     def evaluate(self, s) -> RatMatrix:
         """The characteristic matrix at a rational point."""

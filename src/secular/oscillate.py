@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import factorial
 
 import numpy as np
@@ -35,7 +36,7 @@ from .errors import InternalError, PathUnavailableError, PreconditionError
 from .invariants import inertia
 from .matrices import Pencil, RatMatrix
 from .polynomials import Poly
-from .realroots import RealRoot, root_sign, sturm_isolate
+from .realroots import RealRoot, root_sign
 from .spectral import spectral_decompose
 
 __all__ = [
@@ -87,9 +88,11 @@ class MechModel:
     def size(self) -> int:
         return self.mass.rows
 
+    _pencil = cached_property(lambda self: Pencil(self.mass, self.stiffness, "sA-B"))
+
     def pencil(self) -> Pencil:
-        """Frequency pencil: det(K*A - B) = 0, K = omega^2."""
-        return Pencil(self.mass, self.stiffness, "sA-B")
+        """Frequency pencil: det(K*A - B) = 0, K = omega^2; one per model."""
+        return self._pencil
 
     def parameter(self, name: str) -> Fraction:
         for k, v in self.parameters:
@@ -458,11 +461,6 @@ def _matrix_power_apply(M: RatMatrix, k: int, v) -> tuple:
     return out
 
 
-def _rational_eigenvalues(M: RatMatrix) -> list[RealRoot]:
-    charpoly = Pencil.similarity(M).char_poly()
-    return sturm_isolate(charpoly)
-
-
 def spectral_projectors(
     M: RatMatrix,
 ) -> list[tuple[Fraction, int, int, RatMatrix]]:
@@ -475,7 +473,8 @@ def spectral_projectors(
     lengths are read off iterated nullspaces of (M - sigma*I)^k.
     """
     n = M.rows
-    roots = _rational_eigenvalues(M)
+    pencil = Pencil.similarity(M)
+    roots = pencil.roots()
     if sum(r.multiplicity for r in roots) != n or any(
         not r.is_exact for r in roots
     ):
@@ -483,7 +482,7 @@ def spectral_projectors(
             "spectral projectors need all-rational eigenvalues; use the"
             " floating Jordan path instead"
         )
-    charpoly = Pencil.similarity(M).char_poly()
+    charpoly = pencil.char_poly()
     projectors = []
     ident = RatMatrix.identity(n)
     for root in roots:
@@ -784,11 +783,8 @@ def classify_stability(model: MechModel) -> StabilityVerdict:
     E + V t, and the rule text says so.
     """
     pencil = model.pencil()
-    charpoly = pencil.char_poly()
-    if charpoly.is_zero():
-        raise PreconditionError("singular frequency pencil")
-    roots = sturm_isolate(charpoly)
-    n_complex = charpoly.degree() - sum(r.multiplicity for r in roots)
+    roots = pencil.roots()
+    n_complex = pencil.char_poly().degree() - sum(r.multiplicity for r in roots)
 
     positive_simple = sum(
         1 for r in roots if root_sign(r) > 0 and r.multiplicity == 1

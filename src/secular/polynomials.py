@@ -57,14 +57,6 @@ class Poly:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def const(cls, c) -> "Poly":
-        return cls([Fraction(c)])
-
-    @classmethod
-    def monomial(cls, degree: int, c=1) -> "Poly":
-        return cls([0] * degree + [Fraction(c)])
-
-    @classmethod
     def from_roots(cls, roots: Sequence) -> "Poly":
         p = ONE
         for r in roots:

@@ -24,15 +24,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import factorial
 
 import numpy as np
 
 from .errors import PathUnavailableError, PreconditionError
 from .invariants import inertia
-from .matrices import Pencil, PolyMatrix, RatMatrix, adjugate_pencil
+from .matrices import Pencil, PolyMatrix, RatMatrix
 from .polynomials import Poly, squarefree_decompose
-from .realroots import RealRoot, refine_root, sturm_isolate
+from .realroots import RealRoot, refine_root
 from .spectral import FLOAT_ROOT_WIDTH
 
 __all__ = [
@@ -82,8 +83,11 @@ class QuadraticPair:
     def size(self) -> int:
         return self.phi.rows
 
+    _pencil = cached_property(lambda self: Pencil(self.phi, self.psi, "sA-B"))
+
     def pencil(self) -> Pencil:
-        return Pencil(self.phi, self.psi, "sA-B")
+        """The pencil s*Phi - Psi, one per pair."""
+        return self._pencil
 
 
 @dataclass(frozen=True)
@@ -131,12 +135,9 @@ def remarkable_circumstance_check(pair: QuadraticPair) -> CircumstanceReport:
     (s - s_mu)^(lambda_mu - 1), grouped by square-free factor so that
     irrational roots are covered jointly."""
     pencil = pair.pencil()
-    f = pencil.char_poly()
-    if f.is_zero():
-        raise PreconditionError("singular pencil")
-    adj = adjugate_pencil(pencil.char_matrix())
+    adj = pencil.char_adjugate()
     records = []
-    for factor, mult in squarefree_decompose(f):
+    for factor, mult in squarefree_decompose(pencil.char_poly()):
         if mult == 1:
             records.append((factor, 1, True))
             continue
@@ -213,7 +214,7 @@ def theta_components(pair: QuadraticPair, path: str = "auto") -> ThetaDecomposit
     pencil = pair.pencil()
     n = pair.size
     f = pencil.char_poly()
-    roots = sturm_isolate(f, FLOAT_ROOT_WIDTH)
+    roots = pencil.roots(FLOAT_ROOT_WIDTH)
     if sum(r.multiplicity for r in roots) != n:
         raise PreconditionError("characteristic roots are not all real")
     all_exact = all(r.is_exact for r in roots)
@@ -222,7 +223,7 @@ def theta_components(pair: QuadraticPair, path: str = "auto") -> ThetaDecomposit
             "exact path requested but the characteristic roots are irrational"
         )
     mode = "exact" if (all_exact and path != "float") else "float"
-    adj = adjugate_pencil(pencil.char_matrix())
+    adj = pencil.char_adjugate()
     comps = []
     if mode == "exact":
         for root in roots:

@@ -88,13 +88,6 @@ class RealRoot:
             return x == self.value
         return self.lo < x < self.hi
 
-    def same_root(self, other: "RealRoot") -> bool:
-        """True iff both describe the same real number (disjoint-interval
-        representations of distinct roots never overlap)."""
-        if self.is_exact and other.is_exact:
-            return self.value == other.value
-        return not (self.hi <= other.lo or other.hi <= self.lo)
-
     def __repr__(self) -> str:
         if self.is_exact:
             return f"RealRoot({self.value!s}, mult={self.multiplicity})"

@@ -25,7 +25,7 @@ from .errors import InternalError, PathUnavailableError, PreconditionError
 from .invariants import inertia
 from .matrices import Pencil, RatMatrix
 from .polynomials import Poly
-from .realroots import RealRoot, refine_root, sturm_isolate
+from .realroots import RealRoot, refine_root
 
 __all__ = [
     "SpectralDecomposition",
@@ -60,11 +60,6 @@ class SpectralDecomposition:
     orthonormal: bool
     path: str  # "exact" | "float"
 
-    def all_vectors(self):
-        for root, vecs in zip(self.roots, self.vectors):
-            for v in vecs:
-                yield root, v
-
 
 @dataclass(frozen=True)
 class OrthogonalityReport:
@@ -93,16 +88,12 @@ def char_roots(pencil: Pencil, target_width=FLOAT_ROOT_WIDTH) -> list[RealRoot]:
     leading matrix, every root must be real; a shortfall in total
     multiplicity would contradict that theorem and raises InternalError.
     """
-    charpoly = pencil.char_poly()
-    if charpoly.is_zero():
-        raise PreconditionError(
-            "singular pencil (determinant identically zero)"
-        )
-    roots = sturm_isolate(charpoly, target_width)
+    roots = pencil.roots(target_width)
     if pencil.is_symmetric():
         rep = inertia(pencil.leading())
         definite = pencil.size in (rep.positives, rep.negatives)
-        if definite and sum(r.multiplicity for r in roots) != charpoly.degree():
+        degree = pencil.char_poly().degree()
+        if definite and sum(r.multiplicity for r in roots) != degree:
             raise InternalError(
                 "symmetric definite pencil produced complex roots; this"
                 " contradicts the real-root theorem and signals a bug"

@@ -415,6 +415,24 @@ class TestExitCodes:
         assert run(["inertia", "--input", str(doc)]) == 2
         assert "must be integers" in capsys.readouterr().err
 
+    def test_exponent_beyond_digit_limit(self, tmp_path, deadline, capsys):
+        # 1e999999999 would build a billion-digit integer; 1e5000 goes past
+        # the same digit limit and still finishes quickly without the check
+        deadline(1.0)
+        doc = write_json(
+            tmp_path, "m.json", {"rows": 1, "cols": 1, "entries": ["1e5000"]}
+        )
+        assert run(["inertia", "--input", doc]) == 2
+        assert "exponent expands beyond" in capsys.readouterr().err
+
+    def test_singular_frequency_pencil(self, tmp_path, capsys):
+        zero = {"rows": 1, "cols": 1, "entries": ["0/1"]}
+        doc = write_json(
+            tmp_path, "s.json", {"kind": "custom", "mass": zero, "stiffness": zero}
+        )
+        assert run(["classify", "--input", doc]) == 3
+        assert "singular pencil (determinant identically zero)" in capsys.readouterr().err
+
     def test_precondition_singular_pencil(self, tmp_path):
         doc = write_json(
             tmp_path,

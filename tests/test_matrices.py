@@ -1,4 +1,5 @@
 import random
+import types
 from fractions import Fraction
 
 import pytest
@@ -201,6 +202,113 @@ class TestAdjugateAgainstCofactorOracle:
                 rows[0] = list(rows[1])
             P = PolyMatrix.from_rows(rows)
             assert adjugate_pencil(P) == cofactor_adjugate_poly(P)
+
+
+class TestPencilDerivedData:
+    def test_cached_data_leaves_equality_and_hash_alone(self):
+        fresh, used = Pencil.classical(NOTE23), Pencil.classical(NOTE23)
+        used.char_poly(), used.roots(), used.char_adjugate()
+        assert fresh == used and hash(fresh) == hash(used)
+        assert len({fresh, used}) == 1
+
+    def test_char_poly_stays_a_plain_method(self):
+        # tracers wrap Pencil.__dict__["char_poly"] as a function
+        assert isinstance(Pencil.__dict__["char_poly"], types.FunctionType)
+
+    def test_roots_returns_a_fresh_list(self):
+        pencil = Pencil.classical(NOTE23)
+        first = pencil.roots()
+        first.clear()
+        assert [r.value for r in pencil.roots()] == [0, 1, 3]
+        assert pencil.roots() is not pencil.roots()
+
+    def test_roots_per_width(self):
+        # eigenvalues (5 +- sqrt(5)) / 2
+        pencil = Pencil.similarity(RatMatrix.from_rows([[2, 1], [1, 3]]))
+        coarse, fine = pencil.roots(Fraction(1, 10)), pencil.roots()
+        assert all(r.hi - r.lo < Fraction(1, 10) for r in coarse)
+        assert all(r.hi - r.lo < Fraction(1, 10**30) for r in fine)
+        assert coarse != fine
+
+    def test_singular_pencil_rejected(self):
+        Z = RatMatrix.zeros(2, 2)
+        with pytest.raises(
+            PreconditionError, match=r"singular pencil \(determinant identically zero\)"
+        ):
+            Pencil(Z, Z).roots()
+
+    def test_adjugate_matches_adjugate_pencil(self):
+        pencil = Pencil.classical(NOTE23)
+        assert pencil.char_adjugate() == adjugate_pencil(pencil.char_matrix())
+
+
+def sympy_case(rng, kind, n, orientation):
+    """Seeded (A, B) for the characteristic-polynomial differential test.
+
+    kinds: "integer", "rational", "singular-leading" (the matrix multiplying
+    s kills a dense v, so the determinant drops degree), "zero" (A v = B v =
+    0: the determinant is identically zero).
+    """
+
+    def entry():
+        if kind == "integer":
+            return Fraction(rng.randint(-9, 9))
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+
+    def dense():
+        return [[entry() for _ in range(n)] for _ in range(n)]
+
+    def annihilate(rows, v, k):
+        # rows - (rows v) e_k^T maps v (with v[k] = 1) to zero
+        Mv = [sum(a * b for a, b in zip(r, v)) for r in rows]
+        return [[x - Mv[i] * (j == k) for j, x in enumerate(r)]
+                for i, r in enumerate(rows)]
+
+    A, B = dense(), dense()
+    if kind in ("singular-leading", "zero"):
+        k = rng.randrange(n)
+        v = [Fraction(rng.randint(-3, 3)) for _ in range(n)]
+        v[k] = Fraction(1)
+        if kind == "zero" or orientation == "sA-B":
+            A = annihilate(A, v, k)
+        if kind == "zero" or orientation == "A-sB":
+            B = annihilate(B, v, k)
+    return RatMatrix.from_rows(A), RatMatrix.from_rows(B)
+
+
+class TestCharPolyAgainstSympy:
+    """Pencil.char_poly equals sympy's det(s*A - B) or det(A - s*B) exactly."""
+
+    def test_char_poly_matches(self):
+        sympy = pytest.importorskip("sympy")
+        from sympy.polys.matrices import DomainMatrix
+
+        s = sympy.symbols("s")
+        ring = sympy.QQ[s]
+        rng = random.Random(11)
+        kinds = ("integer", "rational", "singular-leading", "zero")
+        degree_dropped = zero = 0
+        for n in range(1, 6):
+            for kind in kinds:
+                for orientation in ("sA-B", "A-sB"):
+                    A, B = sympy_case(rng, kind, n, orientation)
+                    a, b = (
+                        sympy.Matrix(n, n, [sympy.Rational(v.numerator, v.denominator)
+                                            for v in M.entries])
+                        for M in (A, B)
+                    )
+                    char = s * a - b if orientation == "sA-B" else a - s * b
+                    # fraction-free elimination over QQ[s], not interpolation
+                    det = DomainMatrix.from_Matrix(char).convert_to(ring).det()
+                    want = sympy.Poly(ring.to_sympy(det), s)
+                    coeffs = [] if want.is_zero else [
+                        Fraction(int(c.p), int(c.q)) for c in reversed(want.all_coeffs())
+                    ]
+                    got = Pencil(A, B, orientation).char_poly()
+                    assert list(got.coeffs) == coeffs, (n, kind, orientation)
+                    degree_dropped += 0 <= got.degree() < n
+                    zero += got.is_zero()
+        assert degree_dropped >= 10 and zero >= 10
 
 
 class TestTranspose:

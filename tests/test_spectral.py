@@ -255,3 +255,55 @@ class TestSpectralDecompose:
             roots = char_roots(pencil)
             geo = sum(len(nullspace_at_root(pencil, r)) for r in roots)
             assert (geo == M.rows) == is_diagonalizable(M)[0]
+
+
+@pytest.fixture
+def pencil_work(monkeypatch):
+    """Counts of the determinants, pencil adjugates and root isolations that
+    `secular.matrices` runs, keyed by function name."""
+    import secular.matrices as matrices
+
+    counts = {}
+    for name in ("det_pencil", "adjugate_pencil", "sturm_isolate"):
+        def counted(*args, _name=name, _fn=getattr(matrices, name), **kwargs):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(matrices, name, counted)
+    return counts
+
+
+class TestPencilWorkDoneOnce:
+    """A model or pair hands out one pencil, and the pencil computes its
+    determinant, roots and adjugate once however many callers read them."""
+
+    def test_modal_model(self, pencil_work):
+        from secular.oscillate import (
+            InitialConditions,
+            build_model,
+            classify_stability,
+            frequency_poly_in_rho,
+            solve_modal,
+        )
+
+        model = build_model("loaded-string", {"n": 4, "a": 1})
+        solve_modal(model, InitialConditions.of([1, 0, 0, 0], [0, 0, 0, 1]))
+        assert classify_stability(model).corrected == "stable"
+        frequency_poly_in_rho(model)
+        assert pencil_work == {"det_pencil": 1, "sturm_isolate": 1}
+
+    def test_checked_pair(self, pencil_work):
+        from secular.quadpairs import (
+            QuadraticPair,
+            remarkable_circumstance_check,
+            theta_components,
+        )
+
+        pair = QuadraticPair.checked(
+            RatMatrix.from_rows([[2, 1, 0], [1, 2, 0], [0, 0, 1]]),
+            RatMatrix.from_rows([[2, 1, 0], [1, 2, 0], [0, 0, 3]]),
+        )
+        assert remarkable_circumstance_check(pair).ok
+        assert theta_components(pair).path == "exact"
+        assert spectral_decompose(pair.pencil()).path == "exact"
+        assert pencil_work == {"det_pencil": 1, "adjugate_pencil": 1, "sturm_isolate": 1}
