@@ -26,7 +26,6 @@ from .matrices import (
     adjugate_pencil,
     det_pencil,
     det_rational,
-    transpose_check,
 )
 from .invariants import (
     ElementaryDivisors,

@@ -1,10 +1,11 @@
 """Batch command-line front end.
 
 Every verb reads JSON input files, writes a deterministic JSON (or CSV)
-document and exits 0; malformed input exits 2, violated preconditions exit 3,
-and an unavailable arithmetic path exits 4.  Output documents carry a
-provenance block naming the algorithm and its historical source label, plus
-the arithmetic path ("exact" or "float") of every numeric payload.
+document and exits 0; malformed input exits 2, violated preconditions exit 3
+(a float result beyond floating-point range among them), and an unavailable
+arithmetic path exits 4.  Output documents carry a provenance block naming
+the algorithm and its historical source label, plus the arithmetic path
+("exact" or "float") of every numeric payload.
 """
 
 from __future__ import annotations
@@ -402,6 +403,11 @@ def run(argv=None) -> int:
         return EXIT_PRECONDITION
     except EngineError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PRECONDITION
+    except OverflowError as exc:
+        # no inf is emitted instead: JSON has no literal for it
+        print(f"precondition violated: {exc}: a float result lies beyond"
+              " floating-point range", file=sys.stderr)
         return EXIT_PRECONDITION
     _emit(result, args)
     return EXIT_OK

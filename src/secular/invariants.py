@@ -296,23 +296,31 @@ def _congruence_diagonal(M: RatMatrix) -> list[Fraction]:
     return diag
 
 
-def inertia(M: RatMatrix, method: str = "auto") -> InertiaReport:
+def inertia(M: RatMatrix) -> InertiaReport:
     """Signature (positives, negatives, zeros) of a symmetric rational form.
 
-    method "auto" uses the permanence count of the leading-principal-minor
-    sequence (determinant, ..., 1) when no leading minor vanishes, falling
-    back to exact congruence elimination otherwise; "congruence" forces the
-    fallback path (used by tests to compare both routes).
+    Uses the permanence count of the leading-principal-minor sequence
+    (determinant, ..., 1) when no leading minor vanishes, falling back to
+    exact congruence elimination otherwise.  The report is stored on the
+    matrix instance, so each matrix is classified once however many callers
+    ask.
     """
+    # Stored as a cached_property would store it: in the instance __dict__,
+    # which a frozen dataclass allows and which equality and hashing ignore.
+    stored = vars(M)
+    if "_inertia" not in stored:
+        stored["_inertia"] = _inertia(M)
+    return stored["_inertia"]
+
+
+def _inertia(M: RatMatrix) -> InertiaReport:
     if not M.is_symmetric():
         raise PreconditionError("inertia requires a symmetric matrix")
     n = M.rows
     leading = M.leading_principal_minors()
     # Darboux orientation: determinant first, down to the empty minor 1
     sequence = tuple(leading[::-1]) + (Fraction(1),)
-    if method not in ("auto", "congruence"):
-        raise PreconditionError(f"unknown inertia method {method!r}")
-    if method == "auto" and all(d != 0 for d in leading):
+    if all(d != 0 for d in leading):
         positives = sum(
             1 for x, y in zip(sequence, sequence[1:]) if (x > 0) == (y > 0)
         )

@@ -36,7 +36,6 @@ __all__ = [
     "det_rational",
     "det_pencil",
     "adjugate_pencil",
-    "transpose_check",
 ]
 
 Vector = tuple[Fraction, ...]
@@ -374,20 +373,6 @@ class PolyMatrix:
     def det(self) -> Poly:
         return det_pencil(self)
 
-    def mul(self, other: "PolyMatrix") -> "PolyMatrix":
-        if self.cols != other.rows:
-            raise PreconditionError("matrix shape mismatch in product")
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = Poly()
-                for k in range(self.cols):
-                    acc = acc + self.entry(i, k) * other.entry(k, j)
-                row.append(acc)
-            out.append(row)
-        return PolyMatrix.from_rows(out)
-
 
 def det_pencil(P: PolyMatrix) -> Poly:
     """Exact determinant polynomial by evaluation/interpolation.
@@ -516,12 +501,3 @@ class Pencil:
         if self.orientation == "sA-B":
             return self.A.scale(s) - self.B
         return self.A - self.B.scale(s)
-
-    def transposed(self) -> "Pencil":
-        return Pencil(self.A.transpose(), self.B.transpose(), self.orientation)
-
-
-def transpose_check(P: Pencil) -> bool:
-    """det of a pencil equals det of its entrywise transpose; exposed as a
-    self-test of the determinant machinery."""
-    return P.char_poly() == P.transposed().char_poly()

@@ -229,8 +229,22 @@ def frequency_poly_in_rho(model: MechModel) -> Poly:
 # ---------------------------------------------------------------------------
 
 
+class _ShapeFloats:
+    """The `shape` of a mode as floats, built once and read-only, since
+    every caller shares the one array."""
+
+    @cached_property
+    def _shape_floats(self) -> np.ndarray:
+        out = np.array([float(x) for x in self.shape])
+        out.flags.writeable = False
+        return out
+
+    def shape_floats(self) -> np.ndarray:
+        return self._shape_floats
+
+
 @dataclass(frozen=True)
-class Mode:
+class Mode(_ShapeFloats):
     """One oscillatory mode E sin(omega t + phase) * shape."""
 
     k_root: RealRoot  # root K = omega^2 of the frequency equation
@@ -240,21 +254,15 @@ class Mode:
     amplitude: float
     phase: float  # in [0, 2*pi)
 
-    def shape_floats(self) -> np.ndarray:
-        return np.array([float(x) for x in self.shape])
-
 
 @dataclass(frozen=True)
-class DriftMode:
+class DriftMode(_ShapeFloats):
     """Zero-frequency (rigid) mode: (offset + rate*t) * shape."""
 
     shape: tuple
     sq_norm: Fraction | float
     offset: float
     rate: float
-
-    def shape_floats(self) -> np.ndarray:
-        return np.array([float(x) for x in self.shape])
 
 
 @dataclass(frozen=True)
@@ -434,24 +442,6 @@ class JordanSolution:
         for b in self.blocks:
             out += b.evaluate(t, self.size)
         return out
-
-    def verify_exact(self) -> bool:
-        """Exact residual check sigma*psi + psi' = M psi per real block."""
-        if self.path != "exact":
-            raise PreconditionError("exact verification needs the exact path")
-        for b in self.blocks:
-            coeffs = [list(c) for c in b.cos_coeffs]
-            deg = len(coeffs) - 1
-            for k in range(deg + 1):
-                lhs = [Fraction(b.sigma_re) * x for x in coeffs[k]]
-                if k + 1 <= deg:
-                    lhs = [
-                        l + Fraction(k + 1) * x for l, x in zip(lhs, coeffs[k + 1])
-                    ]
-                rhs = self.matrix.apply(coeffs[k])
-                if tuple(lhs) != tuple(rhs):
-                    return False
-        return True
 
 
 def _matrix_power_apply(M: RatMatrix, k: int, v) -> tuple:

@@ -54,15 +54,6 @@ class Poly:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
 
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def from_roots(cls, roots: Sequence) -> "Poly":
-        p = ONE
-        for r in roots:
-            p = p * cls([-Fraction(r), 1])
-        return p
-
     # -- basic queries -----------------------------------------------------
 
     def degree(self) -> int:
@@ -173,11 +164,25 @@ class Poly:
             acc = acc * x + c
         return acc
 
-    def derivative(self, order: int = 1) -> "Poly":
-        p = self
-        for _ in range(order):
-            p = Poly([k * c for k, c in enumerate(p.coeffs)][1:])
-        return p
+    def derivative(self) -> "Poly":
+        return Poly([k * c for k, c in enumerate(self.coeffs)][1:])
+
+    def taylor(self, a, count: int) -> list:
+        """The first `count` coefficients of self in powers of (x - a); the
+        k-th is the k-th derivative at a over k!.
+
+        Each coefficient is the remainder of one synthetic division by
+        (x - a), taken in place on the quotient of the previous one.
+        """
+        cs = list(self.coeffs)
+        out = []
+        for _ in range(count):
+            acc = 0 * a
+            for i in range(len(cs) - 1, -1, -1):
+                acc = cs[i] = acc * a + cs[i]
+            out.append(acc)
+            cs = cs[1:]
+        return out
 
     # -- normal forms ---------------------------------------------------------
 
@@ -185,12 +190,6 @@ class Poly:
         if self.is_zero():
             return self
         return self.scale(1 / self.leading())
-
-    def is_scalar_multiple_of(self, other: "Poly") -> bool:
-        """True iff the two polynomials agree up to a nonzero scalar."""
-        if self.is_zero() or other.is_zero():
-            return self.is_zero() and other.is_zero()
-        return self.monic() == other.monic()
 
     def integer_primitive(self) -> tuple[Fraction, "Poly"]:
         """Write self = content * primitive with integer primitive part.
@@ -285,14 +284,6 @@ def squarefree_decompose(p: Poly) -> list[tuple[Poly, int]]:
         y = z // f
         k += 1
     return out
-
-
-def expand_factors(factors: Iterable[tuple[Poly, int]]) -> Poly:
-    """Multiply a (factor, exponent) list back out."""
-    p = ONE
-    for f, e in factors:
-        p = p * f**e
-    return p
 
 
 def _divisors(n: int) -> list[int]:

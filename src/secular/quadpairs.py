@@ -10,14 +10,18 @@ rank lambda_mu with
 The pieces are residues: with adj(s*Phi - Psi) = (s - s_mu)^(lambda_mu - 1) * G(s)
 and f(s) = (s - s_mu)^lambda_mu * h(s), the matrix R_mu = G(s_mu) / h(s_mu) is
 the residue of the pencil inverse at s_mu and theta_mu = Phi @ R_mu @ Phi.
-The construction never branches on the multiplicity: the divisibility of
-every adjugate entry by (s - s_mu)^(lambda_mu - 1) -- checkable exactly, see
-`remarkable_circumstance_check` -- is what keeps the residues finite.
+G(s_mu) and h(s_mu) are Taylor coefficients at the root, of order
+lambda_mu - 1 of every adjugate entry and of order lambda_mu of f, read off
+by repeated synthetic division; no quotient polynomial is formed.  The
+construction never branches on the multiplicity: the divisibility of every
+adjugate entry by (s - s_mu)^(lambda_mu - 1) -- checkable exactly, see
+`remarkable_circumstance_check` -- is what keeps the residues finite, and on
+the exact path the vanishing lower coefficients are that divisibility.
 
-Exact path requires rational roots; otherwise residues are evaluated at
-refined root approximations in floating point (tolerance 1e-9).  Negative
-definite Phi is handled by negating both forms, running the positive path
-and negating the pieces back.
+Exact path requires rational roots; otherwise the same coefficients are
+taken at refined root approximations and rounded to floating point
+(tolerance 1e-9).  Negative definite Phi is handled by negating both forms,
+running the positive path and negating the pieces back.
 """
 
 from __future__ import annotations
@@ -147,47 +151,32 @@ def remarkable_circumstance_check(pair: QuadraticPair) -> CircumstanceReport:
     return CircumstanceReport(tuple(records), all(r[2] for r in records))
 
 
-def _exact_residue(
-    adj: PolyMatrix, f: Poly, root: Fraction, mult: int, n: int
-) -> RatMatrix:
-    """R = G(root)/h(root) with G, h obtained by exact deflation."""
-    lin = Poly([-root, 1])
-    shift = lin ** (mult - 1)
-    g_rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            quo, rem = divmod(adj.entry(i, j), shift)
-            if not rem.is_zero():
-                raise PreconditionError(
-                    "adjugate entry not divisible to the expected order; the"
-                    " leading form is not definite"
-                )
-            row.append(quo.evaluate(root))
-        g_rows.append(row)
-    h, rem = divmod(f, lin**mult)
-    if not rem.is_zero():
-        raise PreconditionError("root multiplicity mismatch during deflation")
-    hval = h.evaluate(root)
-    return RatMatrix.from_rows(g_rows).scale(Fraction(1) / hval)
+def _residue(adj: PolyMatrix, f: Poly, point: Fraction, mult: int, exact: bool):
+    """R = G(point)/h(point) from Taylor coefficients at the root: G is the
+    (mult-1)-th coefficient of adj, h the mult-th of f.
 
+    Exact: every lower coefficient must vanish, which is the divisibility by
+    (s - root)^(mult-1) and (s - root)^mult.  Float: a coefficient c of order
+    k is rounded as float(c * k!)/k!, the k-th derivative at the refined
+    midpoint over k!.
+    """
+    g = [entry.taylor(point, mult) for entry in adj.entries]
+    h = f.taylor(point, mult + 1)
+    if exact:
+        if any(any(cs[:-1]) for cs in g):
+            raise PreconditionError(
+                "adjugate entry not divisible to the expected order; the"
+                " leading form is not definite"
+            )
+        if any(h[:-1]):
+            raise PreconditionError("root multiplicity mismatch during deflation")
+        return RatMatrix(adj.rows, adj.cols, tuple(cs[-1] for cs in g)).scale(1 / h[-1])
 
-def _float_residue(adj: PolyMatrix, f: Poly, root: RealRoot, mult: int, n: int):
-    """Residue at a refined approximation: G(s) = adj^(mult-1)(s)/(mult-1)!
-    and h(s) = f^(mult)(s)/mult! evaluated at the interval midpoint."""
-    s = refine_root(root, FLOAT_ROOT_WIDTH).approx()
-    h = float(f.derivative(mult).evaluate(s)) / factorial(mult)
-    G = np.array(
-        [
-            [
-                float(adj.entry(i, j).derivative(mult - 1).evaluate(s))
-                / factorial(mult - 1)
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-    )
-    return G / h
+    def rounded(c, order):
+        return float(c * factorial(order)) / factorial(order)
+
+    G = np.array([rounded(cs[-1], mult - 1) for cs in g]).reshape(adj.rows, adj.cols)
+    return G / rounded(h[-1], mult)
 
 
 def theta_components(pair: QuadraticPair, path: str = "auto") -> ThetaDecomposition:
@@ -224,12 +213,15 @@ def theta_components(pair: QuadraticPair, path: str = "auto") -> ThetaDecomposit
         )
     mode = "exact" if (all_exact and path != "float") else "float"
     adj = pencil.char_adjugate()
+    phi = pair.phi if mode == "exact" else pair.phi.to_numpy()
     comps = []
+    for root in roots:
+        point = refine_root(root, FLOAT_ROOT_WIDTH).approx()
+        theta = phi @ _residue(adj, f, point, root.multiplicity, mode == "exact") @ phi
+        if mode == "float":
+            theta = tuple(tuple(float(x) for x in row) for row in (theta + theta.T) / 2)
+        comps.append(ThetaComponent(root, root.multiplicity, theta))
     if mode == "exact":
-        for root in roots:
-            R = _exact_residue(adj, f, root.value, root.multiplicity, n)
-            theta = pair.phi @ R @ pair.phi
-            comps.append(ThetaComponent(root, root.multiplicity, theta))
         sum_theta = RatMatrix.zeros(n, n)
         sum_s_theta = RatMatrix.zeros(n, n)
         for c in comps:
@@ -241,23 +233,11 @@ def theta_components(pair: QuadraticPair, path: str = "auto") -> ThetaDecomposit
                 " form is not definite"
             )
     else:
-        phi_f = pair.phi.to_numpy()
-        for root in roots:
-            R = _float_residue(adj, f, root, root.multiplicity, n)
-            theta = phi_f @ R @ phi_f
-            theta = (theta + theta.T) / 2
-            comps.append(
-                ThetaComponent(
-                    root,
-                    root.multiplicity,
-                    tuple(tuple(float(x) for x in row) for row in theta),
-                )
-            )
         sum_theta = sum(c.theta_numpy() for c in comps)
         sum_s_theta = sum(c.root.as_float() * c.theta_numpy() for c in comps)
-        scale = max(1.0, float(np.max(np.abs(phi_f))))
+        scale = max(1.0, float(np.max(np.abs(phi))))
         if (
-            np.max(np.abs(sum_theta - phi_f)) > FLOAT_RESIDUAL_TOL * scale
+            np.max(np.abs(sum_theta - phi)) > FLOAT_RESIDUAL_TOL * scale
             or np.max(np.abs(sum_s_theta - pair.psi.to_numpy()))
             > FLOAT_RESIDUAL_TOL * max(1.0, float(np.max(np.abs(pair.psi.to_numpy()))))
         ):

@@ -219,24 +219,25 @@ def _bilinear(B: RatMatrix, v, w) -> Fraction:
 def q_factor(p: Poly, root: RealRoot) -> QFactor:
     """Deflate the characteristic polynomial by its simple root.
 
-    Returns (p / (x - root))(root), cross-checked against the derivative
-    shortcut p'(root); multiple roots must go through the Jordan-form path.
+    Returns (p / (x - root))(root), the first-order Taylor coefficient of p
+    at the root, whose zeroth coefficient p(root) must vanish; an exact root
+    is cross-checked against the derivative shortcut p'(root).  Multiple
+    roots must go through the Jordan-form path.
     """
     if root.multiplicity != 1:
         raise PreconditionError(
             "q-factor deflation needs a simple root; multiple roots are"
             " handled by the Jordan-form solver"
         )
-    if root.is_exact:
-        quotient, rem = divmod(p, Poly([-root.value, 1]))
-        if not rem.is_zero():
-            raise PreconditionError("the given value is not a root")
-        value = quotient.evaluate(root.value)
-        if value != p.derivative().evaluate(root.value):
-            raise InternalError("deflation disagrees with the derivative shortcut")
-        return QFactor(root, value)
     x = _root_point(root)
-    return QFactor(root, float(p.derivative().evaluate(x)))
+    c0, c1 = p.taylor(x, 2)
+    if not root.is_exact:
+        return QFactor(root, float(c1))
+    if c0 != 0:
+        raise PreconditionError("the given value is not a root")
+    if c1 != p.derivative().evaluate(x):
+        raise InternalError("deflation disagrees with the derivative shortcut")
+    return QFactor(root, c1)
 
 
 def _gram_schmidt_exact(vectors, W: RatMatrix):

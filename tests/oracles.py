@@ -5,8 +5,12 @@ by cofactor expansion instead of interpolation/Bareiss, adjugates entry by
 entry from those cofactors instead of elimination/interpolation, minor-GCD
 chains by enumerating every minor instead of Smith-form elimination, the matrix
 exponential by a scaled-and-squared Taylor series instead of spectral
-projectors, root brackets by plain bisection instead of Sturm machinery, and
-ODE residuals by central finite differences instead of symbolic derivatives.
+projectors, root brackets by plain bisection instead of Sturm machinery,
+ODE residuals by central finite differences instead of symbolic derivatives,
+residues by polynomial deflation instead of Taylor coefficients, and
+signatures from the congruence diagonal instead of leading minors.  The
+small constructors and products the tests build their inputs with live here
+too, outside the library.
 """
 
 from __future__ import annotations
@@ -17,9 +21,34 @@ from fractions import Fraction
 import numpy as np
 
 from secular.errors import PreconditionError
-from secular.invariants import MinorGcdChain
+from secular.invariants import MinorGcdChain, _congruence_diagonal
 from secular.matrices import PolyMatrix, RatMatrix, det_pencil
-from secular.polynomials import Poly, poly_gcd
+from secular.polynomials import ONE, Poly, poly_gcd
+
+
+def poly_from_roots(roots) -> Poly:
+    """The monic product of (x - r) over the roots."""
+    p = ONE
+    for r in roots:
+        p = p * Poly([-Fraction(r), 1])
+    return p
+
+
+def expand_factors(factors) -> Poly:
+    """Multiply a (factor, exponent) list back out."""
+    p = ONE
+    for f, e in factors:
+        p = p * f**e
+    return p
+
+
+def poly_matmul(P: PolyMatrix, Q: PolyMatrix) -> PolyMatrix:
+    """Product of polynomial matrices by the row-times-column definition."""
+    return PolyMatrix.from_rows([
+        [sum((P.entry(i, k) * Q.entry(k, j) for k in range(P.cols)), Poly())
+         for j in range(Q.cols)]
+        for i in range(P.rows)
+    ])
 
 
 def cofactor_det_poly(P: PolyMatrix) -> Poly:
@@ -181,3 +210,43 @@ def minor_gcd_chain_by_minors(P: PolyMatrix) -> MinorGcdChain:
         deltas.append(g)
     deltas.append(full.monic())
     return MinorGcdChain(tuple(deltas))
+
+
+def residue_by_deflation(adj: PolyMatrix, f: Poly, root: Fraction, mult: int) -> RatMatrix:
+    """R = G(root)/h(root) with G = adj / (x - root)^(mult-1) and
+    h = f / (x - root)^mult formed as quotient polynomials by exact divmod."""
+    lin = Poly([-root, 1])
+    g = []
+    for entry in adj.entries:
+        quo, rem = divmod(entry, lin ** (mult - 1))
+        if not rem.is_zero():
+            raise PreconditionError("adjugate entry not divisible to the expected order")
+        g.append(quo.evaluate(root))
+    h, rem = divmod(f, lin**mult)
+    if not rem.is_zero():
+        raise PreconditionError("root multiplicity mismatch during deflation")
+    return RatMatrix(adj.rows, adj.cols, tuple(g)).scale(1 / h.evaluate(root))
+
+
+def congruence_signature(M: RatMatrix) -> tuple[int, int, int]:
+    """(positives, negatives, zeros) counted on the exact congruence diagonal."""
+    diag = _congruence_diagonal(M)
+    pos = sum(1 for d in diag if d > 0)
+    neg = sum(1 for d in diag if d < 0)
+    return pos, neg, len(diag) - pos - neg
+
+
+def verify_jordan_exact(sol) -> bool:
+    """Exact residual check sigma*psi + psi' = M psi on every real block of
+    an exact-path Jordan solution."""
+    if sol.path != "exact":
+        return False
+    for b in sol.blocks:
+        coeffs = [list(c) for c in b.cos_coeffs]
+        for k, ck in enumerate(coeffs):
+            lhs = [Fraction(b.sigma_re) * x for x in ck]
+            if k + 1 < len(coeffs):
+                lhs = [a + (k + 1) * x for a, x in zip(lhs, coeffs[k + 1])]
+            if tuple(lhs) != sol.matrix.apply(ck):
+                return False
+    return True

@@ -425,6 +425,26 @@ class TestExitCodes:
         assert run(["inertia", "--input", doc]) == 2
         assert "exponent expands beyond" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "verb, entries, flags",
+        [
+            # math.exp(1e12 * 0.5) in the matrix exponential
+            ("expm", ["0", "1e12", "1e12", "0"], ["--time", "0.5"]),
+            # roots near 1e400 have no float approximation
+            ("roots", ["2", "1e400", "1e400", "3"], []),
+            ("eigvec", ["2", "1e400", "1e400", "3"], []),
+            ("darboux-steps", ["2", "1e400", "1e400", "3"], []),
+        ],
+    )
+    def test_float_overflow_exits_3(self, tmp_path, deadline, capsys, verb, entries, flags):
+        deadline(2.0)
+        doc = write_json(tmp_path, "m.json", {"rows": 2, "cols": 2, "entries": entries})
+        assert run([verb, "--input", doc] + flags) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "precondition violated" in captured.err
+        assert "beyond floating-point range" in captured.err
+
     def test_singular_frequency_pencil(self, tmp_path, capsys):
         zero = {"rows": 1, "cols": 1, "entries": ["0/1"]}
         doc = write_json(

@@ -12,7 +12,7 @@ from secular.oscillate import build_model
 from secular.polynomials import Poly
 from secular.realroots import RealRoot, refine_root, root_sign, sturm_isolate
 
-from oracles import bisect_bracket
+from oracles import bisect_bracket, poly_from_roots
 
 
 def P(*coeffs):
@@ -31,7 +31,7 @@ class TestIsolation:
         assert all(r.is_exact for r in roots)
 
     def test_multiplicities(self):
-        roots = sturm_isolate(Poly.from_roots([2, 2, 3]))
+        roots = sturm_isolate(poly_from_roots([2, 2, 3]))
         assert [(r.value, r.multiplicity) for r in roots] == [(2, 2), (3, 1)]
 
     def test_sqrt2_brackets(self):
@@ -46,14 +46,14 @@ class TestIsolation:
         assert abs(pos.as_float() - math.sqrt(2)) < 1e-11
 
     def test_sign_change_invariant(self):
-        for root in sturm_isolate(P(-2, 0, 1) * Poly.from_roots([5])):
+        for root in sturm_isolate(P(-2, 0, 1) * poly_from_roots([5])):
             if not root.is_exact:
                 a = root.poly.evaluate(root.lo)
                 b = root.poly.evaluate(root.hi)
                 assert a != 0 and b != 0 and (a > 0) != (b > 0)
 
     def test_rational_roots_exact(self):
-        roots = sturm_isolate(Poly.from_roots([Fraction(1, 3), Fraction(-7, 2)]))
+        roots = sturm_isolate(poly_from_roots([Fraction(1, 3), Fraction(-7, 2)]))
         assert [r.value for r in roots] == [Fraction(-7, 2), Fraction(1, 3)]
 
     def test_no_real_roots(self):
@@ -64,7 +64,7 @@ class TestIsolation:
             sturm_isolate(Poly())
 
     def test_mixed_rational_and_irrational(self):
-        p = P(-2, 0, 1) * Poly.from_roots([Fraction(1, 2)])
+        p = P(-2, 0, 1) * poly_from_roots([Fraction(1, 2)])
         roots = sturm_isolate(p)
         kinds = [r.kind for r in roots]
         assert kinds == ["isolated", "exact", "isolated"]
@@ -81,7 +81,7 @@ class TestIsolation:
     )
     @settings(max_examples=50, deadline=None)
     def test_planted_rational_roots_recovered(self, values):
-        p = Poly.from_roots(values)
+        p = poly_from_roots(values)
         roots = sturm_isolate(p)
         expected = {}
         for v in values:
@@ -100,7 +100,7 @@ class TestIsolation:
     )
     @settings(max_examples=40, deadline=None)
     def test_total_multiplicity(self, values, square):
-        p = Poly.from_roots(values) * P(-square, 0, 1)
+        p = poly_from_roots(values) * P(-square, 0, 1)
         roots = sturm_isolate(p)
         assert sum(r.multiplicity for r in roots) == len(values) + 2
         for a, b in zip(roots, roots[1:]):
@@ -327,7 +327,7 @@ def _sympy_case(rng):
         else:
             factors.append(P(rng.randint(1, 5), rng.randint(-2, 2), 1))
             degree -= 2
-    p = Poly.from_roots(roots)
+    p = poly_from_roots(roots)
     for f in factors:
         p = p * f
     return p * rng.choice([1, -3, Fraction(5, 2)])
@@ -337,11 +337,11 @@ def _sympy_case(rng):
 # midpoints: 0 is the first midpoint, and (x - 3)(x + 1) has B = 4, so -1
 # and 3 are midpoints too; each case hits at least one root exactly.
 DYADIC_HITS = [
-    Poly.from_roots([0]) * P(-2, 0, 1),
-    Poly.from_roots([3, -1]),
-    Poly.from_roots([3, -1, 0]) * P(-5, 0, 1),
-    Poly.from_roots([-2, -2, Fraction(5, 2)]) * P(-3, 0, 1),
-    Poly.from_roots([Fraction(1, 2), Fraction(5, 2), Fraction(5, 2)]) * P(-3, 0, 1),
+    poly_from_roots([0]) * P(-2, 0, 1),
+    poly_from_roots([3, -1]),
+    poly_from_roots([3, -1, 0]) * P(-5, 0, 1),
+    poly_from_roots([-2, -2, Fraction(5, 2)]) * P(-3, 0, 1),
+    poly_from_roots([Fraction(1, 2), Fraction(5, 2), Fraction(5, 2)]) * P(-3, 0, 1),
 ]
 
 

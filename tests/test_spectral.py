@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from secular.errors import PathUnavailableError, PreconditionError
 from secular.matrices import Pencil, RatMatrix
 from secular.polynomials import Poly
-from secular.realroots import RealRoot, refine_root
+from secular.realroots import RealRoot, refine_root, sturm_isolate
 from secular.spectral import (
     FLOAT_ROOT_WIDTH,
     adjugate_eigenvector,
@@ -19,7 +19,7 @@ from secular.spectral import (
     spectral_decompose,
 )
 
-from oracles import cayley_orthogonal, cofactor_adjugate_rat
+from oracles import cayley_orthogonal, cofactor_adjugate_rat, poly_from_roots
 
 NOTE23 = RatMatrix.from_rows([[1, -1, 0], [-1, 2, 1], [0, 1, 1]])
 
@@ -137,7 +137,7 @@ class TestNullspaceAtRoot:
         assert len(basis) == 3
 
     def test_jordan_block_single_vector(self):
-        pencil = Pencil.classical(companion(Poly.from_roots([1, 1])))
+        pencil = Pencil.classical(companion(poly_from_roots([1, 1])))
         root = char_roots(pencil)[0]
         assert root.multiplicity == 2
         basis = nullspace_at_root(pencil, root)
@@ -198,15 +198,21 @@ class TestQFactor:
 
     def test_quadratic(self):
         qf = q_factor(
-            Poly.from_roots([2, 3]), RealRoot.exact(Fraction(2), Poly([-2, 1]))
+            poly_from_roots([2, 3]), RealRoot.exact(Fraction(2), Poly([-2, 1]))
         )
         assert qf.deflated_value == -1
 
     def test_multiple_root_rejected(self):
-        p = Poly.from_roots([2, 2])
+        p = poly_from_roots([2, 2])
         root = RealRoot.exact(Fraction(2), Poly([-2, 1]), multiplicity=2)
         with pytest.raises(PreconditionError, match="Jordan"):
             q_factor(p, root)
+
+    def test_irrational_root_float_value(self):
+        p = Poly([-2, 0, 1])  # x^2 - 2
+        for root in sturm_isolate(p):
+            x = refine_root(root, FLOAT_ROOT_WIDTH).approx()
+            assert q_factor(p, root).deflated_value == float(p.derivative().evaluate(x))
 
     @given(
         st.fractions(min_value=-6, max_value=6, max_denominator=4),
@@ -220,7 +226,7 @@ class TestQFactor:
     def test_deflation_equals_derivative(self, r, others):
         if r in others:
             return
-        p = Poly.from_roots([r] + others)
+        p = poly_from_roots([r] + others)
         root = RealRoot.exact(r, Poly([-r, 1]))
         qf = q_factor(p, root)
         assert qf.deflated_value == p.derivative().evaluate(r)
@@ -250,7 +256,7 @@ class TestSpectralDecompose:
         # sum of geometric multiplicities = n iff diagonalizable
         from secular.invariants import is_diagonalizable
 
-        for M in (NOTE23, companion(Poly.from_roots([1, 1])), RatMatrix.identity(2)):
+        for M in (NOTE23, companion(poly_from_roots([1, 1])), RatMatrix.identity(2)):
             pencil = Pencil.similarity(M)
             roots = char_roots(pencil)
             geo = sum(len(nullspace_at_root(pencil, r)) for r in roots)
@@ -291,6 +297,26 @@ class TestPencilWorkDoneOnce:
         assert classify_stability(model).corrected == "stable"
         frequency_poly_in_rho(model)
         assert pencil_work == {"det_pencil": 1, "sturm_isolate": 1}
+
+    def test_modal_inertia(self, monkeypatch):
+        # solve_modal, char_roots and classify_stability all ask for the mass
+        # matrix's inertia, classify_stability for the stiffness matrix's too
+        from secular.oscillate import (
+            InitialConditions,
+            build_model,
+            classify_stability,
+            solve_modal,
+        )
+
+        minors = []
+        leading = RatMatrix.leading_principal_minors
+        monkeypatch.setattr(RatMatrix, "leading_principal_minors",
+                            lambda M: minors.append(M) or leading(M))
+        model = build_model("loaded-string", {"n": 4, "a": 1})
+        solve_modal(model, InitialConditions.of([1, 0, 0, 0], [0, 0, 0, 1]))
+        assert classify_stability(model).corrected == "stable"
+        assert len(minors) == 2
+        assert minors[0] is model.mass and minors[1] is model.stiffness
 
     def test_checked_pair(self, pencil_work):
         from secular.quadpairs import (

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import factorial
 
 import numpy as np
 import pytest
@@ -12,10 +13,15 @@ from secular.quadpairs import (
     QuadraticPair,
     ThetaComponent,
     ThetaDecomposition,
+    _residue,
     remarkable_circumstance_check,
     theta_components,
     verify_theorem,
 )
+from secular.realroots import refine_root
+from secular.spectral import FLOAT_ROOT_WIDTH
+
+from oracles import residue_by_deflation
 
 
 def pair_of(phi_rows, psi_rows) -> QuadraticPair:
@@ -226,6 +232,70 @@ class TestThetaComponents:
             if abs(c.root.as_float() - 2) < 1e-3
         )
         assert np.max(np.abs(merged - target)) < 1e-4
+
+
+def _block_diagonal(block, copies) -> RatMatrix:
+    m = len(block)
+    return RatMatrix.from_rows(
+        [[block[i % m][j % m] if i // m == j // m else 0 for j in range(m * copies)]
+         for i in range(m * copies)]
+    )
+
+
+class TestResidue:
+    """The residue at a root is read off Taylor coefficients: order mult-1 of
+    the adjugate over order mult of the determinant."""
+
+    def test_exact_matches_deflation_oracle(self):
+        rng = random.Random(31)
+        mults = set()
+        for spectrum in ([1, 2, 3], [2, 2, 5], [4, 4, 4], [1, 1, 3, 3], [0, 2, 2, 2],
+                         [Fraction(-1, 2), 3]):
+            pair, _ = planted_pair(rng, len(spectrum), spectrum)
+            pencil = pair.pencil()
+            adj, f = pencil.char_adjugate(), pencil.char_poly()
+            for root in pencil.roots():
+                want = residue_by_deflation(adj, f, root.value, root.multiplicity)
+                assert _residue(adj, f, root.value, root.multiplicity, True) == want
+                mults.add(root.multiplicity)
+        assert mults == {1, 2, 3}
+
+    def test_exact_rejects_wrong_order(self):
+        pair = pair_of([[1, 0], [0, 1]], [[3, 0], [0, 7]])
+        adj, f = pair.pencil().char_adjugate(), pair.pencil().char_poly()
+        with pytest.raises(PreconditionError, match="not divisible to the expected order"):
+            _residue(adj, f, Fraction(3), 2, True)
+        with pytest.raises(PreconditionError, match="multiplicity mismatch"):
+            _residue(adj, f, Fraction(4), 1, True)
+
+    def test_float_rounds_as_derivatives(self):
+        # irrational double roots (3 +- sqrt(5))/2, and a rational triple root
+        # taken on the float path, where 3! is not a power of two and
+        # float(6c)/6 differs from float(c) for h = -329880/7
+        def derivative(p, k):
+            for _ in range(k):
+                p = p.derivative()
+            return p
+
+        double = QuadraticPair.checked(
+            RatMatrix.identity(4), _block_diagonal([[1, 1], [1, 2]], 2)
+        )
+        triple, _ = planted_pair(random.Random(1), 4, [Fraction(-2, 7)] * 3 + [4])
+        for pair, kinds in ((double, {(2, False)}), (triple, {(3, True), (1, True)})):
+            pencil = pair.pencil()
+            adj, f = pencil.char_adjugate(), pencil.char_poly()
+            mults = set()
+            for root in pencil.roots(FLOAT_ROOT_WIDTH):
+                m = root.multiplicity
+                s = refine_root(root, FLOAT_ROOT_WIDTH).approx()
+                G = np.array(
+                    [float(derivative(e, m - 1).evaluate(s)) / factorial(m - 1)
+                     for e in adj.entries]
+                ).reshape(4, 4)
+                h = float(derivative(f, m).evaluate(s)) / factorial(m)
+                assert np.array_equal(_residue(adj, f, s, m, False), G / h)
+                mults.add((m, root.is_exact))
+            assert mults == kinds
 
 
 class TestVerifyTheorem:
