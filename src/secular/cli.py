@@ -80,9 +80,8 @@ def _root_doc(root) -> dict:
     }
 
 
-def _emit(result, args) -> None:
-    """Write a CSV string as is, or a document as deterministic JSON."""
-    text = result if isinstance(result, str) else sio.dump_document(result)
+def _emit(text: str, args) -> None:
+    """Write rendered output to --output or stdout."""
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -392,6 +391,8 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         result = args.handler(args)
+        # a CSV string as is, a document as deterministic JSON
+        text = result if isinstance(result, str) else sio.dump_document(result)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -409,7 +410,7 @@ def run(argv=None) -> int:
         print(f"precondition violated: {exc}: a float result lies beyond"
               " floating-point range", file=sys.stderr)
         return EXIT_PRECONDITION
-    _emit(result, args)
+    _emit(text, args)
     return EXIT_OK
 
 

@@ -189,8 +189,12 @@ def load_document(path: str) -> Any:
 
 
 def dump_document(doc: Any) -> str:
-    """Canonical rendering: sorted keys, two-space indent, trailing newline."""
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """Canonical rendering: sorted keys, two-space indent, trailing newline;
+    an infinite or NaN float raises OverflowError (JSON has no literal for it)."""
+    try:
+        return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise OverflowError(str(exc)) from None
 
 
 def trajectory_to_csv(traj: Trajectory) -> str:

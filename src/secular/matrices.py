@@ -1,15 +1,15 @@
 """Exact rational matrices, polynomial matrices and pencils.
 
 `RatMatrix` holds Fraction entries; determinants run through fraction-free
-Bareiss elimination on an integer model of the matrix, inverses and
-adjugates through one Gauss-Jordan pass.  `PolyMatrix` holds `Poly`
-entries; its determinant and its adjugate are computed by evaluating at
-enough integer points and interpolating, which is exact in rational
-arithmetic and avoids intermediate polynomial blow-up.  A `Pencil` packages
-a matrix couple (A, B) with its orientation: "sA-B" (generalized/frequency
-form, determinant in s) or "A-sB" (characteristic-matrix form such as
-A - xI).  A pencil computes its determinant, its isolated real roots (per
-width) and the adjugate of its characteristic matrix once, on first use.
+Bareiss elimination on an integer model of the matrix (one common
+denominator), inverses and adjugates through one Gauss-Jordan pass.
+`PolyMatrix` holds `Poly` entries; its determinant and adjugate come from
+the integer samples L*P(k), k = 0..D (L the lcm of all denominators), by
+one exact Newton interpolation per entry.  A `Pencil` packages a matrix
+couple (A, B) with its orientation: "sA-B" (generalized/frequency form,
+determinant in s) or "A-sB" (characteristic-matrix form such as A - xI).
+A pencil computes its determinant, its isolated real roots (per width) and
+the adjugate of its characteristic matrix once, on first use.
 
 Indices are 0-based throughout the code; serialized documents use 1-based
 indices (see `secular.io`).
@@ -26,7 +26,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import PreconditionError
-from .polynomials import Poly, _lagrange, _lagrange_basis, _lagrange_combine
+from .polynomials import Poly, _interpolate
 from .realroots import RealRoot, sturm_isolate
 
 __all__ = [
@@ -278,7 +278,7 @@ def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
 
 
 def _bareiss_int_det(m: list[list[int]]) -> int:
-    """Fraction-free Bareiss determinant of an integer matrix."""
+    """Fraction-free Bareiss determinant of an integer matrix (1 if empty)."""
     n = len(m)
     sign = 1
     prev = 1
@@ -294,7 +294,7 @@ def _bareiss_int_det(m: list[list[int]]) -> int:
                 m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
             m[i][k] = 0
         prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    return sign * m[n - 1][n - 1] if n else 1
 
 
 def det_rational(M: RatMatrix) -> Fraction:
@@ -302,16 +302,9 @@ def det_rational(M: RatMatrix) -> Fraction:
     if not M.is_square:
         raise PreconditionError("determinant of a non-square matrix")
     n = M.rows
-    if n == 0:
-        return Fraction(1)
-    scale = Fraction(1)
-    int_rows: list[list[int]] = []
-    for i in range(n):
-        row = M.row(i)
-        mult = int_lcm(*(v.denominator for v in row)) if row else 1
-        scale *= mult
-        int_rows.append([int(v * mult) for v in row])
-    return Fraction(_bareiss_int_det(int_rows), 1) / scale
+    L = int_lcm(*(v.denominator for v in M.entries))
+    int_rows = [[v.numerator * (L // v.denominator) for v in M.row(i)] for i in range(n)]
+    return Fraction(_bareiss_int_det(int_rows), L**n)
 
 
 @dataclass(frozen=True)
@@ -350,44 +343,47 @@ class PolyMatrix:
             tuple(self.entry(i, j) for j in range(self.cols) for i in range(self.rows)),
         )
 
-    def evaluate(self, x) -> RatMatrix:
-        return RatMatrix(
-            self.rows, self.cols, tuple(p.evaluate(Fraction(x)) for p in self.entries)
-        )
-
     def submatrix(self, keep_rows: Sequence[int], keep_cols: Sequence[int]) -> "PolyMatrix":
         return PolyMatrix.from_rows(
             [[self.entry(i, j) for j in keep_cols] for i in keep_rows]
         )
 
     def row_degrees(self) -> list[int]:
-        """Largest entry degree of each row; -1 for a zero row."""
-        return [max(p.degree() for p in self.entries[i * self.cols:(i + 1) * self.cols])
+        """Largest entry degree of each row; 0 for a zero row."""
+        n = self.cols
+        return [max([0] + [p.degree() for p in self.entries[i * n:(i + 1) * n]])
                 for i in range(self.rows)]
 
-    def degree_bound(self) -> int:
-        """Upper bound for deg(det): sum over rows of the max entry degree."""
-        degrees = self.row_degrees()
-        return 0 if -1 in degrees else sum(degrees)  # a zero row forces det = 0
 
-    def det(self) -> Poly:
-        return det_pencil(self)
+def _integer_samples(P: PolyMatrix, bound: int) -> tuple[int, list[list[list[int]]]]:
+    """L, the lcm of every coefficient denominator of P, and the integer
+    matrices L*P(k) for k = 0..bound, each entry by integer Horner."""
+    L = int_lcm(*(c.denominator for p in P.entries for c in p.coeffs))
+    ints = [[c.numerator * (L // c.denominator) for c in p.coeffs] for p in P.entries]
+    samples = []
+    for k in range(bound + 1):
+        flat = []
+        for cs in ints:
+            acc = 0
+            for c in reversed(cs):
+                acc = acc * k + c
+            flat.append(acc)
+        samples.append([flat[i * P.cols:(i + 1) * P.cols] for i in range(P.rows)])
+    return L, samples
 
 
 def det_pencil(P: PolyMatrix) -> Poly:
     """Exact determinant polynomial by evaluation/interpolation.
 
-    Evaluates at the integers 0..D (D = degree bound) and interpolates;
-    exactness of rational arithmetic makes conditioning a non-issue.
+    Bareiss gives det(L*P(k)) = L^n det P(k) at the integers k = 0..D, D the
+    sum of the row degrees; Newton interpolation through them gives L^n det P.
     """
     if not P.is_square:
         raise PreconditionError("determinant of a non-square matrix")
-    if P.rows == 0:
-        return Poly([1])
-    bound = P.degree_bound()
-    points = [Fraction(k) for k in range(bound + 1)]
-    values = [det_rational(P.evaluate(x)) for x in points]
-    return _lagrange(points, values)
+    bound = sum(P.row_degrees())
+    L, samples = _integer_samples(P, bound)
+    values = [_bareiss_int_det(m) for m in samples]
+    return _interpolate(range(bound + 1), values).scale(Fraction(1, L**P.rows))
 
 
 def adjugate_pencil(P: PolyMatrix) -> PolyMatrix:
@@ -395,21 +391,21 @@ def adjugate_pencil(P: PolyMatrix) -> PolyMatrix:
     so that P @ adj(P) = det(P) * I as a polynomial identity.
 
     An entry is a minor that omits one row, so its degree is at most
-    D = (sum of row degrees) - (smallest row degree), zero rows counting 0.
-    The rational adjugate is taken at the integers 0..D and all n^2 entries
-    are interpolated against one shared Lagrange basis.
+    D = (sum of row degrees) - (smallest row degree).  The adjugate of
+    L*P(k), which is L^(n-1) adj P(k), is taken at the integers k = 0..D
+    and each of its n^2 entries is interpolated.
     """
     if not P.is_square:
         raise PreconditionError("adjugate of a non-square matrix")
     n = P.rows
-    degrees = [max(d, 0) for d in P.row_degrees()]
+    degrees = P.row_degrees()
     bound = sum(degrees) - min(degrees, default=0)
-    points = [Fraction(k) for k in range(bound + 1)]
-    values = [P.evaluate(x).adjugate().entries for x in points]
-    basis = _lagrange_basis(points)
-    return PolyMatrix(
-        n, n, tuple(_lagrange_combine(basis, entry) for entry in zip(*values))
-    )
+    L, samples = _integer_samples(P, bound)
+    values = [RatMatrix.from_rows(m).adjugate().entries for m in samples]
+    scale = Fraction(1, L) ** (n - 1)
+    return PolyMatrix(n, n, tuple(
+        _interpolate(range(bound + 1), entry).scale(scale) for entry in zip(*values)
+    ))
 
 
 ORIENTATIONS = ("sA-B", "A-sB")

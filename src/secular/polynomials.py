@@ -312,26 +312,23 @@ def _interp_points(count: int) -> list[int]:
     return pts
 
 
-def _lagrange_basis(points: Sequence[Fraction]) -> list[Poly]:
-    """Lagrange basis: basis[i] is 1 at points[i] and 0 at the other points."""
-    basis = []
-    for i, xi in enumerate(points):
-        term = ONE
-        for j, xj in enumerate(points):
-            if j != i:
-                term = term * Poly([-xj, 1]).scale(Fraction(1, xi - xj))
-        basis.append(term)
-    return basis
-
-
-def _lagrange_combine(basis: Sequence[Poly], values: Sequence[Fraction]) -> Poly:
-    """Interpolating polynomial taking values[i] at the i-th basis point."""
-    return sum((b.scale(v) for b, v in zip(basis, values) if v != 0), ZERO)
-
-
-def _lagrange(points: Sequence[Fraction], values: Sequence[Fraction]) -> Poly:
-    """Interpolating polynomial through (points[i], values[i])."""
-    return _lagrange_combine(_lagrange_basis(points), values)
+def _interpolate(points: Sequence, values: Sequence) -> Poly:
+    """The polynomial of degree below len(points) taking values[i] at the
+    distinct points[i]: Newton divided differences, expanded by Horner's
+    scheme in the nested form c0 + (x - x0)(c1 + (x - x1)(c2 + ...))."""
+    xs = [Fraction(x) for x in points]
+    cs = [Fraction(v) for v in values]
+    for j in range(1, len(xs)):
+        for i in range(len(xs) - 1, j - 1, -1):
+            cs[i] = (cs[i] - cs[i - 1]) / (xs[i] - xs[i - j])
+    acc: list[Fraction] = []
+    for x, c in zip(reversed(xs), reversed(cs)):
+        nxt = [Fraction(0)] + acc  # acc * (X - x) + c
+        for k, a in enumerate(acc):
+            nxt[k] -= x * a
+        nxt[0] += c
+        acc = nxt
+    return Poly(acc)
 
 
 def _kronecker_split_squarefree(f: Poly) -> list[Poly]:
@@ -364,9 +361,8 @@ def _kronecker_split_squarefree(f: Poly) -> list[Poly]:
                 divisor_sets.append([Fraction(x) for x in ds])
             else:
                 divisor_sets.append([Fraction(s * x) for x in ds for s in (1, -1)])
-        basis = _lagrange_basis(points)
         for combo in itertools.product(*divisor_sets):
-            cand = _lagrange_combine(basis, combo)
+            cand = _interpolate(points, combo)
             if cand.degree() < 1 or cand.degree() > d:
                 continue
             if any(c.denominator != 1 for c in cand.coeffs):

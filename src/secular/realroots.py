@@ -37,7 +37,6 @@ __all__ = [
     "sturm_isolate",
     "refine_root",
     "sturm_chain",
-    "count_roots",
     "root_sign",
 ]
 
@@ -82,11 +81,6 @@ class RealRoot:
 
     def as_float(self) -> float:
         return float(self.approx())
-
-    def contains(self, x: Fraction) -> bool:
-        if self.is_exact:
-            return x == self.value
-        return self.lo < x < self.hi
 
     def __repr__(self) -> str:
         if self.is_exact:
@@ -151,14 +145,6 @@ def _sign_at(cs: tuple[int, ...], n: int, d: int) -> int:
 def _variations(chain: list[tuple[int, ...]], n: int, d: int) -> int:
     signs = [s for s in (_sign_at(q, n, d) for q in chain) if s]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def count_roots(chain: list[Poly], a: Fraction, b: Fraction) -> int:
-    """Number of distinct real roots in (a, b] for a square-free chain."""
-    a, b = Fraction(a), Fraction(b)
-    ints = [_ints(q) for q in chain]
-    return (_variations(ints, a.numerator, a.denominator)
-            - _variations(ints, b.numerator, b.denominator))
 
 
 def _halve(cs, a, b, d):

@@ -434,6 +434,8 @@ class TestExitCodes:
             ("roots", ["2", "1e400", "1e400", "3"], []),
             ("eigvec", ["2", "1e400", "1e400", "3"], []),
             ("darboux-steps", ["2", "1e400", "1e400", "3"], []),
+            # exp(709) is finite, times a projector entry of about 14 it is not
+            ("expm", ["709", "10000", "0", "0"], ["--time", "1"]),
         ],
     )
     def test_float_overflow_exits_3(self, tmp_path, deadline, capsys, verb, entries, flags):

@@ -28,12 +28,16 @@ from oracles import (
 NOTE23 = RatMatrix.from_rows([[1, -1, 0], [-1, 2, 1], [0, 1, 1]])
 
 
-def random_poly_matrix(rng, n, degree=1, span=4):
+def random_poly_matrix(rng, n, degree=1, span=4, rational=False):
+    """Random entries of the given degree; `rational` puts the coefficients
+    of row i over the denominator i + 2, so each row carries its own."""
     rows = []
-    for _ in range(n):
+    for i in range(n):
+        den = i + 2 if rational else 1
         row = []
         for _ in range(n):
-            row.append(Poly([rng.randint(-span, span) for _ in range(degree + 1)]))
+            row.append(Poly([Fraction(rng.randint(-span, span), den)
+                             for _ in range(degree + 1)]))
         rows.append(row)
     return PolyMatrix.from_rows(rows)
 
@@ -82,9 +86,10 @@ class TestPencilDet:
 
     def test_interpolation_matches_cofactor_oracle(self):
         rng = random.Random(7)
-        for n in (2, 3, 4):
-            P = random_poly_matrix(rng, n)
-            assert det_pencil(P) == cofactor_det_poly(P)
+        for rational in (False, True):
+            for n in (2, 3, 4):
+                P = random_poly_matrix(rng, n, rational=rational)
+                assert det_pencil(P) == cofactor_det_poly(P)
 
     def test_zero_row_shortcut(self):
         P = PolyMatrix.from_rows([[Poly(), Poly()], [Poly([1]), Poly([1])]])
@@ -92,8 +97,9 @@ class TestPencilDet:
 
     def test_higher_degree_entries(self):
         rng = random.Random(31)
-        P = random_poly_matrix(rng, 3, degree=2)
-        assert det_pencil(P) == cofactor_det_poly(P)
+        for rational in (False, True):
+            P = random_poly_matrix(rng, 3, degree=2, rational=rational)
+            assert det_pencil(P) == cofactor_det_poly(P)
         Q = PolyMatrix.from_rows(
             [[Poly([0, 0, 1]), Poly([1])], [Poly([-1]), Poly([2, 3])]]
         )
@@ -118,15 +124,17 @@ class TestAdjugate:
 
     def test_identity_on_random_pencils(self):
         rng = random.Random(23)
-        for n in (2, 3, 4):
-            P = random_poly_matrix(rng, n)
-            adj = adjugate_pencil(P)
-            prod = poly_matmul(P, adj)
-            d = det_pencil(P)
-            for i in range(n):
-                for j in range(n):
-                    expected = d if i == j else Poly()
-                    assert prod.entry(i, j) == expected
+        for rational in (False, True):
+            for n in (2, 3, 4):
+                P = random_poly_matrix(rng, n, rational=rational)
+                adj = adjugate_pencil(P)
+                prod = poly_matmul(P, adj)
+                d = det_pencil(P)
+                assert not d.is_zero()
+                for i in range(n):
+                    for j in range(n):
+                        expected = d if i == j else Poly()
+                        assert prod.entry(i, j) == expected
 
     def test_symmetric_pencil_symmetric_adjugate(self):
         phi = RatMatrix.from_rows([[2, 1], [1, 2]])

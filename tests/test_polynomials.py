@@ -14,7 +14,7 @@ from secular.polynomials import (
     poly_gcd,
     squarefree_decompose,
 )
-from secular.polynomials import _kronecker_split_squarefree
+from secular.polynomials import _interpolate, _kronecker_split_squarefree
 
 from oracles import expand_factors, poly_from_roots
 
@@ -100,6 +100,26 @@ class TestTaylor:
             expected.append(d.evaluate(a) / math.factorial(j))
             d = d.derivative()
         assert p.taylor(a, count) == expected
+
+
+class TestInterpolate:
+    def test_no_points_gives_zero(self):
+        assert _interpolate([], []).is_zero()
+
+    @given(
+        st.lists(small_fractions, min_size=1, max_size=8, unique=True).flatmap(
+            lambda xs: st.tuples(
+                st.just(xs),
+                st.lists(small_fractions, min_size=len(xs), max_size=len(xs)),
+            )
+        )
+    )
+    @settings(max_examples=60)
+    def test_degree_below_count_and_takes_values(self, data):
+        points, values = data
+        q = _interpolate(points, values)
+        assert q.degree() < len(points)
+        assert [q.evaluate(x) for x in points] == values
 
 
 class TestGcd:
