@@ -12,6 +12,7 @@ shortest round-trip repr, and no timestamps enter the payload.
 from __future__ import annotations
 
 import json
+import math
 import re
 import sys
 from fractions import Fraction
@@ -198,6 +199,10 @@ def dump_document(doc: Any) -> str:
 
 
 def trajectory_to_csv(traj: Trajectory) -> str:
+    """One line per time, floats as their shortest repr; an infinite or NaN
+    sample raises OverflowError, as in `dump_document`."""
+    if not all(math.isfinite(v) for row in traj.values for v in row):
+        raise OverflowError("trajectory sample is not a finite float")
     width = len(traj.values[0]) if traj.values else 0
     header = "t," + ",".join(f"y{i + 1}" for i in range(width))
     lines = [header]

@@ -8,8 +8,11 @@ the integer samples L*P(k), k = 0..D (L the lcm of all denominators), by
 one exact Newton interpolation per entry.  A `Pencil` packages a matrix
 couple (A, B) with its orientation: "sA-B" (generalized/frequency form,
 determinant in s) or "A-sB" (characteristic-matrix form such as A - xI).
-A pencil computes its determinant, its isolated real roots (per width) and
-the adjugate of its characteristic matrix once, on first use.
+A pencil computes its determinant, its isolated real roots (per width),
+the adjugate of its characteristic matrix and its integer model once, on
+first use; the float path rounds the characteristic matrix at a point from
+that integer model, one correctly rounded division per entry.  Leading
+principal minors are the pivots of one Bareiss pass without pivoting.
 
 Indices are 0-based throughout the code; serialized documents use 1-based
 indices (see `secular.io`).
@@ -177,13 +180,29 @@ class RatMatrix:
         )
 
     def leading_principal_minors(self) -> list[Fraction]:
-        """Determinants of the leading k x k blocks, k = 1..n."""
+        """Determinants of the leading k x k blocks, k = 1..n.
+
+        Bareiss elimination without pivoting on the integer model L*M: its
+        k-th pivot is the leading k x k minor of L*M, which is L^k times the
+        minor of M (Sylvester's identity).  A zero pivot stops the
+        elimination, and the minors after it are block determinants.
+        """
         if not self.is_square:
             raise PreconditionError("leading minors of a non-square matrix")
-        idx = list(range(self.rows))
-        return [
+        n = self.rows
+        L, (m,) = _integer_model(self)
+        minors = []
+        prev = 1
+        for k in range(n):
+            minors.append(Fraction(m[k][k], L ** (k + 1)))
+            if m[k][k] == 0:
+                break
+            _bareiss_step(m, k, prev)
+            prev = m[k][k]
+        idx = list(range(n))
+        return minors + [
             det_rational(self.submatrix(idx[: k + 1], idx[: k + 1]))
-            for k in range(self.rows)
+            for k in range(len(minors), n)
         ]
 
     def rank(self) -> int:
@@ -277,6 +296,18 @@ def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     return rows, pivots
 
 
+def _bareiss_step(m: list[list[int]], k: int, prev: int) -> None:
+    """One fraction-free elimination step below the pivot m[k][k]; prev is
+    the pivot of the step before (1 at the first), and divides exactly."""
+    n = len(m)
+    pivot, row_k = m[k][k], m[k]
+    for i in range(k + 1, n):
+        row, f = m[i], m[i][k]
+        for j in range(k + 1, n):
+            row[j] = (row[j] * pivot - f * row_k[j]) // prev
+        row[k] = 0
+
+
 def _bareiss_int_det(m: list[list[int]]) -> int:
     """Fraction-free Bareiss determinant of an integer matrix (1 if empty)."""
     n = len(m)
@@ -289,22 +320,25 @@ def _bareiss_int_det(m: list[list[int]]) -> int:
                 return 0
             m[k], m[swap] = m[swap], m[k]
             sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
+        _bareiss_step(m, k, prev)
         prev = m[k][k]
     return sign * m[n - 1][n - 1] if n else 1
+
+
+def _integer_model(*matrices: RatMatrix) -> tuple[int, list[list[list[int]]]]:
+    """L, the lcm of every entry denominator of the matrices, and the rows
+    of each matrix times L as fresh lists of integers."""
+    L = int_lcm(*(v.denominator for M in matrices for v in M.entries))
+    return L, [[[v.numerator * (L // v.denominator) for v in M.row(i)]
+                for i in range(M.rows)] for M in matrices]
 
 
 def det_rational(M: RatMatrix) -> Fraction:
     """Exact determinant via Bareiss elimination on an integer model."""
     if not M.is_square:
         raise PreconditionError("determinant of a non-square matrix")
-    n = M.rows
-    L = int_lcm(*(v.denominator for v in M.entries))
-    int_rows = [[v.numerator * (L // v.denominator) for v in M.row(i)] for i in range(n)]
-    return Fraction(_bareiss_int_det(int_rows), L**n)
+    L, (rows,) = _integer_model(M)
+    return Fraction(_bareiss_int_det(rows), L**M.rows)
 
 
 @dataclass(frozen=True)
@@ -472,6 +506,7 @@ class Pencil:
     _char_poly = cached_property(lambda self: det_pencil(self.char_matrix()))
     _roots = cached_property(lambda self: {})  # width -> isolated roots
     _char_adjugate = cached_property(lambda self: adjugate_pencil(self.char_matrix()))
+    _int_model = cached_property(lambda self: _integer_model(self.A, self.B))
 
     def char_poly(self) -> Poly:
         """det of the characteristic matrix, computed on first use."""
@@ -497,3 +532,21 @@ class Pencil:
         if self.orientation == "sA-B":
             return self.A.scale(s) - self.B
         return self.A - self.B.scale(s)
+
+    def evaluate_float(self, s) -> np.ndarray:
+        """`evaluate(s).to_numpy()` without the Fractions.
+
+        With s = p/q and the integer model L, A' = L*A, B' = L*B, each entry
+        is one integer true division, (p*A' - q*B')/(q*L) for "sA-B" and
+        (q*A' - p*B')/(q*L) for "A-sB".  Python rounds it correctly, as
+        float(Fraction) does, so the floats are the same, and an entry beyond
+        floating-point range raises the same OverflowError.
+        """
+        s = Fraction(s)
+        u, v = s.numerator, s.denominator
+        if self.orientation == "A-sB":
+            u, v = v, u
+        L, (A, B) = self._int_model
+        d = s.denominator * L
+        return np.array([[(u * a - v * b) / d for a, b in zip(row_a, row_b)]
+                         for row_a, row_b in zip(A, B)])

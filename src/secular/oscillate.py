@@ -276,13 +276,25 @@ class ModalSolution:
     def has_drift(self) -> bool:
         return bool(self.drifts)
 
-    def evaluate(self, t: float) -> np.ndarray:
-        y = np.zeros(self.model.size)
+    def evaluate_grid(self, times) -> np.ndarray:
+        """Positions at every time, one row per time.
+
+        Each mode adds its shape times the scalar E sin(omega t + phase),
+        taken per time with `math`; modes, then drifts, are added in order,
+        so a row does not depend on the other times in the grid.
+        """
+        times = [float(t) for t in times]
+        y = np.zeros((len(times), self.model.size))
         for m in self.modes:
-            y += m.amplitude * math.sin(m.omega * t + m.phase) * m.shape_floats()
+            scalars = [m.amplitude * math.sin(m.omega * t + m.phase) for t in times]
+            y += np.array(scalars)[:, None] * m.shape_floats()
         for d in self.drifts:
-            y += (d.offset + d.rate * t) * d.shape_floats()
+            scalars = [d.offset + d.rate * t for t in times]
+            y += np.array(scalars)[:, None] * d.shape_floats()
         return y
+
+    def evaluate(self, t: float) -> np.ndarray:
+        return self.evaluate_grid([t])[0]
 
     def derivative(self, t: float) -> np.ndarray:
         v = np.zeros(self.model.size)
@@ -406,25 +418,29 @@ class JordanBlock:
                 deg = max(deg, k)
         return deg
 
-    def evaluate(self, t: float, n: int) -> np.ndarray:
-        out = np.zeros(n)
-        carrier = math.exp(float(self.sigma_re) * t)
-        cos_t = math.cos(self.sigma_im * t) if self.sigma_im else 1.0
-        sin_t = math.sin(self.sigma_im * t) if self.sigma_im else 0.0
-        poly_cos = np.zeros(n)
-        tk = 1.0
-        for c in self.cos_coeffs:
-            poly_cos += tk * np.array([float(x) for x in c])
-            tk *= t
-        out += carrier * cos_t * poly_cos
-        if self.sin_coeffs:
-            poly_sin = np.zeros(n)
-            tk = 1.0
-            for c in self.sin_coeffs:
-                poly_sin += tk * np.array([float(x) for x in c])
-                tk *= t
-            out += carrier * sin_t * poly_sin
+    def evaluate_grid(self, times: list[float], n: int) -> np.ndarray:
+        """The block at every time, one row per time: per-time scalars from
+        `math`, vector polynomials in t by ascending powers."""
+        out = np.zeros((len(times), n))
+        sigma_re, w = float(self.sigma_re), self.sigma_im
+        carrier = [math.exp(sigma_re * t) for t in times]
+        for coeffs, trig, at_rest in ((self.cos_coeffs, math.cos, 1.0),
+                                      (self.sin_coeffs, math.sin, 0.0)):
+            if coeffs:
+                scalars = [c * (trig(w * t) if w else at_rest) for c, t in zip(carrier, times)]
+                out += np.array(scalars)[:, None] * _vector_poly(coeffs, times, n)
         return out
+
+
+def _vector_poly(coeffs, times: list[float], n: int) -> np.ndarray:
+    """sum_k t^k coeffs[k] at every time, t^k by repeated multiplication."""
+    out = np.zeros((len(times), n))
+    t = np.array(times)
+    tk = np.ones(len(times))
+    for c in coeffs:
+        out += tk[:, None] * np.array([float(x) for x in c])
+        tk = tk * t
+    return out
 
 
 @dataclass(frozen=True)
@@ -437,11 +453,16 @@ class JordanSolution:
     def size(self) -> int:
         return self.matrix.rows
 
-    def evaluate(self, t: float) -> np.ndarray:
-        out = np.zeros(self.size)
+    def evaluate_grid(self, times) -> np.ndarray:
+        """The state at every time, one row per time, blocks added in order."""
+        times = [float(t) for t in times]
+        out = np.zeros((len(times), self.size))
         for b in self.blocks:
-            out += b.evaluate(t, self.size)
+            out += b.evaluate_grid(times, self.size)
         return out
+
+    def evaluate(self, t: float) -> np.ndarray:
+        return self.evaluate_grid([t])[0]
 
 
 def _matrix_power_apply(M: RatMatrix, k: int, v) -> tuple:
@@ -662,6 +683,10 @@ class ScalarSolution:
     def evaluate(self, x: float) -> float:
         return sum(term.evaluate(x) for term in self.terms)
 
+    def evaluate_grid(self, times) -> np.ndarray:
+        """The value at every time, as a one-column array."""
+        return np.array([self.evaluate(float(t)) for t in times], dtype=float).reshape(-1, 1)
+
 
 def scalar_residue_solve(F: Poly, ic) -> ScalarSolution:
     """Solve F(d/dx) y = 0 with y(0), y'(0), ... given.
@@ -845,13 +870,9 @@ def time_grid(t_max: float, steps: int) -> tuple[float, ...]:
 
 
 def sample_trajectory(solution, times) -> Trajectory:
-    """Evaluate a closed-form solution on a time grid, reporting the grid
-    sup-norm used by the stability checks."""
-    rows = []
-    sup = 0.0
-    for t in times:
-        y = solution.evaluate(float(t))
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        sup = max(sup, float(np.max(np.abs(y))) if y.size else 0.0)
-        rows.append(tuple(float(v) for v in y))
-    return Trajectory(tuple(float(t) for t in times), tuple(rows), sup)
+    """Evaluate a closed-form solution on a time grid in one call, reporting
+    the grid sup-norm used by the stability checks."""
+    times = tuple(float(t) for t in times)
+    values = solution.evaluate_grid(times)
+    peaks = np.max(np.abs(values), axis=1).tolist() if values.size else []
+    return Trajectory(times, tuple(map(tuple, values.tolist())), max([0.0, *peaks]))

@@ -3,8 +3,9 @@
 The exact path evaluates the characteristic matrix at a rational root and
 reads eigenvectors off the adjugate (first non-null column) or off an exact
 nullspace.  Isolated irrational roots route to a floating path: the interval
-is refined to width 10^-30, the characteristic matrix is evaluated at the
-midpoint, and nullspaces are taken by SVD with a relative singular-value
+is refined to width 10^-30, the characteristic matrix at the midpoint is
+rounded once to floats from the pencil's integer model (no Fraction matrix
+is built), and nullspaces are taken by SVD with a relative singular-value
 threshold of 10^-10; at a simple root the one null vector is the normalized
 adjugate column.
 
@@ -147,7 +148,7 @@ def adjugate_eigenvector(pencil: Pencil, root: RealRoot, path: str = "auto"):
             if any(v != 0 for v in col):
                 return _sign_normalize(col)
     else:
-        basis = _float_nullspace(pencil.evaluate(_root_point(root)).to_numpy())
+        basis = _float_nullspace(pencil.evaluate_float(_root_point(root)))
         if len(basis) == 1:
             return basis[0]
     raise PreconditionError(
@@ -178,8 +179,7 @@ def nullspace_at_root(pencil: Pencil, root: RealRoot, path: str = "auto"):
     if mode == "exact":
         M0 = pencil.evaluate(root.value)
         return [_sign_normalize(v) for v in M0.nullspace()]
-    M0 = pencil.evaluate(_root_point(root)).to_numpy()
-    return _float_nullspace(M0)
+    return _float_nullspace(pencil.evaluate_float(_root_point(root)))
 
 
 def cauchy_orthogonality(dec: SpectralDecomposition, B: RatMatrix) -> OrthogonalityReport:
@@ -286,6 +286,7 @@ def spectral_decompose(pencil: Pencil, path: str = "auto") -> SpectralDecomposit
         )
     mode = "exact" if (path != "float" and all(r.is_exact for r in roots)) else "float"
     W = pencil.leading()
+    Wf = None if mode == "exact" else W.to_numpy()
     vectors = []
     norms = []
     for root in roots:
@@ -293,7 +294,7 @@ def spectral_decompose(pencil: Pencil, path: str = "auto") -> SpectralDecomposit
         if mode == "exact":
             vs, ns = _gram_schmidt_exact(basis, W)
         else:
-            vs, ns = _gram_schmidt_float(basis, W.to_numpy())
+            vs, ns = _gram_schmidt_float(basis, Wf)
         vectors.append(tuple(vs))
         norms.append(tuple(ns))
     return SpectralDecomposition(

@@ -9,20 +9,25 @@ projectors, root brackets by plain bisection instead of Sturm machinery,
 ODE residuals by central finite differences instead of symbolic derivatives,
 residues by polynomial deflation instead of Taylor coefficients, and
 signatures from the congruence diagonal instead of leading minors.  The
-small constructors and products the tests build their inputs with live here
-too, outside the library.
+float kernels keep their former definitions here: the characteristic matrix
+as a Fraction matrix converted entry by entry, trajectories one time at a
+time, and leading minors as one block determinant each.  The small
+constructors and products the tests build their inputs with live here too,
+outside the library.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
 
 from secular.errors import PreconditionError
 from secular.invariants import MinorGcdChain, _congruence_diagonal
-from secular.matrices import PolyMatrix, RatMatrix, det_pencil
+from secular.matrices import PolyMatrix, RatMatrix, det_pencil, det_rational
+from secular.oscillate import Trajectory
 from secular.polynomials import ONE, Poly, poly_gcd
 
 
@@ -250,3 +255,62 @@ def verify_jordan_exact(sol) -> bool:
             if tuple(lhs) != sol.matrix.apply(ck):
                 return False
     return True
+
+
+def float_char_matrix_by_fractions(pencil, x) -> np.ndarray:
+    """The characteristic matrix at x as Fractions, then each entry to float."""
+    return pencil.evaluate(x).to_numpy()
+
+
+def leading_minors_by_blocks(M: RatMatrix) -> list[Fraction]:
+    """One determinant per leading k x k block, k = 1..n."""
+    idx = list(range(M.rows))
+    return [det_rational(M.submatrix(idx[:k], idx[:k])) for k in range(1, M.rows + 1)]
+
+
+def modal_at(sol, t: float) -> np.ndarray:
+    """A modal solution at one time: modes, then drifts, added in order."""
+    y = np.zeros(sol.model.size)
+    for m in sol.modes:
+        y += m.amplitude * math.sin(m.omega * t + m.phase) * m.shape_floats()
+    for d in sol.drifts:
+        y += (d.offset + d.rate * t) * d.shape_floats()
+    return y
+
+
+def jordan_at(sol, t: float) -> np.ndarray:
+    """A Jordan solution at one time, block by block."""
+    n = sol.size
+    out = np.zeros(n)
+    for b in sol.blocks:
+        block = np.zeros(n)
+        carrier = math.exp(float(b.sigma_re) * t)
+        cos_t = math.cos(b.sigma_im * t) if b.sigma_im else 1.0
+        sin_t = math.sin(b.sigma_im * t) if b.sigma_im else 0.0
+        poly_cos = np.zeros(n)
+        tk = 1.0
+        for c in b.cos_coeffs:
+            poly_cos += tk * np.array([float(x) for x in c])
+            tk *= t
+        block += carrier * cos_t * poly_cos
+        if b.sin_coeffs:
+            poly_sin = np.zeros(n)
+            tk = 1.0
+            for c in b.sin_coeffs:
+                poly_sin += tk * np.array([float(x) for x in c])
+                tk *= t
+            block += carrier * sin_t * poly_sin
+        out += block
+    return out
+
+
+def trajectory_per_time(at, times) -> Trajectory:
+    """A trajectory sampled one time at a time with `at(t)`, and its grid
+    sup-norm."""
+    rows = []
+    sup = 0.0
+    for t in times:
+        y = at(float(t))
+        sup = max(sup, float(np.max(np.abs(y))) if y.size else 0.0)
+        rows.append(tuple(float(v) for v in y))
+    return Trajectory(tuple(float(t) for t in times), tuple(rows), sup)

@@ -436,11 +436,22 @@ class TestExitCodes:
             ("darboux-steps", ["2", "1e400", "1e400", "3"], []),
             # exp(709) is finite, times a projector entry of about 14 it is not
             ("expm", ["709", "10000", "0", "0"], ["--time", "1"]),
+            # a whole scenario: the modal amplitudes overflow, so every
+            # trajectory sample would read inf
+            ("trajectory", {
+                "kind": "coupled-springs",
+                "parameters": {"m": "1", "k": "1", "k0": "1"},
+                "initial": {"positions": ["1.7e308", "1.7e308"],
+                            "velocities": ["1.7e308", "1.7e308"]},
+                "t_grid": {"t_max": 1.0, "steps": 3},
+            }, []),
         ],
     )
     def test_float_overflow_exits_3(self, tmp_path, deadline, capsys, verb, entries, flags):
         deadline(2.0)
-        doc = write_json(tmp_path, "m.json", {"rows": 2, "cols": 2, "entries": entries})
+        if not isinstance(entries, dict):
+            entries = {"rows": 2, "cols": 2, "entries": entries}
+        doc = write_json(tmp_path, "m.json", entries)
         assert run([verb, "--input", doc] + flags) == 3
         captured = capsys.readouterr()
         assert captured.out == ""

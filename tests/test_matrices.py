@@ -2,6 +2,7 @@ import random
 import types
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +23,8 @@ from oracles import (
     cofactor_adjugate_rat,
     cofactor_det_poly,
     cofactor_det_rat,
+    float_char_matrix_by_fractions,
+    leading_minors_by_blocks,
     poly_matmul,
 )
 
@@ -362,3 +365,133 @@ class TestRatMatrixAlgebra:
 
     def test_leading_principal_minors(self):
         assert NOTE23.leading_principal_minors() == [1, 1, 0]
+
+
+def random_rat_matrix(rng, n, span=9, symmetric=False):
+    """Random rational entries; row i over the denominator i + 2 times a
+    random factor, so rows carry different denominators."""
+    rows = [[Fraction(rng.randint(-span, span), (i + 2) * rng.randint(1, 5))
+             for _ in range(n)] for i in range(n)]
+    if symmetric:
+        rows = [[rows[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    return RatMatrix.from_rows(rows)
+
+
+def same_floats(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal shape and equal bits, so that -0.0 and 0.0 differ too."""
+    return a.shape == b.shape and np.array_equal(a, b) and a.tobytes() == b.tobytes()
+
+
+class TestFloatCharMatrix:
+    """`Pencil.evaluate_float` rounds the exact characteristic matrix once
+    per entry, exactly as the Fraction matrix converted to floats."""
+
+    def test_matches_fraction_matrix(self):
+        rng = random.Random(909)
+        for trial in range(60):
+            n = rng.randint(1, 6)
+            A = random_rat_matrix(rng, n, symmetric=trial % 2 == 0)
+            B = random_rat_matrix(rng, n, symmetric=trial % 2 == 0)
+            bits = rng.randint(100, 160)
+            points = [
+                Fraction(rng.getrandbits(bits) - 2 ** (bits - 1), 2**bits),
+                Fraction(rng.getrandbits(bits) - 2 ** (bits - 1), rng.getrandbits(bits) | 1),
+                Fraction(rng.randint(-5, 5)),
+            ]
+            for orientation in ("sA-B", "A-sB"):
+                pencil = Pencil(A, B, orientation)
+                for x in points:
+                    got = pencil.evaluate_float(x)
+                    assert same_floats(got, float_char_matrix_by_fractions(pencil, x))
+
+    def test_root_midpoints_of_a_loaded_string(self):
+        from secular.oscillate import build_model
+        from secular.spectral import _root_point
+
+        pencil = build_model("loaded-string", {"n": 6, "a": Fraction(3, 2)}).pencil()
+        for root in pencil.roots():
+            x = _root_point(root)
+            assert x.denominator.bit_length() >= 100
+            got = pencil.evaluate_float(x)
+            assert same_floats(got, float_char_matrix_by_fractions(pencil, x))
+
+    @pytest.mark.parametrize("orientation", ["sA-B", "A-sB"])
+    @pytest.mark.parametrize("x", [Fraction(1, 3), Fraction(10**20 + 1, 7)])
+    def test_overflow_where_the_fraction_path_overflows(self, orientation, x):
+        huge = Fraction(10**400)
+        pencil = Pencil(RatMatrix.from_rows([[2, huge], [huge, 3]]),
+                        RatMatrix.identity(2), orientation)
+        with pytest.raises(OverflowError):
+            float_char_matrix_by_fractions(pencil, x)
+        with pytest.raises(OverflowError):
+            pencil.evaluate_float(x)
+
+    def test_large_but_finite_entries(self):
+        # 1e300 * 1e10 overflows, 1e300 / 1e10 does not: the same entries
+        # round or raise on both paths
+        big = Fraction(10**300)
+        pencil = Pencil(RatMatrix.from_rows([[big, 1], [1, big]]),
+                        RatMatrix.from_rows([[1, big], [big, 1]]), "sA-B")
+        small = Fraction(1, 10**10)
+        assert same_floats(pencil.evaluate_float(small),
+                           float_char_matrix_by_fractions(pencil, small))
+        for call in (pencil.evaluate_float, lambda x: float_char_matrix_by_fractions(pencil, x)):
+            with pytest.raises(OverflowError):
+                call(Fraction(10**10))
+
+
+def with_zero_leading_minor(M: RatMatrix, k: int) -> RatMatrix:
+    """M with its diagonal entry k - 1 shifted so that the leading k x k
+    minor vanishes; the minor is linear in that entry with slope the
+    leading (k - 1) x (k - 1) minor, and the shift keeps M symmetric."""
+    rows, minors = M.to_rows(), [Fraction(1)] + leading_minors_by_blocks(M)
+    rows[k - 1][k - 1] -= minors[k] / minors[k - 1]
+    return RatMatrix.from_rows(rows)
+
+
+class TestLeadingMinors:
+    """Leading minors are the pivots of one Bareiss pass, and block
+    determinants only after a zero pivot."""
+
+    def test_matches_block_determinants(self):
+        rng = random.Random(2024)
+        for trial in range(80):
+            n = rng.randint(1, 7)
+            M = random_rat_matrix(rng, n, symmetric=trial % 2 == 0)
+            assert M.leading_principal_minors() == leading_minors_by_blocks(M)
+
+    def test_zero_leading_minor_at_every_position(self):
+        rng = random.Random(77)
+        for symmetric in (True, False):
+            for n in range(1, 7):
+                for k in range(1, n + 1):
+                    while True:
+                        M = random_rat_matrix(rng, n, symmetric=symmetric)
+                        if all(leading_minors_by_blocks(M)):
+                            break
+                    M = with_zero_leading_minor(M, k)
+                    assert M.is_symmetric() or not symmetric
+                    expected = leading_minors_by_blocks(M)
+                    assert expected[k - 1] == 0
+                    assert M.leading_principal_minors() == expected
+
+    def test_integer_and_empty_matrices(self):
+        assert RatMatrix.from_rows([]).leading_principal_minors() == []
+        M = RatMatrix.from_rows([[0, 1], [1, 0]])
+        assert M.leading_principal_minors() == [0, -1]
+
+    def test_no_block_determinant_unless_a_minor_vanishes(self, monkeypatch):
+        import secular.matrices as matrices
+
+        calls = []
+        det = matrices.det_rational
+        monkeypatch.setattr(matrices, "det_rational", lambda M: calls.append(M) or det(M))
+        string = RatMatrix.from_rows(
+            [[3, -1, 0], [-1, 5, -2], [0, -2, 5]])
+        assert string.leading_principal_minors() == [3, 14, 58]
+        assert calls == []
+        assert NOTE23.leading_principal_minors() == [1, 1, 0]
+        assert calls == []
+        singular_first = RatMatrix.from_rows([[0, 1, 2], [1, 1, 0], [2, 0, 1]])
+        assert singular_first.leading_principal_minors() == [0, -1, -5]
+        assert len(calls) == 2

@@ -25,7 +25,15 @@ from secular.oscillate import (
 from secular.polynomials import Poly
 from secular.spectral import char_roots
 
-from oracles import expm_taylor, ode_residual, second_order_residual, verify_jordan_exact
+from oracles import (
+    expm_taylor,
+    jordan_at,
+    modal_at,
+    ode_residual,
+    second_order_residual,
+    trajectory_per_time,
+    verify_jordan_exact,
+)
 
 NOTE71 = RatMatrix.from_rows([[1, 4, -2], [0, 6, -3], [-1, 4, 0]])
 
@@ -427,3 +435,76 @@ class TestTrajectory:
             ym = modal.evaluate(float(t))
             yj = jordan.evaluate(float(t))[:n]
             assert np.max(np.abs(ym - yj)) <= 1e-8
+
+
+def same_trajectory(got, expected) -> bool:
+    """Equal times, samples and sup-norm, compared by repr so that the sign
+    of a zero counts."""
+    return repr(got) == repr(expected)
+
+
+class TestGridEvaluation:
+    """One grid evaluation per solution gives the floats of evaluating one
+    time at a time."""
+
+    TIMES = time_grid(10.0, 200) + (-0.5, 1e-300, 37.25)
+
+    def test_modal_with_drift_modes(self):
+        rng = random.Random(55)
+        models = [
+            build_model("custom", {}, mass=RatMatrix.identity(2),
+                        stiffness=RatMatrix.from_rows([[1, -1], [-1, 1]])),
+            # two rigid modes: two disconnected free pairs
+            build_model("custom", {}, mass=RatMatrix.diagonal([1, 2, 1, 3]),
+                        stiffness=RatMatrix.from_rows(
+                            [[1, -1, 0, 0], [-1, 1, 0, 0], [0, 0, 2, -2], [0, 0, -2, 2]])),
+            build_model("loaded-string", {"n": 5, "a": Fraction(2, 3)}),
+            build_model("coupled-springs", {"m": 1, "k": 1, "k0": 1}),
+        ]
+        drifts = 0
+        for model in models:
+            n = model.size
+            ic = InitialConditions.of(
+                [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)],
+                [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)])
+            sol = solve_modal(model, ic)
+            drifts += len(sol.drifts)
+            grid = sol.evaluate_grid(self.TIMES)
+            assert grid.shape == (len(self.TIMES), n)
+            for t, row in zip(self.TIMES, grid):
+                assert row.tobytes() == modal_at(sol, t).tobytes()
+                assert sol.evaluate(t).tobytes() == row.tobytes()
+            assert same_trajectory(sample_trajectory(sol, self.TIMES),
+                                   trajectory_per_time(lambda t: modal_at(sol, t), self.TIMES))
+        assert drifts == 3
+
+    def test_jordan_exact_and_float(self):
+        cases = [
+            (RatMatrix.from_rows([[2, 1], [0, 2]]), [3, 5], "auto"),
+            (NOTE71, [1, -2, 3], "auto"),
+            (RatMatrix.from_rows([[1, 1, 0], [0, 1, 1], [0, 0, 1]]), [1, 2, 3], "exact"),
+            (RatMatrix.from_rows([[0, -1], [1, 0]]), [1, 0], "float"),
+            (RatMatrix.from_rows([[Fraction(-1, 10), -2], [2, Fraction(-1, 10)]]), [1, 1], "float"),
+            (RatMatrix.from_rows([[0, 1], [2, 0]]), [1, 0], "auto"),
+            (first_order_matrix(build_model("loaded-string", {"n": 3, "a": 1})),
+             [1, 0, -1, 0, 1, 0], "float"),
+        ]
+        times = time_grid(3.0, 60) + (-1.25,)
+        paths = set()
+        for M, x0, path in cases:
+            sol = solve_jordan(M, x0, path=path)
+            paths.add(sol.path)
+            grid = sol.evaluate_grid(times)
+            assert grid.shape == (len(times), M.rows)
+            for t, row in zip(times, grid):
+                assert row.tobytes() == jordan_at(sol, t).tobytes()
+                assert sol.evaluate(t).tobytes() == row.tobytes()
+            assert same_trajectory(sample_trajectory(sol, times),
+                                   trajectory_per_time(lambda t: jordan_at(sol, t), times))
+        assert paths == {"exact", "float"}
+
+    def test_scalar_solution_samples_as_one_column(self):
+        sol = scalar_residue_solve(Poly([1, 0, 1]), [1, 0])  # y'' + y = 0
+        traj = sample_trajectory(sol, [0.0, 1.0])
+        assert traj.values == ((sol.evaluate(0.0),), (sol.evaluate(1.0),))
+        assert traj.sup_norm == max(abs(sol.evaluate(0.0)), abs(sol.evaluate(1.0)))

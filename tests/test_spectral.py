@@ -318,6 +318,20 @@ class TestPencilWorkDoneOnce:
         assert len(minors) == 2
         assert minors[0] is model.mass and minors[1] is model.stiffness
 
+    def test_modal_float_path_builds_no_fraction_matrix(self, monkeypatch):
+        # the irrational roots of a loaded string take the float path, whose
+        # characteristic matrix comes from the pencil's integer model
+        from secular.oscillate import InitialConditions, build_model, solve_modal
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("Fraction matrix built on the float path")
+
+        monkeypatch.setattr(Pencil, "evaluate", refuse)
+        monkeypatch.setattr(RatMatrix, "scale", refuse)
+        model = build_model("loaded-string", {"n": 4, "a": 1})
+        sol = solve_modal(model, InitialConditions.of([1, 0, 0, 0], [0, 0, 0, 1]))
+        assert sol.path == "float" and len(sol.modes) == 4
+
     def test_checked_pair(self, pencil_work):
         from secular.quadpairs import (
             QuadraticPair,
