@@ -636,21 +636,25 @@ def expm_projectors(M: RatMatrix, t: float) -> np.ndarray:
     exp(M t) = sum_i e^(sigma_i t) (sum_{k < r_i} (M - sigma_i I)^k t^k / k!) p_i.
     The projector algebra (p_i^2 = p_i, sum p_i = I) is exact; only the final
     scalar exponentials are floating point.  Irrational eigenvalues are
-    rejected toward the floating Jordan path.
+    rejected toward the floating Jordan path.  An entry beyond floating-point
+    range raises OverflowError, and numpy warns of nothing.
     """
     n = M.rows
     out = np.zeros((n, n))
     ident = RatMatrix.identity(n)
-    for sigma, _m, chain, P in spectral_projectors(M):
-        shifted = M - ident.scale(sigma)
-        term = P
-        acc = term.to_numpy()
-        tk = 1.0
-        for k in range(1, chain):
-            term = shifted @ term
-            tk *= t / k
-            acc = acc + term.to_numpy() * tk
-        out += math.exp(float(sigma) * t) * acc
+    with np.errstate(over="ignore", invalid="ignore"):
+        for sigma, _m, chain, P in spectral_projectors(M):
+            shifted = M - ident.scale(sigma)
+            term = P
+            acc = term.to_numpy()
+            tk = 1.0
+            for k in range(1, chain):
+                term = shifted @ term
+                tk *= t / k
+                acc = acc + term.to_numpy() * tk
+            out += math.exp(float(sigma) * t) * acc
+    if not np.isfinite(out).all():
+        raise OverflowError("matrix exponential entry is not a finite float")
     return out
 
 

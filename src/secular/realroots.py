@@ -5,14 +5,22 @@ open isolating interval (lo, hi) with rational endpoints across which the
 square-free defining polynomial changes sign.  Multiplicities always refer to
 the original (possibly non-square-free) polynomial.
 
-Isolation uses Sturm's root-counting theorem.  The Sturm chain is built from
-an integer model of the square-free part with primitive-part normalisation
-after every pseudo-remainder, which keeps coefficient growth in check while
-preserving the sign structure the theorem needs.  Every sign is taken in
-integers: the sign of p at n/d is that of d**deg * p(n/d), which homogeneous
-Horner computes without fractions.  Bisection keeps both endpoints as
-unreduced numerators over one denominator that doubles at each halving, so
-the endpoints are exactly those of Fraction bisection.
+Isolation uses Sturm's root-counting theorem.  The Sturm chain is built on
+int tuples from an integer model of the square-free part: integer
+pseudo-remainders, each reduced to its primitive part, which keeps
+coefficient growth in check while preserving the sign structure the theorem
+needs.  Every sign is taken in integers: the sign of p at n/d is that of
+d**deg * p(n/d), which homogeneous Horner computes without fractions.
+Bisection keeps both endpoints as unreduced numerators over one denominator
+that doubles at each halving, so the endpoints are exactly those of Fraction
+bisection.
+
+Narrowing an isolating interval does not halve step by step.  Bisection
+stops at the first depth k where the interval is narrow enough, and its
+interval there is one cell of the dyadic grid of depth k on the starting
+interval; quadratic interval refinement (Abbott) finds that cell from
+secant guesses through integer endpoint values, each confirmed by two
+signs, so the endpoints are still bisection's, bit for bit.
 
 Rational roots are split off first.  A rational root p/q of the integer model
 has q dividing its leading coefficient lc, and such rationals lie at least
@@ -27,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import PreconditionError
 from .polynomials import Poly, squarefree_decompose
@@ -98,47 +106,77 @@ def sturm_chain(p: Poly) -> list[Poly]:
     primitive parts; scaling factors are kept positive so sign variations are
     those of the classical chain.
     """
-    _, p0 = p.integer_primitive()
-    chain = [p0]
-    if p0.degree() >= 1:
-        _, p1 = p0.derivative().integer_primitive()
-        chain.append(p1)
-        while chain[-1].degree() >= 1:
+    return [Poly(q) for q in _int_chain(_int_model(p))]
+
+
+def _primitive(cs: list[int]) -> tuple[int, ...]:
+    """cs divided by the gcd of its entries, signs kept."""
+    g = gcd(*cs)
+    return tuple(c // g for c in cs)
+
+
+def _prem(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
+    """The pseudo-remainder lc(b)**(deg a - deg b + 1) * a mod b, in
+    integers, trailing zeros stripped (deg a >= deg b)."""
+    r, lc, db = list(a), b[-1], len(b) - 1
+    for top in range(len(a) - 1, db - 1, -1):
+        q = r[top]
+        # lc * r - q x**(top - db) b: the top term cancels
+        r = [c * lc for c in r[:top]]
+        for j in range(db):
+            r[top - db + j] -= q * b[j]
+    while r and r[-1] == 0:
+        r.pop()
+    return r
+
+
+def _int_chain(cs: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """`sturm_chain` of the primitive square-free integer polynomial cs
+    (positive leading coefficient), on int tuples."""
+    chain = [cs]
+    if len(cs) > 1:
+        chain.append(_primitive([i * c for i, c in enumerate(cs)][1:]))
+        while len(chain[-1]) > 1:
             a, b = chain[-2], chain[-1]
-            e = a.degree() - b.degree() + 1
-            scale = b.leading() ** e
-            rem = (a * scale) % b
-            if rem.is_zero():
+            rem = _prem(a, b)
+            if not rem:
                 break
-            neg = -rem if scale > 0 else rem
-            _, prim = neg.integer_primitive()
-            # integer_primitive forces a positive leading coefficient; restore
-            # the sign the chain requires
-            if prim.leading() * neg.leading() < 0:
-                prim = -prim
-            chain.append(prim)
+            # the scale lc(b)**e of the pseudo-remainder is negative when
+            # lc(b) is and e = deg a - deg b + 1 is odd
+            flip = b[-1] < 0 and (len(a) - len(b)) % 2 == 0
+            chain.append(_primitive(rem if flip else [-c for c in rem]))
     return chain
 
 
-def _ints(q: Poly) -> tuple[int, ...]:
-    """Coefficients of an integer polynomial as ints, lowest degree first."""
-    return tuple(c.numerator for c in q.coeffs)
+def _deflate(cs: tuple[int, ...], p: int, q: int) -> tuple[int, ...]:
+    """cs / (q x - p) for a root p/q in lowest terms of the primitive
+    integer polynomial cs; the quotient is again primitive and integer."""
+    out, h = [], 0
+    for c in reversed(cs[1:]):
+        h = (c + p * h) // q
+        out.append(h)
+    return tuple(reversed(out))
 
 
 def _int_model(p: Poly) -> tuple[int, ...]:
-    """The primitive integer multiple of p with positive leading coefficient."""
-    return _ints(p.integer_primitive()[1])
+    """The primitive integer multiple of p with positive leading coefficient,
+    as ints, lowest degree first."""
+    return tuple(c.numerator for c in p.integer_primitive()[1].coeffs)
 
 
-def _sign_at(cs: tuple[int, ...], n: int, d: int) -> int:
-    """Sign of the integer polynomial cs at n/d (d > 0).
-
-    Homogeneous Horner computes d**deg * cs(n/d), which has the same sign,
-    in integers alone."""
+def _value_at(cs: tuple[int, ...], n: int, d: int) -> int:
+    """d**deg * cs(n/d) by homogeneous Horner, in integers alone; for d > 0
+    it has the sign of cs at n/d."""
     acc, dk = 0, 1
     for c in reversed(cs):
         acc = acc * n + c * dk
         dk *= d
+    return acc
+
+
+def _sign_at(cs: tuple[int, ...], n: int, d: int) -> int:
+    """Sign of the integer polynomial cs at n/d (d > 0)."""
+    acc = _value_at(cs, n, d)
     return (acc > 0) - (acc < 0)
 
 
@@ -184,9 +222,80 @@ def _isolate(chain: list[tuple[int, ...]]) -> list[tuple[int, int, int]]:
     return intervals
 
 
-def _narrow(cs, a, b, d, wide) -> tuple[int, int, int]:
+def _qir(cs, a, b, d, k) -> tuple[int, int, int]:
+    """The cell of depth k that bisection of the isolating interval (a/d,
+    b/d) of the square-free integer polynomial cs reaches, found by
+    quadratic interval refinement (Abbott 2014) on the same dyadic grid.
+
+    At depth j the cell is (lo, lo + b - a) over d * 2**j.  A step splits it
+    into 2**m subcells, guesses the root's subcell from the secant through
+    the endpoint values, and confirms the guess with two signs; m doubles on
+    success and halves, with one plain halving, on failure.  A grid point
+    that is a root stops the search at the last cell confirmed, where
+    bisection is still the same; the caller bisects on from there.
+    """
+    span, deg = b - a, len(cs) - 1
+    lo, depth, m = a, 0, 2
+    flo, fhi = _value_at(cs, a, d), _value_at(cs, b, d)
+    while depth < k and flo and fhi:
+        step = min(m, k - depth)
+        n, grid, base = 1 << step, d << (depth + step), lo << step
+        # the secant through the ends picks the grid point t, the sign there
+        # the subcell on the root's side, and the sign at its far end u
+        # confirms it (the ends' values, rescaled to the finer grid, are known)
+        t = min(max(1, (2 * n * flo + flo - fhi) // (2 * (flo - fhi))), n - 1)
+        ft = _value_at(cs, base + t * span, grid)
+        right = (ft > 0) == (flo > 0)
+        u = t + 1 if right else t - 1
+        if u in (0, n):
+            fu = (fhi if right else flo) << step * deg
+        else:
+            fu = _value_at(cs, base + u * span, grid)
+        if not (ft and fu):
+            break
+        if (fu > 0) != (ft > 0):
+            lo = base + min(t, u) * span
+            flo, fhi = (ft, fu) if right else (fu, ft)
+            depth, m = depth + step, 2 * m
+            continue
+        # the guess missed: halve once and take smaller steps
+        m = max(1, m // 2)
+        mid = 2 * lo + span
+        fm = _value_at(cs, mid, d << (depth + 1))
+        if not fm:
+            break
+        if (fm > 0) == (flo > 0):
+            lo, flo, fhi = mid, fm, fhi << deg
+        else:
+            lo, flo, fhi = 2 * lo, flo << deg, fm
+        depth += 1
+    return lo, lo + span, d << depth
+
+
+def _narrow(
+    cs, a, b, d, width: Fraction, strict=False, apart=()
+) -> tuple[int, int, int]:
     """Bisect the isolating interval (a/d, b/d) of the square-free integer
-    polynomial cs while wide(a, b, d) holds."""
+    polynomial cs until it is narrower than `width` (no wider, if strict)
+    and holds, ends included, none of the rationals (p, q) in `apart`.
+
+    Bisection stops narrowing at the first depth k where b - a over
+    d * 2**k is no longer wide, so `_qir` jumps there; the halvings that
+    are left (separation from `apart`, or a grid point that is a root) run
+    one at a time.
+    """
+    wn, wd = width.numerator, width.denominator
+
+    def wide(a, b, d):
+        return (b - a) * wd - strict >= wn * d or any(
+            a * q <= p * d <= b * q for p, q in apart
+        )
+
+    # wide at depth j while x >= y * 2**j
+    x, y = (b - a) * wd - strict, wn * d
+    k = max(0, x.bit_length() - y.bit_length())
+    k += x >= y << k
+    a, b, d = _qir(cs, a, b, d, k)
     lo_positive = _sign_at(cs, a, d) > 0
     while wide(a, b, d):
         a, m, b, d, s = _halve(cs, a, b, d)
@@ -211,7 +320,7 @@ def _rational_roots(cs, intervals) -> list[Fraction]:
     lc = cs[-1]
     roots = []
     for a, b, d in intervals:
-        a, b, d = _narrow(cs, a, b, d, lambda a, b, d: 2 * lc * lc * (b - a) >= d)
+        a, b, d = _narrow(cs, a, b, d, Fraction(1, 2 * lc * lc))
         cand = Fraction(a + b, 2 * d).limit_denominator(lc)
         p, q = cand.numerator, cand.denominator
         if a * q <= p * d <= b * q and _sign_at(cs, p, q) == 0:
@@ -251,7 +360,7 @@ def sturm_isolate(p: Poly, target_width=Fraction(1, 10**30)) -> list[RealRoot]:
     for _, f, _ in parts:
         squarefree = squarefree * f
 
-    chain = [_ints(q) for q in sturm_chain(squarefree)]
+    chain = _int_chain(_int_model(squarefree))
     intervals = _isolate(chain)
     exact_values = _rational_roots(chain[0], intervals)
     roots = [
@@ -260,24 +369,16 @@ def sturm_isolate(p: Poly, target_width=Fraction(1, 10**30)) -> list[RealRoot]:
 
     if exact_values:
         # the printed intervals come from isolating what is left
-        deflated = squarefree
+        deflated = chain[0]
         for r in exact_values:
-            deflated = deflated // Poly([-r, 1])
-        chain = [_ints(q) for q in sturm_chain(deflated)]
-        intervals = _isolate(chain) if deflated.degree() >= 1 else []
+            deflated = _deflate(deflated, r.numerator, r.denominator)
+        chain = _int_chain(deflated)
+        intervals = _isolate(chain) if len(deflated) > 1 else []
+    # separate every interval (ends included) from the exact roots, so the
+    # defining factor is nonzero at both endpoints
     exact = [(r.numerator, r.denominator) for r in exact_values]
-    tn, td = target_width.numerator, target_width.denominator
-
-    def wide(a: int, b: int, d: int) -> bool:
-        # narrow below the target width and separate the interval (ends
-        # included) from every exact rational root, so the defining factor
-        # is nonzero at both endpoints
-        return (b - a) * td >= tn * d or any(
-            a * den <= num * d <= b * den for num, den in exact
-        )
-
     for a, b, d in intervals:
-        a, b, d = _narrow(chain[0], a, b, d, wide)
+        a, b, d = _narrow(chain[0], a, b, d, target_width, apart=exact)
         f, e = factor_of_interval(a, b, d)
         roots.append(RealRoot.isolated(Fraction(a, d), Fraction(b, d), f, e))
 
@@ -296,16 +397,18 @@ def root_sign(root: RealRoot) -> int:
         return 1
     if root.hi <= 0:
         return -1
-    at_zero = root.poly.evaluate(Fraction(0))
-    at_lo = root.poly.evaluate(root.lo)
+    cs = _int_model(root.poly)
+    at_zero = _sign_at(cs, 0, 1)
+    at_lo = _sign_at(cs, root.lo.numerator, root.lo.denominator)
     if at_zero == 0:
         raise PreconditionError("rational root misrepresented as isolated")
     # same sign as at lo means the sign change (the root) is right of 0
-    return 1 if (at_zero > 0) == (at_lo > 0) else -1
+    return 1 if at_zero == at_lo else -1
 
 
 def refine_root(root: RealRoot, width) -> RealRoot:
-    """Shrink an isolating interval below `width` by exact bisection.
+    """Shrink an isolating interval below `width`, to the interval exact
+    bisection reaches.
 
     Exact roots, and intervals already narrow enough, come back unchanged.
     """
@@ -321,6 +424,7 @@ def refine_root(root: RealRoot, width) -> RealRoot:
         lo.numerator * (d // lo.denominator),
         hi.numerator * (d // hi.denominator),
         d,
-        lambda a, b, d: (b - a) * width.denominator > width.numerator * d,
+        width,
+        strict=True,
     )
     return replace(root, lo=Fraction(a, d), hi=Fraction(b, d))

@@ -6,14 +6,16 @@ entry from those cofactors instead of elimination/interpolation, minor-GCD
 chains by enumerating every minor instead of Smith-form elimination, the matrix
 exponential by a scaled-and-squared Taylor series instead of spectral
 projectors, root brackets by plain bisection instead of Sturm machinery,
-ODE residuals by central finite differences instead of symbolic derivatives,
-residues by polynomial deflation instead of Taylor coefficients, and
-signatures from the congruence diagonal instead of leading minors.  The
-float kernels keep their former definitions here: the characteristic matrix
-as a Fraction matrix converted entry by entry, trajectories one time at a
-time, and leading minors as one block determinant each.  The small
-constructors and products the tests build their inputs with live here too,
-outside the library.
+interval narrowing one halving at a time instead of quadratic interval
+refinement, Sturm chains from Fraction remainders instead of integer
+pseudo-remainders, ODE residuals by central finite differences instead of
+symbolic derivatives, residues by polynomial deflation instead of Taylor
+coefficients, and signatures from the congruence diagonal instead of
+leading minors.  The float kernels keep their former definitions here:
+the characteristic matrix as a Fraction matrix converted entry by entry,
+trajectories one time at a time, and leading minors as one block
+determinant each.  The small constructors and products the tests build
+their inputs with live here too, outside the library.
 """
 
 from __future__ import annotations
@@ -97,6 +99,51 @@ def bisect_bracket(p: Poly, lo: Fraction, hi: Fraction, width: Fraction):
         else:
             lo = mid
     return lo, hi
+
+
+def bisect_narrow(cs, a: int, b: int, d: int, wide) -> tuple[int, int, int]:
+    """Halve the isolating interval (a/d, b/d) of the integer polynomial cs
+    (coefficients lowest degree first) while wide(a, b, d) holds, one sign
+    per halving: the endpoints stay unreduced numerators over a denominator
+    that doubles, and a midpoint that is a root moves halfway toward a.
+    This is the narrowing loop that quadratic interval refinement replaced."""
+
+    def sign(n, d):
+        v = sum(c * n**i * d ** (len(cs) - 1 - i) for i, c in enumerate(cs))
+        return (v > 0) - (v < 0)
+
+    lo_positive = sign(a, d) > 0
+    while wide(a, b, d):
+        m, a, b, d = a + b, 2 * a, 2 * b, 2 * d
+        s = sign(m, d)
+        while s == 0:
+            m, a, b, d = a + m, 2 * a, 2 * b, 2 * d
+            s = sign(m, d)
+        if (s > 0) != lo_positive:
+            b = m
+        else:
+            a = m
+    return a, b, d
+
+
+def sturm_chain_by_divmod(p: Poly) -> list[Poly]:
+    """Sturm chain from Fraction `Poly` remainders: each element is the
+    negated remainder of lc(b)**e * a by b, reduced to its primitive part
+    with the chain's sign kept (e = deg a - deg b + 1)."""
+    _, p0 = p.integer_primitive()
+    chain = [p0]
+    if p0.degree() >= 1:
+        chain.append(p0.derivative().integer_primitive()[1])
+        while chain[-1].degree() >= 1:
+            a, b = chain[-2], chain[-1]
+            scale = b.leading() ** (a.degree() - b.degree() + 1)
+            rem = (a * scale) % b
+            if rem.is_zero():
+                break
+            neg = -rem if scale > 0 else rem
+            content, prim = neg.integer_primitive()
+            chain.append(prim if content > 0 else -prim)
+    return chain
 
 
 def expm_taylor(M: np.ndarray, t: float, terms: int = 40) -> np.ndarray:

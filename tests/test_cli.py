@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import pytest
 
@@ -452,11 +453,16 @@ class TestExitCodes:
         if not isinstance(entries, dict):
             entries = {"rows": 2, "cols": 2, "entries": entries}
         doc = write_json(tmp_path, "m.json", entries)
-        assert run([verb, "--input", doc] + flags) == 3
+        with warnings.catch_warnings(record=True) as caught:
+            # a warning that escapes would print on stderr outside pytest
+            warnings.simplefilter("always")
+            assert run([verb, "--input", doc] + flags) == 3
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "precondition violated" in captured.err
         assert "beyond floating-point range" in captured.err
+        assert "RuntimeWarning" not in captured.err
 
     def test_singular_frequency_pencil(self, tmp_path, capsys):
         zero = {"rows": 1, "cols": 1, "entries": ["0/1"]}

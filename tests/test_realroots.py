@@ -6,13 +6,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from secular import realroots
 from secular.errors import PreconditionError
 from secular.matrices import RatMatrix
 from secular.oscillate import build_model
-from secular.polynomials import Poly
-from secular.realroots import RealRoot, refine_root, root_sign, sturm_isolate
+from secular.polynomials import Poly, poly_gcd
+from secular.realroots import (
+    RealRoot,
+    refine_root,
+    root_sign,
+    sturm_chain,
+    sturm_isolate,
+)
 
-from oracles import bisect_bracket, poly_from_roots
+from oracles import (
+    bisect_bracket,
+    bisect_narrow,
+    poly_from_roots,
+    sturm_chain_by_divmod,
+)
 
 
 def P(*coeffs):
@@ -306,6 +318,176 @@ class TestGoldenIntervals:
         coarse = sturm_isolate(P(-2, 0, 1), Fraction(1, 1000))[1]
         fine = refine_root(coarse, Fraction(1, 10**30))
         assert endpoints([fine]) == [GOLDEN_SQRT2[1]]
+
+
+def _squarefree_case(rng):
+    """A seeded square-free integer polynomial of degree 2..12 with a real
+    root, coefficients of 4, 30 or 200 bits, as an integer model."""
+    while True:
+        bits = rng.choice([4, 30, 200])
+        cs = [rng.randint(-(2**bits), 2**bits) for _ in range(rng.randint(2, 12))]
+        p = Poly(cs + [rng.randint(1, 2**bits)])
+        if poly_gcd(p, p.derivative()).degree() == 0 and sturm_isolate(p, 1):
+            return realroots._int_model(p)
+
+
+def _intervals(cs):
+    return realroots._isolate(realroots._int_chain(cs))
+
+
+def _wider_than(width, strict):
+    if strict:
+        return lambda a, b, d: Fraction(b - a, d) > width
+    return lambda a, b, d: Fraction(b - a, d) >= width
+
+
+# (x^2 - 2)(x^2 - 2 - 10^-20): roots 3.5e-21 apart, so the secant through one
+# interval's ends sees the other root's curvature
+CLUSTER = (4 * 10**20 + 2, 0, -(4 * 10**20 + 1), 0, 10**20)
+# 10^50 x^2 - 2 * 10^50 - 3: coefficients of 170 bits
+BIG = (-2 * 10**50 - 3, 0, 10**50)
+# isolating intervals of sqrt(2) whose left or right end lies within 2**-60
+# of the root, over a power of two and over a power of three
+NEAR_ENDS = [
+    (math.isqrt(2 * d * d), 2 * d, d) for d in (2**60, 3**40)
+] + [(d, math.isqrt(2 * d * d) + 1, d) for d in (2**60, 3**40)]
+WIDTHS = [Fraction(1, 10**e) for e in (3, 10, 30, 60)]
+
+
+class TestQuadraticRefinement:
+    """`_narrow` jumps to bisection's last interval by quadratic interval
+    refinement; every endpoint must equal one-halving-per-step bisection."""
+
+    @pytest.fixture
+    def halvings(self, monkeypatch):
+        """The plain halvings `_narrow` makes after refinement."""
+        calls = []
+        halve = realroots._halve
+        monkeypatch.setattr(
+            realroots, "_halve", lambda *args: calls.append(args) or halve(*args)
+        )
+        return calls
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_seeded_squarefree(self, seed):
+        cs = _squarefree_case(random.Random(seed))
+        for a, b, d in _intervals(cs):
+            for width in WIDTHS:
+                for strict in (False, True):
+                    assert realroots._narrow(cs, a, b, d, width, strict) == (
+                        bisect_narrow(cs, a, b, d, _wider_than(width, strict))
+                    )
+
+    @pytest.mark.parametrize(
+        "cs, interval",
+        [(CLUSTER, i) for i in _intervals(CLUSTER)]
+        + [((-2, 0, 1), i) for i in NEAR_ENDS]
+        + [(BIG, i) for i in _intervals(BIG)],
+    )
+    def test_secant_defeating(self, cs, interval, halvings):
+        for width in WIDTHS:
+            expected = bisect_narrow(cs, *interval, _wider_than(width, False))
+            assert realroots._narrow(cs, *interval, width) == expected
+        # the roots are irrational: no grid point is a root, so refinement
+        # lands on the last interval without a single plain halving
+        assert halvings == []
+
+    def test_quadratic_not_linear(self, monkeypatch):
+        # bisection to 1e-300 takes about 1000 signs; squaring the number
+        # of subintervals on every confirmed guess takes a few dozen
+        calls = []
+        value_at = realroots._value_at
+        monkeypatch.setattr(
+            realroots, "_value_at", lambda *args: calls.append(1) or value_at(*args)
+        )
+        for cs in [(-2, 0, 1), CLUSTER]:
+            for a, b, d in _intervals(cs):
+                calls.clear()
+                realroots._narrow(cs, a, b, d, Fraction(1, 10**300))
+                assert len(calls) < 50
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 7, 64, 200])
+    def test_lands_at_depth_k(self, k):
+        for cs in [(-2, 0, 1), CLUSTER, (-5, 3, 0, 1)]:
+            for a, b, d in _intervals(cs):
+                expected = bisect_narrow(cs, a, b, d, lambda _a, _b, dk: dk < d << k)
+                assert realroots._qir(cs, a, b, d, k) == expected
+
+    def test_grid_root_hands_over_to_bisection(self, halvings):
+        # (x - 3/4)(x^2 - 2) has the grid point 3/4 of (0, 4)/4 as a root
+        cs = (6, -8, -3, 4)
+        width = Fraction(1, 10**30)
+        assert realroots._narrow(cs, 0, 4, 4, width) == bisect_narrow(
+            cs, 0, 4, 4, _wider_than(width, False))
+        assert halvings
+
+    @pytest.mark.parametrize(
+        "apart", [[(1, 1)], [(7, 5)], [(99, 70)], [(17, 12), (1, 1)]]
+    )
+    @pytest.mark.parametrize("width", [10, 1, Fraction(1, 10**30)])
+    def test_separated_from_exact_roots(self, apart, width):
+        # 99/70 lies 7e-5 from sqrt(2): narrowing continues past the width
+        cs = (-2, 0, 1)
+        width = Fraction(width)
+
+        def wide(a, b, d):
+            return Fraction(b - a, d) >= width or any(
+                Fraction(a, d) <= Fraction(p, q) <= Fraction(b, d) for p, q in apart
+            )
+
+        for a, b, d in _intervals(cs):
+            assert realroots._narrow(cs, a, b, d, width, apart=apart) == (
+                bisect_narrow(cs, a, b, d, wide)
+            )
+
+    @pytest.mark.parametrize(
+        "lo, hi, poly",
+        [
+            (Fraction(4, 3), Fraction(3, 2), P(-2, 0, 1)),
+            (Fraction(6, 5), Fraction(9, 7), P(-2, 0, 0, 1)),
+            (Fraction(-7, 3), Fraction(-11, 5), P(-5, 0, 1)),
+            (Fraction(1), Fraction(2), P(-2, 0, 1)),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "width", [Fraction(1, 4), Fraction(1, 10**5), Fraction(1, 10**40)]
+    )
+    def test_refine_across_denominators(self, lo, hi, poly, width):
+        root = refine_root(RealRoot.isolated(lo, hi, poly), width)
+        d = math.lcm(lo.denominator, hi.denominator)
+        a, b, d = bisect_narrow(
+            realroots._int_model(poly),
+            lo.numerator * (d // lo.denominator),
+            hi.numerator * (d // hi.denominator),
+            d,
+            _wider_than(width, True),
+        )
+        assert (root.lo, root.hi) == (Fraction(a, d), Fraction(b, d))
+
+    @pytest.mark.parametrize(
+        "strict, expected", [(True, (5, 6, 4)), (False, (11, 12, 8))]
+    )
+    def test_width_met_exactly(self, strict, expected, halvings):
+        # (1, 2) halves twice to width exactly 1/4: not wider than 1/4, but
+        # not narrower either, so the non-strict rule halves once more
+        cs = (-2, 0, 1)
+        assert realroots._narrow(cs, 1, 2, 1, Fraction(1, 4), strict) == expected
+        assert halvings == []
+        root = refine_root(RealRoot.isolated(1, 2, P(*cs)), Fraction(1, 4))
+        assert (root.lo, root.hi) == (Fraction(5, 4), Fraction(3, 2))
+
+
+class TestIntegerSturmChain:
+    @pytest.mark.parametrize("seed", range(24))
+    def test_matches_fraction_remainders(self, seed):
+        rng = random.Random(seed)
+        cs = _squarefree_case(rng)
+        p = Poly(cs) * Fraction(rng.choice([1, -3]), rng.choice([1, 7]))
+        assert sturm_chain(p) == sturm_chain_by_divmod(p)
+
+    def test_cluster_and_constant(self):
+        for p in [Poly(CLUSTER), P(-2, 0, 1), P(5), P(3, -6)]:
+            assert sturm_chain(p) == sturm_chain_by_divmod(p)
 
 
 def _sympy_case(rng):
