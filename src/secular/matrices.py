@@ -1,18 +1,17 @@
 """Exact rational matrices, polynomial matrices and pencils.
 
-`RatMatrix` holds Fraction entries; determinants run through fraction-free
-Bareiss elimination on an integer model of the matrix (one common
-denominator), inverses and adjugates through one Gauss-Jordan pass.
-`PolyMatrix` holds `Poly` entries; its determinant and adjugate come from
-the integer samples L*P(k), k = 0..D (L the lcm of all denominators), by
-one exact Newton interpolation per entry.  A `Pencil` packages a matrix
-couple (A, B) with its orientation: "sA-B" (generalized/frequency form,
-determinant in s) or "A-sB" (characteristic-matrix form such as A - xI).
-A pencil computes its determinant, its isolated real roots (per width),
-the adjugate of its characteristic matrix and its integer model once, on
-first use; the float path rounds the characteristic matrix at a point from
-that integer model, one correctly rounded division per entry.  Leading
-principal minors are the pivots of one Bareiss pass without pivoting.
+`RatMatrix` holds Fraction entries, `PolyMatrix` `Poly` entries.  A `Pencil`
+packages a matrix couple (A, B) with its orientation: "sA-B" (determinant in
+s of s*A - B) or "A-sB" (of A - s*B, such as A - xI).  Elimination runs in
+integers on an integer model (one common denominator L): Bareiss for
+determinants, fraction-free Gauss-Jordan on [M | I] for inverses and
+adjugates.  A pencil's determinant and adjugate come from samples L*P(k) of
+its characteristic matrix P by Newton interpolation in integers, and the
+adjugate of a matrix M is the constant term of that of the pencil sI + M.  A
+pencil computes its determinant, real roots (per width), adjugate and
+integer model once, on first use; the float path rounds the characteristic
+matrix at a point from that integer model, one correctly rounded division
+per entry.  Leading principal minors are the pivots of one Bareiss pass.
 
 Indices are 0-based throughout the code; serialized documents use 1-based
 indices (see `secular.io`).
@@ -106,12 +105,18 @@ class RatMatrix:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    def is_symmetric(self) -> bool:
+    @cached_property
+    def _symmetric(self) -> bool:
+        # stored in the instance __dict__, which equality and hashing ignore
         return self.is_square and all(
             self.entry(i, j) == self.entry(j, i)
             for i in range(self.rows)
             for j in range(i + 1, self.cols)
         )
+
+    def is_symmetric(self) -> bool:
+        """Compared entry by entry on the first call only."""
+        return self._symmetric
 
     # -- arithmetic ------------------------------------------------------------
 
@@ -197,7 +202,7 @@ class RatMatrix:
             minors.append(Fraction(m[k][k], L ** (k + 1)))
             if m[k][k] == 0:
                 break
-            _bareiss_step(m, k, prev)
+            _bareiss_step(m, k, prev, range(k + 1, n))
             prev = m[k][k]
         idx = list(range(n))
         return minors + [
@@ -228,48 +233,28 @@ class RatMatrix:
             basis.append(tuple(v))
         return basis
 
-    def _gauss_jordan(self) -> tuple[int, "RatMatrix | None"]:
-        """Rank, and the inverse (None when singular), from one Gauss-Jordan
-        pass over [self | I]."""
-        n, eye = self.rows, RatMatrix.identity(self.rows)
-        reduced, pivots = _rref([list(self.row(i) + eye.row(i)) for i in range(n)])
-        rank = sum(1 for c in pivots if c < n)
-        inverse = RatMatrix.from_rows([r[n:] for r in reduced]) if rank == n else None
-        return rank, inverse
-
     def adjugate(self) -> "RatMatrix":
-        """Transposed cofactor matrix: self @ adj = det * I.
+        """Transposed cofactor matrix: self @ adj = det * I, at any rank.
 
-        Nonsingular: det * inverse.  Rank n-1: adj = c * v w^T for the right
-        and left null vectors v, w (columns of adj lie in the right kernel,
-        rows in the left one), with c fixed by one cofactor.  Lower rank:
-        every cofactor vanishes.
+        adj(sI + M) at s = 0 is adj M, and the pencil sI + M is never
+        singular, so this is the constant term of every entry of that
+        pencil's adjugate.
         """
         if not self.is_square:
             raise PreconditionError("adjugate of a non-square matrix")
-        n = self.rows
-        rank, inv = self._gauss_jordan()
-        if inv is not None:
-            return inv.scale(det_rational(self))
-        if rank < n - 1:
-            return RatMatrix.zeros(n, n)
-        (v,) = self.nullspace()
-        (w,) = self.transpose().nullspace()
-        i = next(k for k, x in enumerate(v) if x != 0)
-        j = next(k for k, x in enumerate(w) if x != 0)
-        # adj[i][j] is the signed minor with row j and column i deleted
-        rows, cols = [k for k in range(n) if k != j], [k for k in range(n) if k != i]
-        minor_ji = det_rational(self.submatrix(rows, cols))
-        c = (-minor_ji if (i + j) % 2 else minor_ji) / (v[i] * w[j])
-        return RatMatrix(n, n, tuple(c * a * b for a in v for b in w))
+        adj = adjugate_pencil(Pencil.similarity(-self))
+        return RatMatrix(self.rows, self.cols, tuple(p[0] for p in adj.entries))
 
     def inverse(self) -> "RatMatrix":
+        """L * adj(L*M) / det(L*M), from one fraction-free Gauss-Jordan pass
+        on the integer model L*M."""
         if not self.is_square:
             raise PreconditionError("inverse of a non-square matrix")
-        _rank, inv = self._gauss_jordan()
-        if inv is None:
+        L, (m,) = _integer_model(self)
+        det, adj = _int_adjugate(m)
+        if det == 0:
             raise PreconditionError("inverse of a singular matrix")
-        return inv
+        return RatMatrix(self.rows, self.cols, tuple(Fraction(L * v, det) for v in adj))
 
 
 def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
@@ -296,33 +281,49 @@ def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     return rows, pivots
 
 
-def _bareiss_step(m: list[list[int]], k: int, prev: int) -> None:
-    """One fraction-free elimination step below the pivot m[k][k]; prev is
-    the pivot of the step before (1 at the first), and divides exactly."""
-    n = len(m)
+def _bareiss_step(m: list[list[int]], k: int, prev: int, rows: Iterable[int]) -> None:
+    """One fraction-free elimination step on the pivot m[k][k]: clears column
+    k of each of `rows` and updates the columns after it to the end of the
+    row; prev is the pivot of the step before (1 at the first), and divides
+    exactly."""
     pivot, row_k = m[k][k], m[k]
-    for i in range(k + 1, n):
+    for i in rows:
         row, f = m[i], m[i][k]
-        for j in range(k + 1, n):
+        for j in range(k + 1, len(row)):
             row[j] = (row[j] * pivot - f * row_k[j]) // prev
         row[k] = 0
 
 
-def _bareiss_int_det(m: list[list[int]]) -> int:
-    """Fraction-free Bareiss determinant of an integer matrix (1 if empty)."""
-    n = len(m)
-    sign = 1
+def _bareiss(m: list[list[int]], n: int, above: bool = False) -> int:
+    """Fraction-free elimination on the first n columns of the integer rows
+    m, in place; returns the determinant of their leading n x n block.
+
+    A zero pivot trades places with the next row that has a nonzero entry in
+    its column, and the row moved down is negated, so that no swap changes
+    the determinant: the last pivot is the determinant (Bareiss, Math. Comp.
+    1968).  With `above`, the rows above each pivot are cleared as well
+    (fraction-free Gauss-Jordan; Nakos, Turner and Williams, SIGSAM Bull.
+    1997), which leaves adj M in the right half of [M | I].
+    """
     prev = 1
-    for k in range(n - 1):
+    for k in range(n):
         if m[k][k] == 0:
             swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
             if swap is None:
                 return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        _bareiss_step(m, k, prev)
+            m[k], m[swap] = m[swap], [-v for v in m[k]]
+        _bareiss_step(m, k, prev, [*range(k), *range(k + 1, n)] if above else range(k + 1, n))
         prev = m[k][k]
-    return sign * m[n - 1][n - 1] if n else 1
+    return prev
+
+
+def _int_adjugate(m: list[list[int]]) -> tuple[int, list[int]]:
+    """det m and the entries of adj m row by row, for a square integer
+    matrix m (consumed); the adjugate holds only when det m is nonzero."""
+    n = len(m)
+    for i, row in enumerate(m):
+        row.extend(int(i == j) for j in range(n))
+    return _bareiss(m, n, above=True), [v for row in m for v in row[n:]]
 
 
 def _integer_model(*matrices: RatMatrix) -> tuple[int, list[list[list[int]]]]:
@@ -338,7 +339,7 @@ def det_rational(M: RatMatrix) -> Fraction:
     if not M.is_square:
         raise PreconditionError("determinant of a non-square matrix")
     L, (rows,) = _integer_model(M)
-    return Fraction(_bareiss_int_det(rows), L**M.rows)
+    return Fraction(_bareiss(rows, M.rows), L**M.rows)
 
 
 @dataclass(frozen=True)
@@ -370,75 +371,61 @@ class PolyMatrix:
             for j in range(i + 1, self.cols)
         )
 
-    def transpose(self) -> "PolyMatrix":
-        return PolyMatrix(
-            self.cols,
-            self.rows,
-            tuple(self.entry(i, j) for j in range(self.cols) for i in range(self.rows)),
-        )
-
     def submatrix(self, keep_rows: Sequence[int], keep_cols: Sequence[int]) -> "PolyMatrix":
         return PolyMatrix.from_rows(
             [[self.entry(i, j) for j in keep_cols] for i in keep_rows]
         )
 
-    def row_degrees(self) -> list[int]:
-        """Largest entry degree of each row; 0 for a zero row."""
-        n = self.cols
-        return [max([0] + [p.degree() for p in self.entries[i * n:(i + 1) * n]])
-                for i in range(self.rows)]
+
+def _samples(pencil: "Pencil", points: Iterable[int]) -> list[list[list[int]]]:
+    """The integer matrices L*P(k) for k in points, P the characteristic
+    matrix: rows u*a - v*b of the integer model L*A, L*B, with (u, v) = (k, 1)
+    for "sA-B" and (1, k) for "A-sB"."""
+    _L, (A, B) = pencil._int_model
+    out = []
+    for k in points:
+        u, v = (k, 1) if pencil.orientation == "sA-B" else (1, k)
+        out.append([[u * a - v * b for a, b in zip(row_a, row_b)]
+                    for row_a, row_b in zip(A, B)])
+    return out
 
 
-def _integer_samples(P: PolyMatrix, bound: int) -> tuple[int, list[list[list[int]]]]:
-    """L, the lcm of every coefficient denominator of P, and the integer
-    matrices L*P(k) for k = 0..bound, each entry by integer Horner."""
-    L = int_lcm(*(c.denominator for p in P.entries for c in p.coeffs))
-    ints = [[c.numerator * (L // c.denominator) for c in p.coeffs] for p in P.entries]
-    samples = []
-    for k in range(bound + 1):
-        flat = []
-        for cs in ints:
-            acc = 0
-            for c in reversed(cs):
-                acc = acc * k + c
-            flat.append(acc)
-        samples.append([flat[i * P.cols:(i + 1) * P.cols] for i in range(P.rows)])
-    return L, samples
+def det_pencil(pencil: "Pencil") -> Poly:
+    """Exact determinant of the characteristic matrix P by evaluation and
+    interpolation.
 
-
-def det_pencil(P: PolyMatrix) -> Poly:
-    """Exact determinant polynomial by evaluation/interpolation.
-
-    Bareiss gives det(L*P(k)) = L^n det P(k) at the integers k = 0..D, D the
-    sum of the row degrees; Newton interpolation through them gives L^n det P.
+    L^n det P is an integer polynomial of degree at most n: Bareiss gives its
+    values det(L*P(k)) at k = 0..n, and Newton interpolation in integers its
+    coefficients.
     """
-    if not P.is_square:
-        raise PreconditionError("determinant of a non-square matrix")
-    bound = sum(P.row_degrees())
-    L, samples = _integer_samples(P, bound)
-    values = [_bareiss_int_det(m) for m in samples]
-    return _interpolate(range(bound + 1), values).scale(Fraction(1, L**P.rows))
+    n = pencil.size
+    scale = pencil._int_model[0] ** n
+    values = [_bareiss(m, n) for m in _samples(pencil, range(n + 1))]
+    return Poly(Fraction(c, scale) for c in _interpolate(range(n + 1), values))
 
 
-def adjugate_pencil(P: PolyMatrix) -> PolyMatrix:
-    """Adjugate (transposed cofactors) with the standard (-1)^(i+j) signs,
-    so that P @ adj(P) = det(P) * I as a polynomial identity.
+def adjugate_pencil(pencil: "Pencil") -> PolyMatrix:
+    """Adjugate (transposed cofactors) of the characteristic matrix P with the
+    standard (-1)^(i+j) signs, so that P @ adj(P) = det(P) * I as a
+    polynomial identity.
 
-    An entry is a minor that omits one row, so its degree is at most
-    D = (sum of row degrees) - (smallest row degree).  The adjugate of
-    L*P(k), which is L^(n-1) adj P(k), is taken at the integers k = 0..D
-    and each of its n^2 entries is interpolated.
+    adj(L*P(k)) = L^(n-1) adj P(k) has integer polynomial entries of degree
+    below n, so n samples determine them.  They are taken at the integers
+    k = c .. c+n-1 with c = 2 + floor(max|f_i| / |lc f|), f = det P: c lies
+    beyond Cauchy's bound on the roots of f, so no sample is singular, and
+    one fraction-free Gauss-Jordan pass per sample gives its adjugate.
     """
-    if not P.is_square:
-        raise PreconditionError("adjugate of a non-square matrix")
-    n = P.rows
-    degrees = P.row_degrees()
-    bound = sum(degrees) - min(degrees, default=0)
-    L, samples = _integer_samples(P, bound)
-    values = [RatMatrix.from_rows(m).adjugate().entries for m in samples]
-    scale = Fraction(1, L) ** (n - 1)
+    f = pencil.char_poly()
+    if f.is_zero():
+        raise PreconditionError("singular pencil (determinant identically zero)")
+    n = pencil.size
+    c = 2 + max(abs(x) for x in f.coeffs) // abs(f.leading())
+    points = range(c, c + n)
+    values = [_int_adjugate(m)[1] for m in _samples(pencil, points)]
+    scale = pencil._int_model[0] ** (n - 1)
     return PolyMatrix(n, n, tuple(
-        _interpolate(range(bound + 1), entry).scale(scale) for entry in zip(*values)
+        Poly(Fraction(x, scale) for x in _interpolate(points, entry))
+        for entry in zip(*values)
     ))
 
 
@@ -503,9 +490,9 @@ class Pencil:
 
     # A cached_property writes the instance __dict__, which a frozen dataclass
     # allows; equality and hashing still see only A, B and the orientation.
-    _char_poly = cached_property(lambda self: det_pencil(self.char_matrix()))
+    _char_poly = cached_property(lambda self: det_pencil(self))
     _roots = cached_property(lambda self: {})  # width -> isolated roots
-    _char_adjugate = cached_property(lambda self: adjugate_pencil(self.char_matrix()))
+    _char_adjugate = cached_property(lambda self: adjugate_pencil(self))
     _int_model = cached_property(lambda self: _integer_model(self.A, self.B))
 
     def char_poly(self) -> Poly:
@@ -523,7 +510,8 @@ class Pencil:
         return list(self._roots[width])
 
     def char_adjugate(self) -> PolyMatrix:
-        """Adjugate of the characteristic matrix, computed on first use."""
+        """Adjugate of the characteristic matrix, computed on first use;
+        a singular pencil raises PreconditionError as `roots` does."""
         return self._char_adjugate
 
     def evaluate(self, s) -> RatMatrix:

@@ -312,23 +312,26 @@ def _interp_points(count: int) -> list[int]:
     return pts
 
 
-def _interpolate(points: Sequence, values: Sequence) -> Poly:
-    """The polynomial of degree below len(points) taking values[i] at the
-    distinct points[i]: Newton divided differences, expanded by Horner's
-    scheme in the nested form c0 + (x - x0)(c1 + (x - x1)(c2 + ...))."""
-    xs = [Fraction(x) for x in points]
-    cs = [Fraction(v) for v in values]
+def _interpolate(points: Sequence[int], values: Sequence[int]) -> list[int] | None:
+    """Integer coefficients, lowest first, of the polynomial of degree below
+    len(points) taking values[i] at the distinct integers points[i], or None
+    when it has others: at integer points, its Newton divided differences are
+    all integers exactly when it is.  The Newton form c0 + (x - x0)(c1 + ...)
+    is expanded by Horner's scheme."""
+    xs, cs = list(points), list(values)
     for j in range(1, len(xs)):
         for i in range(len(xs) - 1, j - 1, -1):
-            cs[i] = (cs[i] - cs[i - 1]) / (xs[i] - xs[i - j])
-    acc: list[Fraction] = []
+            cs[i], r = divmod(cs[i] - cs[i - 1], xs[i] - xs[i - j])
+            if r:
+                return None
+    acc: list[int] = []
     for x, c in zip(reversed(xs), reversed(cs)):
-        nxt = [Fraction(0)] + acc  # acc * (X - x) + c
+        nxt = [0] + acc  # acc * (X - x) + c
         for k, a in enumerate(acc):
             nxt[k] -= x * a
         nxt[0] += c
         acc = nxt
-    return Poly(acc)
+    return acc
 
 
 def _kronecker_split_squarefree(f: Poly) -> list[Poly]:
@@ -344,8 +347,8 @@ def _kronecker_split_squarefree(f: Poly) -> list[Poly]:
     _, fz = f.integer_primitive()
     n = fz.degree()
     for d in range(1, n // 2 + 1):
-        points = [Fraction(x) for x in _interp_points(d + 1)]
-        values = [fz.evaluate(x) for x in points]
+        points = _interp_points(d + 1)
+        values = [int(fz.evaluate(x)) for x in points]
         for x, v in zip(points, values):
             if v == 0:
                 lin = Poly([-x, 1])
@@ -355,17 +358,18 @@ def _kronecker_split_squarefree(f: Poly) -> list[Poly]:
                 )
         divisor_sets = []
         for i, v in enumerate(values):
-            ds = _divisors(v.numerator)
+            ds = _divisors(v)
             if i == 0:
                 # q and -q divide together; fixing q(x0) > 0 keeps one of them
-                divisor_sets.append([Fraction(x) for x in ds])
+                divisor_sets.append(ds)
             else:
-                divisor_sets.append([Fraction(s * x) for x in ds for s in (1, -1)])
+                divisor_sets.append([s * x for x in ds for s in (1, -1)])
         for combo in itertools.product(*divisor_sets):
-            cand = _interpolate(points, combo)
-            if cand.degree() < 1 or cand.degree() > d:
+            coeffs = _interpolate(points, combo)
+            if coeffs is None:
                 continue
-            if any(c.denominator != 1 for c in cand.coeffs):
+            cand = Poly(coeffs)
+            if cand.degree() < 1 or cand.degree() > d:
                 continue
             quo, rem = divmod(fz, cand)
             if rem.is_zero():

@@ -28,7 +28,7 @@ import numpy as np
 
 from secular.errors import PreconditionError
 from secular.invariants import MinorGcdChain, _congruence_diagonal
-from secular.matrices import PolyMatrix, RatMatrix, det_pencil, det_rational
+from secular.matrices import PolyMatrix, RatMatrix, det_rational
 from secular.oscillate import Trajectory
 from secular.polynomials import ONE, Poly, poly_gcd
 
@@ -241,11 +241,11 @@ def cofactor_adjugate_poly(P: PolyMatrix) -> PolyMatrix:
 def minor_gcd_chain_by_minors(P: PolyMatrix) -> MinorGcdChain:
     """The chain by its definition: Delta_k = monic gcd of all k x k minors.
 
-    Enumerates C(n, k)^2 interpolated determinants for every k, so it is for
-    small n only; singular matrices raise the engine's error.
+    Enumerates C(n, k)^2 cofactor-expanded determinants for every k, so it is
+    for small n only; singular matrices raise the engine's error.
     """
     n = P.rows
-    full = det_pencil(P)
+    full = cofactor_det_poly(P)
     if full.is_zero():
         raise PreconditionError(
             "singular pencil (determinant identically zero): Kronecker's"
@@ -256,7 +256,7 @@ def minor_gcd_chain_by_minors(P: PolyMatrix) -> MinorGcdChain:
         g = Poly()
         for rows in itertools.combinations(range(n), k):
             for cols in itertools.combinations(range(n), k):
-                m = det_pencil(P.submatrix(rows, cols))
+                m = cofactor_det_poly(P.submatrix(rows, cols))
                 if not m.is_zero():
                     g = poly_gcd(g, m) if g else m.monic()
         deltas.append(g)

@@ -12,7 +12,7 @@ from secular.invariants import (
     is_diagonalizable,
     minor_gcd_chain,
 )
-from secular.matrices import Pencil, PolyMatrix, RatMatrix, det_pencil
+from secular.matrices import Pencil, PolyMatrix, RatMatrix
 from secular.polynomials import Poly
 
 from oracles import congruence_signature, minor_gcd_chain_by_minors, poly_from_roots
@@ -114,10 +114,10 @@ class TestMinorGcdChain:
             [[Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(12)]
              for _ in range(12)]
         )
-        P = Pencil.similarity(M).char_matrix()
+        pencil = Pencil.similarity(M)
         deadline(5.0)
-        chain = minor_gcd_chain(P)
-        assert chain.deltas[-1] == det_pencil(P).monic()
+        chain = minor_gcd_chain(pencil.char_matrix())
+        assert chain.deltas[-1] == pencil.char_poly().monic()
         invariant_factors(chain)  # raises unless it is a divisibility chain
 
 

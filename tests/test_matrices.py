@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from secular.errors import PreconditionError
 from secular.matrices import (
+    ORIENTATIONS,
     Pencil,
-    PolyMatrix,
     RatMatrix,
     adjugate_pencil,
     det_pencil,
@@ -31,18 +31,23 @@ from oracles import (
 NOTE23 = RatMatrix.from_rows([[1, -1, 0], [-1, 2, 1], [0, 1, 1]])
 
 
-def random_poly_matrix(rng, n, degree=1, span=4, rational=False):
-    """Random entries of the given degree; `rational` puts the coefficients
-    of row i over the denominator i + 2, so each row carries its own."""
-    rows = []
+def random_pencils(rng, sizes, kinds=("integer", "rational", "singular-leading")):
+    """Seeded pencils of every size, kind (see `sympy_case`) and orientation."""
+    for n in sizes:
+        for kind in kinds:
+            for orientation in ORIENTATIONS:
+                yield Pencil(*sympy_case(rng, kind, n, orientation), orientation)
+
+
+def assert_adjugate_identity(pencil):
+    """P @ adj P = det P * I for the characteristic matrix P."""
+    n, P = pencil.size, pencil.char_matrix()
+    prod = poly_matmul(P, adjugate_pencil(pencil))
+    d = pencil.char_poly()
+    assert not d.is_zero()
     for i in range(n):
-        den = i + 2 if rational else 1
-        row = []
-        for _ in range(n):
-            row.append(Poly([Fraction(rng.randint(-span, span), den)
-                             for _ in range(degree + 1)]))
-        rows.append(row)
-    return PolyMatrix.from_rows(rows)
+        for j in range(n):
+            assert prod.entry(i, j) == (d if i == j else Poly())
 
 
 class TestRationalDet:
@@ -88,61 +93,41 @@ class TestPencilDet:
         assert p == Poly([1, -4, 3])
 
     def test_interpolation_matches_cofactor_oracle(self):
-        rng = random.Random(7)
-        for rational in (False, True):
-            for n in (2, 3, 4):
-                P = random_poly_matrix(rng, n, rational=rational)
-                assert det_pencil(P) == cofactor_det_poly(P)
+        dropped = 0
+        for pencil in random_pencils(random.Random(7), (1, 2, 3, 4)):
+            d = det_pencil(pencil)
+            assert d == cofactor_det_poly(pencil.char_matrix())
+            dropped += 0 <= d.degree() < pencil.size
+        assert dropped >= 4
 
     def test_zero_row_shortcut(self):
-        P = PolyMatrix.from_rows([[Poly(), Poly()], [Poly([1]), Poly([1])]])
-        assert det_pencil(P).is_zero()
-
-    def test_higher_degree_entries(self):
-        rng = random.Random(31)
-        for rational in (False, True):
-            P = random_poly_matrix(rng, 3, degree=2, rational=rational)
-            assert det_pencil(P) == cofactor_det_poly(P)
-        Q = PolyMatrix.from_rows(
-            [[Poly([0, 0, 1]), Poly([1])], [Poly([-1]), Poly([2, 3])]]
-        )
-        # det = x^2(3x + 2) + 1
-        assert det_pencil(Q) == Poly([1, 0, 2, 3])
+        # a zero row in the characteristic matrix
+        Z, R = RatMatrix.zeros(2, 2), RatMatrix.from_rows([[0, 0], [1, 1]])
+        for pencil in (Pencil(Z, R, "sA-B"), Pencil(R, Z, "A-sB")):
+            assert det_pencil(pencil).is_zero()
 
 
 class TestAdjugate:
     def test_diag_pencil(self):
-        P = Pencil.similarity(RatMatrix.identity(2)).char_matrix()
-        adj = adjugate_pencil(P)
+        adj = adjugate_pencil(Pencil.similarity(RatMatrix.identity(2)))
         assert adj.entry(0, 0) == Poly([-1, 1])
         assert adj.entry(1, 1) == Poly([-1, 1])
         assert adj.entry(0, 1).is_zero() and adj.entry(1, 0).is_zero()
 
     def test_note23_top_left(self):
-        adj = adjugate_pencil(Pencil.classical(NOTE23).char_matrix())
+        adj = adjugate_pencil(Pencil.classical(NOTE23))
         # first column evaluated at a root is an eigenvector
         assert adj.entry(0, 0) == Poly([1, -3, 1])
         assert adj.entry(1, 0) == Poly([1, -1])
         assert adj.entry(2, 0) == Poly([-1])
 
     def test_identity_on_random_pencils(self):
-        rng = random.Random(23)
-        for rational in (False, True):
-            for n in (2, 3, 4):
-                P = random_poly_matrix(rng, n, rational=rational)
-                adj = adjugate_pencil(P)
-                prod = poly_matmul(P, adj)
-                d = det_pencil(P)
-                assert not d.is_zero()
-                for i in range(n):
-                    for j in range(n):
-                        expected = d if i == j else Poly()
-                        assert prod.entry(i, j) == expected
+        for pencil in random_pencils(random.Random(23), (1, 2, 3, 4)):
+            assert_adjugate_identity(pencil)
 
     def test_symmetric_pencil_symmetric_adjugate(self):
         phi = RatMatrix.from_rows([[2, 1], [1, 2]])
-        P = Pencil(phi, RatMatrix.identity(2), "sA-B").char_matrix()
-        assert adjugate_pencil(P).is_symmetric()
+        assert adjugate_pencil(Pencil(phi, RatMatrix.identity(2), "sA-B")).is_symmetric()
 
     def test_identity_beyond_former_size_cap(self):
         rng = random.Random(41)
@@ -153,13 +138,9 @@ class TestAdjugate:
             B = RatMatrix.from_rows(
                 [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
             )
-            P = Pencil(A, B, "sA-B").char_matrix()
-            prod = poly_matmul(P, adjugate_pencil(P))
-            d = det_pencil(P)
-            assert d.degree() == n
-            for i in range(n):
-                for j in range(n):
-                    assert prod.entry(i, j) == (d if i == j else Poly())
+            pencil = Pencil(A, B, "sA-B")
+            assert pencil.char_poly().degree() == n
+            assert_adjugate_identity(pencil)
 
 
 def random_rank_matrix(rng, n, rank):
@@ -196,23 +177,38 @@ class TestAdjugateAgainstCofactorOracle:
                             M.inverse()
 
     def test_pencil_adjugate_with_zero_rows_and_rank_loss(self):
+        # zero or equal rows in the leading matrix drop the degree of the
+        # determinant; in both matrices they make the pencil singular
         rng = random.Random(29)
-        for trial in range(60):
+        singular = 0
+        for trial in range(90):
             n = rng.randint(1, 4)
-            degree = rng.randint(0, 3)
-            rows = [
-                [Poly([rng.randint(-3, 3)
-                       for _ in range(rng.randint(0, degree + 1))])
+            orientation = ORIENTATIONS[trial % 2]
+            lead, other = (
+                [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
                  for _ in range(n)]
-                for _ in range(n)
-            ]
+                for _ in range(2)
+            )
+            both = trial % 5 == 0
             if n > 1 and trial % 3 == 0:
-                rows[rng.randrange(n)] = [Poly()] * n
+                k = rng.randrange(n)
+                lead[k] = [Fraction(0)] * n
+                if both:
+                    other[k] = [Fraction(0)] * n
             if n > 2 and trial % 3 == 1:
-                # two equal rows: det = 0 and the adjugate has rank <= 1
-                rows[0] = list(rows[1])
-            P = PolyMatrix.from_rows(rows)
-            assert adjugate_pencil(P) == cofactor_adjugate_poly(P)
+                lead[0] = list(lead[1])
+                if both:
+                    other[0] = list(other[1])
+            A, B = (lead, other) if orientation == "sA-B" else (other, lead)
+            pencil = Pencil(RatMatrix.from_rows(A), RatMatrix.from_rows(B), orientation)
+            P = pencil.char_matrix()
+            if cofactor_det_poly(P).is_zero():
+                singular += 1
+                with pytest.raises(PreconditionError, match="singular pencil"):
+                    adjugate_pencil(pencil)
+            else:
+                assert adjugate_pencil(pencil) == cofactor_adjugate_poly(P)
+        assert singular >= 5
 
 
 class TestPencilDerivedData:
@@ -222,9 +218,11 @@ class TestPencilDerivedData:
         assert fresh == used and hash(fresh) == hash(used)
         assert len({fresh, used}) == 1
 
-    def test_char_poly_stays_a_plain_method(self):
-        # tracers wrap Pencil.__dict__["char_poly"] as a function
-        assert isinstance(Pencil.__dict__["char_poly"], types.FunctionType)
+    def test_traced_methods_stay_plain_functions(self):
+        # bench/tracer.py wraps these class __dict__ entries as functions
+        for cls, name in ((Poly, "evaluate"), (Pencil, "char_poly"),
+                          (RatMatrix, "adjugate")):
+            assert isinstance(cls.__dict__[name], types.FunctionType), name
 
     def test_roots_returns_a_fresh_list(self):
         pencil = Pencil.classical(NOTE23)
@@ -248,9 +246,18 @@ class TestPencilDerivedData:
         ):
             Pencil(Z, Z).roots()
 
+    def test_singular_pencil_adjugate_rejected(self):
+        Z = RatMatrix.zeros(2, 2)
+        A = RatMatrix.from_rows([[1, 0], [0, 0]])
+        for pencil in (Pencil(Z, Z), Pencil(A, A, "A-sB")):
+            with pytest.raises(
+                PreconditionError, match=r"singular pencil \(determinant identically zero\)"
+            ):
+                pencil.char_adjugate()
+
     def test_adjugate_matches_adjugate_pencil(self):
         pencil = Pencil.classical(NOTE23)
-        assert pencil.char_adjugate() == adjugate_pencil(pencil.char_matrix())
+        assert pencil.char_adjugate() == adjugate_pencil(Pencil.classical(NOTE23))
 
 
 def sympy_case(rng, kind, n, orientation):
@@ -365,6 +372,16 @@ class TestRatMatrixAlgebra:
 
     def test_leading_principal_minors(self):
         assert NOTE23.leading_principal_minors() == [1, 1, 0]
+
+    def test_symmetry_compared_once(self, monkeypatch):
+        compared = []
+        entry = RatMatrix.entry
+        monkeypatch.setattr(RatMatrix, "entry",
+                            lambda M, i, j: compared.append((i, j)) or entry(M, i, j))
+        M = RatMatrix.from_rows([[1, 2], [2, 1]])
+        assert M.is_symmetric() and compared
+        compared.clear()
+        assert M.is_symmetric() and not compared
 
 
 def random_rat_matrix(rng, n, span=9, symmetric=False):

@@ -102,24 +102,55 @@ class TestTaylor:
         assert p.taylor(a, count) == expected
 
 
+def lagrange(points, values) -> Poly:
+    """The interpolating polynomial as a sum of Lagrange basis polynomials."""
+    total = Poly()
+    for i, (xi, yi) in enumerate(zip(points, values)):
+        term = Poly([yi])
+        for j, xj in enumerate(points):
+            if j != i:
+                term = term * Poly([Fraction(-xj, xi - xj), Fraction(1, xi - xj)])
+        total = total + term
+    return total
+
+
+small_int_points = st.lists(st.integers(-8, 8), min_size=1, max_size=7, unique=True)
+
+
 class TestInterpolate:
     def test_no_points_gives_zero(self):
-        assert _interpolate([], []).is_zero()
+        assert _interpolate([], []) == []
 
-    @given(
-        st.lists(small_fractions, min_size=1, max_size=8, unique=True).flatmap(
-            lambda xs: st.tuples(
-                st.just(xs),
-                st.lists(small_fractions, min_size=len(xs), max_size=len(xs)),
-            )
-        )
-    )
+    @given(small_int_points.flatmap(lambda xs: st.tuples(
+        st.just(xs),
+        st.lists(st.integers(-20, 20), min_size=len(xs), max_size=len(xs)),
+    )))
     @settings(max_examples=60)
     def test_degree_below_count_and_takes_values(self, data):
+        # an integer polynomial of degree below the point count comes back
+        # exactly, as ints
+        points, coeffs = data
+        values = [int(Poly(coeffs).evaluate(x)) for x in points]
+        got = _interpolate(points, values)
+        assert got == coeffs and all(type(c) is int for c in got)
+
+    @given(small_int_points.flatmap(lambda xs: st.tuples(
+        st.just(xs),
+        st.lists(st.integers(-50, 50), min_size=len(xs), max_size=len(xs)),
+    )))
+    @settings(max_examples=80)
+    def test_none_exactly_when_not_integral(self, data):
         points, values = data
-        q = _interpolate(points, values)
-        assert q.degree() < len(points)
-        assert [q.evaluate(x) for x in points] == values
+        want = lagrange(points, values)
+        got = _interpolate(points, values)
+        if all(c.denominator == 1 for c in want.coeffs):
+            assert Poly(got) == want
+        else:
+            assert got is None
+
+    def test_half_integer_coefficient(self):
+        assert _interpolate([0, 2], [0, 1]) is None  # x/2
+        assert _interpolate([0, 1, 2], [0, 1, 4]) == [0, 0, 1]
 
 
 class TestGcd:
