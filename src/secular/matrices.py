@@ -23,13 +23,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm as int_lcm
-from typing import Callable, Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .errors import PreconditionError
 from .polynomials import Poly, _interpolate
 from .realroots import RealRoot, sturm_isolate
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "RatMatrix",
@@ -97,6 +98,8 @@ class RatMatrix:
         return [list(self.row(i)) for i in range(self.rows)]
 
     def to_numpy(self) -> np.ndarray:
+        import numpy as np
+
         return np.array(
             [[float(self.entry(i, j)) for j in range(self.cols)] for i in range(self.rows)]
         )
@@ -530,6 +533,8 @@ class Pencil:
         float(Fraction) does, so the floats are the same, and an entry beyond
         floating-point range raises the same OverflowError.
         """
+        import numpy as np
+
         s = Fraction(s)
         u, v = s.numerator, s.denominator
         if self.orientation == "A-sB":

@@ -29,8 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import factorial
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import InternalError, PathUnavailableError, PreconditionError
 from .invariants import inertia
@@ -38,6 +37,9 @@ from .matrices import Pencil, RatMatrix
 from .polynomials import Poly
 from .realroots import RealRoot, root_sign
 from .spectral import spectral_decompose
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "MechModel",
@@ -235,6 +237,8 @@ class _ShapeFloats:
 
     @cached_property
     def _shape_floats(self) -> np.ndarray:
+        import numpy as np
+
         out = np.array([float(x) for x in self.shape])
         out.flags.writeable = False
         return out
@@ -283,6 +287,8 @@ class ModalSolution:
         taken per time with `math`; modes, then drifts, are added in order,
         so a row does not depend on the other times in the grid.
         """
+        import numpy as np
+
         times = [float(t) for t in times]
         y = np.zeros((len(times), self.model.size))
         for m in self.modes:
@@ -297,6 +303,8 @@ class ModalSolution:
         return self.evaluate_grid([t])[0]
 
     def derivative(self, t: float) -> np.ndarray:
+        import numpy as np
+
         v = np.zeros(self.model.size)
         for m in self.modes:
             v += (
@@ -316,6 +324,8 @@ class ModalSolution:
     def amplitude_bound(self, t_max: float = 0.0) -> float:
         """Explicit sup-norm bound: sum |E| * ||shape||_inf, plus drift
         growth up to t_max."""
+        import numpy as np
+
         bound = sum(
             abs(m.amplitude) * float(np.max(np.abs(m.shape_floats())))
             for m in self.modes
@@ -341,6 +351,8 @@ def solve_modal(
     Projections p = v^T A Y / v^T A v and q = v^T A V / v^T A v give
     amplitude E = sqrt(p^2 + (q/omega)^2) and phase atan2(p, q/omega).
     """
+    import numpy as np
+
     if ic.size != model.size or len(ic.velocities) != model.size:
         raise PreconditionError("initial conditions have the wrong dimension")
     if inertia(model.mass).positives != model.size:
@@ -421,6 +433,8 @@ class JordanBlock:
     def evaluate_grid(self, times: list[float], n: int) -> np.ndarray:
         """The block at every time, one row per time: per-time scalars from
         `math`, vector polynomials in t by ascending powers."""
+        import numpy as np
+
         out = np.zeros((len(times), n))
         sigma_re, w = float(self.sigma_re), self.sigma_im
         carrier = [math.exp(sigma_re * t) for t in times]
@@ -434,6 +448,8 @@ class JordanBlock:
 
 def _vector_poly(coeffs, times: list[float], n: int) -> np.ndarray:
     """sum_k t^k coeffs[k] at every time, t^k by repeated multiplication."""
+    import numpy as np
+
     out = np.zeros((len(times), n))
     t = np.array(times)
     tk = np.ones(len(times))
@@ -455,6 +471,8 @@ class JordanSolution:
 
     def evaluate_grid(self, times) -> np.ndarray:
         """The state at every time, one row per time, blocks added in order."""
+        import numpy as np
+
         times = [float(t) for t in times]
         out = np.zeros((len(times), self.size))
         for b in self.blocks:
@@ -588,6 +606,8 @@ def solve_jordan(M: RatMatrix, ic, path: str = "auto") -> JordanSolution:
             blocks.append(JordanBlock(sigma, 0.0, chain, tuple(coeffs)))
         return JordanSolution(M, tuple(blocks), "exact")
     # floating path
+    import numpy as np
+
     Mf = M.to_numpy()
     eigvals, eigvecs = np.linalg.eig(Mf)
     if np.linalg.cond(eigvecs) > 1e8:
@@ -639,6 +659,8 @@ def expm_projectors(M: RatMatrix, t: float) -> np.ndarray:
     rejected toward the floating Jordan path.  An entry beyond floating-point
     range raises OverflowError, and numpy warns of nothing.
     """
+    import numpy as np
+
     n = M.rows
     out = np.zeros((n, n))
     ident = RatMatrix.identity(n)
@@ -689,6 +711,8 @@ class ScalarSolution:
 
     def evaluate_grid(self, times) -> np.ndarray:
         """The value at every time, as a one-column array."""
+        import numpy as np
+
         return np.array([self.evaluate(float(t)) for t in times], dtype=float).reshape(-1, 1)
 
 
@@ -700,6 +724,8 @@ def scalar_residue_solve(F: Poly, ic) -> ScalarSolution:
     pairs folded into real sin/cos terms.  Coefficients are fitted to the
     initial data by solving the derivative system at x = 0.
     """
+    import numpy as np
+
     if F.is_zero() or F.degree() < 1:
         raise PreconditionError("degenerate characteristic polynomial")
     ic = [float(v) for v in ic]
@@ -876,6 +902,8 @@ def time_grid(t_max: float, steps: int) -> tuple[float, ...]:
 def sample_trajectory(solution, times) -> Trajectory:
     """Evaluate a closed-form solution on a time grid in one call, reporting
     the grid sup-norm used by the stability checks."""
+    import numpy as np
+
     times = tuple(float(t) for t in times)
     values = solution.evaluate_grid(times)
     peaks = np.max(np.abs(values), axis=1).tolist() if values.size else []

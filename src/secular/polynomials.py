@@ -9,9 +9,10 @@ Beyond ring arithmetic the module provides:
 
 * monic GCD (Euclid over Q),
 * Yun square-free decomposition,
-* factorisation into irreducibles over Q by Kronecker's
-  evaluation/interpolation scheme (guarded by a degree cap, since the
-  divisor-combination search is combinatorial).
+* factorisation into irreducibles over Q: linear factors from the exact
+  roots of the root engine, the rest by Kronecker's evaluation/interpolation
+  scheme (guarded by a degree cap, since the divisor-combination search is
+  combinatorial).
 """
 
 from __future__ import annotations
@@ -335,27 +336,36 @@ def _interpolate(points: Sequence[int], values: Sequence[int]) -> list[int] | No
 
 
 def _kronecker_split_squarefree(f: Poly) -> list[Poly]:
-    """Irreducible monic factors of a square-free monic polynomial.
+    """Irreducible monic factors of a square-free polynomial: one linear
+    factor per exact root from the root engine, then `_kronecker_search` on
+    what is left."""
+    from .realroots import sturm_isolate  # realroots builds on this module
 
-    Searches divisors d = 1 .. deg/2 by evaluating an integer model of f at
-    small integer points, enumerating divisor tuples of the values and
-    interpolating trial factors.  A polynomial surviving the whole search is
-    irreducible over Q.
+    # any width will do: only the exact roots are read
+    linear = [Poly([-r.value, 1]) for r in sturm_isolate(f, 1) if r.is_exact]
+    rest = f.monic()
+    for lin in linear:
+        rest = rest // lin
+    return linear + (_kronecker_search(rest) if rest.degree() > 0 else [])
+
+
+def _kronecker_search(f: Poly) -> list[Poly]:
+    """Irreducible monic factors of a square-free polynomial with no rational
+    root.
+
+    Such a polynomial has no factor of degree 1, so below degree 4 it is
+    irreducible.  Above, the search tries divisors d = 2 .. deg/2 by
+    evaluating an integer model of f at small integer points (none of them a
+    root), enumerating divisor tuples of the values and interpolating trial
+    factors.  A polynomial surviving the whole search is irreducible over Q.
     """
-    if f.degree() <= 1:
+    if f.degree() <= 3:
         return [f.monic()]
     _, fz = f.integer_primitive()
     n = fz.degree()
-    for d in range(1, n // 2 + 1):
+    for d in range(2, n // 2 + 1):
         points = _interp_points(d + 1)
         values = [int(fz.evaluate(x)) for x in points]
-        for x, v in zip(points, values):
-            if v == 0:
-                lin = Poly([-x, 1])
-                return sorted(
-                    _kronecker_split_squarefree((fz // lin).monic()) + [lin],
-                    key=_poly_sort_key,
-                )
         divisor_sets = []
         for i, v in enumerate(values):
             ds = _divisors(v)
@@ -369,15 +379,11 @@ def _kronecker_split_squarefree(f: Poly) -> list[Poly]:
             if coeffs is None:
                 continue
             cand = Poly(coeffs)
-            if cand.degree() < 1 or cand.degree() > d:
+            if cand.degree() < 2 or cand.degree() > d:
                 continue
             quo, rem = divmod(fz, cand)
             if rem.is_zero():
-                return sorted(
-                    _kronecker_split_squarefree(cand.monic())
-                    + _kronecker_split_squarefree(quo.monic()),
-                    key=_poly_sort_key,
-                )
+                return _kronecker_search(cand.monic()) + _kronecker_search(quo.monic())
     return [f.monic()]
 
 

@@ -30,8 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import factorial
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import PathUnavailableError, PreconditionError
 from .invariants import inertia
@@ -39,6 +38,9 @@ from .matrices import Pencil, PolyMatrix, RatMatrix
 from .polynomials import Poly, squarefree_decompose
 from .realroots import RealRoot, refine_root
 from .spectral import FLOAT_ROOT_WIDTH
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "QuadraticPair",
@@ -101,6 +103,8 @@ class ThetaComponent:
     theta: RatMatrix | tuple  # exact matrix, or row tuples of floats
 
     def theta_numpy(self) -> np.ndarray:
+        import numpy as np
+
         if isinstance(self.theta, RatMatrix):
             return self.theta.to_numpy()
         return np.array(self.theta)
@@ -172,6 +176,8 @@ def _residue(adj: PolyMatrix, f: Poly, point: Fraction, mult: int, exact: bool):
             raise PreconditionError("root multiplicity mismatch during deflation")
         return RatMatrix(adj.rows, adj.cols, tuple(cs[-1] for cs in g)).scale(1 / h[-1])
 
+    import numpy as np
+
     def rounded(c, order):
         return float(c * factorial(order)) / factorial(order)
 
@@ -233,6 +239,8 @@ def theta_components(pair: QuadraticPair, path: str = "auto") -> ThetaDecomposit
                 " form is not definite"
             )
     else:
+        import numpy as np
+
         sum_theta = sum(c.theta_numpy() for c in comps)
         sum_s_theta = sum(c.root.as_float() * c.theta_numpy() for c in comps)
         scale = max(1.0, float(np.max(np.abs(phi))))
@@ -280,6 +288,8 @@ def verify_theorem(
         )
         ok = phi_res == 0 and psi_res == 0 and ranks_ok and semidef_ok and mult_ok
         return TheoremReport(ok, phi_res, psi_res, ranks_ok, semidef_ok, mult_ok, "exact")
+    import numpy as np
+
     sum_theta = np.zeros((n, n))
     sum_s_theta = np.zeros((n, n))
     ranks_ok = True

@@ -132,7 +132,8 @@ def _prem(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
 
 def _int_chain(cs: tuple[int, ...]) -> list[tuple[int, ...]]:
     """`sturm_chain` of the primitive square-free integer polynomial cs
-    (positive leading coefficient), on int tuples."""
+    (positive leading coefficient), on int tuples.  For cs with a repeated
+    factor the chain ends in gcd(cs, cs') instead of a constant."""
     chain = [cs]
     if len(cs) > 1:
         chain.append(_primitive([i * c for i, c in enumerate(cs)][1:]))
@@ -333,7 +334,8 @@ def sturm_isolate(p: Poly, target_width=Fraction(1, 10**30)) -> list[RealRoot]:
 
     Rational roots come back exact; irrational ones as disjoint open
     intervals narrower than `target_width`.  Multiplicities are read off the
-    square-free decomposition of p.
+    square-free decomposition of p, which runs only when p has a repeated
+    factor.
     """
     if p.is_zero():
         raise PreconditionError("root isolation of the zero polynomial")
@@ -342,7 +344,17 @@ def sturm_isolate(p: Poly, target_width=Fraction(1, 10**30)) -> list[RealRoot]:
         raise PreconditionError("isolation width must be positive")
     if p.degree() == 0:
         return []
-    parts = [(_int_model(f), f, e) for f, e in squarefree_decompose(p)]
+    # the integer chain of p ends in gcd(p, p') up to a constant; when that
+    # is a constant, p is square-free and its chain is the one to isolate
+    chain = _int_chain(_int_model(p))
+    if len(chain[-1]) == 1:
+        parts = [(chain[0], p.monic(), 1)]
+    else:
+        parts = [(_int_model(f), f, e) for f, e in squarefree_decompose(p)]
+        squarefree = Poly([1])
+        for _, f, _ in parts:
+            squarefree = squarefree * f
+        chain = _int_chain(_int_model(squarefree))
 
     def factor_of_exact(r: Fraction) -> tuple[Poly, int]:
         for fz, f, e in parts:
@@ -356,11 +368,6 @@ def sturm_isolate(p: Poly, target_width=Fraction(1, 10**30)) -> list[RealRoot]:
                 return f, e
         raise AssertionError("isolated root lost during decomposition")
 
-    squarefree = Poly([1])
-    for _, f, _ in parts:
-        squarefree = squarefree * f
-
-    chain = _int_chain(_int_model(squarefree))
     intervals = _isolate(chain)
     exact_values = _rational_roots(chain[0], intervals)
     roots = [

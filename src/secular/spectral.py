@@ -19,14 +19,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import InternalError, PathUnavailableError, PreconditionError
 from .invariants import inertia
 from .matrices import Pencil, RatMatrix
 from .polynomials import Poly
 from .realroots import RealRoot, refine_root
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "SpectralDecomposition",
@@ -158,6 +160,8 @@ def adjugate_eigenvector(pencil: Pencil, root: RealRoot, path: str = "auto"):
 
 
 def _float_nullspace(M: np.ndarray, threshold: float = FLOAT_NULL_THRESHOLD):
+    import numpy as np
+
     _, s, vh = np.linalg.svd(M)
     cutoff = threshold * (s[0] if s.size and s[0] > 0 else 1.0)
     basis = []
@@ -189,6 +193,8 @@ def cauchy_orthogonality(dec: SpectralDecomposition, B: RatMatrix) -> Orthogonal
     floating path the largest magnitude is reported against a 1e-9 gate.
     """
     exact = dec.path == "exact"
+    if not exact:
+        import numpy as np
     worst: Fraction | float = Fraction(0) if exact else 0.0
     pairs = 0
     groups = list(zip(dec.roots, dec.vectors))
@@ -261,6 +267,8 @@ def _gram_schmidt_exact(vectors, W: RatMatrix):
 
 
 def _gram_schmidt_float(vectors, W: np.ndarray):
+    import numpy as np
+
     out = []
     for v in vectors:
         v = np.array(v, dtype=float)

@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import pytest
 
+import secular
 from secular.cli import run
 from secular.io import (
     dump_document,
@@ -327,6 +331,81 @@ class TestLargeCoefficients:
             ("exact", "-1000000000000/1"),
             ("exact", "1000000000000/1"),
         ]
+
+    def test_elementary_divisors_of_1e12_entries(self, tmp_path, deadline, capsys):
+        # the linear factors come from the exact roots, not from a search
+        # through the divisors of 10^24
+        deadline(1.0)
+        doc = write_json(
+            tmp_path,
+            "m.json",
+            {"rows": 2, "cols": 2, "entries": ["0", "1e12", "1e12", "0"]},
+        )
+        assert run(["elementary-divisors", "--input", doc]) == 0
+        divisors = json.loads(capsys.readouterr().out)["elementary_divisors"]
+        assert [(d["irreducible"]["display"], d["exponent"]) for d in divisors] == [
+            ("x-1000000000000", 1),
+            ("x+1000000000000", 1),
+        ]
+
+
+# Imports the package and the CLI in a fresh interpreter, runs the verb given
+# on the command line (if any), and reports its exit code and whether numpy
+# was imported on the last line of stderr.
+NUMPY_PROBE = (
+    "import sys\n"
+    "import secular, secular.cli\n"
+    "code = secular.cli.run(sys.argv[1:]) if len(sys.argv) > 1 else 0\n"
+    "print(code, 'numpy' in sys.modules, file=sys.stderr)\n"
+)
+SCENARIO_DOC = {
+    "kind": "coupled-springs",
+    "parameters": {"m": "1", "k": "2", "k0": "1"},
+    "initial": {"positions": ["1", "0"], "velocities": ["0", "1"]},
+}
+
+
+class TestNumpyFreeStartUp:
+    """numpy loads only where a float path runs: the exact verbs start and
+    finish without it."""
+
+    @staticmethod
+    def probe(argv):
+        src = os.path.dirname(os.path.dirname(secular.__file__))
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-c", NUMPY_PROBE, *argv],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        code, loaded = proc.stderr.split()[-2:]
+        return int(code), loaded == "True"
+
+    @pytest.mark.parametrize(
+        "verb, doc",
+        [
+            (None, None),
+            ("charpoly", NOTE23_DOC),
+            ("roots", TRIDIAGONAL_DOC),
+            ("inertia", NOTE23_DOC),
+            ("elementary-divisors", TRIDIAGONAL_DOC),
+            ("classify", SCENARIO_DOC),
+        ],
+    )
+    def test_exact_verbs_import_no_numpy(self, tmp_path, verb, doc):
+        argv = [] if verb is None else [verb, "--input", write_json(tmp_path, "d.json", doc)]
+        assert self.probe(argv) == (0, False)
+
+    def test_expm_imports_numpy(self, tmp_path):
+        doc = write_json(
+            tmp_path,
+            "diag.json",
+            {"rows": 2, "cols": 2, "entries": ["1/1", "0/1", "0/1", "2/1"]},
+        )
+        assert self.probe(["expm", "--input", doc, "--time", "1.0"]) == (0, True)
 
 
 class TestFlags:

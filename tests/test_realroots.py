@@ -119,6 +119,43 @@ class TestIsolation:
             assert a.hi <= b.lo or (a.is_exact and b.is_exact)
 
 
+
+def _route(roots, scale=1):
+    return [(r.kind, r.value, r.lo, r.hi, r.poly, scale * r.multiplicity) for r in roots]
+
+
+small_ints = st.integers(min_value=-6, max_value=6)
+
+
+class TestSquarefreeShortcut:
+    """A square-free p is isolated on its own integer Sturm chain, without
+    Yun's decomposition.  p**2 always takes the decomposition route (its
+    chain ends in p), over the same square-free part, so both must give the
+    same roots and endpoints at twice the multiplicities."""
+
+    @given(
+        st.lists(small_ints, min_size=2, max_size=4).filter(lambda cs: cs[-1]),
+        st.lists(small_ints, min_size=1, max_size=3).filter(lambda cs: cs[-1]),
+        st.integers(min_value=1, max_value=3),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_decomposition_route(self, f, g, e):
+        p = Poly(f) ** e * Poly(g)
+        assert _route(sturm_isolate(p), 2) == _route(sturm_isolate(p * p))
+
+    def test_squarefree_skips_decomposition(self, monkeypatch):
+        def refuse(p):
+            raise AssertionError("square-free polynomial decomposed")
+
+        monkeypatch.setattr(realroots, "squarefree_decompose", refuse)
+        roots = sturm_isolate(P(-2, 0, 1) * P(-3, 1))
+        assert [(r.kind, r.multiplicity) for r in roots] == [
+            ("isolated", 1), ("isolated", 1), ("exact", 1)
+        ]
+        with pytest.raises(AssertionError, match="decomposed"):
+            sturm_isolate(P(-3, 1) ** 2)
+
+
 class TestAgainstNumericOracle:
     @given(
         st.lists(st.integers(min_value=-6, max_value=6), min_size=3, max_size=7)
