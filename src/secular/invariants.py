@@ -194,53 +194,27 @@ def elementary_divisors(inv: InvariantFactors) -> ElementaryDivisors:
     return ElementaryDivisors(tuple(out))
 
 
-def _char_pencil_shape_ok(P: PolyMatrix) -> bool:
-    """Accept only the lambda*I - A shape (monic degree-1 diagonal, constant
-    off-diagonal)."""
-    for i in range(P.rows):
-        for j in range(P.cols):
-            p = P.entry(i, j)
-            if i == j:
-                if p.degree() != 1 or p.leading() != 1:
-                    return False
-            elif p.degree() > 0:
-                return False
-    return True
-
-
-def is_diagonalizable(
-    P: Pencil | PolyMatrix | RatMatrix,
-) -> tuple[bool, DiagonalizabilityWitness]:
+def is_diagonalizable(P: Pencil | RatMatrix) -> tuple[bool, DiagonalizabilityWitness]:
     """Whether all elementary divisors are simple, with minor-level evidence.
 
-    Accepts a matrix M (treated as lambda*I - M), a similarity pencil, or a
-    polynomial matrix already in that shape.  The verdict is computed as
-    square-freeness of every invariant factor, which is equivalent to all
+    Accepts a matrix M (treated as lambda*I - M) or its similarity pencil.
+    The verdict is square-freeness of the last invariant factor, the minimal
+    polynomial: every other factor divides it, so this is equivalent to all
     elementary-divisor exponents being 1.  The witness reports, per multiple
     root (grouped by square-free factor, multiplicity mu), whether the factor
     to the power mu-1 divides every (n-1) x (n-1) minor.
     """
     if isinstance(P, RatMatrix):
         P = Pencil.similarity(P)
-    if isinstance(P, Pencil):
-        if P.orientation != "sA-B" or P.A != RatMatrix.identity(P.size):
-            raise PreconditionError(
-                "diagonalizability test expects the pencil lambda*I - A"
-            )
-        P = P.char_matrix()
-    if not _char_pencil_shape_ok(P):
+    if P.orientation != "sA-B" or P.A != RatMatrix.identity(P.size):
         raise PreconditionError(
             "diagonalizability test expects the pencil lambda*I - A"
         )
-    chain = minor_gcd_chain(P)
-    inv = invariant_factors(chain)
-    verdict = all(
-        poly_gcd(f, f.derivative()).degree() == 0
-        for f in inv.factors
-        if f.degree() > 0
-    )
+    chain = minor_gcd_chain(P.char_matrix())
+    minimal = invariant_factors(chain).factors[-1]
+    verdict = poly_gcd(minimal, minimal.derivative()).degree() <= 0
     # evidence in Jordan's multiple-root formulation
-    n = P.rows
+    n = P.size
     records = []
     charpoly = chain.deltas[-1]
     sub_gcd = chain.deltas[-2] if n >= 2 else Poly([1])

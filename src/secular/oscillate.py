@@ -11,10 +11,12 @@ Solvers:
   to initial conditions by A-orthogonal projection; zero-frequency roots
   become flagged drift terms E + V t.
 * `solve_jordan` -- first-order systems dx/dt = M x through the generalized
-  eigenstructure (iterated nullspaces); solution entries are e^(sigma t)
-  times a polynomial of degree < chain length.
-* `expm_projectors` -- exp(M t) from the spectral projectors obtained by
-  Bezout partial fractions of the characteristic factorisation.
+  eigenstructure (the principal parts of the resolvent); solution entries are
+  e^(sigma t) times a polynomial of degree < chain length.
+* `expm_projectors` -- exp(M t) from the spectral projectors P and nilpotent
+  parts N^k P, the partial fractions of the resolvent adj(s)/f(s) at each
+  exact eigenvalue, read off Taylor coefficients of the cached adjugate and
+  characteristic polynomial.
 * `scalar_residue_solve` -- scalar constant-coefficient ODEs via residues of
   e^(r x)/F(r); multiple roots contribute x^k e^(r x) automatically.
 
@@ -153,8 +155,11 @@ def build_model(kind: str, parameters: dict | None = None,
     """
     params = dict(parameters or {})
     if kind == "loaded-string":
-        n = int(_param(params, "n"))
+        n = _param(params, "n")
         a = _param(params, "a", 1)
+        if n.denominator != 1:
+            raise PreconditionError("loaded string needs a whole number of masses")
+        n = int(n)
         if n < 1:
             raise PreconditionError("loaded string needs at least one mass")
         _require_positive(a=a)
@@ -292,7 +297,10 @@ class ModalSolution:
         times = [float(t) for t in times]
         y = np.zeros((len(times), self.model.size))
         for m in self.modes:
-            scalars = [m.amplitude * math.sin(m.omega * t + m.phase) for t in times]
+            try:
+                scalars = [m.amplitude * math.sin(m.omega * t + m.phase) for t in times]
+            except ValueError:  # math.sin of an infinite phase
+                raise OverflowError("mode phase omega*t is not a finite float") from None
             y += np.array(scalars)[:, None] * m.shape_floats()
         for d in self.drifts:
             scalars = [d.offset + d.rate * t for t in times]
@@ -483,81 +491,56 @@ class JordanSolution:
         return self.evaluate_grid([t])[0]
 
 
-def _matrix_power_apply(M: RatMatrix, k: int, v) -> tuple:
-    out = tuple(Fraction(x) for x in v)
-    for _ in range(k):
-        out = M.apply(out)
-    return out
-
-
 def spectral_projectors(
     M: RatMatrix,
 ) -> list[tuple[Fraction, int, int, RatMatrix]]:
     """Exact spectral projectors of a matrix with rational eigenvalues.
 
-    Returns (eigenvalue, algebraic multiplicity, chain length, projector).
-    The projectors come from the Bezout identity behind the partial-fraction
-    split of 1/charpoly: with F = prod (x - sigma_i)^(m_i), write
-    1 = sum N_i * F/(x - sigma_i)^(m_i); then p_i = (N_i * F_i)(M).  Chain
-    lengths are read off iterated nullspaces of (M - sigma*I)^k.
+    Returns (eigenvalue, algebraic multiplicity, chain length, projector),
+    read off the principal parts of the resolvent by `_principal_parts`.
     """
-    n = M.rows
+    return [(sigma, m, len(terms), terms[0]) for sigma, m, terms in _principal_parts(M)]
+
+
+def _principal_parts(M: RatMatrix) -> list[tuple[Fraction, int, list[RatMatrix]]]:
+    """(sigma, m, [N^k P for k < chain]) per eigenvalue sigma of multiplicity m.
+
+    The resolvent (sI - M)^-1 = adj(s)/f(s) has the principal part
+    sum_k N^k P / (s - sigma)^(k+1) at sigma, P the projector and
+    N = (M - sigma I) P.  With f = (s - sigma)^m h, N^k P is therefore the
+    Taylor coefficient of order m-1-k of adj/h at sigma: a convolution of the
+    adjugate's Taylor coefficients with the series of 1/h, whose coefficients
+    are f's of orders m..2m-1.  N is nilpotent; its zero powers are dropped,
+    and the terms left number the chain length.
+    """
     pencil = Pencil.similarity(M)
     roots = pencil.roots()
-    if sum(r.multiplicity for r in roots) != n or any(
+    if sum(r.multiplicity for r in roots) != M.rows or any(
         not r.is_exact for r in roots
     ):
         raise PathUnavailableError(
             "spectral projectors need all-rational eigenvalues; use the"
             " floating Jordan path instead"
         )
-    charpoly = pencil.char_poly()
-    projectors = []
-    ident = RatMatrix.identity(n)
+    f = pencil.char_poly()
+    adj = pencil.char_adjugate()
+    parts = []
     for root in roots:
         sigma, m = root.value, root.multiplicity
-        lin_pow = Poly([-sigma, 1]) ** m
-        cofactor = charpoly // lin_pow
-        # N = cofactor^{-1} mod (x - sigma)^m via extended Euclid
-        N = _invert_mod(cofactor, lin_pow)
-        proj_poly = (N * cofactor) % charpoly
-        P = _poly_of_matrix(proj_poly, M)
-        # chain length via iterated nullspaces of (M - sigma I)^k
-        shifted = M - ident.scale(sigma)
-        power = ident
-        chain = m
-        for k in range(1, m + 1):
-            power = power @ shifted
-            if n - power.rank() == m:
-                chain = k
-                break
-        projectors.append((sigma, m, chain, P))
-    return projectors
-
-
-def _invert_mod(a: Poly, modulus: Poly) -> Poly:
-    """a^{-1} mod modulus for coprime arguments (extended Euclid)."""
-    r0, r1 = modulus, a % modulus
-    s0, s1 = Poly(), Poly([1])
-    while not r1.is_zero():
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        s0, s1 = s1, s0 - q * s1
-    if r0.degree() != 0:
-        raise InternalError("arguments not coprime in modular inverse")
-    return (s0.scale(Fraction(1) / r0.leading())) % modulus
-
-
-def _poly_of_matrix(p: Poly, M: RatMatrix) -> RatMatrix:
-    n = M.rows
-    out = RatMatrix.zeros(n, n)
-    power = RatMatrix.identity(n)
-    for k, c in enumerate(p.coeffs):
-        if k:
-            power = power @ M
-        if c:
-            out = out + power.scale(c)
-    return out
+        h = f.taylor(sigma, 2 * m)[m:]
+        inv = [1 / h[0]]
+        for j in range(1, m):
+            inv.append(-sum(h[i] * inv[j - i] for i in range(1, j + 1)) * inv[0])
+        g = [entry.taylor(sigma, m) for entry in adj.entries]
+        terms = [
+            RatMatrix(M.rows, M.cols,
+                      tuple(sum(cs[i] * inv[j - i] for i in range(j + 1)) for cs in g))
+            for j in range(m - 1, -1, -1)
+        ]
+        while not any(terms[-1].entries):
+            terms.pop()
+        parts.append((sigma, m, terms))
+    return parts
 
 
 def first_order_matrix(model: MechModel) -> RatMatrix:
@@ -587,23 +570,20 @@ def solve_jordan(M: RatMatrix, ic, path: str = "auto") -> JordanSolution:
     if len(x0) != n:
         raise PreconditionError("initial vector has the wrong dimension")
     use_exact = path != "float"
-    projectors = None
+    parts = None
     if use_exact:
         try:
-            projectors = spectral_projectors(M)
+            parts = _principal_parts(M)
         except PathUnavailableError:
             if path == "exact":
                 raise
-            projectors = None
-    if projectors is not None:
+    if parts is not None:
         blocks = []
-        for sigma, _m, chain, P in projectors:
-            px = P.apply(x0)
-            coeffs = []
-            for k in range(chain):
-                ck = _matrix_power_apply(M - RatMatrix.identity(n).scale(sigma), k, px)
-                coeffs.append(tuple(c / factorial(k) for c in ck))
-            blocks.append(JordanBlock(sigma, 0.0, chain, tuple(coeffs)))
+        for sigma, _m, terms in parts:
+            coeffs = tuple(
+                tuple(c / factorial(k) for c in term.apply(x0)) for k, term in enumerate(terms)
+            )
+            blocks.append(JordanBlock(sigma, 0.0, len(terms), coeffs))
         return JordanSolution(M, tuple(blocks), "exact")
     # floating path
     import numpy as np
@@ -653,25 +633,22 @@ def solve_jordan(M: RatMatrix, ic, path: str = "auto") -> JordanSolution:
 def expm_projectors(M: RatMatrix, t: float) -> np.ndarray:
     """exp(M t) assembled from exact spectral projectors.
 
-    exp(M t) = sum_i e^(sigma_i t) (sum_{k < r_i} (M - sigma_i I)^k t^k / k!) p_i.
-    The projector algebra (p_i^2 = p_i, sum p_i = I) is exact; only the final
-    scalar exponentials are floating point.  Irrational eigenvalues are
-    rejected toward the floating Jordan path.  An entry beyond floating-point
-    range raises OverflowError, and numpy warns of nothing.
+    exp(M t) = sum_i e^(sigma_i t) sum_{k < r_i} N_i^k p_i t^k / k!, with the
+    terms N_i^k p_i read off the resolvent's principal parts
+    (`_principal_parts`).  The projector algebra (p_i^2 = p_i, sum p_i = I)
+    is exact; only the final scalar exponentials are floating point.
+    Irrational eigenvalues are rejected toward the floating Jordan path.  An
+    entry beyond floating-point range raises OverflowError, and numpy warns
+    of nothing.
     """
     import numpy as np
 
-    n = M.rows
-    out = np.zeros((n, n))
-    ident = RatMatrix.identity(n)
+    out = np.zeros((M.rows, M.rows))
     with np.errstate(over="ignore", invalid="ignore"):
-        for sigma, _m, chain, P in spectral_projectors(M):
-            shifted = M - ident.scale(sigma)
-            term = P
-            acc = term.to_numpy()
+        for sigma, _m, terms in _principal_parts(M):
+            acc = terms[0].to_numpy()
             tk = 1.0
-            for k in range(1, chain):
-                term = shifted @ term
+            for k, term in enumerate(terms[1:], 1):
                 tk *= t / k
                 acc = acc + term.to_numpy() * tk
             out += math.exp(float(sigma) * t) * acc

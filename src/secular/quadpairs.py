@@ -277,8 +277,8 @@ def verify_theorem(
             assert isinstance(c.theta, RatMatrix)
             sum_theta = sum_theta + c.theta
             sum_s_theta = sum_s_theta + c.theta.scale(c.root.value)
-            ranks_ok &= c.theta.rank() == c.multiplicity
             rep = inertia(c.theta.scale(sign))
+            ranks_ok &= n - rep.zeros == c.multiplicity
             semidef_ok &= rep.negatives == 0
         phi_res = max(
             (abs(v) for v in (sum_theta - pair.phi).entries), default=Fraction(0)

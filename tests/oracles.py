@@ -10,8 +10,10 @@ interval narrowing one halving at a time instead of quadratic interval
 refinement, Sturm chains from Fraction remainders instead of integer
 pseudo-remainders, ODE residuals by central finite differences instead of
 symbolic derivatives, residues by polynomial deflation instead of Taylor
-coefficients, and signatures from the congruence diagonal instead of
-leading minors.  The float kernels keep their former definitions here:
+coefficients, signatures from the congruence diagonal instead of
+leading minors, and spectral projectors by Bezout partial fractions with
+chain lengths from the rank of matrix powers instead of the resolvent's
+principal parts.  The float kernels keep their former definitions here:
 the characteristic matrix as a Fraction matrix converted entry by entry,
 trajectories one time at a time, and leading minors as one block
 determinant each.  The small constructors and products the tests build
@@ -26,9 +28,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from secular.errors import PreconditionError
+from secular.errors import InternalError, PathUnavailableError, PreconditionError
 from secular.invariants import MinorGcdChain, _congruence_diagonal
-from secular.matrices import PolyMatrix, RatMatrix, det_rational
+from secular.matrices import Pencil, PolyMatrix, RatMatrix, det_rational
 from secular.oscillate import Trajectory
 from secular.polynomials import ONE, Poly, poly_gcd
 
@@ -47,6 +49,33 @@ def expand_factors(factors) -> Poly:
     for f, e in factors:
         p = p * f**e
     return p
+
+
+def conjugated_jordan(rng, n: int, denominators=(1, 2, 3)) -> RatMatrix:
+    """S J S^-1 for a random Jordan matrix J of size n with rational
+    eigenvalues (some repeated, blocks of random sizes) and a random
+    unimodular integer S built from elementary row operations."""
+    if n == 0:
+        return RatMatrix.zeros(0, 0)
+    values = [Fraction(rng.randint(-4, 4), rng.choice(denominators))
+              for _ in range(rng.randint(1, n))]
+    J = [[Fraction(0)] * n for _ in range(n)]
+    i = 0
+    while i < n:
+        size = rng.randint(1, n - i)
+        sigma = rng.choice(values)
+        for k in range(i, i + size):
+            J[k][k] = sigma
+            if k + 1 < i + size:
+                J[k][k + 1] = Fraction(1)
+        i += size
+    S = [[Fraction(int(r == c)) for c in range(n)] for r in range(n)]
+    for _ in range(2 * n if n > 1 else 0):
+        r, c = rng.sample(range(n), 2)
+        f = rng.choice((-2, -1, 1, 2))
+        S[r] = [x + f * y for x, y in zip(S[r], S[c])]
+    S = RatMatrix.from_rows(S)
+    return S @ RatMatrix.from_rows(J) @ S.inverse()
 
 
 def poly_matmul(P: PolyMatrix, Q: PolyMatrix) -> PolyMatrix:
@@ -361,3 +390,116 @@ def trajectory_per_time(at, times) -> Trajectory:
         sup = max(sup, float(np.max(np.abs(y))) if y.size else 0.0)
         rows.append(tuple(float(v) for v in y))
     return Trajectory(tuple(float(t) for t in times), tuple(rows), sup)
+
+
+def _matrix_power_apply(M: RatMatrix, k: int, v) -> tuple:
+    out = tuple(Fraction(x) for x in v)
+    for _ in range(k):
+        out = M.apply(out)
+    return out
+
+
+def spectral_projectors_by_bezout(
+    M: RatMatrix,
+) -> list[tuple[Fraction, int, int, RatMatrix]]:
+    """Exact spectral projectors of a matrix with rational eigenvalues.
+
+    Returns (eigenvalue, algebraic multiplicity, chain length, projector).
+    The projectors come from the Bezout identity behind the partial-fraction
+    split of 1/charpoly: with F = prod (x - sigma_i)^(m_i), write
+    1 = sum N_i * F/(x - sigma_i)^(m_i); then p_i = (N_i * F_i)(M).  Chain
+    lengths are read off iterated nullspaces of (M - sigma*I)^k.
+    """
+    n = M.rows
+    pencil = Pencil.similarity(M)
+    roots = pencil.roots()
+    if sum(r.multiplicity for r in roots) != n or any(
+        not r.is_exact for r in roots
+    ):
+        raise PathUnavailableError(
+            "spectral projectors need all-rational eigenvalues; use the"
+            " floating Jordan path instead"
+        )
+    charpoly = pencil.char_poly()
+    projectors = []
+    ident = RatMatrix.identity(n)
+    for root in roots:
+        sigma, m = root.value, root.multiplicity
+        lin_pow = Poly([-sigma, 1]) ** m
+        cofactor = charpoly // lin_pow
+        # N = cofactor^{-1} mod (x - sigma)^m via extended Euclid
+        N = _invert_mod(cofactor, lin_pow)
+        proj_poly = (N * cofactor) % charpoly
+        P = _poly_of_matrix(proj_poly, M)
+        # chain length via iterated nullspaces of (M - sigma I)^k
+        shifted = M - ident.scale(sigma)
+        power = ident
+        chain = m
+        for k in range(1, m + 1):
+            power = power @ shifted
+            if n - power.rank() == m:
+                chain = k
+                break
+        projectors.append((sigma, m, chain, P))
+    return projectors
+
+
+def _invert_mod(a: Poly, modulus: Poly) -> Poly:
+    """a^{-1} mod modulus for coprime arguments (extended Euclid)."""
+    r0, r1 = modulus, a % modulus
+    s0, s1 = Poly(), Poly([1])
+    while not r1.is_zero():
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        s0, s1 = s1, s0 - q * s1
+    if r0.degree() != 0:
+        raise InternalError("arguments not coprime in modular inverse")
+    return (s0.scale(Fraction(1) / r0.leading())) % modulus
+
+
+def _poly_of_matrix(p: Poly, M: RatMatrix) -> RatMatrix:
+    n = M.rows
+    out = RatMatrix.zeros(n, n)
+    power = RatMatrix.identity(n)
+    for k, c in enumerate(p.coeffs):
+        if k:
+            power = power @ M
+        if c:
+            out = out + power.scale(c)
+    return out
+
+
+def jordan_blocks_by_bezout(M: RatMatrix, x0) -> list[tuple]:
+    """(sigma, chain, coefficient vectors) per exact Jordan block of
+    dx/dt = M x: coefficient k is (M - sigma I)^k p x0 / k!, k < chain."""
+    n = M.rows
+    x0 = tuple(Fraction(v) for v in x0)
+    blocks = []
+    for sigma, _m, chain, P in spectral_projectors_by_bezout(M):
+        px = P.apply(x0)
+        coeffs = []
+        for k in range(chain):
+            ck = _matrix_power_apply(M - RatMatrix.identity(n).scale(sigma), k, px)
+            coeffs.append(tuple(c / math.factorial(k) for c in ck))
+        blocks.append((sigma, chain, tuple(coeffs)))
+    return blocks
+
+
+def expm_by_bezout(M: RatMatrix, t: float) -> np.ndarray:
+    """exp(M t) = sum_i e^(sigma_i t) (sum_{k < r_i} (M - sigma_i I)^k t^k / k!) p_i
+    over the Bezout projectors, the same float operations in the same order."""
+    n = M.rows
+    out = np.zeros((n, n))
+    ident = RatMatrix.identity(n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for sigma, _m, chain, P in spectral_projectors_by_bezout(M):
+            shifted = M - ident.scale(sigma)
+            term = P
+            acc = term.to_numpy()
+            tk = 1.0
+            for k in range(1, chain):
+                term = shifted @ term
+                tk *= t / k
+                acc = acc + term.to_numpy() * tk
+            out += math.exp(float(sigma) * t) * acc
+    return out

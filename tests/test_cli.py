@@ -102,6 +102,75 @@ TRIDIAGONAL_ROOTS_WIDTH_1000 = (
     '  ]\n'
     '}\n'
 )
+# eigenvalue 2 twice with a chain of two, and -1
+DEFECTIVE_DOC = {
+    "rows": 3,
+    "cols": 3,
+    "entries": ["3", "1", "0", "-1", "1", "0", "1", "1", "-1"],
+}
+DEFECTIVE_EXPM_T1 = (
+    '{\n'
+    '  "exponential": [\n'
+    '    [\n'
+    '      14.7781121978613,\n'
+    '      7.38905609893065,\n'
+    '      0.0\n'
+    '    ],\n'
+    '    [\n'
+    '      -7.38905609893065,\n'
+    '      0.0,\n'
+    '      0.0\n'
+    '    ],\n'
+    '    [\n'
+    '      2.3403922192530695,\n'
+    '      2.3403922192530695,\n'
+    '      0.36787944117144233\n'
+    '    ]\n'
+    '  ],\n'
+    '  "path": "float",\n'
+    '  "provenance": {\n'
+    '    "algorithm": "matrix-exponential-spectral-projectors",\n'
+    '    "source": "bezout-partial-fractions"\n'
+    '  },\n'
+    '  "t": 1.0\n'
+    '}\n'
+)
+# M = [[0, I], [-A^-1 B, 0]] has eigenvalues -1/2, 0 (a chain of two) and 1/2
+DRIFT_SCENARIO = {
+    "kind": "custom",
+    "mass": {"rows": 2, "cols": 2, "entries": ["2", "1", "1", "1"]},
+    "stiffness": {"rows": 2, "cols": 2, "entries": ["0", "0", "0", "-1/8"]},
+    "initial": {"positions": ["1", "-1/2"], "velocities": ["1/3", "0"]},
+}
+DRIFT_SOLVE_JORDAN = (
+    '{\n'
+    '  "blocks": [\n'
+    '    {\n'
+    '      "chain_length": 1,\n'
+    '      "psi_degree": 0,\n'
+    '      "sigma_im": 0.0,\n'
+    '      "sigma_re": -0.5\n'
+    '    },\n'
+    '    {\n'
+    '      "chain_length": 2,\n'
+    '      "psi_degree": 1,\n'
+    '      "sigma_im": 0.0,\n'
+    '      "sigma_re": 0.0\n'
+    '    },\n'
+    '    {\n'
+    '      "chain_length": 1,\n'
+    '      "psi_degree": 0,\n'
+    '      "sigma_im": 0.0,\n'
+    '      "sigma_re": 0.5\n'
+    '    }\n'
+    '  ],\n'
+    '  "path": "exact",\n'
+    '  "provenance": {\n'
+    '    "algorithm": "canonical-form-integration",\n'
+    '    "source": "jordan-1871"\n'
+    '  }\n'
+    '}\n'
+)
 
 
 @pytest.fixture
@@ -439,6 +508,16 @@ class TestDeterminism:
         assert run(["roots", "--input", doc] + flags) == 0
         assert capsys.readouterr().out == expected
 
+    def test_expm_stdout_pinned(self, tmp_path, capsys):
+        doc = write_json(tmp_path, "m.json", DEFECTIVE_DOC)
+        assert run(["expm", "--input", doc, "--time", "1"]) == 0
+        assert capsys.readouterr().out == DEFECTIVE_EXPM_T1
+
+    def test_solve_jordan_stdout_pinned(self, tmp_path, capsys):
+        doc = write_json(tmp_path, "s.json", DRIFT_SCENARIO)
+        assert run(["solve", "--method", "jordan", "--input", doc]) == 0
+        assert capsys.readouterr().out == DRIFT_SOLVE_JORDAN
+
     def test_byte_identical_repeats(self, tmp_path, note23_file):
         _, first = run_to_file(["roots", "--input", note23_file], tmp_path, "a.json")
         _, second = run_to_file(["roots", "--input", note23_file], tmp_path, "b.json")
@@ -525,6 +604,18 @@ class TestExitCodes:
                             "velocities": ["1.7e308", "1.7e308"]},
                 "t_grid": {"t_max": 1.0, "steps": 3},
             }, []),
+            # t_max * k overflows on the grid, so math.sin would see inf
+            ("trajectory", {
+                "kind": "coupled-springs",
+                "parameters": {"m": "1", "k": "1", "k0": "1"},
+                "initial": {"positions": ["1", "0"], "velocities": ["0", "0"]},
+                "t_grid": {"t_max": 1e308, "steps": 200},
+            }, []),
+            ("trajectory", {
+                "kind": "coupled-springs",
+                "parameters": {"m": "1", "k": "1", "k0": "1"},
+                "initial": {"positions": ["1", "0"], "velocities": ["0", "0"]},
+            }, ["--t-max", "1e308"]),
         ],
     )
     def test_float_overflow_exits_3(self, tmp_path, deadline, capsys, verb, entries, flags):
@@ -542,6 +633,16 @@ class TestExitCodes:
         assert "precondition violated" in captured.err
         assert "beyond floating-point range" in captured.err
         assert "RuntimeWarning" not in captured.err
+
+    def test_fractional_string_masses_exits_3(self, tmp_path, capsys):
+        # int() would truncate 5/2 to 2 masses
+        doc = write_json(tmp_path, "s.json", {
+            "kind": "loaded-string",
+            "parameters": {"n": "5/2"},
+            "initial": {"positions": ["1", "0"], "velocities": ["0", "0"]},
+        })
+        assert run(["classify", "--input", doc]) == 3
+        assert "whole number of masses" in capsys.readouterr().err
 
     def test_singular_frequency_pencil(self, tmp_path, capsys):
         zero = {"rows": 1, "cols": 1, "entries": ["0/1"]}

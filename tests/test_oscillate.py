@@ -26,11 +26,15 @@ from secular.polynomials import Poly
 from secular.spectral import char_roots
 
 from oracles import (
+    conjugated_jordan,
+    expm_by_bezout,
     expm_taylor,
+    jordan_blocks_by_bezout,
     jordan_at,
     modal_at,
     ode_residual,
     second_order_residual,
+    spectral_projectors_by_bezout,
     trajectory_per_time,
     verify_jordan_exact,
 )
@@ -310,6 +314,37 @@ class TestProjectorsAndExpm:
             E = expm_projectors(M, t)
             T = expm_taylor(M.to_numpy(), t)
             assert float(np.max(np.abs(E - T))) <= 1e-9
+
+
+    def test_principal_parts_match_bezout_route(self, deadline):
+        """Projectors, chain lengths, expm floats and exact Jordan blocks
+        equal the Bezout partial-fraction route, and both reject the same
+        inputs, on conjugated Jordan matrices and random integer ones."""
+        deadline(60)
+        rng = random.Random(13)
+        cases = [conjugated_jordan(rng, rng.randint(0, 6)) for _ in range(64)]
+        cases += [RatMatrix.from_rows([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
+                  for n in [rng.randint(1, 4) for _ in range(16)]]
+        rejected = defective = 0
+        for M in cases:
+            x0 = [rng.randint(-3, 3) for _ in range(M.rows)]
+            try:
+                expected = spectral_projectors_by_bezout(M)
+            except PathUnavailableError:
+                rejected += 1
+                for call in (lambda: spectral_projectors(M), lambda: expm_projectors(M, 1.0),
+                             lambda: solve_jordan(M, x0, path="exact")):
+                    with pytest.raises(PathUnavailableError):
+                        call()
+                continue
+            assert spectral_projectors(M) == expected
+            defective += any(chain > 1 for _s, _m, chain, _P in expected)
+            for t in (1.0, -0.75):
+                assert expm_projectors(M, t).tobytes() == expm_by_bezout(M, t).tobytes()
+            sol = solve_jordan(M, x0, path="exact")
+            assert [(b.sigma_re, b.chain_length, b.cos_coeffs) for b in sol.blocks] == \
+                jordan_blocks_by_bezout(M, x0)
+        assert rejected and defective and len(cases) - rejected - defective
 
 
 class TestScalarResidue:
