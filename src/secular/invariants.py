@@ -7,8 +7,16 @@ built by Euclidean elimination, with no size cap: unimodular row and column
 operations leave every minor GCD unchanged, so by theorem Delta_k is the
 monic product of the first k diagonal entries.  Quotients of consecutive
 entries give the invariant factors, whose irreducible-power parts are the
-elementary divisors; a matrix is diagonalizable exactly when all of those are
-simple, equivalently when every invariant factor is square-free.
+elementary divisors.
+
+A matrix is diagonalizable exactly when all of those are simple, that is
+when its minimal polynomial f / Delta_(n-1) is square-free.  The adjugate of
+the characteristic matrix holds the (n-1)-minors, so for a square-free factor
+g of f of multiplicity mu, g^(mu-1) divides every adjugate entry exactly when
+it divides Delta_(n-1), that is when g divides the minimal polynomial once.
+Jordan's test for simple elementary divisors and Weierstrass's "remarkable
+circumstance" for definite pairs are both this one test on the pencil's
+cached adjugate.
 
 Inertia of a symmetric rational matrix is read off the sign permanences of
 the leading-principal-minor sequence (determinant down to 1) whenever that
@@ -25,15 +33,15 @@ from math import lcm as int_lcm
 
 from .errors import InternalError, PreconditionError
 from .matrices import Pencil, PolyMatrix, RatMatrix
-from .polynomials import Poly, kronecker_factor, poly_gcd, squarefree_decompose
-from .realroots import RealRoot, refine_root
+from .polynomials import Poly, kronecker_factor, squarefree_decompose
+from .realroots import RealRoot
 
 __all__ = [
     "MinorGcdChain",
     "InvariantFactors",
     "ElementaryDivisors",
     "InertiaReport",
-    "DiagonalizabilityWitness",
+    "MinorDivisibility",
     "minor_gcd_chain",
     "invariant_factors",
     "elementary_divisors",
@@ -71,14 +79,19 @@ class ElementaryDivisors:
 
 
 @dataclass(frozen=True)
-class DiagonalizabilityWitness:
-    """Per multiple root evidence for the minor-divisibility criterion.
+class MinorDivisibility:
+    """Minor-divisibility evidence per root group of a pencil's determinant.
 
     Each record is (square-free factor of the characteristic polynomial,
-    multiplicity mu, whether the factor^(mu-1) divides every (n-1)-minor).
+    multiplicity mu, whether factor^(mu-1) divides every (n-1)-minor, that
+    is every adjugate entry); `ok` holds when every record does.
     """
 
     records: tuple[tuple[Poly, int, bool], ...]
+
+    @property
+    def ok(self) -> bool:
+        return all(divisible for _, _, divisible in self.records)
 
 
 @dataclass(frozen=True)
@@ -194,15 +207,30 @@ def elementary_divisors(inv: InvariantFactors) -> ElementaryDivisors:
     return ElementaryDivisors(tuple(out))
 
 
-def is_diagonalizable(P: Pencil | RatMatrix) -> tuple[bool, DiagonalizabilityWitness]:
+def _minor_divisibility(pencil: Pencil) -> MinorDivisibility:
+    """One record per square-free factor of the pencil's determinant, with
+    multiplicity mu: whether factor^(mu-1) divides every entry of the
+    pencil's cached adjugate.  factor^0 divides everything, so a square-free
+    determinant never builds the adjugate."""
+    records = []
+    for factor, mult in squarefree_decompose(pencil.char_poly()):
+        power = factor ** (mult - 1)
+        divisible = mult == 1 or all(
+            power.divides(entry) for entry in pencil.char_adjugate().entries
+        )
+        records.append((factor, mult, divisible))
+    return MinorDivisibility(tuple(records))
+
+
+def is_diagonalizable(P: Pencil | RatMatrix) -> tuple[bool, MinorDivisibility]:
     """Whether all elementary divisors are simple, with minor-level evidence.
 
     Accepts a matrix M (treated as lambda*I - M) or its similarity pencil.
-    The verdict is square-freeness of the last invariant factor, the minimal
-    polynomial: every other factor divides it, so this is equivalent to all
-    elementary-divisor exponents being 1.  The witness reports, per multiple
-    root (grouped by square-free factor, multiplicity mu), whether the factor
-    to the power mu-1 divides every (n-1) x (n-1) minor.
+    The witness keeps the records of `_minor_divisibility` for the multiple
+    roots (mu >= 2), and the verdict is that all of them hold: a factor's
+    exponent in Delta_(n-1) is its exponent in the determinant less its
+    exponent in the minimal polynomial, so this is square-freeness of the
+    minimal polynomial, equivalently all elementary divisors simple.
     """
     if isinstance(P, RatMatrix):
         P = Pencil.similarity(P)
@@ -210,20 +238,10 @@ def is_diagonalizable(P: Pencil | RatMatrix) -> tuple[bool, DiagonalizabilityWit
         raise PreconditionError(
             "diagonalizability test expects the pencil lambda*I - A"
         )
-    chain = minor_gcd_chain(P.char_matrix())
-    minimal = invariant_factors(chain).factors[-1]
-    verdict = poly_gcd(minimal, minimal.derivative()).degree() <= 0
-    # evidence in Jordan's multiple-root formulation
-    n = P.size
-    records = []
-    charpoly = chain.deltas[-1]
-    sub_gcd = chain.deltas[-2] if n >= 2 else Poly([1])
-    for factor, mult in squarefree_decompose(charpoly):
-        if mult < 2:
-            continue
-        annihilates = (factor ** (mult - 1)).divides(sub_gcd)
-        records.append((factor, mult, annihilates))
-    return verdict, DiagonalizabilityWitness(tuple(records))
+    witness = MinorDivisibility(
+        tuple(r for r in _minor_divisibility(P).records if r[1] >= 2)
+    )
+    return witness.ok, witness
 
 
 def _congruence_diagonal(M: RatMatrix) -> list[Fraction]:
@@ -317,8 +335,9 @@ def darboux_signature_steps(M: RatMatrix) -> list[tuple[RealRoot, int]]:
     roots = Pencil.similarity(M).roots()
     if not roots:
         return []
-    # rational sample points strictly between consecutive roots
-    roots = _separate(roots)
+    # rational sample points between consecutive roots: isolating intervals
+    # are pairwise disjoint and exclude the exact roots, so a shared endpoint
+    # is no root
     samples = [roots[0].lo - 1]
     for left, right in zip(roots, roots[1:]):
         samples.append((left.hi + right.lo) / 2)
@@ -330,20 +349,3 @@ def darboux_signature_steps(M: RatMatrix) -> list[tuple[RealRoot, int]]:
         (root, counts[i + 1] - counts[i]) for i, root in enumerate(roots)
     ]
 
-
-def _separate(roots: list[RealRoot]) -> list[RealRoot]:
-    """Refine isolating intervals until they are pairwise disjoint with
-    rational gaps between consecutive roots."""
-    out = list(roots)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(out) - 1):
-            if out[i].hi > out[i + 1].lo:
-                width = max(out[i].width(), out[i + 1].width()) / 4
-                if width == 0:
-                    raise InternalError("coincident distinct roots")
-                out[i] = refine_root(out[i], width)
-                out[i + 1] = refine_root(out[i + 1], width)
-                changed = True
-    return out

@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING
 from .errors import InternalError, PathUnavailableError, PreconditionError
 from .invariants import inertia
 from .matrices import Pencil, RatMatrix
-from .polynomials import Poly
+from .polynomials import Poly, squarefree_decompose
 from .realroots import RealRoot, root_sign
 from .spectral import spectral_decompose
 
@@ -449,7 +449,11 @@ class JordanBlock:
         for coeffs, trig, at_rest in ((self.cos_coeffs, math.cos, 1.0),
                                       (self.sin_coeffs, math.sin, 0.0)):
             if coeffs:
-                scalars = [c * (trig(w * t) if w else at_rest) for c, t in zip(carrier, times)]
+                try:
+                    scalars = [c * (trig(w * t) if w else at_rest)
+                               for c, t in zip(carrier, times)]
+                except ValueError:  # math.cos/math.sin of an infinite phase
+                    raise OverflowError("block phase w*t is not a finite float") from None
                 out += np.array(scalars)[:, None] * _vector_poly(coeffs, times, n)
         return out
 
@@ -710,8 +714,6 @@ def scalar_residue_solve(F: Poly, ic) -> ScalarSolution:
     if len(ic) != n:
         raise PreconditionError("need exactly deg(F) initial values")
     # enumerate roots: exact multiplicity structure, floating values
-    from .polynomials import squarefree_decompose
-
     basis: list[tuple[complex, int, str]] = []  # (root, power, "re"|"im"|"real")
     for part, mult in squarefree_decompose(F):
         coeffs = [float(c) for c in part.coeffs]
@@ -871,7 +873,7 @@ class Trajectory:
 
 
 def time_grid(t_max: float, steps: int) -> tuple[float, ...]:
-    if steps < 1 or t_max < 0:
+    if steps < 1 or not t_max >= 0:  # NaN fails every comparison
         raise PreconditionError("grid needs t_max >= 0 and steps >= 1")
     return tuple(t_max * k / steps for k in range(steps + 1))
 

@@ -33,9 +33,9 @@ from math import factorial
 from typing import TYPE_CHECKING
 
 from .errors import PathUnavailableError, PreconditionError
-from .invariants import inertia
+from .invariants import MinorDivisibility, _minor_divisibility, inertia
 from .matrices import Pencil, PolyMatrix, RatMatrix
-from .polynomials import Poly, squarefree_decompose
+from .polynomials import Poly
 from .realroots import RealRoot, refine_root
 from .spectral import FLOAT_ROOT_WIDTH
 
@@ -46,7 +46,6 @@ __all__ = [
     "QuadraticPair",
     "ThetaComponent",
     "ThetaDecomposition",
-    "CircumstanceReport",
     "TheoremReport",
     "remarkable_circumstance_check",
     "theta_components",
@@ -118,16 +117,6 @@ class ThetaDecomposition:
 
 
 @dataclass(frozen=True)
-class CircumstanceReport:
-    """Divisibility evidence per root group of the characteristic
-    determinant: (square-free factor, multiplicity, every adjugate entry
-    divisible by factor^(multiplicity-1))."""
-
-    records: tuple[tuple[Poly, int, bool], ...]
-    ok: bool
-
-
-@dataclass(frozen=True)
 class TheoremReport:
     ok: bool
     phi_residual: Fraction | float
@@ -138,21 +127,12 @@ class TheoremReport:
     path: str
 
 
-def remarkable_circumstance_check(pair: QuadraticPair) -> CircumstanceReport:
+def remarkable_circumstance_check(pair: QuadraticPair) -> MinorDivisibility:
     """Exact divisibility of every adjugate entry of s*Phi - Psi by
     (s - s_mu)^(lambda_mu - 1), grouped by square-free factor so that
-    irrational roots are covered jointly."""
-    pencil = pair.pencil()
-    adj = pencil.char_adjugate()
-    records = []
-    for factor, mult in squarefree_decompose(pencil.char_poly()):
-        if mult == 1:
-            records.append((factor, 1, True))
-            continue
-        power = factor ** (mult - 1)
-        ok = all(power.divides(entry) for entry in adj.entries)
-        records.append((factor, mult, ok))
-    return CircumstanceReport(tuple(records), all(r[2] for r in records))
+    irrational roots are covered jointly; one record per factor, simple ones
+    included."""
+    return _minor_divisibility(pair.pencil())
 
 
 def _residue(adj: PolyMatrix, f: Poly, point: Fraction, mult: int, exact: bool):

@@ -1,13 +1,13 @@
 """Characteristic roots and eigenvectors of matrix pencils.
 
-The exact path evaluates the characteristic matrix at a rational root and
-reads eigenvectors off the adjugate (first non-null column) or off an exact
-nullspace.  Isolated irrational roots route to a floating path: the interval
-is refined to width 10^-30, the characteristic matrix at the midpoint is
-rounded once to floats from the pencil's integer model (no Fraction matrix
-is built), and nullspaces are taken by SVD with a relative singular-value
-threshold of 10^-10; at a simple root the one null vector is the normalized
-adjugate column.
+The exact path reads eigenvectors off the pencil's cached adjugate evaluated
+at a rational root (first non-null column) or off an exact nullspace of the
+characteristic matrix there.  Isolated irrational roots route to a floating
+path: the interval is refined to width 10^-30, the characteristic matrix at
+the midpoint is rounded once to floats from the pencil's integer model (no
+Fraction matrix is built), and nullspaces are taken by SVD with a relative
+singular-value threshold of 10^-10; at a simple root the one null vector is
+the normalized adjugate column.
 
 For a symmetric pencil whose leading matrix is definite (by `inertia`),
 every root is real and vectors of distinct roots are orthogonal in both
@@ -135,18 +135,19 @@ def adjugate_eigenvector(pencil: Pencil, root: RealRoot, path: str = "auto"):
     """Eigenvector as the first non-null column of the adjugate of the
     characteristic matrix at the root.
 
-    Exact path: satisfies (characteristic matrix)(root) @ v = 0 exactly; the
-    vector is sign-normalized (first nonzero entry positive).  Floating
-    path: the adjugate has rank one exactly when the nullity is one, and
-    its columns then span the nullspace, so the vector is the unit SVD null
-    vector.  An all-zero adjugate (nullity above one) means the root has
-    higher geometric multiplicity; use `nullspace_at_root` then.
+    Exact path: the pencil's cached polynomial adjugate evaluated at the
+    root, whose nonzero columns satisfy (characteristic matrix)(root) @ v = 0
+    exactly; the vector is sign-normalized (first nonzero entry positive).
+    Floating path: the adjugate has rank one exactly when the nullity is
+    one, and its columns then span the nullspace, so the vector is the unit
+    SVD null vector.  An all-zero adjugate (nullity above one) means the
+    root has higher geometric multiplicity; use `nullspace_at_root` then.
     """
     mode = _decide_path(root, path)
     if mode == "exact":
-        adj = pencil.evaluate(root.value).adjugate()
+        adj = pencil.char_adjugate()
         for j in range(adj.cols):
-            col = adj.col(j)
+            col = tuple(adj.entry(i, j).evaluate(root.value) for i in range(adj.rows))
             if any(v != 0 for v in col):
                 return _sign_normalize(col)
     else:

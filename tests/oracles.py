@@ -3,7 +3,9 @@
 Everything here deliberately avoids the code paths it checks: determinants
 by cofactor expansion instead of interpolation/Bareiss, adjugates entry by
 entry from those cofactors instead of elimination/interpolation, minor-GCD
-chains by enumerating every minor instead of Smith-form elimination, the matrix
+chains by enumerating every minor instead of Smith-form elimination,
+diagonalizability from the Smith form's minimal polynomial instead of
+adjugate divisibility, the matrix
 exponential by a scaled-and-squared Taylor series instead of spectral
 projectors, root brackets by plain bisection instead of Sturm machinery,
 interval narrowing one halving at a time instead of quadratic interval
@@ -29,10 +31,15 @@ from fractions import Fraction
 import numpy as np
 
 from secular.errors import InternalError, PathUnavailableError, PreconditionError
-from secular.invariants import MinorGcdChain, _congruence_diagonal
+from secular.invariants import (
+    MinorGcdChain,
+    _congruence_diagonal,
+    invariant_factors,
+    minor_gcd_chain,
+)
 from secular.matrices import Pencil, PolyMatrix, RatMatrix, det_rational
 from secular.oscillate import Trajectory
-from secular.polynomials import ONE, Poly, poly_gcd
+from secular.polynomials import ONE, Poly, poly_gcd, squarefree_decompose
 
 
 def poly_from_roots(roots) -> Poly:
@@ -291,6 +298,33 @@ def minor_gcd_chain_by_minors(P: PolyMatrix) -> MinorGcdChain:
         deltas.append(g)
     deltas.append(full.monic())
     return MinorGcdChain(tuple(deltas))
+
+
+def is_diagonalizable_by_smith(P: Pencil | RatMatrix) -> tuple[bool, tuple]:
+    """Diagonalizability the long way: the verdict is square-freeness of the
+    minimal polynomial, the last invariant factor of a Smith form, by
+    gcd(minimal, minimal'); each multiple root's record tests its factor to
+    the power mu-1 against Delta_(n-1) of the same chain."""
+    if isinstance(P, RatMatrix):
+        P = Pencil.similarity(P)
+    if P.orientation != "sA-B" or P.A != RatMatrix.identity(P.size):
+        raise PreconditionError(
+            "diagonalizability test expects the pencil lambda*I - A"
+        )
+    chain = minor_gcd_chain(P.char_matrix())
+    minimal = invariant_factors(chain).factors[-1]
+    verdict = poly_gcd(minimal, minimal.derivative()).degree() <= 0
+    # evidence in Jordan's multiple-root formulation
+    n = P.size
+    records = []
+    charpoly = chain.deltas[-1]
+    sub_gcd = chain.deltas[-2] if n >= 2 else Poly([1])
+    for factor, mult in squarefree_decompose(charpoly):
+        if mult < 2:
+            continue
+        annihilates = (factor ** (mult - 1)).divides(sub_gcd)
+        records.append((factor, mult, annihilates))
+    return verdict, tuple(records)
 
 
 def residue_by_deflation(adj: PolyMatrix, f: Poly, root: Fraction, mult: int) -> RatMatrix:

@@ -172,6 +172,228 @@ DRIFT_SOLVE_JORDAN = (
     '}\n'
 )
 
+# `diagonalizable` and `weierstrass-reduce` stdout as the Smith-form verdict
+# and the per-call adjugates printed it, byte for byte: a Jordan block
+# (witness false), a scalar matrix (witness true), a pair with the double
+# root 2 and a negative definite pair.
+JORDAN_BLOCK_DOC = {"rows": 2, "cols": 2, "entries": ["2", "1", "0", "2"]}
+IDENTITY_DOC = {"rows": 2, "cols": 2, "entries": ["1", "0", "0", "1"]}
+REPEATED_PAIR_DOC = {
+    "phi": {"rows": 3, "cols": 3, "entries": ["2", "1", "0", "1", "2", "0", "0", "0", "1"]},
+    "psi": {"rows": 3, "cols": 3, "entries": ["4", "2", "0", "2", "4", "0", "0", "0", "3"]},
+}
+NEGATIVE_PAIR_DOC = {
+    "phi": {"rows": 2, "cols": 2, "entries": ["-2", "1", "1", "-2"]},
+    "psi": {"rows": 2, "cols": 2, "entries": ["-3", "0", "0", "-3"]},
+}
+NOTE23_DIAGONALIZABLE = (
+    '{\n'
+    '  "diagonalizable": true,\n'
+    '  "path": "exact",\n'
+    '  "provenance": {\n'
+    '    "algorithm": "simple-elementary-divisors-test",\n'
+    '    "source": "jordan-1871"\n'
+    '  },\n'
+    '  "witness": []\n'
+    '}\n'
+)
+JORDAN_BLOCK_DIAGONALIZABLE = (
+    '{\n'
+    '  "diagonalizable": false,\n'
+    '  "path": "exact",\n'
+    '  "provenance": {\n'
+    '    "algorithm": "simple-elementary-divisors-test",\n'
+    '    "source": "jordan-1871"\n'
+    '  },\n'
+    '  "witness": [\n'
+    '    {\n'
+    '      "annihilates_minors_to_order": false,\n'
+    '      "factor": {\n'
+    '        "coefficients": [\n'
+    '          "-2/1",\n'
+    '          "1/1"\n'
+    '        ],\n'
+    '        "display": "x-2"\n'
+    '      },\n'
+    '      "multiplicity": 2\n'
+    '    }\n'
+    '  ]\n'
+    '}\n'
+)
+IDENTITY_DIAGONALIZABLE = (
+    '{\n'
+    '  "diagonalizable": true,\n'
+    '  "path": "exact",\n'
+    '  "provenance": {\n'
+    '    "algorithm": "simple-elementary-divisors-test",\n'
+    '    "source": "jordan-1871"\n'
+    '  },\n'
+    '  "witness": [\n'
+    '    {\n'
+    '      "annihilates_minors_to_order": true,\n'
+    '      "factor": {\n'
+    '        "coefficients": [\n'
+    '          "-1/1",\n'
+    '          "1/1"\n'
+    '        ],\n'
+    '        "display": "x-1"\n'
+    '      },\n'
+    '      "multiplicity": 2\n'
+    '    }\n'
+    '  ]\n'
+    '}\n'
+)
+REPEATED_PAIR_REDUCE = (
+    '{\n'
+    '  "circumstance_check": [\n'
+    '    {\n'
+    '      "divisible": true,\n'
+    '      "factor": {\n'
+    '        "coefficients": [\n'
+    '          "-3/1",\n'
+    '          "1/1"\n'
+    '        ],\n'
+    '        "display": "x-3"\n'
+    '      },\n'
+    '      "multiplicity": 1\n'
+    '    },\n'
+    '    {\n'
+    '      "divisible": true,\n'
+    '      "factor": {\n'
+    '        "coefficients": [\n'
+    '          "-2/1",\n'
+    '          "1/1"\n'
+    '        ],\n'
+    '        "display": "x-2"\n'
+    '      },\n'
+    '      "multiplicity": 2\n'
+    '    }\n'
+    '  ],\n'
+    '  "components": [\n'
+    '    {\n'
+    '      "multiplicity": 2,\n'
+    '      "root": {\n'
+    '        "kind": "exact",\n'
+    '        "multiplicity": 2,\n'
+    '        "value": "2/1"\n'
+    '      },\n'
+    '      "theta": {\n'
+    '        "cols": 3,\n'
+    '        "entries": [\n'
+    '          "2/1",\n'
+    '          "1/1",\n'
+    '          "0/1",\n'
+    '          "1/1",\n'
+    '          "2/1",\n'
+    '          "0/1",\n'
+    '          "0/1",\n'
+    '          "0/1",\n'
+    '          "0/1"\n'
+    '        ],\n'
+    '        "rows": 3,\n'
+    '        "symmetric": true\n'
+    '      }\n'
+    '    },\n'
+    '    {\n'
+    '      "multiplicity": 1,\n'
+    '      "root": {\n'
+    '        "kind": "exact",\n'
+    '        "multiplicity": 1,\n'
+    '        "value": "3/1"\n'
+    '      },\n'
+    '      "theta": {\n'
+    '        "cols": 3,\n'
+    '        "entries": [\n'
+    '          "0/1",\n'
+    '          "0/1",\n'
+    '          "0/1",\n'
+    '          "0/1",\n'
+    '          "0/1",\n'
+    '          "0/1",\n'
+    '          "0/1",\n'
+    '          "0/1",\n'
+    '          "1/1"\n'
+    '        ],\n'
+    '        "rows": 3,\n'
+    '        "symmetric": true\n'
+    '      }\n'
+    '    }\n'
+    '  ],\n'
+    '  "definiteness": "positive",\n'
+    '  "path": "exact",\n'
+    '  "provenance": {\n'
+    '    "algorithm": "definite-pair-reduction",\n'
+    '    "source": "weierstrass-1858"\n'
+    '  },\n'
+    '  "verified": true\n'
+    '}\n'
+)
+NEGATIVE_PAIR_REDUCE = (
+    '{\n'
+    '  "circumstance_check": [\n'
+    '    {\n'
+    '      "divisible": true,\n'
+    '      "factor": {\n'
+    '        "coefficients": [\n'
+    '          "3/1",\n'
+    '          "-4/1",\n'
+    '          "1/1"\n'
+    '        ],\n'
+    '        "display": "x^2-4*x+3"\n'
+    '      },\n'
+    '      "multiplicity": 1\n'
+    '    }\n'
+    '  ],\n'
+    '  "components": [\n'
+    '    {\n'
+    '      "multiplicity": 1,\n'
+    '      "root": {\n'
+    '        "kind": "exact",\n'
+    '        "multiplicity": 1,\n'
+    '        "value": "1/1"\n'
+    '      },\n'
+    '      "theta": {\n'
+    '        "cols": 2,\n'
+    '        "entries": [\n'
+    '          "-3/2",\n'
+    '          "3/2",\n'
+    '          "3/2",\n'
+    '          "-3/2"\n'
+    '        ],\n'
+    '        "rows": 2,\n'
+    '        "symmetric": true\n'
+    '      }\n'
+    '    },\n'
+    '    {\n'
+    '      "multiplicity": 1,\n'
+    '      "root": {\n'
+    '        "kind": "exact",\n'
+    '        "multiplicity": 1,\n'
+    '        "value": "3/1"\n'
+    '      },\n'
+    '      "theta": {\n'
+    '        "cols": 2,\n'
+    '        "entries": [\n'
+    '          "-1/2",\n'
+    '          "-1/2",\n'
+    '          "-1/2",\n'
+    '          "-1/2"\n'
+    '        ],\n'
+    '        "rows": 2,\n'
+    '        "symmetric": true\n'
+    '      }\n'
+    '    }\n'
+    '  ],\n'
+    '  "definiteness": "negative",\n'
+    '  "path": "exact",\n'
+    '  "provenance": {\n'
+    '    "algorithm": "definite-pair-reduction",\n'
+    '    "source": "weierstrass-1858"\n'
+    '  },\n'
+    '  "verified": true\n'
+    '}\n'
+)
+
 
 @pytest.fixture
 def note23_file(tmp_path):
@@ -518,6 +740,20 @@ class TestDeterminism:
         assert run(["solve", "--method", "jordan", "--input", doc]) == 0
         assert capsys.readouterr().out == DRIFT_SOLVE_JORDAN
 
+    @pytest.mark.parametrize(
+        "verb, doc, expected",
+        [("diagonalizable", NOTE23_DOC, NOTE23_DIAGONALIZABLE),
+         ("diagonalizable", JORDAN_BLOCK_DOC, JORDAN_BLOCK_DIAGONALIZABLE),
+         ("diagonalizable", IDENTITY_DOC, IDENTITY_DIAGONALIZABLE),
+         ("weierstrass-reduce", REPEATED_PAIR_DOC, REPEATED_PAIR_REDUCE),
+         ("weierstrass-reduce", NEGATIVE_PAIR_DOC, NEGATIVE_PAIR_REDUCE)],
+        ids=["note23", "jordan-block", "identity", "repeated-root", "negative-definite"],
+    )
+    def test_divisibility_verbs_stdout_pinned(self, tmp_path, capsys, verb, doc, expected):
+        path = write_json(tmp_path, "in.json", doc)
+        assert run([verb, "--input", path]) == 0
+        assert capsys.readouterr().out == expected
+
     def test_byte_identical_repeats(self, tmp_path, note23_file):
         _, first = run_to_file(["roots", "--input", note23_file], tmp_path, "a.json")
         _, second = run_to_file(["roots", "--input", note23_file], tmp_path, "b.json")
@@ -633,6 +869,17 @@ class TestExitCodes:
         assert "precondition violated" in captured.err
         assert "beyond floating-point range" in captured.err
         assert "RuntimeWarning" not in captured.err
+
+    def test_nan_t_max_exits_3(self, tmp_path, capsys):
+        doc = write_json(tmp_path, "s.json", {
+            "kind": "coupled-springs",
+            "parameters": {"m": "1", "k": "1", "k0": "1"},
+            "initial": {"positions": ["1", "0"], "velocities": ["0", "0"]},
+        })
+        assert run(["trajectory", "--input", doc, "--t-max", "nan"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "grid needs t_max >= 0" in captured.err
 
     def test_fractional_string_masses_exits_3(self, tmp_path, capsys):
         # int() would truncate 5/2 to 2 masses

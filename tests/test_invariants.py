@@ -15,7 +15,13 @@ from secular.invariants import (
 from secular.matrices import Pencil, PolyMatrix, RatMatrix
 from secular.polynomials import Poly
 
-from oracles import congruence_signature, minor_gcd_chain_by_minors, poly_from_roots
+from oracles import (
+    congruence_signature,
+    conjugated_jordan,
+    is_diagonalizable_by_smith,
+    minor_gcd_chain_by_minors,
+    poly_from_roots,
+)
 
 NOTE23 = RatMatrix.from_rows([[1, -1, 0], [-1, 2, 1], [0, 1, 1]])
 
@@ -313,6 +319,33 @@ class TestDiagonalizable:
         P = Pencil.classical(NOTE23)
         with pytest.raises(PreconditionError):
             is_diagonalizable(P)
+
+
+class TestDiagonalizableAgainstSmithForm:
+    """Adjugate divisibility gives the verdict and witness records of the
+    Smith-form route (minimal polynomial square-free by gcd with its
+    derivative, records tested against Delta_(n-1))."""
+
+    def check(self, M):
+        ok, witness = is_diagonalizable(M)
+        assert (ok, witness.records) == is_diagonalizable_by_smith(M)
+        assert ok == witness.ok
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_conjugated_jordan(self, seed):
+        rng = random.Random(1400 + seed)
+        for n in range(7):
+            for _ in range(4):
+                self.check(conjugated_jordan(rng, n))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_integer(self, seed):
+        # entries in -1..1 make repeated eigenvalues common
+        rng = random.Random(1500 + seed)
+        for n in range(1, 6):
+            for _ in range(10):
+                self.check(RatMatrix.from_rows(
+                    [[rng.randint(-1, 1) for _ in range(n)] for _ in range(n)]))
 
 
 class TestInertia:

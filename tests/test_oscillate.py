@@ -266,6 +266,12 @@ class TestSolveJordan:
         with pytest.raises(PathUnavailableError):
             solve_jordan(M, [1, 1], path="float")
 
+    def test_infinite_phase_overflows(self):
+        # omega*t = 2e308 is inf, where math.cos and math.sin raise ValueError
+        sol = solve_jordan(RatMatrix.from_rows([[0, -2], [2, 0]]), [1, 0], path="float")
+        with pytest.raises(OverflowError):
+            sol.evaluate(1e308)
+
 
 class TestProjectorsAndExpm:
     def test_projector_identities_note71(self):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from secular import realroots
 from secular.errors import PreconditionError
-from secular.matrices import RatMatrix
+from secular.matrices import Pencil, RatMatrix
 from secular.oscillate import build_model
 from secular.polynomials import Poly, poly_gcd
 from secular.realroots import (
@@ -512,6 +512,51 @@ class TestQuadraticRefinement:
         assert halvings == []
         root = refine_root(RealRoot.isolated(1, 2, P(*cs)), Fraction(1, 4))
         assert (root.lo, root.hi) == (Fraction(5, 4), Fraction(3, 2))
+
+
+class TestDisjointRoots:
+    """`darboux_signature_steps` samples between consecutive roots a, b at
+    (a.hi + b.lo) / 2 and refines nothing: isolating intervals are pairwise
+    disjoint and exact roots lie outside them, ends included."""
+
+    def check(self, p, width):
+        roots = sturm_isolate(p, width)
+        for a, b in zip(roots, roots[1:]):
+            assert a.hi <= b.lo
+            assert p.evaluate((a.hi + b.lo) / 2) != 0
+        return roots
+
+    @pytest.mark.parametrize(
+        "factors",
+        [
+            # sqrt(2) next to its convergents 7/5 and 99/70, one of them double
+            [(P(-2, 0, 1), 1), (P(-7, 5), 2), (P(-99, 70), 1)],
+            # a triple rational root between two irrational pairs
+            [(P(-1, 1), 3), (P(-3, 0, 1), 1), (P(-1, 0, 0, 1), 2)],
+            # (x^2 - 2)(x^2 - 2 - 10^-20): two roots 3.5e-21 apart, and 3/2
+            [(P(*CLUSTER), 1), (P(-3, 2), 2)],
+            [(P(-2, 1), 2), (P(-2, 0, 1), 3), (P(-1, 2), 1), (P(0, 1), 1)],
+        ],
+    )
+    @pytest.mark.parametrize("width", [Fraction(10), Fraction(1, 1000), Fraction(1, 10**30)])
+    def test_planted_factors(self, factors, width):
+        p = Poly([1])
+        for f, e in factors:
+            p = p * f**e
+        roots = self.check(p, width)
+        assert {r.kind for r in roots} == {"exact", "isolated"}
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_symmetric_characteristic_polynomials(self, seed):
+        rng = random.Random(1600 + seed)
+        for _ in range(30):
+            n = rng.randint(2, 5)
+            rows = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    rows[i][j] = rows[j][i] = rng.randint(-3, 3)
+            p = Pencil.similarity(RatMatrix.from_rows(rows)).char_poly()
+            self.check(p, Fraction(1, 10**30))
 
 
 class TestIntegerSturmChain:
