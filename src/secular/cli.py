@@ -11,6 +11,7 @@ the algorithm and its historical source label, plus the arithmetic path
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from fractions import Fraction
 
@@ -102,6 +103,25 @@ def _positive_rational(text: str) -> Fraction:
     value = _rational(text)
     if value <= 0:
         raise argparse.ArgumentTypeError(f"must be positive: {text!r}")
+    return value
+
+
+def _finite_float(text: str) -> float:
+    """argparse type for --time: a finite floating-point number."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite: {text!r}")
+    return value
+
+
+def _tolerance(text: str) -> float:
+    """argparse type for --tolerance: a finite float at or above zero."""
+    value = _finite_float(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {text!r}")
     return value
 
 
@@ -376,8 +396,10 @@ def build_parser() -> argparse.ArgumentParser:
     add("inertia", _cmd_inertia)
     add("darboux-steps", _cmd_darboux_steps)
     add("weierstrass-reduce", _cmd_weierstrass_reduce, path=path,
-        tolerance={"type": float, "default": DEFAULT_TOLERANCE})
-    add("expm", _cmd_expm, time={"type": float, "default": 1.0})
+        tolerance={"type": _tolerance, "default": DEFAULT_TOLERANCE,
+                   "help": "float residual tolerance (finite, >= 0)"})
+    add("expm", _cmd_expm,
+        time={"type": _finite_float, "default": 1.0, "help": "time t (finite)"})
     add("solve", _cmd_solve, path=path,
         method={"choices": ["modal", "jordan"], "default": "modal"})
     add("classify", _cmd_classify)

@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import gcd as int_gcd
+from math import lcm as int_lcm
 from typing import Iterable, Sequence
 
 from .errors import PreconditionError
@@ -151,10 +152,26 @@ class Poly:
         return divmod(self, other)[1]
 
     def divides(self, other: "Poly") -> bool:
-        """True iff self divides other exactly (zero divides only zero)."""
+        """True iff self divides other exactly (zero divides only zero).
+
+        By Gauss's lemma a primitive integer polynomial divides another over
+        Q exactly when it does over Z, so the primitive integer parts are
+        divided in integers, and a leading quotient coefficient that is not
+        an integer settles the answer at once.
+        """
         if self.is_zero():
             return other.is_zero()
-        return (other % self).is_zero()
+        _, g = _primitive_ints(self)
+        _, rem = _primitive_ints(other)
+        dg, lc = len(g) - 1, g[-1]
+        for k in range(len(rem) - 1 - dg, -1, -1):
+            c, r = divmod(rem[k + dg], lc)
+            if r:
+                return False
+            if c:
+                for j, b in enumerate(g):
+                    rem[k + j] -= c * b
+        return not any(rem[:dg])
 
     # -- calculus / evaluation ----------------------------------------------
 
@@ -169,21 +186,31 @@ class Poly:
         return Poly([k * c for k, c in enumerate(self.coeffs)][1:])
 
     def taylor(self, a, count: int) -> list:
-        """The first `count` coefficients of self in powers of (x - a); the
-        k-th is the k-th derivative at a over k!.
+        """The first `count` coefficients of self in powers of (x - a), for
+        rational a = p/q; the k-th is the k-th derivative at a over k!.
 
-        Each coefficient is the remainder of one synthetic division by
-        (x - a), taken in place on the quotient of the previous one.
+        With self = content * P, P primitive of degree d, the integer
+        polynomial q^d P(y/q) has Taylor coefficients T_k at the integer
+        y = p, each the remainder of one synthetic division by (y - p) taken
+        in place on the quotient of the previous one (iterated homogeneous
+        Horner).  The k-th coefficient of self is content * T_k / q^(d-k).
         """
-        cs = list(self.coeffs)
+        a = Fraction(a)
+        p, q = a.numerator, a.denominator
+        content, cs = _primitive_ints(self)
+        d = len(cs) - 1
+        qk = 1
+        for i in range(d - 1, -1, -1):
+            qk *= q
+            cs[i] *= qk
+        num, den = content.numerator, content.denominator
         out = []
-        for _ in range(count):
-            acc = 0 * a
-            for i in range(len(cs) - 1, -1, -1):
-                acc = cs[i] = acc * a + cs[i]
-            out.append(acc)
-            cs = cs[1:]
-        return out
+        for k in range(min(count, d + 1)):
+            acc = 0
+            for i in range(d, k - 1, -1):
+                acc = cs[i] = acc * p + cs[i]
+            out.append(Fraction(num * acc, den * q ** (d - k)))
+        return out + [Fraction(0)] * (count - len(out))
 
     # -- normal forms ---------------------------------------------------------
 
@@ -198,18 +225,8 @@ class Poly:
         The primitive part has coprime integer coefficients and positive
         leading coefficient; content carries the sign.
         """
-        if self.is_zero():
-            return Fraction(0), ZERO
-        denom = 1
-        for c in self.coeffs:
-            denom = denom * c.denominator // int_gcd(denom, c.denominator)
-        ints = [c.numerator * (denom // c.denominator) for c in self.coeffs]
-        g = 0
-        for v in ints:
-            g = int_gcd(g, abs(v))
-        if ints[-1] < 0:
-            g = -g
-        return Fraction(g, denom), Poly([v // g for v in ints])
+        content, ints = _primitive_ints(self)
+        return content, Poly(ints)
 
     # -- presentation ---------------------------------------------------------
 
@@ -234,6 +251,21 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({self.to_string()})"
+
+
+def _primitive_ints(p: Poly) -> tuple[Fraction, list[int]]:
+    """(content, ints) with p = content * ints: the coefficients, lowest
+    degree first, as coprime integers with a positive leading one, in a
+    fresh list the caller may consume; content carries the sign.  The zero
+    polynomial gives (0, [])."""
+    if p.is_zero():
+        return Fraction(0), []
+    denom = int_lcm(*[c.denominator for c in p.coeffs])
+    ints = [c.numerator * (denom // c.denominator) for c in p.coeffs]
+    g = int_gcd(*ints)
+    if ints[-1] < 0:
+        g = -g
+    return Fraction(g, denom), [v // g for v in ints]
 
 
 def _frac_str(f: Fraction) -> str:

@@ -12,7 +12,9 @@ and f(s) = (s - s_mu)^lambda_mu * h(s), the matrix R_mu = G(s_mu) / h(s_mu) is
 the residue of the pencil inverse at s_mu and theta_mu = Phi @ R_mu @ Phi.
 G(s_mu) and h(s_mu) are Taylor coefficients at the root, of order
 lambda_mu - 1 of every adjugate entry and of order lambda_mu of f, read off
-by repeated synthetic division; no quotient polynomial is formed.  The
+by integer homogeneous Horner (`Poly.taylor`); no quotient polynomial is
+formed.  On the exact path the sums Phi = sum(theta) and Psi =
+sum(s_mu * theta) are checked in integers over one common denominator.  The
 construction never branches on the multiplicity: the divisibility of every
 adjugate entry by (s - s_mu)^(lambda_mu - 1) -- checkable exactly, see
 `remarkable_circumstance_check` -- is what keeps the residues finite, and on
@@ -34,7 +36,7 @@ from typing import TYPE_CHECKING
 
 from .errors import PathUnavailableError, PreconditionError
 from .invariants import MinorDivisibility, _minor_divisibility, inertia
-from .matrices import Pencil, PolyMatrix, RatMatrix
+from .matrices import Pencil, PolyMatrix, RatMatrix, _linear_combination
 from .polynomials import Poly
 from .realroots import RealRoot, refine_root
 from .spectral import FLOAT_ROOT_WIDTH
@@ -154,7 +156,7 @@ def _residue(adj: PolyMatrix, f: Poly, point: Fraction, mult: int, exact: bool):
             )
         if any(h[:-1]):
             raise PreconditionError("root multiplicity mismatch during deflation")
-        return RatMatrix(adj.rows, adj.cols, tuple(cs[-1] for cs in g)).scale(1 / h[-1])
+        return RatMatrix(adj.rows, adj.cols, tuple([cs[-1] for cs in g])).scale(1 / h[-1])
 
     import numpy as np
 
@@ -163,6 +165,16 @@ def _residue(adj: PolyMatrix, f: Poly, point: Fraction, mult: int, exact: bool):
 
     G = np.array([rounded(cs[-1], mult - 1) for cs in g]).reshape(adj.rows, adj.cols)
     return G / rounded(h[-1], mult)
+
+
+def _exact_residuals(comps, pair: QuadraticPair) -> tuple[RatMatrix, RatMatrix]:
+    """sum(theta) - Phi and sum(root * theta) - Psi over exact components,
+    each in integers over one common denominator."""
+    thetas = [c.theta for c in comps]
+    return (
+        _linear_combination([1] * len(thetas) + [-1], thetas + [pair.phi]),
+        _linear_combination([c.root.value for c in comps] + [-1], thetas + [pair.psi]),
+    )
 
 
 def theta_components(pair: QuadraticPair, path: str = "auto") -> ThetaDecomposition:
@@ -208,12 +220,7 @@ def theta_components(pair: QuadraticPair, path: str = "auto") -> ThetaDecomposit
             theta = tuple(tuple(float(x) for x in row) for row in (theta + theta.T) / 2)
         comps.append(ThetaComponent(root, root.multiplicity, theta))
     if mode == "exact":
-        sum_theta = RatMatrix.zeros(n, n)
-        sum_s_theta = RatMatrix.zeros(n, n)
-        for c in comps:
-            sum_theta = sum_theta + c.theta
-            sum_s_theta = sum_s_theta + c.theta.scale(c.root.value)
-        if sum_theta != pair.phi or sum_s_theta != pair.psi:
+        if any(any(res.entries) for res in _exact_residuals(comps, pair)):
             raise PreconditionError(
                 "residue components do not reassemble the pair; the leading"
                 " form is not definite"
@@ -249,22 +256,17 @@ def verify_theorem(
     sign = 1 if pair.definiteness == "positive" else -1
     mult_ok = sum(c.multiplicity for c in dec.components) == n
     if dec.path == "exact":
-        sum_theta = RatMatrix.zeros(n, n)
-        sum_s_theta = RatMatrix.zeros(n, n)
         ranks_ok = True
         semidef_ok = True
         for c in dec.components:
             assert isinstance(c.theta, RatMatrix)
-            sum_theta = sum_theta + c.theta
-            sum_s_theta = sum_s_theta + c.theta.scale(c.root.value)
-            rep = inertia(c.theta.scale(sign))
+            rep = inertia(c.theta)
             ranks_ok &= n - rep.zeros == c.multiplicity
-            semidef_ok &= rep.negatives == 0
-        phi_res = max(
-            (abs(v) for v in (sum_theta - pair.phi).entries), default=Fraction(0)
-        )
-        psi_res = max(
-            (abs(v) for v in (sum_s_theta - pair.psi).entries), default=Fraction(0)
+            # the signature of -theta swaps that of theta
+            semidef_ok &= (rep.negatives if sign > 0 else rep.positives) == 0
+        phi_res, psi_res = (
+            max((abs(v) for v in res.entries), default=Fraction(0))
+            for res in _exact_residuals(dec.components, pair)
         )
         ok = phi_res == 0 and psi_res == 0 and ranks_ok and semidef_ok and mult_ok
         return TheoremReport(ok, phi_res, psi_res, ranks_ok, semidef_ok, mult_ok, "exact")

@@ -38,7 +38,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import PreconditionError
-from .polynomials import Poly, squarefree_decompose
+from .polynomials import Poly, _primitive_ints, squarefree_decompose
 
 __all__ = [
     "RealRoot",
@@ -162,7 +162,7 @@ def _deflate(cs: tuple[int, ...], p: int, q: int) -> tuple[int, ...]:
 def _int_model(p: Poly) -> tuple[int, ...]:
     """The primitive integer multiple of p with positive leading coefficient,
     as ints, lowest degree first."""
-    return tuple(c.numerator for c in p.integer_primitive()[1].coeffs)
+    return tuple(_primitive_ints(p)[1])
 
 
 def _value_at(cs: tuple[int, ...], n: int, d: int) -> int:

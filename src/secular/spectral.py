@@ -19,11 +19,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import TYPE_CHECKING
 
 from .errors import InternalError, PathUnavailableError, PreconditionError
 from .invariants import inertia
-from .matrices import Pencil, RatMatrix
+from .matrices import Pencil, RatMatrix, _integer_model
 from .polynomials import Poly
 from .realroots import RealRoot, refine_root
 
@@ -127,7 +128,7 @@ def _decide_path(root: RealRoot, path: str) -> str:
 def _sign_normalize(vec: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
     lead = next((v for v in vec if v != 0), None)
     if lead is not None and lead < 0:
-        return tuple(-v for v in vec)
+        return tuple([-v for v in vec])
     return vec
 
 
@@ -216,11 +217,13 @@ def cauchy_orthogonality(dec: SpectralDecomposition, B: RatMatrix) -> Orthogonal
 
 
 def _bilinear(B: RatMatrix, v, w) -> Fraction:
-    return sum(
-        (Fraction(v[i]) * B.entry(i, j) * Fraction(w[j])
-         for i in range(B.rows) for j in range(B.cols)),
-        Fraction(0),
-    )
+    """v^T B w in integers on the integer models of B, v and w, divided
+    once by the product of their denominators."""
+    L, (m,) = _integer_model(B)
+    Lv, ((vi,),) = _integer_model(RatMatrix(1, len(v), tuple(v)))
+    Lw, ((wi,),) = _integer_model(RatMatrix(1, len(w), tuple(w)))
+    return Fraction(sum(x * sum(map(mul, row, wi)) for x, row in zip(vi, m)),
+                    L * Lv * Lw)
 
 
 def q_factor(p: Poly, root: RealRoot) -> QFactor:

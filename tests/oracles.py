@@ -15,7 +15,11 @@ symbolic derivatives, residues by polynomial deflation instead of Taylor
 coefficients, signatures from the congruence diagonal instead of
 leading minors, and spectral projectors by Bezout partial fractions with
 chain lengths from the rank of matrix powers instead of the resolvent's
-principal parts.  The float kernels keep their former definitions here:
+principal parts.  The exact kernels that now run in integers over one
+common denominator keep their former `Fraction` definitions here: Taylor
+coefficients by synthetic division, divisibility by `divmod`, matrix
+products, linear combinations, bilinear forms, the characteristic matrix
+at a point, and rank and nullspace from the reduced row echelon form.  The float kernels keep their former definitions too:
 the characteristic matrix as a Fraction matrix converted entry by entry,
 trajectories one time at a time, and leading minors as one block
 determinant each.  The small constructors and products the tests build
@@ -367,9 +371,122 @@ def verify_jordan_exact(sol) -> bool:
     return True
 
 
+def char_matrix_by_fractions(pencil: Pencil, s) -> RatMatrix:
+    """The characteristic matrix at a rational point by Fraction scaling and
+    subtraction of the pencil's two matrices."""
+    s = Fraction(s)
+    if pencil.orientation == "sA-B":
+        return pencil.A.scale(s) - pencil.B
+    return pencil.A - pencil.B.scale(s)
+
+
 def float_char_matrix_by_fractions(pencil, x) -> np.ndarray:
     """The characteristic matrix at x as Fractions, then each entry to float."""
-    return pencil.evaluate(x).to_numpy()
+    return char_matrix_by_fractions(pencil, x).to_numpy()
+
+
+def taylor_by_fractions(p: Poly, a, count: int) -> list:
+    """The first `count` coefficients of p in powers of (x - a): each is the
+    remainder of one Fraction synthetic division by (x - a), taken in place
+    on the quotient of the previous one."""
+    cs = list(p.coeffs)
+    out = []
+    for _ in range(count):
+        acc = 0 * a
+        for i in range(len(cs) - 1, -1, -1):
+            acc = cs[i] = acc * a + cs[i]
+        out.append(acc)
+        cs = cs[1:]
+    return out
+
+
+def divides_by_divmod(g: Poly, e: Poly) -> bool:
+    """True iff g divides e exactly, by the remainder of Fraction division
+    (zero divides only zero)."""
+    if g.is_zero():
+        return e.is_zero()
+    return (e % g).is_zero()
+
+
+def matmul_by_fractions(A: RatMatrix, B: RatMatrix) -> RatMatrix:
+    """The matrix product by Fraction dot products."""
+    if A.cols != B.rows:
+        raise PreconditionError("matrix shape mismatch in product")
+    out = []
+    for i in range(A.rows):
+        ri = A.row(i)
+        out.append(
+            [
+                sum((ri[k] * B.entry(k, j) for k in range(A.cols)),
+                    Fraction(0))
+                for j in range(B.cols)
+            ]
+        )
+    return RatMatrix.from_rows(out)
+
+
+def linear_combination_by_fractions(weights, matrices) -> RatMatrix:
+    """sum of w * M from a zero matrix, by Fraction scaling and addition."""
+    total = RatMatrix.zeros(matrices[0].rows, matrices[0].cols)
+    for w, M in zip(weights, matrices):
+        total = total + M.scale(w)
+    return total
+
+
+def _rref_by_fractions(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form by Fraction row operations; returns (rows,
+    pivot column list)."""
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        pv = rows[r][c]
+        rows[r] = [v / pv for v in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return rows, pivots
+
+
+def rank_by_fractions(M: RatMatrix) -> int:
+    """Rank as the pivot count of the Fraction reduced row echelon form."""
+    return len(_rref_by_fractions(M.to_rows())[1])
+
+
+def nullspace_by_fractions(M: RatMatrix) -> list[tuple]:
+    """Nullspace basis from the Fraction reduced row echelon form: one vector
+    per free column, 1 in that coordinate."""
+    reduced, pivots = _rref_by_fractions(M.to_rows())
+    pivot_of_col = {c: r for r, c in enumerate(pivots)}
+    basis = []
+    for j in range(M.cols):
+        if j in pivot_of_col:
+            continue
+        v = [Fraction(0)] * M.cols
+        v[j] = Fraction(1)
+        for c, r in pivot_of_col.items():
+            v[c] = -reduced[r][j]
+        basis.append(tuple(v))
+    return basis
+
+
+def bilinear_by_fractions(B: RatMatrix, v, w) -> Fraction:
+    """v^T B w as a sum of Fraction products."""
+    return sum(
+        (Fraction(v[i]) * B.entry(i, j) * Fraction(w[j])
+         for i in range(B.rows) for j in range(B.cols)),
+        Fraction(0),
+    )
 
 
 def leading_minors_by_blocks(M: RatMatrix) -> list[Fraction]:

@@ -394,6 +394,44 @@ NEGATIVE_PAIR_REDUCE = (
     '}\n'
 )
 
+# `eigvec --path exact` stdout at the double root 1/2 of det(Psi - s*Phi),
+# Phi = S^T S and Psi = S^T diag(1/2, 1/2, 3) S for S = [[1,1,0],[0,1,1],
+# [0,0,1]]: the adjugate vanishes there, so the vectors are the nullspace
+# of the characteristic matrix at 1/2, as Fraction arithmetic printed them.
+REPEATED_ROOT_PENCIL_DOC = {
+    "A": {"rows": 3, "cols": 3,
+          "entries": ["1/2", "1/2", "0", "1/2", "1", "1/2", "0", "1/2", "7/2"]},
+    "B": {"rows": 3, "cols": 3,
+          "entries": ["1", "1", "0", "1", "2", "1", "0", "1", "2"]},
+    "orientation": "A-sB",
+}
+REPEATED_ROOT_EIGVEC = (
+    '{\n'
+    '  "path": "exact",\n'
+    '  "provenance": {\n'
+    '    "algorithm": "eigenvector-nullspace",\n'
+    '    "source": "cauchy-1829"\n'
+    '  },\n'
+    '  "root": {\n'
+    '    "kind": "exact",\n'
+    '    "multiplicity": 2,\n'
+    '    "value": "1/2"\n'
+    '  },\n'
+    '  "vectors": [\n'
+    '    [\n'
+    '      "1/1",\n'
+    '      "0/1",\n'
+    '      "0/1"\n'
+    '    ],\n'
+    '    [\n'
+    '      "0/1",\n'
+    '      "1/1",\n'
+    '      "0/1"\n'
+    '    ]\n'
+    '  ]\n'
+    '}\n'
+)
+
 
 @pytest.fixture
 def note23_file(tmp_path):
@@ -708,6 +746,26 @@ class TestFlags:
         assert "--root" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "verb, flag, value",
+        [("weierstrass-reduce", "--tolerance", "nan"),
+         ("weierstrass-reduce", "--tolerance", "inf"),
+         ("weierstrass-reduce", "--tolerance", "-1"),
+         ("weierstrass-reduce", "--tolerance", "abc"),
+         ("expm", "--time", "nan"),
+         ("expm", "--time", "inf"),
+         ("expm", "--time", "abc")],
+    )
+    def test_non_finite_number_exits_2(self, tmp_path, capsys, verb, flag, value):
+        # a NaN or infinite tolerance would make "verified" claim nothing
+        # true, and a NaN time is an invalid input rather than an overflow
+        doc = REPEATED_PAIR_DOC if verb == "weierstrass-reduce" else JORDAN_BLOCK_DOC
+        path = write_json(tmp_path, "in.json", doc)
+        with pytest.raises(SystemExit) as exc:
+            run([verb, "--input", path, flag, value])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "verb, flag",
         [("charpoly", ["--path", "float"]), ("inertia", ["--width", "1/10"]),
          ("roots", ["--tolerance", "1e-6"]), ("expm", ["--path", "exact"])],
@@ -753,6 +811,11 @@ class TestDeterminism:
         path = write_json(tmp_path, "in.json", doc)
         assert run([verb, "--input", path]) == 0
         assert capsys.readouterr().out == expected
+
+    def test_eigvec_nullspace_stdout_pinned(self, tmp_path, capsys):
+        path = write_json(tmp_path, "p.json", REPEATED_ROOT_PENCIL_DOC)
+        assert run(["eigvec", "--input", path, "--path", "exact", "--root-index", "1"]) == 0
+        assert capsys.readouterr().out == REPEATED_ROOT_EIGVEC
 
     def test_byte_identical_repeats(self, tmp_path, note23_file):
         _, first = run_to_file(["roots", "--input", note23_file], tmp_path, "a.json")

@@ -12,6 +12,7 @@ from secular.matrices import (
     ORIENTATIONS,
     Pencil,
     RatMatrix,
+    _linear_combination,
     adjugate_pencil,
     det_pencil,
     det_rational,
@@ -19,13 +20,18 @@ from secular.matrices import (
 from secular.polynomials import Poly
 
 from oracles import (
+    char_matrix_by_fractions,
     cofactor_adjugate_poly,
     cofactor_adjugate_rat,
     cofactor_det_poly,
     cofactor_det_rat,
     float_char_matrix_by_fractions,
     leading_minors_by_blocks,
+    linear_combination_by_fractions,
+    matmul_by_fractions,
+    nullspace_by_fractions,
     poly_matmul,
+    rank_by_fractions,
 )
 
 NOTE23 = RatMatrix.from_rows([[1, -1, 0], [-1, 2, 1], [0, 1, 1]])
@@ -455,6 +461,80 @@ class TestFloatCharMatrix:
         for call in (pencil.evaluate_float, lambda x: float_char_matrix_by_fractions(pencil, x)):
             with pytest.raises(OverflowError):
                 call(Fraction(10**10))
+
+
+mixed_fractions = st.one_of(
+    st.integers(-20, 20).map(Fraction),
+    st.fractions(min_value=-20, max_value=20, max_denominator=12),
+    st.fractions(min_value=-2, max_value=2, max_denominator=10**12),
+)
+
+
+def rat_matrices(rows, cols):
+    return st.lists(mixed_fractions, min_size=rows * cols, max_size=rows * cols).map(
+        lambda vs: RatMatrix(rows, cols, tuple(vs)))
+
+
+shapes = st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4))
+
+
+class TestIntegerKernelsAgainstFractionOracles:
+    """Products, linear combinations, rank, nullspace and the characteristic
+    matrix at a point run in integers over one common denominator; the
+    Fraction definitions in `oracles` give the same results."""
+
+    @given(shapes.flatmap(lambda s: st.tuples(rat_matrices(s[0], s[1]),
+                                              rat_matrices(s[1], s[2]))))
+    @settings(max_examples=50)
+    def test_product(self, operands):
+        A, B = operands
+        got = A @ B
+        assert (got.rows, got.cols) == (A.rows, B.cols)
+        assert all(type(v) is Fraction for v in got.entries)
+        if A.rows:
+            assert got == matmul_by_fractions(A, B)
+        else:
+            # from_rows([]) cannot tell the oracle's column count
+            assert got.entries == matmul_by_fractions(A, B).entries == ()
+
+    def test_product_shape_mismatch(self):
+        with pytest.raises(PreconditionError, match="shape mismatch"):
+            RatMatrix.zeros(2, 3) @ RatMatrix.zeros(2, 3)
+
+    @given(st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(1, 4)).flatmap(
+        lambda s: st.tuples(st.lists(mixed_fractions, min_size=s[2], max_size=s[2]),
+                            st.lists(rat_matrices(s[0], s[1]), min_size=s[2],
+                                     max_size=s[2]))))
+    @settings(max_examples=40)
+    def test_linear_combination(self, case):
+        weights, matrices = case
+        assert (_linear_combination(weights, matrices)
+                == linear_combination_by_fractions(weights, matrices))
+
+    @given(shapes.flatmap(lambda s: st.tuples(rat_matrices(s[0], s[1]),
+                                              rat_matrices(s[1], s[2]))),
+           st.booleans())
+    @settings(max_examples=60)
+    def test_rank_and_nullspace(self, factors, low_rank):
+        # a product through an inner dimension below both sides has deficient
+        # rank, so free columns sit between pivot columns
+        A, B = factors
+        M = A @ B if low_rank else A
+        assert M.rank() == rank_by_fractions(M)
+        basis = M.nullspace()
+        assert basis == nullspace_by_fractions(M)
+        assert all(type(x) is Fraction for v in basis for x in v)
+
+    @given(st.integers(0, 4).flatmap(lambda n: st.tuples(rat_matrices(n, n),
+                                                         rat_matrices(n, n))),
+           st.sampled_from(ORIENTATIONS),
+           st.one_of(st.just(Fraction(0)), mixed_fractions))
+    @settings(max_examples=50)
+    def test_characteristic_matrix_at_a_point(self, AB, orientation, s):
+        pencil = Pencil(*AB, orientation)
+        got = pencil.evaluate(s)
+        assert got == char_matrix_by_fractions(pencil, s)
+        assert all(type(v) is Fraction for v in got.entries)
 
 
 def with_zero_leading_minor(M: RatMatrix, k: int) -> RatMatrix:

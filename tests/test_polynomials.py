@@ -16,7 +16,12 @@ from secular.polynomials import (
 )
 from secular.polynomials import _interpolate, _kronecker_split_squarefree
 
-from oracles import expand_factors, poly_from_roots
+from oracles import (
+    divides_by_divmod,
+    expand_factors,
+    poly_from_roots,
+    taylor_by_fractions,
+)
 
 
 def P(*coeffs):
@@ -100,6 +105,68 @@ class TestTaylor:
             expected.append(d.evaluate(a) / math.factorial(j))
             d = d.derivative()
         assert p.taylor(a, count) == expected
+
+
+# rational points: 0, negative and positive small ones, and denominators up
+# to 10^15 so that the homogenizing powers q^(d-k) grow large
+taylor_points = st.one_of(
+    st.just(Fraction(0)),
+    small_fractions,
+    st.fractions(min_value=-3, max_value=3, max_denominator=10**15),
+)
+
+
+class TestTaylorAgainstFractionOracle:
+    @given(polys(), taylor_points, st.integers(0, 9))
+    @settings(max_examples=100)
+    def test_matches_synthetic_division(self, p, a, count):
+        # count runs past the degree (at most 6), and p may be zero
+        got = p.taylor(a, count)
+        assert got == taylor_by_fractions(p, a, count)
+        assert all(type(c) is Fraction for c in got)
+
+    @given(st.lists(st.fractions(min_value=-10**9, max_value=10**9,
+                                 max_denominator=10**9), max_size=8).map(Poly),
+           taylor_points, st.integers(0, 10))
+    @settings(max_examples=50)
+    def test_large_coefficients(self, p, a, count):
+        assert p.taylor(a, count) == taylor_by_fractions(p, a, count)
+
+    def test_zero_polynomial_beyond_any_degree(self):
+        assert Poly().taylor(Fraction(-7, 3), 4) == taylor_by_fractions(
+            Poly(), Fraction(-7, 3), 4) == [0, 0, 0, 0]
+
+
+class TestDividesAgainstDivmodOracle:
+    @given(polys(max_degree=3), polys(max_degree=3), polys(max_degree=2),
+           st.fractions(min_value=-9, max_value=9, max_denominator=7))
+    @settings(max_examples=100)
+    def test_multiples_and_perturbed_multiples(self, g, q, r, c):
+        # g scaled by c is non-monic and non-primitive; g * q is a multiple,
+        # g * q + r usually is not; g or q may be zero
+        g = g.scale(c)
+        for e in (g * q, g * q + r, r):
+            assert g.divides(e) == divides_by_divmod(g, e)
+
+    @given(polys(max_degree=0), polys(max_degree=5))
+    @settings(max_examples=60)
+    def test_constant_divisors(self, g, e):
+        # a nonzero constant divides everything, zero only zero
+        assert g.divides(e) == divides_by_divmod(g, e)
+
+    @pytest.mark.parametrize("g, e, expected", [
+        (Poly(), Poly(), True),
+        (Poly(), P(1), False),
+        (P(1, 2), Poly(), True),
+        (P(Fraction(2, 3), 2), P(1, 6, 9), True),  # (2/3)(1 + 3x) | (1 + 3x)^2
+        (P(2, 4), P(1, 2), True),  # non-primitive divisor
+        (P(1, 2), P(1, 0, 4), False),  # leading quotient 2 then a remainder
+        (P(0, 3), P(1, 3), False),  # constant remainder after an integer step
+        (P(1, 1, 1), P(1, 1), False),  # dividend of lower degree
+    ])
+    def test_edge_cases(self, g, e, expected):
+        assert g.divides(e) is expected
+        assert divides_by_divmod(g, e) is expected
 
 
 def lagrange(points, values) -> Poly:

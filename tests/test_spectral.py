@@ -11,6 +11,7 @@ from secular.polynomials import Poly
 from secular.realroots import RealRoot, refine_root, sturm_isolate
 from secular.spectral import (
     FLOAT_ROOT_WIDTH,
+    _bilinear,
     adjugate_eigenvector,
     cauchy_orthogonality,
     char_roots,
@@ -19,7 +20,12 @@ from secular.spectral import (
     spectral_decompose,
 )
 
-from oracles import cayley_orthogonal, cofactor_adjugate_rat, poly_from_roots
+from oracles import (
+    bilinear_by_fractions,
+    cayley_orthogonal,
+    cofactor_adjugate_rat,
+    poly_from_roots,
+)
 
 NOTE23 = RatMatrix.from_rows([[1, -1, 0], [-1, 2, 1], [0, 1, 1]])
 
@@ -182,6 +188,30 @@ class TestCauchyOrthogonality:
         assert [r.value for r in dec.roots] == [1, 2, 3, 5]
         report = cauchy_orthogonality(dec, RatMatrix.identity(4))
         assert report.ok and report.max_violation == 0
+
+
+mixed_fractions = st.one_of(
+    st.integers(-20, 20),
+    st.integers(-20, 20).map(Fraction),
+    st.fractions(min_value=-20, max_value=20, max_denominator=12),
+    st.fractions(min_value=-2, max_value=2, max_denominator=10**12),
+)
+
+
+class TestBilinearAgainstFractionOracle:
+    @given(st.integers(0, 5).flatmap(lambda n: st.tuples(
+        st.lists(mixed_fractions, min_size=n * n, max_size=n * n),
+        st.lists(mixed_fractions, min_size=n, max_size=n),
+        st.lists(mixed_fractions, min_size=n, max_size=n))))
+    @settings(max_examples=50)
+    def test_matches_fraction_sum(self, case):
+        # vectors mix ints and Fractions with unrelated denominators
+        entries, v, w = case
+        n = len(v)
+        B = RatMatrix(n, n, tuple(Fraction(x) for x in entries))
+        got = _bilinear(B, v, w)
+        assert type(got) is Fraction
+        assert got == bilinear_by_fractions(B, v, w)
 
 
 class TestQFactor:
