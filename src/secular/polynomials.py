@@ -7,8 +7,12 @@ reliable -- the substrate every other module builds on.
 
 Beyond ring arithmetic the module provides:
 
-* monic GCD (Euclid over Q),
-* Yun square-free decomposition,
+* monic GCD and Yun square-free decomposition, both over Z in a private
+  integer section (int lists, lowest degree first, the zero polynomial
+  empty): one primitive part, one Sturm-signed primitive pseudo-remainder
+  sequence (Collins 1967, Brown 1971), which is also the Sturm chain of
+  `realroots`, and one exact division by a primitive divisor (Gauss's
+  lemma), shared by `divides`, Yun (1976) and rational-root deflation,
 * factorisation into irreducibles over Q: linear factors from the exact
   roots of the root engine, the rest by Kronecker's evaluation/interpolation
   scheme (guarded by a degree cap, since the divisor-combination search is
@@ -152,26 +156,11 @@ class Poly:
         return divmod(self, other)[1]
 
     def divides(self, other: "Poly") -> bool:
-        """True iff self divides other exactly (zero divides only zero).
-
-        By Gauss's lemma a primitive integer polynomial divides another over
-        Q exactly when it does over Z, so the primitive integer parts are
-        divided in integers, and a leading quotient coefficient that is not
-        an integer settles the answer at once.
-        """
+        """True iff self divides other exactly (zero divides only zero),
+        by the exact division of the primitive integer parts."""
         if self.is_zero():
             return other.is_zero()
-        _, g = _primitive_ints(self)
-        _, rem = _primitive_ints(other)
-        dg, lc = len(g) - 1, g[-1]
-        for k in range(len(rem) - 1 - dg, -1, -1):
-            c, r = divmod(rem[k + dg], lc)
-            if r:
-                return False
-            if c:
-                for j, b in enumerate(g):
-                    rem[k + j] -= c * b
-        return not any(rem[:dg])
+        return _exact_quo(_primitive_ints(other)[1], _primitive_ints(self)[1]) is not None
 
     # -- calculus / evaluation ----------------------------------------------
 
@@ -253,21 +242,6 @@ class Poly:
         return f"Poly({self.to_string()})"
 
 
-def _primitive_ints(p: Poly) -> tuple[Fraction, list[int]]:
-    """(content, ints) with p = content * ints: the coefficients, lowest
-    degree first, as coprime integers with a positive leading one, in a
-    fresh list the caller may consume; content carries the sign.  The zero
-    polynomial gives (0, [])."""
-    if p.is_zero():
-        return Fraction(0), []
-    denom = int_lcm(*[c.denominator for c in p.coeffs])
-    ints = [c.numerator * (denom // c.denominator) for c in p.coeffs]
-    g = int_gcd(*ints)
-    if ints[-1] < 0:
-        g = -g
-    return Fraction(g, denom), [v // g for v in ints]
-
-
 def _frac_str(f: Fraction) -> str:
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
@@ -278,15 +252,14 @@ X = Poly([0, 1])
 
 
 def poly_gcd(p: Poly, q: Poly) -> Poly:
-    """Monic greatest common divisor over Q.
+    """Monic greatest common divisor over Q: the last element of the
+    primitive pseudo-remainder sequence of the primitive integer parts.
 
     gcd(p, 0) is monic(p); gcd(0, 0) is rejected.
     """
     if p.is_zero() and q.is_zero():
         raise PreconditionError("gcd(0, 0) is undefined")
-    while not q.is_zero():
-        p, q = q, p % q
-    return p.monic()
+    return Poly(_prs(_primitive_ints(p)[1], _primitive_ints(q)[1])[-1]).monic()
 
 
 def squarefree_decompose(p: Poly) -> list[tuple[Poly, int]]:
@@ -298,25 +271,111 @@ def squarefree_decompose(p: Poly) -> list[tuple[Poly, int]]:
     """
     if p.is_zero():
         raise PreconditionError("square-free decomposition of the zero polynomial")
-    p = p.monic()
-    if p.degree() == 0:
-        return []
-    out: list[tuple[Poly, int]] = []
-    g = poly_gcd(p, p.derivative())
-    if g.degree() == 0:
-        return [(p, 1)]
-    w = p // g
-    y = p.derivative() // g
-    k = 1
-    while w.degree() > 0:
-        z = y - w.derivative()
-        f = poly_gcd(w, z) if not z.is_zero() else w.monic()
-        if f.degree() > 0:
-            out.append((f.monic(), k))
-        w = w // f
-        y = z // f
-        k += 1
-    return out
+    _, cs = _primitive_ints(p)
+    _, factors = _yun(cs, _prs(cs, _derivative(cs))[-1])
+    return [(Poly(f).monic(), k) for f, k in factors]
+
+
+# -- integer polynomials: int lists, lowest degree first, zero empty ----------
+
+
+def _primitive_ints(p: Poly) -> tuple[Fraction, list[int]]:
+    """(content, ints) with p = content * ints: the coefficients as coprime
+    integers with a positive leading one, in a fresh list the caller may
+    consume; content carries the sign.  The zero polynomial gives (0, [])."""
+    if p.is_zero():
+        return Fraction(0), []
+    denom = int_lcm(*[c.denominator for c in p.coeffs])
+    scaled = [c.numerator * (denom // c.denominator) for c in p.coeffs]
+    ints = _primitive(scaled)
+    if ints[-1] < 0:
+        ints = [-v for v in ints]
+    return Fraction(scaled[-1] // ints[-1], denom), ints
+
+
+def _primitive(cs) -> list[int]:
+    """The nonzero cs divided by the gcd of its coefficients, signs kept."""
+    g = int_gcd(*cs)
+    return [c // g for c in cs]
+
+
+def _derivative(cs) -> list[int]:
+    return [i * c for i, c in enumerate(cs)][1:]
+
+
+def _prem(a, b) -> list[int]:
+    """The pseudo-remainder lc(b)**(deg a - deg b + 1) * a mod b, trailing
+    zeros stripped; a itself when deg a < deg b."""
+    r, lc, db = list(a), b[-1], len(b) - 1
+    for top in range(len(a) - 1, db - 1, -1):
+        q = r[top]
+        # lc * r - q x**(top - db) b: the top term cancels
+        r = [c * lc for c in r[:top]]
+        for j in range(db):
+            r[top - db + j] -= q * b[j]
+    while r and r[-1] == 0:
+        r.pop()
+    return r
+
+
+def _prs(a, b) -> list[list[int]]:
+    """a, b, then the primitive parts of negated pseudo-remainders with the
+    signs of Euclid's remainders, up to a constant or a zero remainder (b may
+    be zero; for deg a < deg b the first remainder is a).  The last element
+    is gcd(a, b) up to a constant; for b = a' this is the Sturm chain of a."""
+    chain, r = [a], b
+    while r:
+        chain.append(_primitive(r))
+        if len(chain[-1]) == 1:
+            break
+        a, b = chain[-2:]
+        r = _prem(a, b)
+        # the scale lc(b)**e of the pseudo-remainder is negative when lc(b)
+        # is and e = deg a - deg b + 1 is odd
+        if b[-1] > 0 or (len(a) - len(b)) % 2:
+            r = [-c for c in r]
+    return chain
+
+
+def _exact_quo(a, b) -> list[int] | None:
+    """a / b for a primitive b, or None when b does not divide a: by Gauss's
+    lemma such a b divides a over Q only if it does over Z, so the division
+    stops at the first leading quotient that is not an integer."""
+    rem, db, lc = list(a), len(b) - 1, b[-1]
+    quo = [0] * max(0, len(a) - db)
+    for k in range(len(quo) - 1, -1, -1):
+        c, r = divmod(rem[k + db], lc)
+        if r:
+            return None
+        quo[k] = c
+        if c:
+            for j, v in enumerate(b):
+                rem[k + j] -= c * v
+    return None if any(rem[:db]) else quo
+
+
+def _yun(cs, g) -> tuple[list[int], list[tuple[list[int], int]]]:
+    """Yun's algorithm over Z for the primitive cs (positive leading
+    coefficient) from g = gcd(cs, cs') up to a constant: the square-free
+    part w = cs / g and the primitive f_k, up to sign, of cs = f_1 f_2**2
+    ..., by increasing k, constant f_k left out.  From b = w, c = cs' / g,
+    step k takes f_k = gcd(b, c - b') and divides b and c - b' by it for the
+    next b and c; every divisor is primitive, so every division is exact."""
+    if g[-1] < 0:
+        g = [-c for c in g]
+    w = b = _exact_quo(cs, g)
+    c = _exact_quo(_derivative(cs), g)
+    factors, k = [], 1
+    while len(b) > 1:
+        # c and b' both have degree deg b - 1
+        d = [u - v for u, v in zip(c, _derivative(b))]
+        while d and d[-1] == 0:
+            d.pop()
+        f = _prs(b, d)[-1]
+        if len(f) > 1:
+            factors.append((f, k))
+        b, c, k = _exact_quo(b, f), _exact_quo(d, f), k + 1
+    return w, factors
 
 
 def _divisors(n: int) -> list[int]:
@@ -374,11 +433,12 @@ def _kronecker_split_squarefree(f: Poly) -> list[Poly]:
     from .realroots import sturm_isolate  # realroots builds on this module
 
     # any width will do: only the exact roots are read
-    linear = [Poly([-r.value, 1]) for r in sturm_isolate(f, 1) if r.is_exact]
-    rest = f.monic()
-    for lin in linear:
-        rest = rest // lin
-    return linear + (_kronecker_search(rest) if rest.degree() > 0 else [])
+    exact = [r.value for r in sturm_isolate(f, 1) if r.is_exact]
+    _, rest = _primitive_ints(f)
+    for r in exact:
+        rest = _exact_quo(rest, [-r.numerator, r.denominator])
+    linear = [Poly([-r, 1]) for r in exact]
+    return linear + (_kronecker_search(Poly(rest)) if len(rest) > 1 else [])
 
 
 def _kronecker_search(f: Poly) -> list[Poly]:

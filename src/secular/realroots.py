@@ -5,15 +5,16 @@ open isolating interval (lo, hi) with rational endpoints across which the
 square-free defining polynomial changes sign.  Multiplicities always refer to
 the original (possibly non-square-free) polynomial.
 
-Isolation uses Sturm's root-counting theorem.  The Sturm chain is built on
-int tuples from an integer model of the square-free part: integer
-pseudo-remainders, each reduced to its primitive part, which keeps
-coefficient growth in check while preserving the sign structure the theorem
-needs.  Every sign is taken in integers: the sign of p at n/d is that of
-d**deg * p(n/d), which homogeneous Horner computes without fractions.
-Bisection keeps both endpoints as unreduced numerators over one denominator
-that doubles at each halving, so the endpoints are exactly those of Fraction
-bisection.
+Isolation uses Sturm's root-counting theorem.  The Sturm chain is the
+primitive pseudo-remainder sequence of `polynomials` on int lists, which
+keeps coefficient growth in check while preserving the sign structure the
+theorem needs.  The chain of p ends in gcd(p, p') up to a constant; when
+that is not a constant, Yun's decomposition over Z starts from it, and the
+chain of the square-free part it returns is the one isolated.  Every sign is
+taken in integers: the sign of p at n/d is that of d**deg * p(n/d), which
+homogeneous Horner computes without fractions.  Bisection keeps both
+endpoints as unreduced numerators over one denominator that doubles at each
+halving, so the endpoints are exactly those of Fraction bisection.
 
 Narrowing an isolating interval does not halve step by step.  Bisection
 stops at the first depth k where the interval is narrow enough, and its
@@ -27,24 +28,24 @@ has q dividing its leading coefficient lc, and such rationals lie at least
 1/lc**2 apart, so once an isolating interval is narrower than 1/(2 lc**2) the
 one candidate `limit_denominator(lc)` of its midpoint decides whether its
 root is rational.  If any are, the irrational roots are isolated afresh
-from the deflated polynomial, so bisection endpoints can never collide with
-them; a defensive nudge handles the case anyway.
+from the polynomial deflated by exact integer division, so bisection
+endpoints can never collide with them; a defensive nudge handles the case
+anyway.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 from .errors import PreconditionError
-from .polynomials import Poly, _primitive_ints, squarefree_decompose
+from .polynomials import Poly, _derivative, _exact_quo, _primitive_ints, _prs, _yun
 
 __all__ = [
     "RealRoot",
     "sturm_isolate",
     "refine_root",
-    "sturm_chain",
     "root_sign",
 ]
 
@@ -97,72 +98,6 @@ class RealRoot:
             f"RealRoot(({float(self.lo):.12g}, {float(self.hi):.12g}),"
             f" mult={self.multiplicity})"
         )
-
-
-def sturm_chain(p: Poly) -> list[Poly]:
-    """Sturm chain of a square-free polynomial, integer coefficients.
-
-    Successive elements are the negated pseudo-remainders reduced to their
-    primitive parts; scaling factors are kept positive so sign variations are
-    those of the classical chain.
-    """
-    return [Poly(q) for q in _int_chain(_int_model(p))]
-
-
-def _primitive(cs: list[int]) -> tuple[int, ...]:
-    """cs divided by the gcd of its entries, signs kept."""
-    g = gcd(*cs)
-    return tuple(c // g for c in cs)
-
-
-def _prem(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
-    """The pseudo-remainder lc(b)**(deg a - deg b + 1) * a mod b, in
-    integers, trailing zeros stripped (deg a >= deg b)."""
-    r, lc, db = list(a), b[-1], len(b) - 1
-    for top in range(len(a) - 1, db - 1, -1):
-        q = r[top]
-        # lc * r - q x**(top - db) b: the top term cancels
-        r = [c * lc for c in r[:top]]
-        for j in range(db):
-            r[top - db + j] -= q * b[j]
-    while r and r[-1] == 0:
-        r.pop()
-    return r
-
-
-def _int_chain(cs: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """`sturm_chain` of the primitive square-free integer polynomial cs
-    (positive leading coefficient), on int tuples.  For cs with a repeated
-    factor the chain ends in gcd(cs, cs') instead of a constant."""
-    chain = [cs]
-    if len(cs) > 1:
-        chain.append(_primitive([i * c for i, c in enumerate(cs)][1:]))
-        while len(chain[-1]) > 1:
-            a, b = chain[-2], chain[-1]
-            rem = _prem(a, b)
-            if not rem:
-                break
-            # the scale lc(b)**e of the pseudo-remainder is negative when
-            # lc(b) is and e = deg a - deg b + 1 is odd
-            flip = b[-1] < 0 and (len(a) - len(b)) % 2 == 0
-            chain.append(_primitive(rem if flip else [-c for c in rem]))
-    return chain
-
-
-def _deflate(cs: tuple[int, ...], p: int, q: int) -> tuple[int, ...]:
-    """cs / (q x - p) for a root p/q in lowest terms of the primitive
-    integer polynomial cs; the quotient is again primitive and integer."""
-    out, h = [], 0
-    for c in reversed(cs[1:]):
-        h = (c + p * h) // q
-        out.append(h)
-    return tuple(reversed(out))
-
-
-def _int_model(p: Poly) -> tuple[int, ...]:
-    """The primitive integer multiple of p with positive leading coefficient,
-    as ints, lowest degree first."""
-    return tuple(_primitive_ints(p)[1])
 
 
 def _value_at(cs: tuple[int, ...], n: int, d: int) -> int:
@@ -344,17 +279,17 @@ def sturm_isolate(p: Poly, target_width=Fraction(1, 10**30)) -> list[RealRoot]:
         raise PreconditionError("isolation width must be positive")
     if p.degree() == 0:
         return []
-    # the integer chain of p ends in gcd(p, p') up to a constant; when that
-    # is a constant, p is square-free and its chain is the one to isolate
-    chain = _int_chain(_int_model(p))
+    # the Sturm chain of p ends in gcd(p, p') up to a constant: a constant
+    # means p is square-free; otherwise Yun starts from it, and the chain of
+    # p's square-free part w is the one to isolate
+    _, cs = _primitive_ints(p)
+    chain = _prs(cs, _derivative(cs))
     if len(chain[-1]) == 1:
-        parts = [(chain[0], p.monic(), 1)]
+        parts = [(cs, p.monic(), 1)]
     else:
-        parts = [(_int_model(f), f, e) for f, e in squarefree_decompose(p)]
-        squarefree = Poly([1])
-        for _, f, _ in parts:
-            squarefree = squarefree * f
-        chain = _int_chain(_int_model(squarefree))
+        cs, factors = _yun(cs, chain[-1])
+        parts = [(f, Poly(f).monic(), e) for f, e in factors]
+        chain = _prs(cs, _derivative(cs))
 
     def factor_of_exact(r: Fraction) -> tuple[Poly, int]:
         for fz, f, e in parts:
@@ -378,8 +313,8 @@ def sturm_isolate(p: Poly, target_width=Fraction(1, 10**30)) -> list[RealRoot]:
         # the printed intervals come from isolating what is left
         deflated = chain[0]
         for r in exact_values:
-            deflated = _deflate(deflated, r.numerator, r.denominator)
-        chain = _int_chain(deflated)
+            deflated = _exact_quo(deflated, [-r.numerator, r.denominator])
+        chain = _prs(deflated, _derivative(deflated))
         intervals = _isolate(chain) if len(deflated) > 1 else []
     # separate every interval (ends included) from the exact roots, so the
     # defining factor is nonzero at both endpoints
@@ -404,7 +339,7 @@ def root_sign(root: RealRoot) -> int:
         return 1
     if root.hi <= 0:
         return -1
-    cs = _int_model(root.poly)
+    _, cs = _primitive_ints(root.poly)
     at_zero = _sign_at(cs, 0, 1)
     at_lo = _sign_at(cs, root.lo.numerator, root.lo.denominator)
     if at_zero == 0:
@@ -427,7 +362,7 @@ def refine_root(root: RealRoot, width) -> RealRoot:
     lo, hi = root.lo, root.hi
     d = lcm(lo.denominator, hi.denominator)
     a, b, d = _narrow(
-        _int_model(root.poly),
+        _primitive_ints(root.poly)[1],
         lo.numerator * (d // lo.denominator),
         hi.numerator * (d // hi.denominator),
         d,

@@ -17,10 +17,13 @@ leading minors, and spectral projectors by Bezout partial fractions with
 chain lengths from the rank of matrix powers instead of the resolvent's
 principal parts.  The exact kernels that now run in integers over one
 common denominator keep their former `Fraction` definitions here: Taylor
-coefficients by synthetic division, divisibility by `divmod`, matrix
-products, linear combinations, bilinear forms, the characteristic matrix
-at a point, and rank and nullspace from the reduced row echelon form.  The float kernels keep their former definitions too:
-the characteristic matrix as a Fraction matrix converted entry by entry,
+coefficients by synthetic division, divisibility by `divmod`, the monic gcd
+by Euclid's remainders and Yun's square-free decomposition on those gcds
+(instead of the primitive pseudo-remainder sequence and exact integer
+division), matrix products, linear combinations, bilinear forms, the
+characteristic matrix at a point, and rank and nullspace from the reduced
+row echelon form.  The float kernels keep their former definitions too: the
+characteristic matrix as a Fraction matrix converted entry by entry,
 trajectories one time at a time, and leading minors as one block
 determinant each.  The small constructors and products the tests build
 their inputs with live here too, outside the library.
@@ -43,7 +46,51 @@ from secular.invariants import (
 )
 from secular.matrices import Pencil, PolyMatrix, RatMatrix, det_rational
 from secular.oscillate import Trajectory
-from secular.polynomials import ONE, Poly, poly_gcd, squarefree_decompose
+from secular.polynomials import ONE, Poly
+
+
+def poly_gcd_by_euclid(p: Poly, q: Poly) -> Poly:
+    """Monic greatest common divisor over Q, by Euclid on Fraction
+    remainders.
+
+    gcd(p, 0) is monic(p); gcd(0, 0) is rejected.
+    """
+    if p.is_zero() and q.is_zero():
+        raise PreconditionError("gcd(0, 0) is undefined")
+    while not q.is_zero():
+        p, q = q, p % q
+    return p.monic()
+
+
+def squarefree_by_fractions(p: Poly) -> list[tuple[Poly, int]]:
+    """Yun decomposition over Q with Fraction gcds and quotients:
+    monic(p) = product of factor**exponent with the factors monic,
+    square-free and pairwise coprime.
+
+    Factors are returned in increasing exponent order; exponent-k factors of
+    degree zero are omitted.
+    """
+    if p.is_zero():
+        raise PreconditionError("square-free decomposition of the zero polynomial")
+    p = p.monic()
+    if p.degree() == 0:
+        return []
+    out: list[tuple[Poly, int]] = []
+    g = poly_gcd_by_euclid(p, p.derivative())
+    if g.degree() == 0:
+        return [(p, 1)]
+    w = p // g
+    y = p.derivative() // g
+    k = 1
+    while w.degree() > 0:
+        z = y - w.derivative()
+        f = poly_gcd_by_euclid(w, z) if not z.is_zero() else w.monic()
+        if f.degree() > 0:
+            out.append((f.monic(), k))
+        w = w // f
+        y = z // f
+        k += 1
+    return out
 
 
 def poly_from_roots(roots) -> Poly:
@@ -166,14 +213,26 @@ def bisect_narrow(cs, a: int, b: int, d: int, wide) -> tuple[int, int, int]:
     return a, b, d
 
 
+def primitive_by_fractions(p: Poly) -> tuple[Fraction, Poly]:
+    """(content, primitive) with p = content * primitive, the primitive part
+    with coprime integer coefficients and a positive leading one."""
+    if p.is_zero():
+        return Fraction(0), p
+    content = Fraction(math.gcd(*[c.numerator for c in p.coeffs]),
+                       math.lcm(*[c.denominator for c in p.coeffs]))
+    if p.leading() < 0:
+        content = -content
+    return content, p.scale(1 / content)
+
+
 def sturm_chain_by_divmod(p: Poly) -> list[Poly]:
     """Sturm chain from Fraction `Poly` remainders: each element is the
     negated remainder of lc(b)**e * a by b, reduced to its primitive part
     with the chain's sign kept (e = deg a - deg b + 1)."""
-    _, p0 = p.integer_primitive()
+    _, p0 = primitive_by_fractions(p)
     chain = [p0]
     if p0.degree() >= 1:
-        chain.append(p0.derivative().integer_primitive()[1])
+        chain.append(primitive_by_fractions(p0.derivative())[1])
         while chain[-1].degree() >= 1:
             a, b = chain[-2], chain[-1]
             scale = b.leading() ** (a.degree() - b.degree() + 1)
@@ -181,7 +240,7 @@ def sturm_chain_by_divmod(p: Poly) -> list[Poly]:
             if rem.is_zero():
                 break
             neg = -rem if scale > 0 else rem
-            content, prim = neg.integer_primitive()
+            content, prim = primitive_by_fractions(neg)
             chain.append(prim if content > 0 else -prim)
     return chain
 
@@ -298,7 +357,7 @@ def minor_gcd_chain_by_minors(P: PolyMatrix) -> MinorGcdChain:
             for cols in itertools.combinations(range(n), k):
                 m = cofactor_det_poly(P.submatrix(rows, cols))
                 if not m.is_zero():
-                    g = poly_gcd(g, m) if g else m.monic()
+                    g = poly_gcd_by_euclid(g, m) if g else m.monic()
         deltas.append(g)
     deltas.append(full.monic())
     return MinorGcdChain(tuple(deltas))
@@ -317,16 +376,16 @@ def is_diagonalizable_by_smith(P: Pencil | RatMatrix) -> tuple[bool, tuple]:
         )
     chain = minor_gcd_chain(P.char_matrix())
     minimal = invariant_factors(chain).factors[-1]
-    verdict = poly_gcd(minimal, minimal.derivative()).degree() <= 0
+    verdict = poly_gcd_by_euclid(minimal, minimal.derivative()).degree() <= 0
     # evidence in Jordan's multiple-root formulation
     n = P.size
     records = []
     charpoly = chain.deltas[-1]
     sub_gcd = chain.deltas[-2] if n >= 2 else Poly([1])
-    for factor, mult in squarefree_decompose(charpoly):
+    for factor, mult in squarefree_by_fractions(charpoly):
         if mult < 2:
             continue
-        annihilates = (factor ** (mult - 1)).divides(sub_gcd)
+        annihilates = divides_by_divmod(factor ** (mult - 1), sub_gcd)
         records.append((factor, mult, annihilates))
     return verdict, tuple(records)
 

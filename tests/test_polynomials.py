@@ -20,6 +20,8 @@ from oracles import (
     divides_by_divmod,
     expand_factors,
     poly_from_roots,
+    poly_gcd_by_euclid,
+    squarefree_by_fractions,
     taylor_by_fractions,
 )
 
@@ -161,6 +163,7 @@ class TestDividesAgainstDivmodOracle:
         (P(Fraction(2, 3), 2), P(1, 6, 9), True),  # (2/3)(1 + 3x) | (1 + 3x)^2
         (P(2, 4), P(1, 2), True),  # non-primitive divisor
         (P(1, 2), P(1, 0, 4), False),  # leading quotient 2 then a remainder
+        (P(1, 2), P(1, 3), False),  # leading quotient 3/2, nothing below
         (P(0, 3), P(1, 3), False),  # constant remainder after an integer step
         (P(1, 1, 1), P(1, 1), False),  # dividend of lower degree
     ])
@@ -270,6 +273,80 @@ class TestSquarefree:
         assert expand_factors(parts) == q.monic()
         for f, _ in parts:
             assert poly_gcd(f, f.derivative()).degree() == 0
+
+
+# numerators of 101 to 120 bits over denominators of up to 110
+big_fractions = st.builds(
+    lambda n, d, sign: Fraction(sign * n, d),
+    st.integers(2**100, 2**120), st.integers(1, 2**110), st.sampled_from((1, -1)),
+)
+
+
+def repeated_factors(coefficients, max_degree=3):
+    """A product f1**e1 * f2**e2 * f3 scaled by a fraction: repeated and
+    shared factors, non-monic, fractional, sometimes constant or zero."""
+    factor = st.lists(coefficients, max_size=max_degree + 1).map(Poly)
+    return st.tuples(factor, factor, factor, st.integers(1, 3),
+                     st.integers(1, 3), coefficients).map(
+        lambda t: (t[0] ** t[3] * t[1] ** t[4] * t[2]).scale(t[5]))
+
+
+class TestGcdAgainstEuclidOracle:
+    @given(repeated_factors(small_fractions), repeated_factors(small_fractions),
+           polys(max_degree=2))
+    @settings(max_examples=100, deadline=None)
+    def test_shared_and_repeated_factors(self, p, q, r):
+        # r times both gives a common factor beyond the planted ones
+        for a, b in ((p, q), (p * r, q * r), (q, p), (p, p.derivative())):
+            if a.is_zero() and b.is_zero():
+                continue
+            assert poly_gcd(a, b) == poly_gcd_by_euclid(a, b)
+
+    @given(repeated_factors(big_fractions, max_degree=2),
+           repeated_factors(big_fractions, max_degree=2))
+    @settings(max_examples=40, deadline=None)
+    def test_coefficients_beyond_100_bits(self, p, q):
+        if not (p.is_zero() and q.is_zero()):
+            assert poly_gcd(p, q) == poly_gcd_by_euclid(p, q)
+
+    @given(polys(max_degree=4, nonzero=True), polys(max_degree=0, nonzero=True))
+    @settings(max_examples=40)
+    def test_with_zero_and_constants(self, p, c):
+        for a, b in ((p, Poly()), (Poly(), p), (p, c), (c, p), (c, c)):
+            assert poly_gcd(a, b) == poly_gcd_by_euclid(a, b)
+
+    def test_both_zero_rejected_alike(self):
+        for gcd in (poly_gcd, poly_gcd_by_euclid):
+            with pytest.raises(PreconditionError, match="gcd"):
+                gcd(Poly(), Poly())
+
+
+class TestSquarefreeAgainstFractionYun:
+    @given(repeated_factors(small_fractions))
+    @settings(max_examples=120, deadline=None)
+    def test_repeated_non_monic_fractional(self, p):
+        if not p.is_zero():
+            assert squarefree_decompose(p) == squarefree_by_fractions(p)
+
+    @given(repeated_factors(big_fractions, max_degree=2))
+    @settings(max_examples=40, deadline=None)
+    def test_coefficients_beyond_100_bits(self, p):
+        if not p.is_zero():
+            assert squarefree_decompose(p) == squarefree_by_fractions(p)
+
+    @pytest.mark.parametrize("p", [
+        P(7), P(Fraction(-2, 3)), P(0, 1), P(0, 0, 0, Fraction(5, 2)),
+        P(-3, 1) ** 4 * P(1, 0, 1) ** 2 * P(2, -1, 3) * Fraction(-9, 4),
+        P(2**100 + 1, 2**101) ** 3 * P(-(3**70), 0, 5**40),
+    ])
+    def test_constants_monomials_and_large(self, p, deadline):
+        deadline(10)  # a wrongly scaled Yun step never ends
+        assert squarefree_decompose(p) == squarefree_by_fractions(p)
+
+    def test_zero_rejected_alike(self):
+        for decompose in (squarefree_decompose, squarefree_by_fractions):
+            with pytest.raises(PreconditionError, match="zero polynomial"):
+                decompose(Poly())
 
 
 class TestKroneckerFactor:

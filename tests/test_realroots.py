@@ -6,16 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from secular import realroots
+from secular import polynomials, realroots
 from secular.errors import PreconditionError
 from secular.matrices import Pencil, RatMatrix
 from secular.oscillate import build_model
-from secular.polynomials import Poly, poly_gcd
+from secular.polynomials import Poly, _derivative, _primitive_ints, _prs, poly_gcd
 from secular.realroots import (
     RealRoot,
     refine_root,
     root_sign,
-    sturm_chain,
     sturm_isolate,
 )
 
@@ -144,16 +143,48 @@ class TestSquarefreeShortcut:
         assert _route(sturm_isolate(p), 2) == _route(sturm_isolate(p * p))
 
     def test_squarefree_skips_decomposition(self, monkeypatch):
-        def refuse(p):
+        def refuse(cs, g):
             raise AssertionError("square-free polynomial decomposed")
 
-        monkeypatch.setattr(realroots, "squarefree_decompose", refuse)
+        monkeypatch.setattr(realroots, "_yun", refuse)
         roots = sturm_isolate(P(-2, 0, 1) * P(-3, 1))
         assert [(r.kind, r.multiplicity) for r in roots] == [
             ("isolated", 1), ("isolated", 1), ("exact", 1)
         ]
         with pytest.raises(AssertionError, match="decomposed"):
             sturm_isolate(P(-3, 1) ** 2)
+
+
+class TestRepeatedRootGcdOnce:
+    """The Sturm chain of p ends in gcd(p, p'), and Yun's decomposition
+    starts from it: no gcd of p and p' is taken a second time."""
+
+    def test_gcd_of_p_and_derivative_taken_once(self, monkeypatch):
+        p = P(-3, 1) ** 2 * P(-2, 0, 1) * P(1, 2) ** 3 * Fraction(-5, 3)
+        pair = (p.monic(), p.derivative().monic())
+
+        def as_monic(q):  # a Poly, or an int list of the integer layer
+            return (q if isinstance(q, Poly) else Poly(q)).monic()
+
+        def spy(fn, seen):
+            def wrapped(a, b):
+                seen.append((as_monic(a), as_monic(b)))
+                return fn(a, b)
+            return wrapped
+
+        # no route through the public gcd
+        gcds = []
+        monkeypatch.setattr(polynomials, "poly_gcd", spy(polynomials.poly_gcd, gcds))
+        roots = sturm_isolate(p)
+        assert [r.multiplicity for r in roots] == [1, 3, 1, 2]
+        assert pair not in gcds
+        # and one pseudo-remainder sequence of p and p', the Sturm chain's
+        chains = []
+        prs = spy(polynomials._prs, chains)
+        for module in (polynomials, realroots):
+            monkeypatch.setattr(module, "_prs", prs)
+        assert sturm_isolate(p) == roots
+        assert chains.count(pair) == 1
 
 
 class TestAgainstNumericOracle:
@@ -365,11 +396,11 @@ def _squarefree_case(rng):
         cs = [rng.randint(-(2**bits), 2**bits) for _ in range(rng.randint(2, 12))]
         p = Poly(cs + [rng.randint(1, 2**bits)])
         if poly_gcd(p, p.derivative()).degree() == 0 and sturm_isolate(p, 1):
-            return realroots._int_model(p)
+            return tuple(_primitive_ints(p)[1])
 
 
 def _intervals(cs):
-    return realroots._isolate(realroots._int_chain(cs))
+    return realroots._isolate(_prs(cs, _derivative(cs)))
 
 
 def _wider_than(width, strict):
@@ -493,7 +524,7 @@ class TestQuadraticRefinement:
         root = refine_root(RealRoot.isolated(lo, hi, poly), width)
         d = math.lcm(lo.denominator, hi.denominator)
         a, b, d = bisect_narrow(
-            realroots._int_model(poly),
+            _primitive_ints(poly)[1],
             lo.numerator * (d // lo.denominator),
             hi.numerator * (d // hi.denominator),
             d,
@@ -559,17 +590,25 @@ class TestDisjointRoots:
             self.check(p, Fraction(1, 10**30))
 
 
+def _sturm_chain(p: Poly) -> list[Poly]:
+    """The primitive pseudo-remainder sequence of p's integer model and its
+    derivative, the chain `sturm_isolate` counts sign variations on."""
+    _, cs = _primitive_ints(p)
+    return [Poly(q) for q in _prs(cs, _derivative(cs))]
+
+
 class TestIntegerSturmChain:
     @pytest.mark.parametrize("seed", range(24))
-    def test_matches_fraction_remainders(self, seed):
+    def test_matches_fraction_remainders(self, seed, deadline):
+        deadline(10)  # a wrong chain sign can keep bisection from ending
         rng = random.Random(seed)
         cs = _squarefree_case(rng)
         p = Poly(cs) * Fraction(rng.choice([1, -3]), rng.choice([1, 7]))
-        assert sturm_chain(p) == sturm_chain_by_divmod(p)
+        assert _sturm_chain(p) == sturm_chain_by_divmod(p)
 
     def test_cluster_and_constant(self):
         for p in [Poly(CLUSTER), P(-2, 0, 1), P(5), P(3, -6)]:
-            assert sturm_chain(p) == sturm_chain_by_divmod(p)
+            assert _sturm_chain(p) == sturm_chain_by_divmod(p)
 
 
 def _sympy_case(rng):
