@@ -18,21 +18,20 @@ Jordan's test for simple elementary divisors and Weierstrass's "remarkable
 circumstance" for definite pairs are both this one test on the pencil's
 cached adjugate.
 
-Inertia of a symmetric rational matrix is read off the sign permanences of
-the leading-principal-minor sequence (determinant down to 1) whenever that
-sequence has no zero; otherwise an exact symmetric congruence elimination
-with the classic off-diagonal pivot trick takes over.
+Inertia of a symmetric rational matrix is read off the pivot signs of one
+symmetric Bareiss pass with swaps and Lagrange's completing-the-square step;
+with no zero pivot these are the sign permanences of the leading minors.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd as int_gcd
 from math import lcm as int_lcm
 
 from .errors import InternalError, PreconditionError
-from .matrices import Pencil, PolyMatrix, RatMatrix
+from .matrices import Pencil, PolyMatrix, RatMatrix, _bareiss_step, _integer_model
 from .polynomials import Poly, kronecker_factor, squarefree_decompose
 from .realroots import RealRoot
 
@@ -99,12 +98,17 @@ class InertiaReport:
     positives: int
     negatives: int
     zeros: int
-    minor_sequence: tuple[Fraction, ...]
     method: str  # "minor-formula" | "congruence-fallback"
+    matrix: RatMatrix = field(repr=False, compare=False)
 
     @property
     def signature(self) -> tuple[int, int, int]:
         return (self.positives, self.negatives, self.zeros)
+
+    @property
+    def minor_sequence(self) -> tuple[Fraction, ...]:
+        """Leading minors, determinant first down to 1, built when read."""
+        return (*self.matrix.leading_principal_minors()[::-1], Fraction(1))
 
 
 def minor_gcd_chain(P: PolyMatrix) -> MinorGcdChain:
@@ -244,83 +248,58 @@ def is_diagonalizable(P: Pencil | RatMatrix) -> tuple[bool, MinorDivisibility]:
     return witness.ok, witness
 
 
-def _congruence_diagonal(M: RatMatrix) -> list[Fraction]:
-    """Diagonal of an exact symmetric congruence reduction of M.
-
-    Pivot search: the current diagonal entry, else a later nonzero diagonal
-    entry (symmetric swap), else the 2 x 2 off-diagonal trick of adding one
-    row/column pair into another.
-    """
-    n = M.rows
-    a = M.to_rows()
-
-    def swap(i, j):
-        a[i], a[j] = a[j], a[i]
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-
-    def add_into(i, j):
-        # row_i += row_j, col_i += col_j
-        a[i] = [x + y for x, y in zip(a[i], a[j])]
-        for row in a:
-            row[i] = row[i] + row[j]
-
-    diag: list[Fraction] = []
-    for k in range(n):
-        if a[k][k] == 0:
-            j = next((t for t in range(k + 1, n) if a[t][t] != 0), None)
-            if j is not None:
-                swap(k, j)
-            else:
-                j = next((t for t in range(k + 1, n) if a[k][t] != 0), None)
-                if j is not None:
-                    add_into(k, j)
-        pivot = a[k][k]
-        diag.append(pivot)
-        if pivot == 0:
-            continue
-        for i in range(k + 1, n):
-            if a[i][k] != 0:
-                f = a[i][k] / pivot
-                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-                for row in a:
-                    row[i] = row[i] - f * row[k]
-    return diag
-
-
 def inertia(M: RatMatrix) -> InertiaReport:
-    """Signature (positives, negatives, zeros) of a symmetric rational form.
-
-    Uses the permanence count of the leading-principal-minor sequence
-    (determinant, ..., 1) when no leading minor vanishes, falling back to
-    exact congruence elimination otherwise.  The report is stored on the
-    matrix instance, so each matrix is classified once however many callers
-    ask.
+    """Signature (positives, negatives, zeros) of a symmetric rational form,
+    by `_inertia`: "minor-formula" when no leading principal minor vanishes,
+    else "congruence-fallback".  The counts are stored on the matrix
+    instance, so each matrix is classified once however many callers ask.
     """
     # Stored as a cached_property would store it: in the instance __dict__,
     # which a frozen dataclass allows and which equality and hashing ignore.
     stored = vars(M)
     if "_inertia" not in stored:
         stored["_inertia"] = _inertia(M)
-    return stored["_inertia"]
+    return InertiaReport(*stored["_inertia"], M)
 
 
-def _inertia(M: RatMatrix) -> InertiaReport:
+def _inertia(M: RatMatrix) -> tuple[int, int, int, str]:
+    """One symmetric Bareiss pass (Math. Comp. 1968) on the integer model of
+    M.  Each pivot is a leading minor of the form reached so far, so its
+    sign against the pivot before counts one positive or one negative square
+    (Jacobi; Sylvester's law of inertia).  A zero pivot trades places with a
+    later nonzero diagonal entry; when none is left, row and column j are
+    added into k (Lagrange's step for a form without squares: the pivot
+    becomes 2*m[k][j]); a zero row is a zero square and leaves the pass.
+    Entries are bordered minors, linear in their bordering row and column,
+    so these congruences commute with the reduction and divisions stay exact.
+    """
     if not M.is_symmetric():
         raise PreconditionError("inertia requires a symmetric matrix")
-    n = M.rows
-    leading = M.leading_principal_minors()
-    # Darboux orientation: determinant first, down to the empty minor 1
-    sequence = tuple(leading[::-1]) + (Fraction(1),)
-    if all(d != 0 for d in leading):
-        positives = sum(
-            1 for x, y in zip(sequence, sequence[1:]) if (x > 0) == (y > 0)
-        )
-        return InertiaReport(positives, n - positives, 0, sequence, "minor-formula")
-    diag = _congruence_diagonal(M)
-    pos = sum(1 for d in diag if d > 0)
-    neg = sum(1 for d in diag if d < 0)
-    return InertiaReport(pos, neg, n - pos - neg, sequence, "congruence-fallback")
+    _L, (m,) = _integer_model(M)
+    signs = [0, 0]  # positive, negative squares
+    prev, k, plain = 1, 0, True
+    while k < len(m):
+        if m[k][k] == 0:
+            plain = False
+            if (j := next((i for i in range(k + 1, len(m)) if m[i][i]), None)) is not None:
+                m[k], m[j] = m[j], m[k]
+                for row in m:
+                    row[k], row[j] = row[j], row[k]
+            elif (j := next((i for i in range(k + 1, len(m)) if m[k][i]), None)) is not None:
+                m[k] = [a + b for a, b in zip(m[k], m[j])]
+                for row in m:
+                    row[k] += row[j]
+            else:
+                del m[k]
+                for row in m:
+                    del row[k]
+                continue
+        signs[(m[k][k] > 0) != (prev > 0)] += 1
+        _bareiss_step(m, k, prev, range(k + 1, len(m)))
+        prev = m[k][k]
+        k += 1
+    pos, neg = signs
+    return pos, neg, M.rows - pos - neg, "minor-formula" if plain else "congruence-fallback"
 
 
 def darboux_signature_steps(M: RatMatrix) -> list[tuple[RealRoot, int]]:

@@ -3,22 +3,25 @@
 `RatMatrix` holds Fraction entries, `PolyMatrix` `Poly` entries.  A `Pencil`
 packages a matrix couple (A, B) with its orientation: "sA-B" (determinant in
 s of s*A - B) or "A-sB" (of A - s*B, such as A - xI).  Elimination runs in
-integers on an integer model (one common denominator L): Bareiss for
+integers on an integer model (one common denominator L), which each matrix
+builds once and keeps; several matrices rescale theirs to the lcm of their
+L, and the eliminations, which run in place, get fresh copies: Bareiss for
 determinants, fraction-free Gauss-Jordan on [M | I] for inverses and
-adjugates.  A pencil's determinant and adjugate come from samples L*P(k) of
-its characteristic matrix P by Newton interpolation in integers, and the
-adjugate of a matrix M is the constant term of that of the pencil sI + M.  A
-pencil computes its determinant, real roots (per width), adjugate and
-integer model once, on first use; the float path rounds the characteristic
-matrix at a point from that integer model, one correctly rounded division
-per entry, and the exact path builds one Fraction per entry from the same
-integer numerators.  Matrix products and linear combinations run on integer
-models too, with integer dot products and one division per entry.  Leading
-principal minors are the pivots of one Bareiss pass.  Entry tuples are
-built from lists: CPython sizes a tuple built from a generator by a guess and
-shrinks it, and the freed block then stays on the free list of the smaller
-size; over 250 rounds of the exact-structure benchmark such blocks held
-about 0.7 MB.
+adjugates, and a symmetric Bareiss pass with swaps and Lagrange's add step
+for inertia (`secular.invariants`).  A pencil's determinant and adjugate come
+from samples L*P(k) of its characteristic matrix P by Newton interpolation
+in integers, and the adjugate of a matrix M is the constant term of that of
+the pencil sI + M.  A pencil computes its determinant, real roots (per
+width), adjugate and integer model once, on first use; the float path rounds
+the characteristic matrix at a point from that integer model, one correctly
+rounded division per entry, and the exact path builds one Fraction per entry
+from the same integer numerators.  Matrix products and linear combinations
+run on integer models too, with integer dot products and one division per
+entry.  Leading principal minors are the pivots of one Bareiss pass.  Entry
+tuples are built from lists: CPython sizes a tuple built from a generator by
+a guess and shrinks it, and the freed block then stays on the free list of
+the smaller size; over 250 rounds of the exact-structure benchmark such
+blocks held about 0.7 MB.
 
 Indices are 0-based throughout the code; serialized documents use 1-based
 indices (see `secular.io`).
@@ -130,6 +133,14 @@ class RatMatrix:
         """Compared entry by entry on the first call only."""
         return self._symmetric
 
+    @cached_property
+    def _int_model(self) -> tuple[int, list[list[int]]]:
+        # L, the lcm of the entry denominators, and the integer rows of L*self,
+        # built once and only read: eliminations take `_integer_model`'s copies
+        L = int_lcm(*[v.denominator for v in self.entries])
+        return L, [[v.numerator * (L // v.denominator) for v in self.row(i)]
+                   for i in range(self.rows)]
+
     # -- arithmetic ------------------------------------------------------------
 
     def map(self, fn: Callable[[Fraction], Fraction]) -> "RatMatrix":
@@ -159,8 +170,8 @@ class RatMatrix:
         each divided once by L1*L2."""
         if self.cols != other.rows:
             raise PreconditionError("matrix shape mismatch in product")
-        L1, (a,) = _integer_model(self)
-        L2, (b,) = _integer_model(other)
+        L1, a = self._int_model
+        L2, b = other._int_model
         d = L1 * L2
         cols = [[row[j] for row in b] for j in range(other.cols)]
         return RatMatrix(self.rows, other.cols, tuple([
@@ -340,10 +351,12 @@ def _int_adjugate(m: list[list[int]]) -> tuple[int, list[int]]:
 
 def _integer_model(*matrices: RatMatrix) -> tuple[int, list[list[list[int]]]]:
     """L, the lcm of every entry denominator of the matrices, and the rows
-    of each matrix times L as fresh lists of integers."""
-    L = int_lcm(*[v.denominator for M in matrices for v in M.entries])
-    return L, [[[v.numerator * (L // v.denominator) for v in M.row(i)]
-                for i in range(M.rows)] for M in matrices]
+    of each matrix times L as fresh lists of integers, rescaled from each
+    matrix's own cached model, so callers may eliminate in place."""
+    models = [M._int_model for M in matrices]
+    L = int_lcm(*[l for l, _ in models])
+    scaled = [(L // l, rows) for l, rows in models]
+    return L, [[[v * s for v in row] for row in rows] for s, rows in scaled]
 
 
 def _linear_combination(weights: Sequence, matrices: Sequence[RatMatrix]) -> RatMatrix:

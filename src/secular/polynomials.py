@@ -75,6 +75,10 @@ class Poly:
     def __getitem__(self, k: int) -> Fraction:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
 
+    def __iter__(self):
+        # without it, iteration would call __getitem__, which never runs out
+        return iter(self.coeffs)
+
     def __eq__(self, other) -> bool:
         return isinstance(other, Poly) and self.coeffs == other.coeffs
 

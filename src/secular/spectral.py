@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING
 
 from .errors import InternalError, PathUnavailableError, PreconditionError
 from .invariants import inertia
-from .matrices import Pencil, RatMatrix, _integer_model
+from .matrices import Pencil, RatMatrix
 from .polynomials import Poly
 from .realroots import RealRoot, refine_root
 
@@ -219,9 +219,9 @@ def cauchy_orthogonality(dec: SpectralDecomposition, B: RatMatrix) -> Orthogonal
 def _bilinear(B: RatMatrix, v, w) -> Fraction:
     """v^T B w in integers on the integer models of B, v and w, divided
     once by the product of their denominators."""
-    L, (m,) = _integer_model(B)
-    Lv, ((vi,),) = _integer_model(RatMatrix(1, len(v), tuple(v)))
-    Lw, ((wi,),) = _integer_model(RatMatrix(1, len(w), tuple(w)))
+    L, m = B._int_model
+    Lv, (vi,) = RatMatrix(1, len(v), tuple(v))._int_model
+    Lw, (wi,) = RatMatrix(1, len(w), tuple(w))._int_model
     return Fraction(sum(x * sum(map(mul, row, wi)) for x, row in zip(vi, m)),
                     L * Lv * Lw)
 

@@ -12,8 +12,8 @@ interval narrowing one halving at a time instead of quadratic interval
 refinement, Sturm chains from Fraction remainders instead of integer
 pseudo-remainders, ODE residuals by central finite differences instead of
 symbolic derivatives, residues by polynomial deflation instead of Taylor
-coefficients, signatures from the congruence diagonal instead of
-leading minors, and spectral projectors by Bezout partial fractions with
+coefficients, signatures from the Fraction congruence diagonal instead of
+the symmetric integer Bareiss pass, and spectral projectors by Bezout partial fractions with
 chain lengths from the rank of matrix powers instead of the resolvent's
 principal parts.  The exact kernels that now run in integers over one
 common denominator keep their former `Fraction` definitions here: Taylor
@@ -38,12 +38,7 @@ from fractions import Fraction
 import numpy as np
 
 from secular.errors import InternalError, PathUnavailableError, PreconditionError
-from secular.invariants import (
-    MinorGcdChain,
-    _congruence_diagonal,
-    invariant_factors,
-    minor_gcd_chain,
-)
+from secular.invariants import MinorGcdChain, invariant_factors, minor_gcd_chain
 from secular.matrices import Pencil, PolyMatrix, RatMatrix, det_rational
 from secular.oscillate import Trajectory
 from secular.polynomials import ONE, Poly
@@ -404,6 +399,50 @@ def residue_by_deflation(adj: PolyMatrix, f: Poly, root: Fraction, mult: int) ->
     if not rem.is_zero():
         raise PreconditionError("root multiplicity mismatch during deflation")
     return RatMatrix(adj.rows, adj.cols, tuple(g)).scale(1 / h.evaluate(root))
+
+
+def _congruence_diagonal(M: RatMatrix) -> list[Fraction]:
+    """Diagonal of an exact symmetric congruence reduction of M.
+
+    Pivot search: the current diagonal entry, else a later nonzero diagonal
+    entry (symmetric swap), else the 2 x 2 off-diagonal trick of adding one
+    row/column pair into another.
+    """
+    n = M.rows
+    a = M.to_rows()
+
+    def swap(i, j):
+        a[i], a[j] = a[j], a[i]
+        for row in a:
+            row[i], row[j] = row[j], row[i]
+
+    def add_into(i, j):
+        # row_i += row_j, col_i += col_j
+        a[i] = [x + y for x, y in zip(a[i], a[j])]
+        for row in a:
+            row[i] = row[i] + row[j]
+
+    diag: list[Fraction] = []
+    for k in range(n):
+        if a[k][k] == 0:
+            j = next((t for t in range(k + 1, n) if a[t][t] != 0), None)
+            if j is not None:
+                swap(k, j)
+            else:
+                j = next((t for t in range(k + 1, n) if a[k][t] != 0), None)
+                if j is not None:
+                    add_into(k, j)
+        pivot = a[k][k]
+        diag.append(pivot)
+        if pivot == 0:
+            continue
+        for i in range(k + 1, n):
+            if a[i][k] != 0:
+                f = a[i][k] / pivot
+                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+                for row in a:
+                    row[i] = row[i] - f * row[k]
+    return diag
 
 
 def congruence_signature(M: RatMatrix) -> tuple[int, int, int]:

@@ -394,6 +394,73 @@ NEGATIVE_PAIR_REDUCE = (
     '}\n'
 )
 
+# `inertia` stdout on three forms with a vanishing leading minor, as the
+# block determinants and a Fraction congruence diagonal printed them: a form
+# without squares (Lagrange's add step), NOTE23 (a zero row) and a zero
+# first pivot followed by nonzero block minors (a symmetric swap).
+SWAP_2X2_DOC = {"rows": 2, "cols": 2, "entries": ["0", "1", "1", "0"]}
+ZERO_FIRST_PIVOT_DOC = {"rows": 3, "cols": 3,
+                        "entries": ["0", "1", "2", "1", "1", "0", "2", "0", "1"]}
+
+
+SWAP_2X2_INERTIA = (
+    '{\n'
+    '  "method": "congruence-fallback",\n'
+    '  "minor_sequence": [\n'
+    '    "-1/1",\n'
+    '    "0/1",\n'
+    '    "1/1"\n'
+    '  ],\n'
+    '  "negatives": 1,\n'
+    '  "path": "exact",\n'
+    '  "positives": 1,\n'
+    '  "provenance": {\n'
+    '    "algorithm": "minor-permanence-inertia",\n'
+    '    "source": "darboux-1874"\n'
+    '  },\n'
+    '  "zeros": 0\n'
+    '}\n'
+)
+NOTE23_INERTIA = (
+    '{\n'
+    '  "method": "congruence-fallback",\n'
+    '  "minor_sequence": [\n'
+    '    "0/1",\n'
+    '    "1/1",\n'
+    '    "1/1",\n'
+    '    "1/1"\n'
+    '  ],\n'
+    '  "negatives": 0,\n'
+    '  "path": "exact",\n'
+    '  "positives": 2,\n'
+    '  "provenance": {\n'
+    '    "algorithm": "minor-permanence-inertia",\n'
+    '    "source": "darboux-1874"\n'
+    '  },\n'
+    '  "zeros": 1\n'
+    '}\n'
+)
+ZERO_FIRST_PIVOT_INERTIA = (
+    '{\n'
+    '  "method": "congruence-fallback",\n'
+    '  "minor_sequence": [\n'
+    '    "-5/1",\n'
+    '    "-1/1",\n'
+    '    "0/1",\n'
+    '    "1/1"\n'
+    '  ],\n'
+    '  "negatives": 1,\n'
+    '  "path": "exact",\n'
+    '  "positives": 2,\n'
+    '  "provenance": {\n'
+    '    "algorithm": "minor-permanence-inertia",\n'
+    '    "source": "darboux-1874"\n'
+    '  },\n'
+    '  "zeros": 0\n'
+    '}\n'
+)
+
+
 # `eigvec --path exact` stdout at the double root 1/2 of det(Psi - s*Phi),
 # Phi = S^T S and Psi = S^T diag(1/2, 1/2, 3) S for S = [[1,1,0],[0,1,1],
 # [0,0,1]]: the adjugate vanishes there, so the vectors are the nullspace
@@ -810,6 +877,18 @@ class TestDeterminism:
     def test_divisibility_verbs_stdout_pinned(self, tmp_path, capsys, verb, doc, expected):
         path = write_json(tmp_path, "in.json", doc)
         assert run([verb, "--input", path]) == 0
+        assert capsys.readouterr().out == expected
+
+    @pytest.mark.parametrize(
+        "doc, expected",
+        [(SWAP_2X2_DOC, SWAP_2X2_INERTIA),
+         (NOTE23_DOC, NOTE23_INERTIA),
+         (ZERO_FIRST_PIVOT_DOC, ZERO_FIRST_PIVOT_INERTIA)],
+        ids=["add-step", "zero-row", "zero-first-pivot"],
+    )
+    def test_inertia_fallback_stdout_pinned(self, tmp_path, capsys, doc, expected):
+        path = write_json(tmp_path, "m.json", doc)
+        assert run(["inertia", "--input", path]) == 0
         assert capsys.readouterr().out == expected
 
     def test_eigvec_nullspace_stdout_pinned(self, tmp_path, capsys):

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from secular.errors import PreconditionError
 from secular.invariants import (
@@ -16,6 +18,7 @@ from secular.matrices import Pencil, PolyMatrix, RatMatrix
 from secular.polynomials import Poly
 
 from oracles import (
+    cofactor_det_rat,
     congruence_signature,
     conjugated_jordan,
     is_diagonalizable_by_smith,
@@ -397,6 +400,48 @@ class TestInertia:
         rep = inertia(M)
         assert rep.method == "congruence-fallback"
         assert rep.signature == (1, 1, 0)
+
+
+@st.composite
+def sparse_symmetric(draw):
+    """Symmetric n x n forms, n <= 6, mostly singular and mostly without
+    squares: diagonals mostly zero, small off-diagonal entries, and often one
+    index repeating another, so that zero pivots, symmetric swaps, Lagrange's
+    add step and zero rows all occur."""
+    n = draw(st.integers(0, 6))
+    diagonal = st.sampled_from([0, 0, 0, 0, 1, -1, Fraction(1, 3)])
+    off = st.sampled_from([0, 0, 1, -1, 2, Fraction(1, 3), Fraction(-2, 3)])
+    a = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            a[i][j] = a[j][i] = draw(diagonal if i == j else off)
+    if n >= 2 and draw(st.booleans()):
+        i, j = draw(st.permutations(range(n)))[:2]
+        for k in range(n):
+            a[j][k] = a[i][k]
+        for k in range(n):
+            a[k][j] = a[k][i]
+    return RatMatrix.from_rows(a)
+
+
+class TestInertiaAgainstCongruenceOracle:
+    """The symmetric Bareiss pass against the Fraction congruence diagonal,
+    and its method against leading minors by cofactor expansion."""
+
+    @given(sparse_symmetric())
+    @example(RatMatrix(0, 0, ()))
+    @example(RatMatrix.zeros(4, 4))
+    @example(RatMatrix.from_rows([[0, 1], [1, 0]]))
+    @example(RatMatrix.from_rows([[0, 1, 1], [1, 0, 1], [1, 1, 0]]))
+    @settings(max_examples=300, deadline=None)
+    def test_signature_and_method(self, M):
+        rep = inertia(M)
+        assert rep.signature == congruence_signature(M)
+        rows = M.to_rows()
+        minors = [cofactor_det_rat(RatMatrix.from_rows([r[:k] for r in rows[:k]]))
+                  for k in range(1, M.rows + 1)]
+        assert (rep.method == "minor-formula") == all(minors)
+        assert rep.minor_sequence == (*minors[::-1], 1)
 
 
 class TestDarbouxSteps:

@@ -8,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from secular.errors import PreconditionError
+from secular.invariants import inertia
 from secular.matrices import (
     ORIENTATIONS,
     Pencil,
     RatMatrix,
+    _integer_model,
     _linear_combination,
     adjugate_pencil,
     det_pencil,
@@ -535,6 +537,49 @@ class TestIntegerKernelsAgainstFractionOracles:
         got = pencil.evaluate(s)
         assert got == char_matrix_by_fractions(pencil, s)
         assert all(type(v) is Fraction for v in got.entries)
+
+
+class TestIntegerModelPerMatrix:
+    """Each matrix builds its integer model once and keeps it; the kernels
+    that eliminate in place take fresh copies, so running every kernel in
+    turn on one instance changes none of its results."""
+
+    def test_built_once_and_handed_out_as_copies(self):
+        M = RatMatrix.from_rows([[Fraction(1, 2), 1], [1, Fraction(1, 3)]])
+        L, rows = M._int_model
+        assert (L, rows) == (6, [[3, 6], [6, 2]])
+        assert M._int_model[1] is rows
+        _, (copy,) = _integer_model(M)
+        assert copy == rows and copy is not rows
+        assert all(c is not r for c, r in zip(copy, rows))
+        # two matrices share the lcm of their own denominators
+        L2, (a, b) = _integer_model(M, RatMatrix.from_rows([[Fraction(1, 4), 0], [0, 1]]))
+        assert (L2, a, b) == (12, [[6, 12], [12, 4]], [[3, 0], [0, 12]])
+
+    @pytest.mark.parametrize("rows", [
+        [[Fraction(1, 2), 2, 0], [2, Fraction(-1, 3), 1], [0, 1, 5]],
+        [[0, 1, 2], [1, 1, 0], [2, 0, 1]],
+        [[1, -1, 0], [-1, 2, 1], [0, 1, 1]],
+        [[0, Fraction(1, 2), 0], [Fraction(1, 2), 0, 0], [0, 0, 0]],
+    ], ids=["nonsingular", "zero-first-pivot", "note23", "zero-row"])
+    def test_kernels_in_sequence_match_a_fresh_matrix(self, rows):
+        other = RatMatrix.from_rows([[Fraction(i - j, i + j + 1) for j in range(3)]
+                                     for i in range(3)])
+        kernels = [
+            ("inertia", lambda M: inertia(M).signature),
+            ("det", RatMatrix.det),
+            ("rank", RatMatrix.rank),
+            ("nullspace", RatMatrix.nullspace),
+            ("inverse", lambda M: M.inverse() if M.det() else None),
+            ("leading minors", RatMatrix.leading_principal_minors),
+            ("products", lambda M: (M @ M, M @ other, other @ M)),
+            ("combination", lambda M: _linear_combination([2, Fraction(-1, 3)], [M, other])),
+        ]
+        M = RatMatrix.from_rows(rows)
+        for _ in range(2):
+            for name, kernel in kernels:
+                assert kernel(M) == kernel(RatMatrix.from_rows(rows)), name
+        assert M._int_model == RatMatrix.from_rows(rows)._int_model
 
 
 def with_zero_leading_minor(M: RatMatrix, k: int) -> RatMatrix:

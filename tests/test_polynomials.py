@@ -74,6 +74,14 @@ class TestArithmetic:
         assert Poly().to_string() == "0"
         assert P(Fraction(1, 2)).to_string() == "1/2"
 
+    def test_iteration_ends(self, deadline):
+        # indexing answers 0 past the end, so iteration must not rely on it
+        deadline(1.0)
+        p = P(1, 2, 0)
+        assert list(p) == [1, 2] and list(Poly()) == []
+        assert [c for c in P(0, -3, 4)] == [0, -3, 4]
+        assert Poly(p) == p and p[5] == 0
+
     @given(polys(), polys(nonzero=True))
     @settings(max_examples=60)
     def test_divrem_recombines(self, p, q):

@@ -324,3 +324,24 @@ class TestVerifyTheorem:
         report = verify_theorem(tampered, pair)
         assert not report.ok
         assert report.phi_residual > 0
+
+    def test_exact_piece_inertia_builds_no_block_determinant(self, monkeypatch):
+        # every exact theta piece but a full-rank one is singular, so each
+        # meets a zero pivot: its inertia comes from the one symmetric
+        # Bareiss pass, never from leading minors or block determinants
+        import secular.matrices as matrices
+
+        pair, _ = planted_pair(random.Random(17), 4, [1, 1, 2, Fraction(-1, 2)])
+        dec = theta_components(pair)
+        assert dec.path == "exact"
+        assert sorted(c.multiplicity for c in dec.components) == [1, 1, 2]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("block determinant on the inertia path")
+
+        monkeypatch.setattr(RatMatrix, "submatrix", refuse)
+        monkeypatch.setattr(RatMatrix, "leading_principal_minors", refuse)
+        monkeypatch.setattr(matrices, "det_rational", refuse)
+        report = verify_theorem(dec, pair)
+        assert report.ok and report.ranks_ok and report.semidefinite_ok
+        assert [inertia(c.theta).method for c in dec.components] == ["congruence-fallback"] * 3
