@@ -310,8 +310,8 @@ def darboux_signature_steps(M: RatMatrix) -> list[tuple[RealRoot, int]]:
     """
     if not M.is_symmetric():
         raise PreconditionError("signature steps require a symmetric matrix")
-    n = M.rows
-    roots = Pencil.similarity(M).roots()
+    pencil = Pencil.classical(M)
+    roots = pencil.roots()
     if not roots:
         return []
     # rational sample points between consecutive roots: isolating intervals
@@ -321,9 +321,7 @@ def darboux_signature_steps(M: RatMatrix) -> list[tuple[RealRoot, int]]:
     for left, right in zip(roots, roots[1:]):
         samples.append((left.hi + right.lo) / 2)
     samples.append(roots[-1].hi + 1)
-    counts = [
-        inertia(M - RatMatrix.identity(n).scale(lam)).positives for lam in samples
-    ]
+    counts = [inertia(pencil.evaluate(lam)).positives for lam in samples]
     return [
         (root, counts[i + 1] - counts[i]) for i, root in enumerate(roots)
     ]

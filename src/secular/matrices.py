@@ -8,16 +8,19 @@ builds once and keeps; several matrices rescale theirs to the lcm of their
 L, and the eliminations, which run in place, get fresh copies: Bareiss for
 determinants, fraction-free Gauss-Jordan on [M | I] for inverses and
 adjugates, and a symmetric Bareiss pass with swaps and Lagrange's add step
-for inertia (`secular.invariants`).  A pencil's determinant and adjugate come
-from samples L*P(k) of its characteristic matrix P by Newton interpolation
-in integers, and the adjugate of a matrix M is the constant term of that of
-the pencil sI + M.  A pencil computes its determinant, real roots (per
-width), adjugate and integer model once, on first use; the float path rounds
-the characteristic matrix at a point from that integer model, one correctly
-rounded division per entry, and the exact path builds one Fraction per entry
-from the same integer numerators.  Matrix products and linear combinations
-run on integer models too, with integer dot products and one division per
-entry.  Leading principal minors are the pivots of one Bareiss pass.  Entry
+for inertia (`secular.invariants`).  A pencil computes its determinant, real
+roots (per width), adjugate and integer model once, on first use.  One
+sampler, `Pencil._numerators`, gives the integer rows of its characteristic
+matrix P at a rational point: at the integers k they are the samples L*P(k)
+from which Newton interpolation in integers reads the determinant and the
+adjugate; at an exact root their elimination gives the nullspace with no
+Fraction matrix built; the float path rounds them once per entry, and
+`Pencil.evaluate` builds one Fraction per entry.  The adjugate of a matrix M
+is the constant term of that of the pencil sI + M.  Matrix products, linear
+combinations and bilinear forms v^T B w run on integer models too, with
+integer dot products and one division per entry; no other module reads a
+matrix's integer model.  Leading principal minors are the pivots of one
+Bareiss pass.  Entry
 tuples are built from lists: CPython sizes a tuple built from a generator by
 a guess and shrinks it, and the freed block then stays on the free list of
 the smaller size; over 250 rounds of the exact-structure benchmark such
@@ -235,24 +238,9 @@ class RatMatrix:
         return len(_rref(_integer_model(self)[1][0], self.cols))
 
     def nullspace(self) -> list[Vector]:
-        """Exact basis of the right nullspace, one vector per free column.
-
-        Deterministic: free columns in increasing order, each basis vector
-        has a 1 in its free coordinate, and the others are read off the
-        integer echelon rows of `_rref` with one Fraction per entry.
-        """
-        _L, (m,) = _integer_model(self)
-        pivots = _rref(m, self.cols)
-        basis = []
-        for j in range(self.cols):
-            if j in pivots:
-                continue
-            v = [Fraction(0)] * self.cols
-            v[j] = Fraction(1)
-            for r, c in enumerate(pivots):
-                v[c] = Fraction(-m[r][j], m[r][c])
-            basis.append(tuple(v))
-        return basis
+        """Exact basis of the right nullspace, one vector per free column
+        (`_nullspace` on the integer model)."""
+        return _nullspace(_integer_model(self)[1][0], self.cols)
 
     def adjugate(self) -> "RatMatrix":
         """Transposed cofactor matrix: self @ adj = det * I, at any rank.
@@ -302,6 +290,27 @@ def _rref(m: list[list[int]], ncols: int) -> list[int]:
         if len(pivots) == len(m):
             break
     return pivots
+
+
+def _nullspace(m: list[list[int]], ncols: int) -> list[Vector]:
+    """Exact basis of the right nullspace of the integer rows m (consumed);
+    any nonzero rational multiple of the rows gives the same basis.
+
+    Deterministic: free columns in increasing order, each basis vector has a
+    1 in its free coordinate, and the others are read off the integer
+    echelon rows of `_rref` with one Fraction per entry.
+    """
+    pivots = _rref(m, ncols)
+    basis = []
+    for j in range(ncols):
+        if j in pivots:
+            continue
+        v = [Fraction(0)] * ncols
+        v[j] = Fraction(1)
+        for r, c in enumerate(pivots):
+            v[c] = Fraction(-m[r][j], m[r][c])
+        basis.append(tuple(v))
+    return basis
 
 
 def _bareiss_step(m: list[list[int]], k: int, prev: int, rows: Iterable[int]) -> None:
@@ -373,6 +382,16 @@ def _linear_combination(weights: Sequence, matrices: Sequence[RatMatrix]) -> Rat
     ]))
 
 
+def _bilinear(B: RatMatrix, v: Sequence, w: Sequence) -> Fraction:
+    """v^T B w in integers on the integer models of B, v and w, divided
+    once by the product of their denominators."""
+    L, m = B._int_model
+    Lv, (vi,) = RatMatrix(1, len(v), tuple(v))._int_model
+    Lw, (wi,) = RatMatrix(1, len(w), tuple(w))._int_model
+    return Fraction(sum(x * sum(map(mul, row, wi)) for x, row in zip(vi, m)),
+                    L * Lv * Lw)
+
+
 def det_rational(M: RatMatrix) -> Fraction:
     """Exact determinant via Bareiss elimination on an integer model."""
     if not M.is_square:
@@ -416,19 +435,6 @@ class PolyMatrix:
         )
 
 
-def _samples(pencil: "Pencil", points: Iterable[int]) -> list[list[list[int]]]:
-    """The integer matrices L*P(k) for k in points, P the characteristic
-    matrix: rows u*a - v*b of the integer model L*A, L*B, with (u, v) = (k, 1)
-    for "sA-B" and (1, k) for "A-sB"."""
-    _L, (A, B) = pencil._int_model
-    out = []
-    for k in points:
-        u, v = (k, 1) if pencil.orientation == "sA-B" else (1, k)
-        out.append([[u * a - v * b for a, b in zip(row_a, row_b)]
-                    for row_a, row_b in zip(A, B)])
-    return out
-
-
 def det_pencil(pencil: "Pencil") -> Poly:
     """Exact determinant of the characteristic matrix P by evaluation and
     interpolation.
@@ -439,7 +445,7 @@ def det_pencil(pencil: "Pencil") -> Poly:
     """
     n = pencil.size
     scale = pencil._int_model[0] ** n
-    values = [_bareiss(m, n) for m in _samples(pencil, range(n + 1))]
+    values = [_bareiss(pencil._numerators(k)[1], n) for k in range(n + 1)]
     return Poly(Fraction(c, scale) for c in _interpolate(range(n + 1), values))
 
 
@@ -460,7 +466,7 @@ def adjugate_pencil(pencil: "Pencil") -> PolyMatrix:
     n = pencil.size
     c = 2 + max(abs(x) for x in f.coeffs) // abs(f.leading())
     points = range(c, c + n)
-    values = [_int_adjugate(m)[1] for m in _samples(pencil, points)]
+    values = [_int_adjugate(pencil._numerators(k)[1])[1] for k in points]
     scale = pencil._int_model[0] ** (n - 1)
     return PolyMatrix(n, n, tuple([
         Poly(Fraction(x, scale) for x in _interpolate(points, entry))

@@ -35,7 +35,7 @@ from typing import TYPE_CHECKING
 
 from .errors import InternalError, PathUnavailableError, PreconditionError
 from .invariants import inertia
-from .matrices import Pencil, RatMatrix
+from .matrices import Pencil, RatMatrix, _bilinear
 from .polynomials import Poly, squarefree_decompose
 from .realroots import RealRoot, root_sign
 from .spectral import spectral_decompose
@@ -384,9 +384,8 @@ def solve_modal(
     for root, vectors, norms in zip(dec.roots, dec.vectors, dec.sq_norms):
         for v, nv in zip(vectors, norms):
             if exact:
-                p = _project_exact(A, v, ic.positions, nv)
-                q = _project_exact(A, v, ic.velocities, nv)
-                p, q = float(p), float(q)
+                p = float(_bilinear(A, v, ic.positions) / nv)
+                q = float(_bilinear(A, v, ic.velocities) / nv)
             else:
                 vf = np.array(v)
                 p = float(vf @ Af @ Y) / float(nv)
@@ -399,12 +398,6 @@ def solve_modal(
             phase = math.atan2(p, q / omega) % (2 * math.pi)
             modes.append(Mode(root, omega, v, nv, amplitude, phase))
     return ModalSolution(model, tuple(modes), tuple(drifts), dec.path)
-
-
-def _project_exact(A: RatMatrix, v, target, sq_norm: Fraction) -> Fraction:
-    Av = A.apply(target)
-    num = sum((Fraction(x) * y for x, y in zip(v, Av)), Fraction(0))
-    return num / sq_norm
 
 
 # ---------------------------------------------------------------------------

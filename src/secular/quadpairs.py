@@ -22,8 +22,10 @@ the exact path the vanishing lower coefficients are that divisibility.
 
 Exact path requires rational roots; otherwise the same coefficients are
 taken at refined root approximations and rounded to floating point
-(tolerance 1e-9).  Negative definite Phi is handled by negating both forms,
-running the positive path and negating the pieces back.
+(tolerance 1e-9, on residuals that read 0 for the empty pair).  The sign of
+the definite Phi plays no part (Weierstrass 1858): a negative definite pair
+is reduced on its own pencil by the same residues, and only the
+semidefiniteness test of `verify_theorem` reads the sign.
 """
 
 from __future__ import annotations
@@ -34,12 +36,12 @@ from functools import cached_property
 from math import factorial
 from typing import TYPE_CHECKING
 
-from .errors import PathUnavailableError, PreconditionError
+from .errors import PreconditionError
 from .invariants import MinorDivisibility, _minor_divisibility, inertia
 from .matrices import Pencil, PolyMatrix, RatMatrix, _linear_combination
 from .polynomials import Poly
 from .realroots import RealRoot, refine_root
-from .spectral import FLOAT_ROOT_WIDTH
+from .spectral import FLOAT_ROOT_WIDTH, _decide_path
 
 if TYPE_CHECKING:
     import numpy as np
@@ -156,7 +158,7 @@ def _residue(adj: PolyMatrix, f: Poly, point: Fraction, mult: int, exact: bool):
             )
         if any(h[:-1]):
             raise PreconditionError("root multiplicity mismatch during deflation")
-        return RatMatrix(adj.rows, adj.cols, tuple([cs[-1] for cs in g])).scale(1 / h[-1])
+        return RatMatrix(adj.rows, adj.cols, tuple([cs[-1] / h[-1] for cs in g]))
 
     import numpy as np
 
@@ -177,39 +179,32 @@ def _exact_residuals(comps, pair: QuadraticPair) -> tuple[RatMatrix, RatMatrix]:
     )
 
 
+def _float_residuals(comps, pair: QuadraticPair) -> tuple[float, float]:
+    """max |sum(theta) - Phi| and max |sum(root * theta) - Psi| over float
+    components; both read 0.0 on the empty pair."""
+    import numpy as np
+
+    n = pair.size
+    thetas = [c.theta_numpy() for c in comps]
+    sum_theta = sum(thetas, np.zeros((n, n)))
+    sum_s_theta = sum((c.root.as_float() * T for c, T in zip(comps, thetas)), np.zeros((n, n)))
+    return (
+        float(np.max(np.abs(sum_theta - pair.phi.to_numpy()), initial=0.0)),
+        float(np.max(np.abs(sum_s_theta - pair.psi.to_numpy()), initial=0.0)),
+    )
+
+
 def theta_components(pair: QuadraticPair, path: str = "auto") -> ThetaDecomposition:
     """The pieces (root, multiplicity, theta) with Phi = sum(theta) and
     Psi = sum(root * theta); theta = Phi @ R @ Phi for the residue R of the
-    pencil inverse at the root."""
-    if path not in ("auto", "exact", "float"):
-        raise PreconditionError(f"unknown arithmetic path {path!r}")
-    if pair.definiteness == "negative":
-        flipped = QuadraticPair(-pair.phi, -pair.psi, "positive")
-        dec = theta_components(flipped, path)
-        comps = tuple(
-            ThetaComponent(
-                c.root,
-                c.multiplicity,
-                -c.theta
-                if isinstance(c.theta, RatMatrix)
-                else tuple(tuple(-x for x in row) for row in c.theta),
-            )
-            for c in dec.components
-        )
-        return ThetaDecomposition(comps, dec.path, dec.size)
-
+    pencil inverse at the root, whatever the sign of the definite Phi."""
     pencil = pair.pencil()
     n = pair.size
     f = pencil.char_poly()
     roots = pencil.roots(FLOAT_ROOT_WIDTH)
     if sum(r.multiplicity for r in roots) != n:
         raise PreconditionError("characteristic roots are not all real")
-    all_exact = all(r.is_exact for r in roots)
-    if path == "exact" and not all_exact:
-        raise PathUnavailableError(
-            "exact path requested but the characteristic roots are irrational"
-        )
-    mode = "exact" if (all_exact and path != "float") else "float"
+    mode = _decide_path(path, all(r.is_exact for r in roots))
     adj = pencil.char_adjugate()
     phi = pair.phi if mode == "exact" else pair.phi.to_numpy()
     comps = []
@@ -228,13 +223,11 @@ def theta_components(pair: QuadraticPair, path: str = "auto") -> ThetaDecomposit
     else:
         import numpy as np
 
-        sum_theta = sum(c.theta_numpy() for c in comps)
-        sum_s_theta = sum(c.root.as_float() * c.theta_numpy() for c in comps)
-        scale = max(1.0, float(np.max(np.abs(phi))))
+        phi_res, psi_res = _float_residuals(comps, pair)
         if (
-            np.max(np.abs(sum_theta - phi)) > FLOAT_RESIDUAL_TOL * scale
-            or np.max(np.abs(sum_s_theta - pair.psi.to_numpy()))
-            > FLOAT_RESIDUAL_TOL * max(1.0, float(np.max(np.abs(pair.psi.to_numpy()))))
+            phi_res > FLOAT_RESIDUAL_TOL * float(np.max(np.abs(phi), initial=1.0))
+            or psi_res
+            > FLOAT_RESIDUAL_TOL * float(np.max(np.abs(pair.psi.to_numpy()), initial=1.0))
         ):
             raise PreconditionError(
                 "residue components do not reassemble the pair within"
@@ -272,21 +265,16 @@ def verify_theorem(
         return TheoremReport(ok, phi_res, psi_res, ranks_ok, semidef_ok, mult_ok, "exact")
     import numpy as np
 
-    sum_theta = np.zeros((n, n))
-    sum_s_theta = np.zeros((n, n))
     ranks_ok = True
     semidef_ok = True
     for c in dec.components:
         T = c.theta_numpy()
-        sum_theta += T
-        sum_s_theta += c.root.as_float() * T
         eigs = np.linalg.eigvalsh(sign * T)
         scale = max(1.0, float(np.max(np.abs(T))))
         semidef_ok &= bool(eigs.min() >= -tolerance * scale)
         rank = int(np.sum(np.abs(eigs) > 1e-7 * scale))
         ranks_ok &= rank == c.multiplicity
-    phi_res = float(np.max(np.abs(sum_theta - pair.phi.to_numpy())))
-    psi_res = float(np.max(np.abs(sum_s_theta - pair.psi.to_numpy())))
+    phi_res, psi_res = _float_residuals(dec.components, pair)
     ok = (
         phi_res <= tolerance
         and psi_res <= tolerance

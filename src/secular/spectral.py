@@ -2,7 +2,11 @@
 
 The exact path reads eigenvectors off the pencil's cached adjugate evaluated
 at a rational root (first non-null column) or off an exact nullspace of the
-characteristic matrix there.  Isolated irrational roots route to a floating
+characteristic matrix there, eliminated on the pencil's integer rows at the
+root.  One rule picks the path of every entry point, this module's and the
+pair reduction's: an unknown path raises PreconditionError, "exact" with an
+irrational root raises PathUnavailableError, and "auto" is exact exactly
+when every root involved is.  Isolated irrational roots route to a floating
 path: the interval is refined to width 10^-30, the characteristic matrix at
 the midpoint is rounded once to floats from the pencil's integer model (no
 Fraction matrix is built), and nullspaces are taken by SVD with a relative
@@ -19,12 +23,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
 from typing import TYPE_CHECKING
 
 from .errors import InternalError, PathUnavailableError, PreconditionError
 from .invariants import inertia
-from .matrices import Pencil, RatMatrix
+from .matrices import Pencil, RatMatrix, _bilinear, _nullspace
 from .polynomials import Poly
 from .realroots import RealRoot, refine_root
 
@@ -112,17 +115,18 @@ def _root_point(root: RealRoot) -> Fraction:
     return refine_root(root, FLOAT_ROOT_WIDTH).approx()
 
 
-def _decide_path(root: RealRoot, path: str) -> str:
+def _decide_path(path: str, exact: bool) -> str:
+    """The arithmetic path for a request: "exact" when every root involved
+    is `exact` and the request allows it, else "float"; an unknown path, or
+    "exact" with an irrational root, raises."""
     if path not in ("auto", "exact", "float"):
         raise PreconditionError(f"unknown arithmetic path {path!r}")
-    if path == "exact" and not root.is_exact:
+    if path == "exact" and not exact:
         raise PathUnavailableError(
-            "exact path requested but the root is irrational; use the"
-            " floating path"
+            "exact path requested but a characteristic root is irrational;"
+            " use the floating path"
         )
-    if path == "auto":
-        return "exact" if root.is_exact else "float"
-    return path
+    return "exact" if exact and path != "float" else "float"
 
 
 def _sign_normalize(vec: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
@@ -144,7 +148,7 @@ def adjugate_eigenvector(pencil: Pencil, root: RealRoot, path: str = "auto"):
     SVD null vector.  An all-zero adjugate (nullity above one) means the
     root has higher geometric multiplicity; use `nullspace_at_root` then.
     """
-    mode = _decide_path(root, path)
+    mode = _decide_path(path, root.is_exact)
     if mode == "exact":
         adj = pencil.char_adjugate()
         for j in range(adj.cols):
@@ -181,10 +185,10 @@ def _float_nullspace(M: np.ndarray, threshold: float = FLOAT_NULL_THRESHOLD):
 def nullspace_at_root(pencil: Pencil, root: RealRoot, path: str = "auto"):
     """Exact (or floating) basis of the nullspace of the characteristic
     matrix at a root; its size is the geometric multiplicity."""
-    mode = _decide_path(root, path)
+    mode = _decide_path(path, root.is_exact)
     if mode == "exact":
-        M0 = pencil.evaluate(root.value)
-        return [_sign_normalize(v) for v in M0.nullspace()]
+        rows = pencil._numerators(root.value)[1]
+        return [_sign_normalize(v) for v in _nullspace(rows, pencil.size)]
     return _float_nullspace(pencil.evaluate_float(_root_point(root)))
 
 
@@ -214,16 +218,6 @@ def cauchy_orthogonality(dec: SpectralDecomposition, B: RatMatrix) -> Orthogonal
                         worst = max(worst, val)
     ok = (worst == 0) if exact else (worst <= 1e-9)
     return OrthogonalityReport(pairs, worst, ok)
-
-
-def _bilinear(B: RatMatrix, v, w) -> Fraction:
-    """v^T B w in integers on the integer models of B, v and w, divided
-    once by the product of their denominators."""
-    L, m = B._int_model
-    Lv, (vi,) = RatMatrix(1, len(v), tuple(v))._int_model
-    Lw, (wi,) = RatMatrix(1, len(w), tuple(w))._int_model
-    return Fraction(sum(x * sum(map(mul, row, wi)) for x, row in zip(vi, m)),
-                    L * Lv * Lw)
 
 
 def q_factor(p: Poly, root: RealRoot) -> QFactor:
@@ -291,12 +285,7 @@ def spectral_decompose(pencil: Pencil, path: str = "auto") -> SpectralDecomposit
     automatically for symmetric pencils.
     """
     roots = char_roots(pencil)
-    if path == "exact" and any(not r.is_exact for r in roots):
-        raise PathUnavailableError(
-            "exact decomposition requested but some characteristic roots are"
-            " irrational"
-        )
-    mode = "exact" if (path != "float" and all(r.is_exact for r in roots)) else "float"
+    mode = _decide_path(path, all(r.is_exact for r in roots))
     W = pencil.leading()
     Wf = None if mode == "exact" else W.to_numpy()
     vectors = []

@@ -25,7 +25,10 @@ characteristic matrix at a point, and rank and nullspace from the reduced
 row echelon form.  The float kernels keep their former definitions too: the
 characteristic matrix as a Fraction matrix converted entry by entry,
 trajectories one time at a time, and leading minors as one block
-determinant each.  The small constructors and products the tests build
+determinant each.  Routes that rebuilt what a pencil already holds keep
+theirs: theta pieces of a negative definite pair from the positive pair
+(-Phi, -Psi) negated back, and Darboux's signature steps on Fraction samples
+M - lambda*I between the roots of the similarity pencil.  The small constructors and products the tests build
 their inputs with live here too, outside the library.
 """
 
@@ -38,10 +41,16 @@ from fractions import Fraction
 import numpy as np
 
 from secular.errors import InternalError, PathUnavailableError, PreconditionError
-from secular.invariants import MinorGcdChain, invariant_factors, minor_gcd_chain
+from secular.invariants import MinorGcdChain, inertia, invariant_factors, minor_gcd_chain
 from secular.matrices import Pencil, PolyMatrix, RatMatrix, det_rational
 from secular.oscillate import Trajectory
 from secular.polynomials import ONE, Poly
+from secular.quadpairs import (
+    QuadraticPair,
+    ThetaComponent,
+    ThetaDecomposition,
+    theta_components,
+)
 
 
 def poly_gcd_by_euclid(p: Poly, q: Poly) -> Poly:
@@ -752,3 +761,45 @@ def expm_by_bezout(M: RatMatrix, t: float) -> np.ndarray:
                 acc = acc + term.to_numpy() * tk
             out += math.exp(float(sigma) * t) * acc
     return out
+
+
+def theta_components_by_negation(pair: QuadraticPair, path: str = "auto") -> ThetaDecomposition:
+    """Theta pieces of a negative definite pair from the positive pair
+    (-Phi, -Psi) and its own pencil, each piece negated back."""
+    if pair.definiteness == "negative":
+        flipped = QuadraticPair(-pair.phi, -pair.psi, "positive")
+        dec = theta_components(flipped, path)
+        comps = tuple(
+            ThetaComponent(
+                c.root,
+                c.multiplicity,
+                -c.theta
+                if isinstance(c.theta, RatMatrix)
+                else tuple(tuple(-x for x in row) for row in c.theta),
+            )
+            for c in dec.components
+        )
+        return ThetaDecomposition(comps, dec.path, dec.size)
+    return theta_components(pair, path)
+
+
+def darboux_steps_by_fractions(M: RatMatrix) -> list[tuple]:
+    """Jumps of the positive-square count of M - lambda*I at the roots of
+    the similarity pencil s*I - M, each sample built as a Fraction identity
+    scaled, negated and added to M."""
+    if not M.is_symmetric():
+        raise PreconditionError("signature steps require a symmetric matrix")
+    n = M.rows
+    roots = Pencil.similarity(M).roots()
+    if not roots:
+        return []
+    samples = [roots[0].lo - 1]
+    for left, right in zip(roots, roots[1:]):
+        samples.append((left.hi + right.lo) / 2)
+    samples.append(roots[-1].hi + 1)
+    counts = [
+        inertia(M - RatMatrix.identity(n).scale(lam)).positives for lam in samples
+    ]
+    return [
+        (root, counts[i + 1] - counts[i]) for i, root in enumerate(roots)
+    ]

@@ -500,6 +500,179 @@ REPEATED_ROOT_EIGVEC = (
 )
 
 
+# `weierstrass-reduce` stdout on a negative definite pair with irrational
+# roots, reduced on the pair's own pencil s*Phi - Psi: the float pieces of
+# the exact root -4/9 hold 0.0 where the positive pair (-Phi, -Psi), negated
+# back, printed -0.0.
+NEGATIVE_FLOAT_PAIR_DOC = {
+    "phi": {"rows": 3, "cols": 3,
+            "entries": ["-10", "-6", "-1", "-6", "-9", "-6", "-1", "-6", "-10"]},
+    "psi": {"rows": 3, "cols": 3,
+            "entries": ["3", "3", "4", "3", "4", "2", "4", "2", "-4"]},
+}
+NEGATIVE_FLOAT_PAIR_REDUCE = (
+    '{\n'
+    '  "circumstance_check": [\n'
+    '    {\n'
+    '      "divisible": true,\n'
+    '      "factor": {\n'
+    '        "coefficients": [\n'
+    '          "-40/243",\n'
+    '          "-130/243",\n'
+    '          "2/27",\n'
+    '          "1/1"\n'
+    '        ],\n'
+    '        "display": "x^3+2/27*x^2-130/243*x-40/243"\n'
+    '      },\n'
+    '      "multiplicity": 1\n'
+    '    }\n'
+    '  ],\n'
+    '  "components": [\n'
+    '    {\n'
+    '      "multiplicity": 1,\n'
+    '      "root": {\n'
+    '        "approx": -0.45094681619695065,\n'
+    '        "interval": [\n'
+    '          "-10289574040015324157853228067255/22817710804108129226940657696768",\n'
+    '          "-120580945781429579974842516413/267395048485642139378210832384"\n'
+    '        ],\n'
+    '        "kind": "isolated",\n'
+    '        "multiplicity": 1\n'
+    '      },\n'
+    '      "theta": [\n'
+    '        [\n'
+    '          -4.336556339040361,\n'
+    '          -6.231334929054681,\n'
+    '          -3.7895571800286385\n'
+    '        ],\n'
+    '        [\n'
+    '          -6.231334929054681,\n'
+    '          -8.954002199507801,\n'
+    '          -5.445334540906244\n'
+    '        ],\n'
+    '        [\n'
+    '          -3.7895571800286385,\n'
+    '          -5.445334540906244,\n'
+    '          -3.311554721755212\n'
+    '        ]\n'
+    '      ]\n'
+    '    },\n'
+    '    {\n'
+    '      "multiplicity": 1,\n'
+    '      "root": {\n'
+    '        "kind": "exact",\n'
+    '        "multiplicity": 1,\n'
+    '        "value": "-4/9"\n'
+    '      },\n'
+    '      "theta": [\n'
+    '        [\n'
+    '          -4.5,\n'
+    '          -3.3306690738754696e-16,\n'
+    '          1.3877787807814457e-16\n'
+    '        ],\n'
+    '        [\n'
+    '          -3.3306690738754696e-16,\n'
+    '          0.0,\n'
+    '          0.0\n'
+    '        ],\n'
+    '        [\n'
+    '          1.3877787807814457e-16,\n'
+    '          0.0,\n'
+    '          0.0\n'
+    '        ]\n'
+    '      ]\n'
+    '    },\n'
+    '    {\n'
+    '      "multiplicity": 1,\n'
+    '      "root": {\n'
+    '        "approx": 0.821317186567321,\n'
+    '        "interval": [\n'
+    '          "28110867062305280251746874154615/34226566206162193840410986545152",\n'
+    '          "56221734124610560503493748309267/68453132412324387680821973090304"\n'
+    '        ],\n'
+    '        "kind": "isolated",\n'
+    '        "multiplicity": 1\n'
+    '      },\n'
+    '      "theta": [\n'
+    '        [\n'
+    '          -1.1634436609596392,\n'
+    '          0.2313349290546796,\n'
+    '          2.7895571800286376\n'
+    '        ],\n'
+    '        [\n'
+    '          0.2313349290546796,\n'
+    '          -0.04599780049219837,\n'
+    '          -0.5546654590937561\n'
+    '        ],\n'
+    '        [\n'
+    '          2.7895571800286376,\n'
+    '          -0.5546654590937561,\n'
+    '          -6.688445278244789\n'
+    '        ]\n'
+    '      ]\n'
+    '    }\n'
+    '  ],\n'
+    '  "definiteness": "negative",\n'
+    '  "path": "float",\n'
+    '  "provenance": {\n'
+    '    "algorithm": "definite-pair-reduction",\n'
+    '    "source": "weierstrass-1858"\n'
+    '  },\n'
+    '  "verified": true\n'
+    '}\n'
+)
+
+# `darboux-steps` stdout on a symmetric matrix with denominators (roots 2/3
+# and two irrational ones), as the similarity pencil's roots and Fraction
+# samples M - lambda*I printed it, byte for byte.
+DENOMINATOR_SYMMETRIC_DOC = {
+    "rows": 3, "cols": 3,
+    "entries": ["1/2", "1/3", "0", "1/3", "-1", "0", "0", "0", "2/3"],
+}
+DENOMINATOR_DARBOUX = (
+    '{\n'
+    '  "path": "exact",\n'
+    '  "provenance": {\n'
+    '    "algorithm": "signature-step-scan",\n'
+    '    "source": "darboux-1874"\n'
+    '  },\n'
+    '  "steps": [\n'
+    '    {\n'
+    '      "jump": -1,\n'
+    '      "root": {\n'
+    '        "approx": -1.0707381501496753,\n'
+    '        "interval": [\n'
+    '          "-8143931152347000177102294254101/7605903601369376408980219232256",\n'
+    '          "-48863586914082001062613765524577/45635421608216258453881315393536"\n'
+    '        ],\n'
+    '        "kind": "isolated",\n'
+    '        "multiplicity": 1\n'
+    '      }\n'
+    '    },\n'
+    '    {\n'
+    '      "jump": -1,\n'
+    '      "root": {\n'
+    '        "approx": 0.5707381501496754,\n'
+    '        "interval": [\n'
+    '          "26045876109973871835673107827795/45635421608216258453881315393536",\n'
+    '          "1627867256873366989729569239239/2852213850513516153367582212096"\n'
+    '        ],\n'
+    '        "kind": "isolated",\n'
+    '        "multiplicity": 1\n'
+    '      }\n'
+    '    },\n'
+    '    {\n'
+    '      "jump": -1,\n'
+    '      "root": {\n'
+    '        "kind": "exact",\n'
+    '        "multiplicity": 1,\n'
+    '        "value": "2/3"\n'
+    '      }\n'
+    '    }\n'
+    '  ]\n'
+    '}\n'
+)
+
 @pytest.fixture
 def note23_file(tmp_path):
     path = tmp_path / "note23.json"
@@ -621,6 +794,15 @@ class TestVerbs:
         assert len(doc["components"]) == 1
         assert doc["verified"] is True
         assert doc["provenance"]["source"] == "weierstrass-1858"
+
+    def test_weierstrass_empty_pair_float_path(self, tmp_path, capsys):
+        empty = {"rows": 0, "cols": 0, "entries": []}
+        pair = write_json(tmp_path, "pair.json", {"phi": empty, "psi": empty})
+        assert run(["weierstrass-reduce", "--input", pair, "--path", "float"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["path"] == "float"
+        assert doc["components"] == []
+        assert doc["verified"] is True
 
     def test_expm(self, tmp_path):
         mat = write_json(
@@ -890,6 +1072,16 @@ class TestDeterminism:
         path = write_json(tmp_path, "m.json", doc)
         assert run(["inertia", "--input", path]) == 0
         assert capsys.readouterr().out == expected
+
+    def test_negative_definite_float_stdout_pinned(self, tmp_path, capsys):
+        path = write_json(tmp_path, "pair.json", NEGATIVE_FLOAT_PAIR_DOC)
+        assert run(["weierstrass-reduce", "--input", path]) == 0
+        assert capsys.readouterr().out == NEGATIVE_FLOAT_PAIR_REDUCE
+
+    def test_darboux_steps_with_denominators_stdout_pinned(self, tmp_path, capsys):
+        path = write_json(tmp_path, "m.json", DENOMINATOR_SYMMETRIC_DOC)
+        assert run(["darboux-steps", "--input", path]) == 0
+        assert capsys.readouterr().out == DENOMINATOR_DARBOUX
 
     def test_eigvec_nullspace_stdout_pinned(self, tmp_path, capsys):
         path = write_json(tmp_path, "p.json", REPEATED_ROOT_PENCIL_DOC)

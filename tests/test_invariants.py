@@ -21,6 +21,7 @@ from oracles import (
     cofactor_det_rat,
     congruence_signature,
     conjugated_jordan,
+    darboux_steps_by_fractions,
     is_diagonalizable_by_smith,
     minor_gcd_chain_by_minors,
     poly_from_roots,
@@ -467,3 +468,27 @@ class TestDarbouxSteps:
         steps = darboux_signature_steps(M)
         assert [j for _, j in steps] == [-1, -1]
         assert all(not r.is_exact for r, _ in steps)
+
+
+@st.composite
+def symmetric_with_denominators(draw):
+    """Symmetric n x n forms, n <= 5, small entries over denominators up to 6."""
+    n = draw(st.integers(0, 5))
+    entry = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+    a = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            a[i][j] = a[j][i] = draw(entry)
+    return RatMatrix.from_rows(a)
+
+
+class TestDarbouxAgainstFractionSamples:
+    """The classical pencil M - s*I gives the roots and every sample, and
+    agrees with the similarity pencil's roots and Fraction samples."""
+
+    @given(st.one_of(symmetric_with_denominators(), sparse_symmetric()))
+    @example(RatMatrix(0, 0, ()))
+    @example(RatMatrix.diagonal([Fraction(1, 2), Fraction(1, 2), Fraction(-1, 3)]))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_fraction_samples(self, M):
+        assert darboux_signature_steps(M) == darboux_steps_by_fractions(M)

@@ -15,6 +15,7 @@ from secular.matrices import (
     RatMatrix,
     _integer_model,
     _linear_combination,
+    _nullspace,
     adjugate_pencil,
     det_pencil,
     det_rational,
@@ -526,6 +527,24 @@ class TestIntegerKernelsAgainstFractionOracles:
         basis = M.nullspace()
         assert basis == nullspace_by_fractions(M)
         assert all(type(x) is Fraction for v in basis for x in v)
+
+    @given(st.tuples(st.integers(1, 4), st.integers(0, 4)).flatmap(
+        lambda s: st.tuples(rat_matrices(s[0], s[0]), rat_matrices(s[0], min(s)),
+                            rat_matrices(min(s), s[0]))),
+           st.sampled_from(ORIENTATIONS), mixed_fractions)
+    @settings(max_examples=60)
+    def test_nullspace_of_pencil_rows_at_a_root(self, case, orientation, s):
+        # the characteristic matrix at s is planted as X @ Y, of rank at most
+        # the inner dimension, so s is a root whenever that is below n
+        M, X, Y = case
+        N = X @ Y
+        if orientation == "sA-B":
+            pencil = Pencil(M, M.scale(s) - N, orientation)
+        else:
+            pencil = Pencil(N + M.scale(s), M, orientation)
+        basis = _nullspace(pencil._numerators(s)[1], pencil.size)
+        assert basis == nullspace_by_fractions(char_matrix_by_fractions(pencil, s))
+        assert len(basis) >= pencil.size - X.cols
 
     @given(st.integers(0, 4).flatmap(lambda n: st.tuples(rat_matrices(n, n),
                                                          rat_matrices(n, n))),

@@ -136,6 +136,11 @@ class TestSolveModal:
         with pytest.raises(PathUnavailableError):
             solve_modal(model, InitialConditions.of([1, 0], [0, 0]), path="exact")
 
+    def test_unknown_path_rejected(self):
+        model = build_model("coupled-springs", {"m": 1, "k": 1, "k0": 1})
+        with pytest.raises(PreconditionError, match="unknown arithmetic path 'bogus'"):
+            solve_modal(model, InitialConditions.of([1, 0], [0, 0]), path="bogus")
+
     def test_dalembert_decoupling(self):
         model = build_model("dalembert-two-mass", {"T": 1})
         sol = solve_modal(model, InitialConditions.of([1, 0], [0, 0]))

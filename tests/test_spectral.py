@@ -6,12 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from secular.errors import PathUnavailableError, PreconditionError
-from secular.matrices import Pencil, RatMatrix
+from secular.matrices import Pencil, RatMatrix, _bilinear
 from secular.polynomials import Poly
 from secular.realroots import RealRoot, refine_root, sturm_isolate
 from secular.spectral import (
     FLOAT_ROOT_WIDTH,
-    _bilinear,
     adjugate_eigenvector,
     cauchy_orthogonality,
     char_roots,
@@ -291,6 +290,33 @@ class TestSpectralDecompose:
             roots = char_roots(pencil)
             geo = sum(len(nullspace_at_root(pencil, r)) for r in roots)
             assert (geo == M.rows) == is_diagonalizable(M)[0]
+
+
+class TestUnknownPath:
+    """Every entry point that takes a path applies one rule, and an unknown
+    path is refused whatever the roots."""
+
+    @pytest.mark.parametrize("call", [
+        lambda p, r: adjugate_eigenvector(p, r, path="bogus"),
+        lambda p, r: nullspace_at_root(p, r, path="bogus"),
+        lambda p, r: spectral_decompose(p, path="bogus"),
+    ], ids=["adjugate_eigenvector", "nullspace_at_root", "spectral_decompose"])
+    @pytest.mark.parametrize("matrix", [NOTE23, RatMatrix.from_rows([[1, 1], [1, 2]])],
+                             ids=["exact-roots", "irrational-roots"])
+    def test_rejected(self, call, matrix):
+        pencil = Pencil.similarity(matrix)
+        root = char_roots(pencil)[0]
+        with pytest.raises(PreconditionError, match="unknown arithmetic path 'bogus'"):
+            call(pencil, root)
+
+    def test_exact_on_an_irrational_root_is_unavailable(self):
+        pencil = Pencil.similarity(RatMatrix.from_rows([[1, 1], [1, 2]]))
+        root = char_roots(pencil)[0]
+        for call in (lambda: adjugate_eigenvector(pencil, root, path="exact"),
+                     lambda: nullspace_at_root(pencil, root, path="exact"),
+                     lambda: spectral_decompose(pencil, path="exact")):
+            with pytest.raises(PathUnavailableError, match="a characteristic root is irrational"):
+                call()
 
 
 @pytest.fixture

@@ -4,6 +4,8 @@ from math import factorial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from secular.errors import PathUnavailableError, PreconditionError
 from secular.invariants import inertia
@@ -21,7 +23,7 @@ from secular.quadpairs import (
 from secular.realroots import refine_root
 from secular.spectral import FLOAT_ROOT_WIDTH
 
-from oracles import residue_by_deflation
+from oracles import residue_by_deflation, theta_components_by_negation
 
 
 def pair_of(phi_rows, psi_rows) -> QuadraticPair:
@@ -202,8 +204,8 @@ class TestThetaComponents:
         assert report.ok
 
     def test_negative_definite_float_path(self):
-        # negative phi with irrational pencil roots goes through negation
-        # plus the floating residue path
+        # negative phi with irrational pencil roots takes the floating
+        # residue path on the pair's own pencil
         pair = QuadraticPair.checked(
             RatMatrix.diagonal([-1, -1]), RatMatrix.from_rows([[-1, -1], [-1, -2]])
         )
@@ -212,6 +214,32 @@ class TestThetaComponents:
         assert dec.path == "float"
         report = verify_theorem(dec, pair)
         assert report.ok
+
+    def test_unknown_path_rejected(self):
+        pair = pair_of([[1, 0], [0, 1]], [[3, 0], [0, 7]])
+        with pytest.raises(PreconditionError, match="unknown arithmetic path 'bogus'"):
+            theta_components(pair, path="bogus")
+
+    def test_negative_pair_builds_one_determinant_and_adjugate(self, monkeypatch):
+        # the circumstance check, the reduction and its verification all read
+        # the one pencil s*Phi - Psi of the pair, whatever the sign of Phi
+        import secular.matrices as matrices
+
+        positive, _ = planted_pair(random.Random(5), 3, [2, 2, 5])
+        pair = QuadraticPair.checked(-positive.phi, -positive.psi)
+        assert pair.definiteness == "negative"
+        calls = {"det_pencil": 0, "adjugate_pencil": 0}
+        for name in calls:
+            def counted(pencil, real=getattr(matrices, name), name=name):
+                calls[name] += 1
+                return real(pencil)
+
+            monkeypatch.setattr(matrices, name, counted)
+        assert remarkable_circumstance_check(pair).ok  # the double root reads the adjugate
+        dec = theta_components(pair)
+        assert dec.path == "exact"
+        assert verify_theorem(dec, pair).ok
+        assert calls == {"det_pencil": 1, "adjugate_pencil": 1}
 
     def test_float_path_multiplicity_robust(self):
         # a double root and its 1e-6 perturbation give nearby decompositions
@@ -232,6 +260,43 @@ class TestThetaComponents:
             if abs(c.root.as_float() - 2) < 1e-3
         )
         assert np.max(np.abs(merged - target)) < 1e-4
+
+
+class TestNegativeDefiniteAgainstNegationOracle:
+    """A negative definite pair reduces on its own pencil: the pieces are
+    those of the positive pair (-Phi, -Psi) negated back, equal on the exact
+    path and equal up to the sign of zero on the float path."""
+
+    @given(st.integers(0, 2**32), st.integers(1, 4), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_negation_oracle(self, seed, n, planted):
+        rng = random.Random(seed)
+        if planted:
+            spectrum = [Fraction(rng.randint(-3, 3), rng.choice((1, 2))) for _ in range(n)]
+            positive, _ = planted_pair(rng, n, spectrum)
+        else:
+            # generic Psi: irrational roots, the float path under "auto" too
+            L = RatMatrix.from_rows([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
+            a = [[Fraction(rng.randint(-4, 4), rng.choice((1, 3))) for _ in range(n)]
+                 for _ in range(n)]
+            positive = QuadraticPair.checked(
+                L.transpose() @ L + RatMatrix.identity(n),
+                RatMatrix.from_rows([[a[min(i, j)][max(i, j)] for j in range(n)]
+                                     for i in range(n)]))
+        pair = QuadraticPair.checked(-positive.phi, -positive.psi)
+        assert pair.definiteness == "negative"
+        for path in ("auto", "float"):
+            got = theta_components(pair, path)
+            want = theta_components_by_negation(pair, path)
+            assert (got.path, got.size) == (want.path, want.size)
+            assert ([(c.root, c.multiplicity) for c in got.components]
+                    == [(c.root, c.multiplicity) for c in want.components])
+            for g, w in zip(got.components, want.components):
+                if got.path == "exact":
+                    assert g.theta == w.theta
+                else:
+                    assert np.array_equal(np.array(g.theta), np.array(w.theta))
+            assert verify_theorem(got, pair).ok
 
 
 def _block_diagonal(block, copies) -> RatMatrix:
