@@ -5,7 +5,11 @@ The chain Delta_1 | Delta_2 | ... | Delta_n collects the monic GCDs of all
 k x k minors of a polynomial matrix.  It is read off a Smith form over Q[x]
 built by Euclidean elimination, with no size cap: unimodular row and column
 operations leave every minor GCD unchanged, so by theorem Delta_k is the
-monic product of the first k diagonal entries.  Quotients of consecutive
+monic product of the first k diagonal entries.  The elimination runs on
+primitive integer rows by pseudo-division (Collins 1967): a row times a
+nonzero constant is unimodular over Q[x], so each row operation may first
+scale its row by a power of the pivot's leading coefficient, and a reduction
+of row 0 scales the whole row by one such power.  Quotients of consecutive
 entries give the invariant factors, whose irreducible-power parts are the
 elementary divisors.
 
@@ -16,7 +20,8 @@ g of f of multiplicity mu, g^(mu-1) divides every adjugate entry exactly when
 it divides Delta_(n-1), that is when g divides the minimal polynomial once.
 Jordan's test for simple elementary divisors and Weierstrass's "remarkable
 circumstance" for definite pairs are both this one test on the pencil's
-cached adjugate.
+cached integer adjugate, by exact division by the primitive integer part of
+g^(mu-1) (Gauss's lemma).
 
 Inertia of a symmetric rational matrix is read off the pivot signs of one
 symmetric Bareiss pass with swaps and Lagrange's completing-the-square step;
@@ -32,7 +37,16 @@ from math import lcm as int_lcm
 
 from .errors import InternalError, PreconditionError
 from .matrices import Pencil, PolyMatrix, RatMatrix, _bareiss_step, _integer_model
-from .polynomials import Poly, kronecker_factor, squarefree_decompose
+from .polynomials import (
+    Poly,
+    _exact_quo,
+    _mul,
+    _pdivmod,
+    _primitive_ints,
+    _sub,
+    kronecker_factor,
+    squarefree_decompose,
+)
 from .realroots import RealRoot
 
 __all__ = [
@@ -115,34 +129,45 @@ def minor_gcd_chain(P: PolyMatrix) -> MinorGcdChain:
     """Delta_k = monic gcd of all k x k minors, from a Smith form over Q[x].
 
     Elimination brings P to diag(d_1, ..., d_n) with d_k | d_(k+1), so
-    Delta_k = monic(d_1 ... d_k).  Rejects singular pencils (determinant
-    identically zero): their completion is out of scope here.
+    Delta_k = monic(d_1 ... d_k).  It runs on integer rows: each row of P
+    times the lcm of its denominators, divided by its content, which scales
+    the row by a nonzero constant, a unimodular operation over Q[x].
+    Rejects singular pencils (determinant identically zero): their
+    completion is out of scope here.
     """
     if not P.is_square:
         raise PreconditionError("minor chain of a non-square matrix")
     if P.rows == 0:
         return MinorGcdChain((Poly([1]),))  # the empty determinant
-    block = [[P.entry(i, j) for j in range(P.cols)] for i in range(P.rows)]
+    block = []
+    for i in range(P.rows):
+        row = [P.entry(i, j).coeffs for j in range(P.cols)]
+        L = int_lcm(*[c.denominator for p in row for c in p])
+        block.append(_primitive_row([[c.numerator * (L // c.denominator) for c in p]
+                                     for p in row]))
     deltas = [Poly([1])]
     while block:
-        deltas.append(deltas[-1] * _smith_pivot(block).monic())
+        deltas.append(deltas[-1] * Poly(_smith_pivot(block)).monic())
         block = [row[1:] for row in block[1:]]
     return MinorGcdChain(tuple(deltas[1:]))
 
 
-def _smith_pivot(a: list[list[Poly]]) -> Poly:
-    """Reduce the block `a` in place until a[0][0] is alone in its row and
-    column and divides every other entry; return that pivot.
+def _smith_pivot(a: list[list[list[int]]]) -> list[int]:
+    """Reduce the block `a` of primitive integer rows (each entry a trimmed
+    integer coefficient list, lowest degree first, zero empty) in place
+    until a[0][0] is alone in its row and column and divides every other
+    entry; return that pivot.
 
     The pivot is the nonzero entry of least (degree, coefficient bits).  Its
-    column, then its row, are reduced by divmod; a row the pivot does not
-    divide is added into row 0 and reduced too.  A nonzero remainder has
-    lower degree and becomes the next pivot, so each pass either returns or
-    lowers the pivot degree.  Rows are kept primitive against coefficient
-    growth.
+    column, then its row, are reduced by pseudo-division; a row the pivot
+    does not divide is added into row 0 and reduced too.  A nonzero
+    remainder has lower degree and becomes the next pivot, so each pass
+    either returns or lowers the pivot degree.  Pseudo-division scales a
+    row by a power of the pivot's leading coefficient, and each changed row
+    is divided by its content against coefficient growth.
     """
     while True:
-        sizes = [(p.degree(), _bits(p), i, j)
+        sizes = [(len(p), sum(c.bit_length() for c in p), i, j)
                  for i, row in enumerate(a) for j, p in enumerate(row) if p]
         if not sizes:
             raise PreconditionError(
@@ -153,36 +178,42 @@ def _smith_pivot(a: list[list[Poly]]) -> Poly:
         a[0], a[i] = a[i], a[0]
         for row in a:
             row[0], row[j] = row[j], row[0]
-        pivot = a[0][0]
+        pivot, lc = a[0][0], a[0][0][-1]
         for i in range(1, len(a)):
             if a[i][0]:
-                q = a[i][0] // pivot
-                a[i] = _primitive([x - q * y for x, y in zip(a[i], a[0])])
+                # lc^e * a[i] - quo * a[0], with lc^e * a[i][0] = quo * pivot + rem
+                quo, rem = _pdivmod(a[i][0], pivot)
+                c = lc ** (len(a[i][0]) - len(pivot) + 1)
+                a[i] = _primitive_row([rem] + [
+                    _sub([c * v for v in x], _mul(quo, y))
+                    for x, y in zip(a[i][1:], a[0][1:])
+                ])
         if any(row[0] for row in a[1:]):
             continue
         # Column 0 is clear below the pivot, so column operations change only
-        # row 0: each entry becomes its remainder.
-        rest = [x % pivot for x in a[0][1:]]
-        if not any(rest) and pivot.degree() > 0:  # constants divide everything
-            stray = next((r for r in a[1:] if any(x % pivot for x in r[1:])), None)
-            if stray is not None:
-                rest = [x % pivot for x in stray[1:]]
-        if not any(rest):
+        # row 0: each entry becomes its remainder.  When none is left, the
+        # first row below with an entry the pivot does not divide is added
+        # into row 0 (a constant pivot divides everything).
+        for rest in [a[0][1:], *[row[1:] for row in a[1:] if len(pivot) > 1]]:
+            rems = [_pdivmod(x, pivot)[1] for x in rest]
+            if any(rems):
+                break
+        else:
             return pivot
-        a[0] = _primitive([pivot] + rest)
+        # One power lc^e of the leading coefficient scales all of row 0, a row
+        # operation; a power per entry would be a column scale, which the
+        # rows below would have to receive as well.
+        exps = [max(len(x) - len(pivot) + 1, 0) for x in rest]
+        e = max(exps)
+        a[0] = _primitive_row([[lc**e * v for v in pivot]] + [
+            [lc ** (e - k) * v for v in rem] for rem, k in zip(rems, exps)
+        ])
 
 
-def _bits(p: Poly) -> int:
-    return sum(c.numerator.bit_length() + c.denominator.bit_length() for c in p.coeffs)
-
-
-def _primitive(row: list[Poly]) -> list[Poly]:
-    """The row divided by its content: integer coefficients with gcd 1."""
-    num, den = 0, 1
-    for p in row:
-        for c in p.coeffs:
-            num, den = int_gcd(num, c.numerator), int_lcm(den, c.denominator)
-    return [p.scale(Fraction(den, num)) for p in row] if num else row
+def _primitive_row(row: list[list[int]]) -> list[list[int]]:
+    """The nonzero integer row divided by the gcd of all its coefficients."""
+    g = int_gcd(*[c for p in row for c in p])
+    return [[c // g for c in p] for p in row] if g > 1 else row
 
 
 def invariant_factors(chain: MinorGcdChain) -> InvariantFactors:
@@ -214,14 +245,16 @@ def elementary_divisors(inv: InvariantFactors) -> ElementaryDivisors:
 def _minor_divisibility(pencil: Pencil) -> MinorDivisibility:
     """One record per square-free factor of the pencil's determinant, with
     multiplicity mu: whether factor^(mu-1) divides every entry of the
-    pencil's cached adjugate.  factor^0 divides everything, so a square-free
+    pencil's cached integer adjugate, by exact division by its primitive
+    integer part.  factor^0 divides everything, so a square-free
     determinant never builds the adjugate."""
     records = []
     for factor, mult in squarefree_decompose(pencil.char_poly()):
-        power = factor ** (mult - 1)
-        divisible = mult == 1 or all(
-            power.divides(entry) for entry in pencil.char_adjugate().entries
-        )
+        divisible = mult == 1
+        if not divisible:
+            power = _primitive_ints(factor ** (mult - 1))[1]
+            divisible = all(_exact_quo(entry, power) is not None
+                            for entry in pencil._adjugate[1])
         records.append((factor, mult, divisible))
     return MinorDivisibility(tuple(records))
 

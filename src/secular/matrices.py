@@ -9,22 +9,26 @@ L, and the eliminations, which run in place, get fresh copies: Bareiss for
 determinants, fraction-free Gauss-Jordan on [M | I] for inverses and
 adjugates, and a symmetric Bareiss pass with swaps and Lagrange's add step
 for inertia (`secular.invariants`).  A pencil computes its determinant, real
-roots (per width), adjugate and integer model once, on first use.  One
-sampler, `Pencil._numerators`, gives the integer rows of its characteristic
-matrix P at a rational point: at the integers k they are the samples L*P(k)
-from which Newton interpolation in integers reads the determinant and the
+roots (per width), integer adjugate and integer model once, on first use.
+The integer adjugate is what interpolation produces: one scale L^(n-1) and
+n^2 lists of n integer coefficients, so adj P = entries / scale; the
+divisibility test, residues, principal parts and adjugate eigenvectors read
+those integers, and a `PolyMatrix` of `Poly` entries is built only when
+`adjugate_pencil` or `Pencil.char_adjugate` is called.  One sampler,
+`Pencil._numerators`, gives the integer rows of its characteristic matrix P
+at a rational point: at the integers k they are the samples L*P(k) from
+which Newton interpolation in integers reads the determinant and the
 adjugate; at an exact root their elimination gives the nullspace with no
 Fraction matrix built; the float path rounds them once per entry, and
 `Pencil.evaluate` builds one Fraction per entry.  The adjugate of a matrix M
-is the constant term of that of the pencil sI + M.  Matrix products, linear
-combinations and bilinear forms v^T B w run on integer models too, with
-integer dot products and one division per entry; no other module reads a
-matrix's integer model.  Leading principal minors are the pivots of one
-Bareiss pass.  Entry
-tuples are built from lists: CPython sizes a tuple built from a generator by
-a guess and shrinks it, and the freed block then stays on the free list of
-the smaller size; over 250 rounds of the exact-structure benchmark such
-blocks held about 0.7 MB.
+is the constant term of that of the pencil sI + M, over its scale.  Matrix
+products, linear combinations and bilinear forms v^T B w run on integer
+models too, with integer dot products and one division per entry; no other
+module reads a matrix's integer model.  Leading principal minors are the
+pivots of one Bareiss pass.  Entry tuples are built from lists: CPython
+sizes a tuple built from a generator by a guess and shrinks it, and the
+freed block then stays on the free list of the smaller size; over 250 rounds
+of the exact-structure benchmark such blocks held about 0.7 MB.
 
 Indices are 0-based throughout the code; serialized documents use 1-based
 indices (see `secular.io`).
@@ -117,7 +121,7 @@ class RatMatrix:
 
         return np.array(
             [[float(self.entry(i, j)) for j in range(self.cols)] for i in range(self.rows)]
-        )
+        ).reshape(self.rows, self.cols)
 
     @property
     def is_square(self) -> bool:
@@ -247,12 +251,13 @@ class RatMatrix:
 
         adj(sI + M) at s = 0 is adj M, and the pencil sI + M is never
         singular, so this is the constant term of every entry of that
-        pencil's adjugate.
+        pencil's integer adjugate, over its scale.
         """
         if not self.is_square:
             raise PreconditionError("adjugate of a non-square matrix")
-        adj = adjugate_pencil(Pencil.similarity(-self))
-        return RatMatrix(self.rows, self.cols, tuple([p[0] for p in adj.entries]))
+        scale, entries = Pencil.similarity(-self)._adjugate
+        return RatMatrix(self.rows, self.cols,
+                         tuple([Fraction(e[0], scale) for e in entries]))
 
     def inverse(self) -> "RatMatrix":
         """L * adj(L*M) / det(L*M), from one fraction-free Gauss-Jordan pass
@@ -452,7 +457,18 @@ def det_pencil(pencil: "Pencil") -> Poly:
 def adjugate_pencil(pencil: "Pencil") -> PolyMatrix:
     """Adjugate (transposed cofactors) of the characteristic matrix P with the
     standard (-1)^(i+j) signs, so that P @ adj(P) = det(P) * I as a
-    polynomial identity.
+    polynomial identity: the pencil's integer adjugate (`_int_adjugate_pencil`),
+    divided by its scale into one `Poly` per entry."""
+    scale, entries = pencil._adjugate
+    return PolyMatrix(pencil.size, pencil.size, tuple([
+        Poly([Fraction(x, scale) for x in entry]) for entry in entries
+    ]))
+
+
+def _int_adjugate_pencil(pencil: "Pencil") -> tuple[int, list[list[int]]]:
+    """(scale, entries) with adj P = entries / scale: scale = L^(n-1) and one
+    list of n integer coefficients per entry, row by row, lowest degree
+    first and padded to degree n - 1.
 
     adj(L*P(k)) = L^(n-1) adj P(k) has integer polynomial entries of degree
     below n, so n samples determine them.  They are taken at the integers
@@ -467,11 +483,8 @@ def adjugate_pencil(pencil: "Pencil") -> PolyMatrix:
     c = 2 + max(abs(x) for x in f.coeffs) // abs(f.leading())
     points = range(c, c + n)
     values = [_int_adjugate(pencil._numerators(k)[1])[1] for k in points]
-    scale = pencil._int_model[0] ** (n - 1)
-    return PolyMatrix(n, n, tuple([
-        Poly(Fraction(x, scale) for x in _interpolate(points, entry))
-        for entry in zip(*values)
-    ]))
+    return (pencil._int_model[0] ** max(n - 1, 0),
+            [_interpolate(points, entry) for entry in zip(*values)])
 
 
 ORIENTATIONS = ("sA-B", "A-sB")
@@ -537,7 +550,9 @@ class Pencil:
     # allows; equality and hashing still see only A, B and the orientation.
     _char_poly = cached_property(lambda self: det_pencil(self))
     _roots = cached_property(lambda self: {})  # width -> isolated roots
-    _char_adjugate = cached_property(lambda self: adjugate_pencil(self))
+    # (scale, integer entries) from `_int_adjugate_pencil`; `char_adjugate`
+    # divides them out on each call
+    _adjugate = cached_property(lambda self: _int_adjugate_pencil(self))
     _int_model = cached_property(lambda self: _integer_model(self.A, self.B))
 
     def char_poly(self) -> Poly:
@@ -555,9 +570,10 @@ class Pencil:
         return list(self._roots[width])
 
     def char_adjugate(self) -> PolyMatrix:
-        """Adjugate of the characteristic matrix, computed on first use;
-        a singular pencil raises PreconditionError as `roots` does."""
-        return self._char_adjugate
+        """Adjugate of the characteristic matrix, whose integer form is
+        computed on first use; a singular pencil raises PreconditionError as
+        `roots` does."""
+        return adjugate_pencil(self)
 
     def evaluate(self, s) -> RatMatrix:
         """The characteristic matrix at a rational point, one Fraction per

@@ -15,8 +15,8 @@ Solvers:
   e^(sigma t) times a polynomial of degree < chain length.
 * `expm_projectors` -- exp(M t) from the spectral projectors P and nilpotent
   parts N^k P, the partial fractions of the resolvent adj(s)/f(s) at each
-  exact eigenvalue, read off Taylor coefficients of the cached adjugate and
-  characteristic polynomial.
+  exact eigenvalue, read off integer Taylor coefficients of the cached
+  integer adjugate and those of the characteristic polynomial.
 * `scalar_residue_solve` -- scalar constant-coefficient ODEs via residues of
   e^(r x)/F(r); multiple roots contribute x^k e^(r x) automatically.
 
@@ -31,14 +31,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import factorial
+from math import lcm as int_lcm
 from typing import TYPE_CHECKING
 
 from .errors import InternalError, PathUnavailableError, PreconditionError
 from .invariants import inertia
 from .matrices import Pencil, RatMatrix, _bilinear
-from .polynomials import Poly, squarefree_decompose
+from .polynomials import Poly, _taylor, squarefree_decompose
 from .realroots import RealRoot, root_sign
-from .spectral import spectral_decompose
+from .spectral import _decide_path, spectral_decompose
 
 if TYPE_CHECKING:
     import numpy as np
@@ -496,42 +497,58 @@ def spectral_projectors(
     Returns (eigenvalue, algebraic multiplicity, chain length, projector),
     read off the principal parts of the resolvent by `_principal_parts`.
     """
-    return [(sigma, m, len(terms), terms[0]) for sigma, m, terms in _principal_parts(M)]
+    return [(sigma, m, len(terms), terms[0])
+            for sigma, m, terms in _principal_parts(Pencil.similarity(M))]
 
 
-def _principal_parts(M: RatMatrix) -> list[tuple[Fraction, int, list[RatMatrix]]]:
-    """(sigma, m, [N^k P for k < chain]) per eigenvalue sigma of multiplicity m.
+def _rational_spectrum(pencil: Pencil) -> bool:
+    """Whether every root of the pencil is real and rational."""
+    roots = pencil.roots()
+    return (sum(r.multiplicity for r in roots) == pencil.size
+            and all(r.is_exact for r in roots))
+
+
+def _principal_parts(pencil: Pencil) -> list[tuple[Fraction, int, list[RatMatrix]]]:
+    """(sigma, m, [N^k P for k < chain]) per eigenvalue sigma of multiplicity m
+    of M, for the similarity pencil sI - M.
 
     The resolvent (sI - M)^-1 = adj(s)/f(s) has the principal part
     sum_k N^k P / (s - sigma)^(k+1) at sigma, P the projector and
     N = (M - sigma I) P.  With f = (s - sigma)^m h, N^k P is therefore the
     Taylor coefficient of order m-1-k of adj/h at sigma: a convolution of the
     adjugate's Taylor coefficients with the series of 1/h, whose coefficients
-    are f's of orders m..2m-1.  N is nilpotent; its zero powers are dropped,
-    and the terms left number the chain length.
+    are f's of orders m..2m-1.  The adjugate's are the integers T_i of
+    `_taylor` on the pencil's integer adjugate (scale, entries), over
+    q^(n-1-i) * scale for sigma = p/q, and the series of 1/h is brought to
+    one denominator, so each entry of N^k P is one Fraction.  N is
+    nilpotent; its zero powers are dropped, and the terms left number the
+    chain length.
     """
-    pencil = Pencil.similarity(M)
-    roots = pencil.roots()
-    if sum(r.multiplicity for r in roots) != M.rows or any(
-        not r.is_exact for r in roots
-    ):
+    if not _rational_spectrum(pencil):
         raise PathUnavailableError(
             "spectral projectors need all-rational eigenvalues; use the"
             " floating Jordan path instead"
         )
+    n = pencil.size
     f = pencil.char_poly()
-    adj = pencil.char_adjugate()
+    scale, entries = pencil._adjugate
     parts = []
-    for root in roots:
+    for root in pencil.roots():
         sigma, m = root.value, root.multiplicity
+        p, q = sigma.numerator, sigma.denominator
         h = f.taylor(sigma, 2 * m)[m:]
         inv = [1 / h[0]]
         for j in range(1, m):
             inv.append(-sum(h[i] * inv[j - i] for i in range(1, j + 1)) * inv[0])
-        g = [entry.taylor(sigma, m) for entry in adj.entries]
+        d = int_lcm(*[c.denominator for c in inv])
+        inv = [c.numerator * (d // c.denominator) for c in inv]
+        # T_i q^i over the one denominator q^(n-1) * scale * d
+        g = [[t * q**i for i, t in enumerate(_taylor(entry, p, q, m))] for entry in entries]
+        den = q ** (n - 1) * scale * d
         terms = [
-            RatMatrix(M.rows, M.cols,
-                      tuple(sum(cs[i] * inv[j - i] for i in range(j + 1)) for cs in g))
+            RatMatrix(n, n, tuple([
+                Fraction(sum(ts[i] * inv[j - i] for i in range(j + 1)), den) for ts in g
+            ]))
             for j in range(m - 1, -1, -1)
         ]
         while not any(terms[-1].entries):
@@ -552,31 +569,26 @@ def first_order_matrix(model: MechModel) -> RatMatrix:
 def solve_jordan(M: RatMatrix, ic, path: str = "auto") -> JordanSolution:
     """General solution of dx/dt = M x fitted to x(0).
 
-    Exact path (rational eigenvalues): per eigenvalue sigma with chain length
-    r, the block is e^(sigma t) * sum_k (M - sigma I)^k p_sigma x0 t^k / k!,
-    k < r.  Floating path: eigen-decomposition with complex pairs combined
-    into real sin/cos blocks; defective floating matrices are rejected, the
-    exact path handles those.
+    The path follows the rule of `spectral._decide_path`, with the roots of
+    the similarity pencil sI - M: exact when all are rational.  Exact path:
+    per eigenvalue sigma with chain length r, the block is
+    e^(sigma t) * sum_k (M - sigma I)^k p_sigma x0 t^k / k!, k < r.
+    Floating path: eigen-decomposition with complex pairs combined into real
+    sin/cos blocks; defective floating matrices are rejected, the exact path
+    handles those.
     """
     if not M.is_square:
         raise PreconditionError("system matrix must be square")
-    if path not in ("auto", "exact", "float"):
-        raise PreconditionError(f"unknown arithmetic path {path!r}")
     n = M.rows
     x0 = tuple(Fraction(v) for v in ic)
     if len(x0) != n:
         raise PreconditionError("initial vector has the wrong dimension")
-    use_exact = path != "float"
-    parts = None
-    if use_exact:
-        try:
-            parts = _principal_parts(M)
-        except PathUnavailableError:
-            if path == "exact":
-                raise
-    if parts is not None:
+    pencil = Pencil.similarity(M)
+    # the float path reads no root, so it isolates none
+    mode = _decide_path(path, path != "float" and _rational_spectrum(pencil))
+    if mode == "exact":
         blocks = []
-        for sigma, _m, terms in parts:
+        for sigma, _m, terms in _principal_parts(pencil):
             coeffs = tuple(
                 tuple(c / factorial(k) for c in term.apply(x0)) for k, term in enumerate(terms)
             )
@@ -587,7 +599,8 @@ def solve_jordan(M: RatMatrix, ic, path: str = "auto") -> JordanSolution:
 
     Mf = M.to_numpy()
     eigvals, eigvecs = np.linalg.eig(Mf)
-    if np.linalg.cond(eigvecs) > 1e8:
+    # cond is undefined on the empty matrix, which has no eigenvectors
+    if n and np.linalg.cond(eigvecs) > 1e8:
         raise PathUnavailableError(
             "defective (or nearly defective) matrix on the floating path;"
             " the exact path is required for non-diagonalizable systems"
@@ -642,7 +655,7 @@ def expm_projectors(M: RatMatrix, t: float) -> np.ndarray:
 
     out = np.zeros((M.rows, M.rows))
     with np.errstate(over="ignore", invalid="ignore"):
-        for sigma, _m, terms in _principal_parts(M):
+        for sigma, _m, terms in _principal_parts(Pencil.similarity(M)):
             acc = terms[0].to_numpy()
             tk = 1.0
             for k, term in enumerate(terms[1:], 1):

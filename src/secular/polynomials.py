@@ -9,10 +9,17 @@ Beyond ring arithmetic the module provides:
 
 * monic GCD and Yun square-free decomposition, both over Z in a private
   integer section (int lists, lowest degree first, the zero polynomial
-  empty): one primitive part, one Sturm-signed primitive pseudo-remainder
-  sequence (Collins 1967, Brown 1971), which is also the Sturm chain of
-  `realroots`, and one exact division by a primitive divisor (Gauss's
-  lemma), shared by `divides`, Yun (1976) and rational-root deflation,
+  empty): one primitive part, one pseudo-division returning quotient and
+  remainder, one Sturm-signed primitive pseudo-remainder sequence on it
+  (Collins 1967, Brown 1971), which is also the Sturm chain of `realroots`,
+  and one exact division by a primitive divisor (Gauss's lemma), shared by
+  `divides`, Yun (1976), rational-root deflation and the adjugate
+  divisibility of `invariants`,
+* Taylor coefficients at a rational point p/q by integer homogeneous
+  Horner (`_taylor`), which `Poly.taylor` wraps and which the residues,
+  principal parts and adjugate eigenvectors run directly on a pencil's
+  integer adjugate; the Smith form of `invariants` runs on the same
+  pseudo-division and integer products,
 * factorisation into irreducibles over Q: linear factors from the exact
   roots of the root engine, the rest by Kronecker's evaluation/interpolation
   scheme (guarded by a degree cap, since the divisor-combination search is
@@ -182,27 +189,16 @@ class Poly:
         """The first `count` coefficients of self in powers of (x - a), for
         rational a = p/q; the k-th is the k-th derivative at a over k!.
 
-        With self = content * P, P primitive of degree d, the integer
-        polynomial q^d P(y/q) has Taylor coefficients T_k at the integer
-        y = p, each the remainder of one synthetic division by (y - p) taken
-        in place on the quotient of the previous one (iterated homogeneous
-        Horner).  The k-th coefficient of self is content * T_k / q^(d-k).
+        With self = content * P, P primitive of degree d, the k-th is
+        content * T_k / q^(d-k) for the integers T_k of `_taylor`.
         """
         a = Fraction(a)
-        p, q = a.numerator, a.denominator
+        q = a.denominator
         content, cs = _primitive_ints(self)
         d = len(cs) - 1
-        qk = 1
-        for i in range(d - 1, -1, -1):
-            qk *= q
-            cs[i] *= qk
         num, den = content.numerator, content.denominator
-        out = []
-        for k in range(min(count, d + 1)):
-            acc = 0
-            for i in range(d, k - 1, -1):
-                acc = cs[i] = acc * p + cs[i]
-            out.append(Fraction(num * acc, den * q ** (d - k)))
+        out = [Fraction(num * t, den * q ** (d - k))
+               for k, t in enumerate(_taylor(cs, a.numerator, q, count))]
         return out + [Fraction(0)] * (count - len(out))
 
     # -- normal forms ---------------------------------------------------------
@@ -307,19 +303,23 @@ def _derivative(cs) -> list[int]:
     return [i * c for i, c in enumerate(cs)][1:]
 
 
-def _prem(a, b) -> list[int]:
-    """The pseudo-remainder lc(b)**(deg a - deg b + 1) * a mod b, trailing
-    zeros stripped; a itself when deg a < deg b."""
+def _pdivmod(a, b) -> tuple[list[int], list[int]]:
+    """Pseudo-division: (quo, rem) with lc(b)**e * a = quo * b + rem and
+    e = max(deg a - deg b + 1, 0), trailing zeros of rem stripped; quo is
+    empty and rem is a when deg a < deg b."""
     r, lc, db = list(a), b[-1], len(b) - 1
+    qs = []
     for top in range(len(a) - 1, db - 1, -1):
         q = r[top]
+        qs.append(q)
         # lc * r - q x**(top - db) b: the top term cancels
         r = [c * lc for c in r[:top]]
         for j in range(db):
             r[top - db + j] -= q * b[j]
     while r and r[-1] == 0:
         r.pop()
-    return r
+    # each later step scales the quotient found so far by lc
+    return [q * lc**k for k, q in enumerate(reversed(qs))], r
 
 
 def _prs(a, b) -> list[list[int]]:
@@ -333,12 +333,55 @@ def _prs(a, b) -> list[list[int]]:
         if len(chain[-1]) == 1:
             break
         a, b = chain[-2:]
-        r = _prem(a, b)
+        r = _pdivmod(a, b)[1]
         # the scale lc(b)**e of the pseudo-remainder is negative when lc(b)
         # is and e = deg a - deg b + 1 is odd
         if b[-1] > 0 or (len(a) - len(b)) % 2:
             r = [-c for c in r]
     return chain
+
+
+def _mul(a, b) -> list[int]:
+    """The product a * b; empty when either is."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _sub(a, b) -> list[int]:
+    """The difference a - b, trailing zeros stripped."""
+    out = [x - y for x, y in itertools.zip_longest(a, b, fillvalue=0)]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def _taylor(cs, p: int, q: int, count: int) -> list[int]:
+    """T_0 .. T_(m-1), m = min(count, d + 1), for the integer coefficients
+    cs of nominal degree d = len(cs) - 1 (a zero leading coefficient is
+    allowed): the Taylor coefficients at the integer y = p of the integer
+    polynomial q^d cs(y/q), so that the k-th coefficient of cs in powers of
+    (x - p/q) is T_k / q^(d-k).  Each T_k is the remainder of one synthetic
+    division by (y - p) taken in place on the quotient of the previous one
+    (iterated homogeneous Horner); T_0 is q^d cs(p/q)."""
+    d = len(cs) - 1
+    cs = list(cs)
+    qk = 1
+    for i in range(d - 1, -1, -1):
+        qk *= q
+        cs[i] *= qk
+    out = []
+    for k in range(min(count, d + 1)):
+        acc = 0
+        for i in range(d, k - 1, -1):
+            acc = cs[i] = acc * p + cs[i]
+        out.append(acc)
+    return out
 
 
 def _exact_quo(a, b) -> list[int] | None:

@@ -12,7 +12,9 @@ and f(s) = (s - s_mu)^lambda_mu * h(s), the matrix R_mu = G(s_mu) / h(s_mu) is
 the residue of the pencil inverse at s_mu and theta_mu = Phi @ R_mu @ Phi.
 G(s_mu) and h(s_mu) are Taylor coefficients at the root, of order
 lambda_mu - 1 of every adjugate entry and of order lambda_mu of f, read off
-by integer homogeneous Horner (`Poly.taylor`); no quotient polynomial is
+by integer homogeneous Horner (`polynomials._taylor`) on the pencil's
+integer adjugate, whose entries share one denominator, so the residue makes
+one Fraction per entry; no quotient polynomial and no `Poly` entry is
 formed.  On the exact path the sums Phi = sum(theta) and Psi =
 sum(s_mu * theta) are checked in integers over one common denominator.  The
 construction never branches on the multiplicity: the divisibility of every
@@ -38,8 +40,8 @@ from typing import TYPE_CHECKING
 
 from .errors import PreconditionError
 from .invariants import MinorDivisibility, _minor_divisibility, inertia
-from .matrices import Pencil, PolyMatrix, RatMatrix, _linear_combination
-from .polynomials import Poly
+from .matrices import Pencil, RatMatrix, _linear_combination
+from .polynomials import _taylor
 from .realroots import RealRoot, refine_root
 from .spectral import FLOAT_ROOT_WIDTH, _decide_path
 
@@ -139,33 +141,43 @@ def remarkable_circumstance_check(pair: QuadraticPair) -> MinorDivisibility:
     return _minor_divisibility(pair.pencil())
 
 
-def _residue(adj: PolyMatrix, f: Poly, point: Fraction, mult: int, exact: bool):
+def _residue(pencil: Pencil, point: Fraction, mult: int, exact: bool):
     """R = G(point)/h(point) from Taylor coefficients at the root: G is the
-    (mult-1)-th coefficient of adj, h the mult-th of f.
+    (mult-1)-th coefficient of the adjugate, h the mult-th of f = det, for
+    mult at most n, as for any root of f.
 
+    Every entry of the pencil's integer adjugate (scale, entries) has
+    nominal degree n-1, so with point = p/q its k-th coefficient is the
+    integer T_k of `_taylor` over the one denominator q^(n-1-k) * scale.
     Exact: every lower coefficient must vanish, which is the divisibility by
-    (s - root)^(mult-1) and (s - root)^mult.  Float: a coefficient c of order
-    k is rounded as float(c * k!)/k!, the k-th derivative at the refined
-    midpoint over k!.
+    (s - root)^(mult-1) and (s - root)^mult, and each entry of R is one
+    Fraction.  Float: a coefficient c of order k is rounded as
+    float(c * k!)/k!, the k-th derivative at the refined midpoint over k!.
     """
-    g = [entry.taylor(point, mult) for entry in adj.entries]
-    h = f.taylor(point, mult + 1)
+    n = pencil.size
+    scale, entries = pencil._adjugate
+    p, q = point.numerator, point.denominator
+    g = [_taylor(entry, p, q, mult) for entry in entries]
+    den = q ** (n - mult) * scale  # of the coefficient of order mult - 1
+    h = pencil.char_poly().taylor(point, mult + 1)
     if exact:
-        if any(any(cs[:-1]) for cs in g):
+        if any(any(ts[:-1]) for ts in g):
             raise PreconditionError(
                 "adjugate entry not divisible to the expected order; the"
                 " leading form is not definite"
             )
         if any(h[:-1]):
             raise PreconditionError("root multiplicity mismatch during deflation")
-        return RatMatrix(adj.rows, adj.cols, tuple([cs[-1] / h[-1] for cs in g]))
+        hn, hd = h[-1].numerator, h[-1].denominator
+        return RatMatrix(n, n, tuple([Fraction(ts[-1] * hd, den * hn) for ts in g]))
 
     import numpy as np
 
     def rounded(c, order):
         return float(c * factorial(order)) / factorial(order)
 
-    G = np.array([rounded(cs[-1], mult - 1) for cs in g]).reshape(adj.rows, adj.cols)
+    fm = factorial(mult - 1)
+    G = np.array([ts[-1] * fm / den / fm for ts in g]).reshape(n, n)
     return G / rounded(h[-1], mult)
 
 
@@ -200,17 +212,15 @@ def theta_components(pair: QuadraticPair, path: str = "auto") -> ThetaDecomposit
     pencil inverse at the root, whatever the sign of the definite Phi."""
     pencil = pair.pencil()
     n = pair.size
-    f = pencil.char_poly()
     roots = pencil.roots(FLOAT_ROOT_WIDTH)
     if sum(r.multiplicity for r in roots) != n:
         raise PreconditionError("characteristic roots are not all real")
     mode = _decide_path(path, all(r.is_exact for r in roots))
-    adj = pencil.char_adjugate()
     phi = pair.phi if mode == "exact" else pair.phi.to_numpy()
     comps = []
     for root in roots:
         point = refine_root(root, FLOAT_ROOT_WIDTH).approx()
-        theta = phi @ _residue(adj, f, point, root.multiplicity, mode == "exact") @ phi
+        theta = phi @ _residue(pencil, point, root.multiplicity, mode == "exact") @ phi
         if mode == "float":
             theta = tuple(tuple(float(x) for x in row) for row in (theta + theta.T) / 2)
         comps.append(ThetaComponent(root, root.multiplicity, theta))

@@ -1,12 +1,13 @@
 """Characteristic roots and eigenvectors of matrix pencils.
 
-The exact path reads eigenvectors off the pencil's cached adjugate evaluated
-at a rational root (first non-null column) or off an exact nullspace of the
-characteristic matrix there, eliminated on the pencil's integer rows at the
-root.  One rule picks the path of every entry point, this module's and the
-pair reduction's: an unknown path raises PreconditionError, "exact" with an
-irrational root raises PathUnavailableError, and "auto" is exact exactly
-when every root involved is.  Isolated irrational roots route to a floating
+The exact path reads eigenvectors off the pencil's cached integer adjugate
+evaluated at a rational root by integer Horner (first non-null column) or
+off an exact nullspace of the characteristic matrix there, eliminated on the
+pencil's integer rows at the root.  One rule picks the path of every entry
+point, this module's, the pair reduction's and the Jordan solver's: an
+unknown path raises PreconditionError, "exact" with an irrational root
+raises PathUnavailableError, and "auto" is exact exactly when every root
+involved is.  Isolated irrational roots route to a floating
 path: the interval is refined to width 10^-30, the characteristic matrix at
 the midpoint is rounded once to floats from the pencil's integer model (no
 Fraction matrix is built), and nullspaces are taken by SVD with a relative
@@ -28,7 +29,7 @@ from typing import TYPE_CHECKING
 from .errors import InternalError, PathUnavailableError, PreconditionError
 from .invariants import inertia
 from .matrices import Pencil, RatMatrix, _bilinear, _nullspace
-from .polynomials import Poly
+from .polynomials import Poly, _taylor
 from .realroots import RealRoot, refine_root
 
 if TYPE_CHECKING:
@@ -140,8 +141,8 @@ def adjugate_eigenvector(pencil: Pencil, root: RealRoot, path: str = "auto"):
     """Eigenvector as the first non-null column of the adjugate of the
     characteristic matrix at the root.
 
-    Exact path: the pencil's cached polynomial adjugate evaluated at the
-    root, whose nonzero columns satisfy (characteristic matrix)(root) @ v = 0
+    Exact path: the pencil's cached integer adjugate evaluated at the root,
+    whose nonzero columns satisfy (characteristic matrix)(root) @ v = 0
     exactly; the vector is sign-normalized (first nonzero entry positive).
     Floating path: the adjugate has rank one exactly when the nullity is
     one, and its columns then span the nullspace, so the vector is the unit
@@ -150,11 +151,15 @@ def adjugate_eigenvector(pencil: Pencil, root: RealRoot, path: str = "auto"):
     """
     mode = _decide_path(path, root.is_exact)
     if mode == "exact":
-        adj = pencil.char_adjugate()
-        for j in range(adj.cols):
-            col = tuple(adj.entry(i, j).evaluate(root.value) for i in range(adj.rows))
-            if any(v != 0 for v in col):
-                return _sign_normalize(col)
+        n = pencil.size
+        scale, entries = pencil._adjugate
+        p, q = root.value.numerator, root.value.denominator
+        for j in range(n):
+            # q^(n-1) times each entry at p/q, by integer Horner
+            col = [_taylor(entries[i * n + j], p, q, 1)[0] for i in range(n)]
+            if any(col):
+                den = q ** (n - 1) * scale
+                return _sign_normalize(tuple([Fraction(v, den) for v in col]))
     else:
         basis = _float_nullspace(pencil.evaluate_float(_root_point(root)))
         if len(basis) == 1:

@@ -28,8 +28,13 @@ trajectories one time at a time, and leading minors as one block
 determinant each.  Routes that rebuilt what a pencil already holds keep
 theirs: theta pieces of a negative definite pair from the positive pair
 (-Phi, -Psi) negated back, and Darboux's signature steps on Fraction samples
-M - lambda*I between the roots of the similarity pencil.  The small constructors and products the tests build
-their inputs with live here too, outside the library.
+M - lambda*I between the roots of the similarity pencil.  The kernels that
+now read integer numerators keep their `Fraction` polynomial definitions:
+the Smith form by `divmod` on `Poly` rows kept primitive, the residue from
+`Poly.taylor` on the `PolyMatrix` adjugate, adjugate divisibility by
+`Poly.divides` on that adjugate, and the exact adjugate eigenvector by
+`Poly.evaluate` on it.  The small constructors and products the
+tests build their inputs with live here too, outside the library.
 """
 
 from __future__ import annotations
@@ -37,14 +42,23 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from math import factorial
+from math import gcd as int_gcd
+from math import lcm as int_lcm
 
 import numpy as np
 
 from secular.errors import InternalError, PathUnavailableError, PreconditionError
-from secular.invariants import MinorGcdChain, inertia, invariant_factors, minor_gcd_chain
+from secular.invariants import (
+    MinorDivisibility,
+    MinorGcdChain,
+    inertia,
+    invariant_factors,
+    minor_gcd_chain,
+)
 from secular.matrices import Pencil, PolyMatrix, RatMatrix, det_rational
 from secular.oscillate import Trajectory
-from secular.polynomials import ONE, Poly
+from secular.polynomials import ONE, Poly, squarefree_decompose
 from secular.quadpairs import (
     QuadraticPair,
     ThetaComponent,
@@ -803,3 +817,136 @@ def darboux_steps_by_fractions(M: RatMatrix) -> list[tuple]:
     return [
         (root, counts[i + 1] - counts[i]) for i, root in enumerate(roots)
     ]
+
+
+def minor_gcd_chain_by_fraction_smith(P: PolyMatrix) -> MinorGcdChain:
+    """Delta_k = monic gcd of all k x k minors, from a Smith form over Q[x]
+    taken on `Poly` entries with Fraction coefficients.
+
+    Elimination brings P to diag(d_1, ..., d_n) with d_k | d_(k+1), so
+    Delta_k = monic(d_1 ... d_k).  Rejects singular pencils (determinant
+    identically zero): their completion is out of scope here.
+    """
+    if not P.is_square:
+        raise PreconditionError("minor chain of a non-square matrix")
+    if P.rows == 0:
+        return MinorGcdChain((Poly([1]),))  # the empty determinant
+    block = [[P.entry(i, j) for j in range(P.cols)] for i in range(P.rows)]
+    deltas = [Poly([1])]
+    while block:
+        deltas.append(deltas[-1] * _fraction_smith_pivot(block).monic())
+        block = [row[1:] for row in block[1:]]
+    return MinorGcdChain(tuple(deltas[1:]))
+
+
+def _fraction_smith_pivot(a: list[list[Poly]]) -> Poly:
+    """Reduce the block `a` in place until a[0][0] is alone in its row and
+    column and divides every other entry; return that pivot.
+
+    The pivot is the nonzero entry of least (degree, coefficient bits).  Its
+    column, then its row, are reduced by divmod; a row the pivot does not
+    divide is added into row 0 and reduced too.  A nonzero remainder has
+    lower degree and becomes the next pivot, so each pass either returns or
+    lowers the pivot degree.  Rows are kept primitive against coefficient
+    growth.
+    """
+    while True:
+        sizes = [(p.degree(), _fraction_bits(p), i, j)
+                 for i, row in enumerate(a) for j, p in enumerate(row) if p]
+        if not sizes:
+            raise PreconditionError(
+                "singular pencil (determinant identically zero): Kronecker's"
+                " singular case is out of scope"
+            )
+        _, _, i, j = min(sizes)
+        a[0], a[i] = a[i], a[0]
+        for row in a:
+            row[0], row[j] = row[j], row[0]
+        pivot = a[0][0]
+        for i in range(1, len(a)):
+            if a[i][0]:
+                q = a[i][0] // pivot
+                a[i] = _fraction_primitive([x - q * y for x, y in zip(a[i], a[0])])
+        if any(row[0] for row in a[1:]):
+            continue
+        # Column 0 is clear below the pivot, so column operations change only
+        # row 0: each entry becomes its remainder.
+        rest = [x % pivot for x in a[0][1:]]
+        if not any(rest) and pivot.degree() > 0:  # constants divide everything
+            stray = next((r for r in a[1:] if any(x % pivot for x in r[1:])), None)
+            if stray is not None:
+                rest = [x % pivot for x in stray[1:]]
+        if not any(rest):
+            return pivot
+        a[0] = _fraction_primitive([pivot] + rest)
+
+
+def _fraction_bits(p: Poly) -> int:
+    return sum(c.numerator.bit_length() + c.denominator.bit_length() for c in p.coeffs)
+
+
+def _fraction_primitive(row: list[Poly]) -> list[Poly]:
+    """The row divided by its content: integer coefficients with gcd 1."""
+    num, den = 0, 1
+    for p in row:
+        for c in p.coeffs:
+            num, den = int_gcd(num, c.numerator), int_lcm(den, c.denominator)
+    return [p.scale(Fraction(den, num)) for p in row] if num else row
+
+
+def residue_by_poly_taylor(adj: PolyMatrix, f: Poly, point: Fraction, mult: int, exact: bool):
+    """R = G(point)/h(point) from Taylor coefficients at the root: G is the
+    (mult-1)-th coefficient of adj, h the mult-th of f.
+
+    Exact: every lower coefficient must vanish, which is the divisibility by
+    (s - root)^(mult-1) and (s - root)^mult.  Float: a coefficient c of order
+    k is rounded as float(c * k!)/k!, the k-th derivative at the refined
+    midpoint over k!.
+    """
+    g = [entry.taylor(point, mult) for entry in adj.entries]
+    h = f.taylor(point, mult + 1)
+    if exact:
+        if any(any(cs[:-1]) for cs in g):
+            raise PreconditionError(
+                "adjugate entry not divisible to the expected order; the"
+                " leading form is not definite"
+            )
+        if any(h[:-1]):
+            raise PreconditionError("root multiplicity mismatch during deflation")
+        return RatMatrix(adj.rows, adj.cols, tuple([cs[-1] / h[-1] for cs in g]))
+
+    def rounded(c, order):
+        return float(c * factorial(order)) / factorial(order)
+
+    G = np.array([rounded(cs[-1], mult - 1) for cs in g]).reshape(adj.rows, adj.cols)
+    return G / rounded(h[-1], mult)
+
+
+def minor_divisibility_by_poly_divides(pencil: Pencil) -> MinorDivisibility:
+    """One record per square-free factor of the pencil's determinant, with
+    multiplicity mu: whether factor^(mu-1) divides every entry of the
+    pencil's `PolyMatrix` adjugate, by `Poly.divides`.  factor^0 divides
+    everything, so a square-free determinant never builds the adjugate."""
+    records = []
+    for factor, mult in squarefree_decompose(pencil.char_poly()):
+        power = factor ** (mult - 1)
+        divisible = mult == 1 or all(
+            power.divides(entry) for entry in pencil.char_adjugate().entries
+        )
+        records.append((factor, mult, divisible))
+    return MinorDivisibility(tuple(records))
+
+
+def adjugate_eigenvector_by_poly_evaluate(pencil: Pencil, root) -> tuple:
+    """The first nonzero column of the `PolyMatrix` adjugate evaluated at an
+    exact root entry by entry, its first nonzero entry made positive."""
+    adj = pencil.char_adjugate()
+    for j in range(adj.cols):
+        col = tuple(adj.entry(i, j).evaluate(root.value) for i in range(adj.rows))
+        if any(v != 0 for v in col):
+            lead = next(v for v in col if v != 0)
+            return tuple(-v for v in col) if lead < 0 else col
+    raise PreconditionError(
+        "adjugate vanishes at this root (geometric multiplicity > 1);"
+        " use nullspace_at_root"
+    )

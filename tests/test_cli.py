@@ -1110,6 +1110,58 @@ class TestDeterminism:
         assert a == b
 
 
+EMPTY = {"rows": 0, "cols": 0, "entries": []}
+EMPTY_SCENARIO = {"kind": "custom", "mass": EMPTY, "stiffness": EMPTY,
+                  "initial": {"positions": [], "velocities": []}}
+
+
+class TestEmptyInputs:
+    """Every verb on the 0x0 matrix, pair or scenario exits with a pinned
+    code and no traceback: 0, except `eigvec`, which has no root to pick."""
+
+    @pytest.mark.parametrize("argv, code", [
+        (["charpoly"], 0),
+        (["roots"], 0),
+        (["eigvec"], 3),
+        (["eigvec", "--path", "float"], 3),
+        (["invariant-factors"], 0),
+        (["elementary-divisors"], 0),
+        (["diagonalizable"], 0),
+        (["inertia"], 0),
+        (["darboux-steps"], 0),
+        (["expm"], 0),
+        (["weierstrass-reduce"], 0),
+        (["weierstrass-reduce", "--path", "exact"], 0),
+        (["weierstrass-reduce", "--path", "float"], 0),
+        (["solve"], 0),
+        (["solve", "--path", "float"], 0),
+        (["solve", "--method", "jordan"], 0),
+        (["solve", "--method", "jordan", "--path", "exact"], 0),
+        (["solve", "--method", "jordan", "--path", "float"], 0),
+        (["classify"], 0),
+        (["trajectory"], 0),
+        (["trajectory", "--path", "float"], 0),
+    ])
+    def test_exit_code(self, tmp_path, capsys, argv, code):
+        docs = {"matrix": EMPTY, "pair": {"phi": EMPTY, "psi": EMPTY},
+                "scenario": EMPTY_SCENARIO}
+        kind = {"weierstrass-reduce": "pair", "solve": "scenario", "classify": "scenario",
+                "trajectory": "scenario"}.get(argv[0], "matrix")
+        doc = write_json(tmp_path, "empty.json", docs[kind])
+        assert run([argv[0], "--input", doc, *argv[1:]]) == code
+        err = capsys.readouterr().err
+        assert err == ("" if code == 0 else "precondition violated: root index 1 out of range\n")
+
+    def test_jordan_float_path_has_no_blocks(self, tmp_path, capsys):
+        # the 0x0 system matrix is a (0, 0) float array, whose eigen-
+        # decomposition is empty
+        doc = write_json(tmp_path, "empty.json", EMPTY_SCENARIO)
+        assert run(["solve", "--method", "jordan", "--path", "float", "--input", doc]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert (out["path"], out["blocks"]) == ("float", [])
+        assert RatMatrix.zeros(0, 0).to_numpy().shape == (0, 0)
+
+
 class TestExitCodes:
     def test_parse_error(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -1275,3 +1327,16 @@ class TestExitCodes:
             )
             == 4
         )
+
+    def test_jordan_exact_path_unavailable(self, tmp_path, capsys):
+        # y'' + 2y = 0: eigenvalues +-i*sqrt(2) of the first-order system; the
+        # Jordan solver states the path rule of every other entry point
+        doc = write_json(tmp_path, "s.json", {
+            "kind": "custom",
+            "mass": {"rows": 1, "cols": 1, "entries": ["1"]},
+            "stiffness": {"rows": 1, "cols": 1, "entries": ["2"]},
+            "initial": {"positions": ["1"], "velocities": ["0"]}})
+        assert run(["solve", "--method", "jordan", "--path", "exact", "--input", doc]) == 4
+        assert capsys.readouterr().err == (
+            "path unavailable: exact path requested but a characteristic root is"
+            " irrational; use the floating path\n")

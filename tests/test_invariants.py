@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from secular.errors import PreconditionError
 from secular.invariants import (
+    _minor_divisibility,
     darboux_signature_steps,
     elementary_divisors,
     inertia,
@@ -23,6 +24,8 @@ from oracles import (
     conjugated_jordan,
     darboux_steps_by_fractions,
     is_diagonalizable_by_smith,
+    minor_divisibility_by_poly_divides,
+    minor_gcd_chain_by_fraction_smith,
     minor_gcd_chain_by_minors,
     poly_from_roots,
 )
@@ -323,6 +326,57 @@ class TestDiagonalizable:
         P = Pencil.classical(NOTE23)
         with pytest.raises(PreconditionError):
             is_diagonalizable(P)
+
+
+class TestIntegerSmithAgainstFractionSmith:
+    """The Smith form on primitive integer rows gives the chain of the
+    Smith form on `Fraction` polynomials, and the divisibility records read
+    off the integer adjugate are those of `Poly.divides` on the `PolyMatrix`
+    one; singular pencils raise the same error."""
+
+    @given(st.integers(0, 2**32), st.integers(0, 6))
+    @settings(max_examples=60, deadline=None)
+    def test_conjugated_jordan(self, seed, n):
+        M = conjugated_jordan(random.Random(seed), n, denominators=(1, 2, 3, 5))
+        pencil = Pencil.similarity(M)
+        P = pencil.char_matrix()
+        assert minor_gcd_chain(P) == minor_gcd_chain_by_fraction_smith(P)
+        assert _minor_divisibility(pencil) == minor_divisibility_by_poly_divides(pencil)
+
+    @pytest.mark.parametrize("rows", [
+        [["34/5", 1, 3, 1], ["-171/5", "-29/5", "-99/5", "-24/5"], [0, 0, "4/5", 0],
+         ["-9/5", "3/5", "9/5", "-2/5"]],
+        [[-3, 1, 2, -1, 0, -2], [-8, 1, 6, -5, 0, -4], [3, -1, -4, 2, 0, 2],
+         [6, -2, -8, 4, 0, 4], [-15, 4, 8, -4, 0, -8], [-2, 0, 2, -2, 0, -1]],
+    ])
+    def test_row_zero_scaled_as_one_row(self, rows):
+        # row 0 is reduced while its entries have unequal pseudo-division
+        # exponents: scaling each remainder by its own power of the leading
+        # coefficient would scale columns in row 0 only and change the chain
+        P = Pencil.similarity(RatMatrix.from_rows(rows)).char_matrix()
+        assert minor_gcd_chain(P) == minor_gcd_chain_by_fraction_smith(P)
+
+    @given(st.integers(0, 2**32), st.integers(1, 4), st.sampled_from(["sA-B", "A-sB"]))
+    @settings(max_examples=60, deadline=None)
+    def test_random_pencils(self, seed, n, orientation):
+        # entries in -2..2 over 1..3, rows often repeated or zero: low-rank
+        # leading matrices and singular pencils
+        rng = random.Random(seed)
+        A, B = ([[Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(n)]
+                 for _ in range(n)] for _ in range(2))
+        if n > 1 and rng.random() < 0.5:
+            A[0] = list(A[1])
+            if rng.random() < 0.5:
+                B[0] = list(B[1])
+        P = Pencil(RatMatrix.from_rows(A), RatMatrix.from_rows(B), orientation).char_matrix()
+
+        def outcome(chain):
+            try:
+                return chain(P)
+            except PreconditionError as exc:
+                return str(exc)
+
+        assert outcome(minor_gcd_chain) == outcome(minor_gcd_chain_by_fraction_smith)
 
 
 class TestDiagonalizableAgainstSmithForm:

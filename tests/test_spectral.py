@@ -321,12 +321,12 @@ class TestUnknownPath:
 
 @pytest.fixture
 def pencil_work(monkeypatch):
-    """Counts of the determinants, pencil adjugates and root isolations that
-    `secular.matrices` runs, keyed by function name."""
+    """Counts of the determinants, integer pencil adjugates and root
+    isolations that `secular.matrices` runs, keyed by function name."""
     import secular.matrices as matrices
 
     counts = {}
-    for name in ("det_pencil", "adjugate_pencil", "sturm_isolate"):
+    for name in ("det_pencil", "_int_adjugate_pencil", "sturm_isolate"):
         def counted(*args, _name=name, _fn=getattr(matrices, name), **kwargs):
             counts[_name] = counts.get(_name, 0) + 1
             return _fn(*args, **kwargs)
@@ -404,4 +404,4 @@ class TestPencilWorkDoneOnce:
         assert remarkable_circumstance_check(pair).ok
         assert theta_components(pair).path == "exact"
         assert spectral_decompose(pair.pencil()).path == "exact"
-        assert pencil_work == {"det_pencil": 1, "adjugate_pencil": 1, "sturm_isolate": 1}
+        assert pencil_work == {"det_pencil": 1, "_int_adjugate_pencil": 1, "sturm_isolate": 1}

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from secular.errors import PathUnavailableError, PreconditionError
-from secular.invariants import inertia
+from secular.invariants import inertia, minor_gcd_chain
 from secular.matrices import RatMatrix
 from secular.polynomials import Poly
 from secular.quadpairs import (
@@ -21,9 +21,16 @@ from secular.quadpairs import (
     verify_theorem,
 )
 from secular.realroots import refine_root
-from secular.spectral import FLOAT_ROOT_WIDTH
+from secular.spectral import FLOAT_ROOT_WIDTH, adjugate_eigenvector
 
-from oracles import residue_by_deflation, theta_components_by_negation
+from oracles import (
+    adjugate_eigenvector_by_poly_evaluate,
+    minor_divisibility_by_poly_divides,
+    minor_gcd_chain_by_fraction_smith,
+    residue_by_deflation,
+    residue_by_poly_taylor,
+    theta_components_by_negation,
+)
 
 
 def pair_of(phi_rows, psi_rows) -> QuadraticPair:
@@ -228,7 +235,7 @@ class TestThetaComponents:
         positive, _ = planted_pair(random.Random(5), 3, [2, 2, 5])
         pair = QuadraticPair.checked(-positive.phi, -positive.psi)
         assert pair.definiteness == "negative"
-        calls = {"det_pencil": 0, "adjugate_pencil": 0}
+        calls = {"det_pencil": 0, "_int_adjugate_pencil": 0}
         for name in calls:
             def counted(pencil, real=getattr(matrices, name), name=name):
                 calls[name] += 1
@@ -239,7 +246,7 @@ class TestThetaComponents:
         dec = theta_components(pair)
         assert dec.path == "exact"
         assert verify_theorem(dec, pair).ok
-        assert calls == {"det_pencil": 1, "adjugate_pencil": 1}
+        assert calls == {"det_pencil": 1, "_int_adjugate_pencil": 1}
 
     def test_float_path_multiplicity_robust(self):
         # a double root and its 1e-6 perturbation give nearby decompositions
@@ -321,17 +328,16 @@ class TestResidue:
             adj, f = pencil.char_adjugate(), pencil.char_poly()
             for root in pencil.roots():
                 want = residue_by_deflation(adj, f, root.value, root.multiplicity)
-                assert _residue(adj, f, root.value, root.multiplicity, True) == want
+                assert _residue(pencil, root.value, root.multiplicity, True) == want
                 mults.add(root.multiplicity)
         assert mults == {1, 2, 3}
 
     def test_exact_rejects_wrong_order(self):
         pair = pair_of([[1, 0], [0, 1]], [[3, 0], [0, 7]])
-        adj, f = pair.pencil().char_adjugate(), pair.pencil().char_poly()
         with pytest.raises(PreconditionError, match="not divisible to the expected order"):
-            _residue(adj, f, Fraction(3), 2, True)
+            _residue(pair.pencil(), Fraction(3), 2, True)
         with pytest.raises(PreconditionError, match="multiplicity mismatch"):
-            _residue(adj, f, Fraction(4), 1, True)
+            _residue(pair.pencil(), Fraction(4), 1, True)
 
     def test_float_rounds_as_derivatives(self):
         # irrational double roots (3 +- sqrt(5))/2, and a rational triple root
@@ -358,9 +364,67 @@ class TestResidue:
                      for e in adj.entries]
                 ).reshape(4, 4)
                 h = float(derivative(f, m).evaluate(s)) / factorial(m)
-                assert np.array_equal(_residue(adj, f, s, m, False), G / h)
+                assert np.array_equal(_residue(pencil, s, m, False), G / h)
                 mults.add((m, root.is_exact))
             assert mults == kinds
+
+
+def _outcome(fn, *args):
+    """The result of fn(*args), or the type and text of the error it raises."""
+    try:
+        return fn(*args)
+    except PreconditionError as exc:
+        return type(exc), str(exc)
+
+
+class TestIntegerKernelsAgainstFractionPolynomials:
+    """On the pencil of a pair, the kernels that read the integer adjugate
+    and the integer Smith rows agree with their former definitions on
+    `Fraction` polynomials: the residue (exact, float, and a wrong order),
+    adjugate divisibility, the exact adjugate eigenvector and the minor-GCD
+    chain."""
+
+    @given(st.integers(0, 2**32), st.integers(1, 5), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_fraction_kernels(self, seed, n, planted):
+        rng = random.Random(seed)
+        if planted:
+            spectrum = [Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3))) for _ in range(n)]
+            pair, _ = planted_pair(rng, n, spectrum)
+        else:
+            # generic Psi with denominators: irrational roots, the float path
+            L = RatMatrix.from_rows([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
+            a = [[Fraction(rng.randint(-4, 4), rng.choice((1, 3))) for _ in range(n)]
+                 for _ in range(n)]
+            pair = pair_of((L.transpose() @ L + RatMatrix.identity(n)).to_rows(),
+                           [[a[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)])
+        pencil = pair.pencil()
+        adj, f = pencil.char_adjugate(), pencil.char_poly()
+        P = pencil.char_matrix()
+        assert minor_gcd_chain(P) == minor_gcd_chain_by_fraction_smith(P)
+        assert remarkable_circumstance_check(pair) == minor_divisibility_by_poly_divides(pencil)
+        for root in pencil.roots(FLOAT_ROOT_WIDTH):
+            m = root.multiplicity
+            mid = refine_root(root, FLOAT_ROOT_WIDTH).approx()
+            assert np.array_equal(_residue(pencil, mid, m, False),
+                                  residue_by_poly_taylor(adj, f, mid, m, False))
+            if root.is_exact:
+                # the root's order, then the wrong ones up to the degree n of
+                # the determinant (an order below it would divide by h = 0)
+                for order in range(m, n + 1):
+                    assert (_outcome(_residue, pencil, root.value, order, True)
+                            == _outcome(residue_by_poly_taylor, adj, f, root.value, order, True))
+                assert (_outcome(adjugate_eigenvector, pencil, root, "exact")
+                        == _outcome(adjugate_eigenvector_by_poly_evaluate, pencil, root))
+
+    def test_float_residue_of_a_quadruple_root(self):
+        # G is the order-3 coefficient, rounded through 3! = 6, which is not
+        # a power of two: float(6c)/6 differs from float(c) in some entry
+        pair, _ = planted_pair(random.Random(0), 5, [Fraction(-2, 7)] * 4 + [3])
+        pencil = pair.pencil()
+        adj, f = pencil.char_adjugate(), pencil.char_poly()
+        got = _residue(pencil, Fraction(-2, 7), 4, False)
+        assert np.array_equal(got, residue_by_poly_taylor(adj, f, Fraction(-2, 7), 4, False))
 
 
 class TestVerifyTheorem:
