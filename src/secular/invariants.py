@@ -20,8 +20,8 @@ g of f of multiplicity mu, g^(mu-1) divides every adjugate entry exactly when
 it divides Delta_(n-1), that is when g divides the minimal polynomial once.
 Jordan's test for simple elementary divisors and Weierstrass's "remarkable
 circumstance" for definite pairs are both this one test on the pencil's
-cached integer adjugate, by exact division by the primitive integer part of
-g^(mu-1) (Gauss's lemma).
+cached integer adjugate, which `Pencil._adjugate_divisible` runs by exact
+division by the primitive integer part of g^(mu-1) (Gauss's lemma).
 
 Inertia of a symmetric rational matrix is read off the pivot signs of one
 symmetric Bareiss pass with swaps and Lagrange's completing-the-square step;
@@ -39,10 +39,8 @@ from .errors import InternalError, PreconditionError
 from .matrices import Pencil, PolyMatrix, RatMatrix, _bareiss_step, _integer_model
 from .polynomials import (
     Poly,
-    _exact_quo,
     _mul,
     _pdivmod,
-    _primitive_ints,
     _sub,
     kronecker_factor,
     squarefree_decompose,
@@ -245,16 +243,12 @@ def elementary_divisors(inv: InvariantFactors) -> ElementaryDivisors:
 def _minor_divisibility(pencil: Pencil) -> MinorDivisibility:
     """One record per square-free factor of the pencil's determinant, with
     multiplicity mu: whether factor^(mu-1) divides every entry of the
-    pencil's cached integer adjugate, by exact division by its primitive
-    integer part.  factor^0 divides everything, so a square-free
-    determinant never builds the adjugate."""
+    pencil's cached integer adjugate (`Pencil._adjugate_divisible`).
+    factor^0 divides everything, so a square-free determinant never builds
+    the adjugate."""
     records = []
     for factor, mult in squarefree_decompose(pencil.char_poly()):
-        divisible = mult == 1
-        if not divisible:
-            power = _primitive_ints(factor ** (mult - 1))[1]
-            divisible = all(_exact_quo(entry, power) is not None
-                            for entry in pencil._adjugate[1])
+        divisible = mult == 1 or pencil._adjugate_divisible(factor ** (mult - 1))
         records.append((factor, mult, divisible))
     return MinorDivisibility(tuple(records))
 

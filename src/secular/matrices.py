@@ -11,10 +11,10 @@ adjugates, and a symmetric Bareiss pass with swaps and Lagrange's add step
 for inertia (`secular.invariants`).  A pencil computes its determinant, real
 roots (per width), integer adjugate and integer model once, on first use.
 The integer adjugate is what interpolation produces: one scale L^(n-1) and
-n^2 lists of n integer coefficients, so adj P = entries / scale; the
-divisibility test, residues, principal parts and adjugate eigenvectors read
-those integers, and a `PolyMatrix` of `Poly` entries is built only when
-`adjugate_pencil` or `Pencil.char_adjugate` is called.  One sampler,
+n^2 lists of n integer coefficients, so adj P = entries / scale; other
+modules read it only through `Pencil._adjugate_taylor` (Taylor coefficients
+at a rational point) and `Pencil._adjugate_divisible` (exact division), and
+a `PolyMatrix` is built only when `adjugate_pencil` is called.  One sampler,
 `Pencil._numerators`, gives the integer rows of its characteristic matrix P
 at a rational point: at the integers k they are the samples L*P(k) from
 which Newton interpolation in integers reads the determinant and the
@@ -45,7 +45,7 @@ from operator import mul
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .errors import PreconditionError
-from .polynomials import Poly, _interpolate
+from .polynomials import Poly, _exact_quo, _interpolate, _primitive_ints, _taylor
 from .realroots import RealRoot, sturm_isolate
 
 if TYPE_CHECKING:
@@ -550,8 +550,8 @@ class Pencil:
     # allows; equality and hashing still see only A, B and the orientation.
     _char_poly = cached_property(lambda self: det_pencil(self))
     _roots = cached_property(lambda self: {})  # width -> isolated roots
-    # (scale, integer entries) from `_int_adjugate_pencil`; `char_adjugate`
-    # divides them out on each call
+    # (scale, integer entries) from `_int_adjugate_pencil`, read only in this
+    # module; `adjugate_pencil` divides them out on each call
     _adjugate = cached_property(lambda self: _int_adjugate_pencil(self))
     _int_model = cached_property(lambda self: _integer_model(self.A, self.B))
 
@@ -569,11 +569,26 @@ class Pencil:
             self._roots[width] = sturm_isolate(f, width)
         return list(self._roots[width])
 
-    def char_adjugate(self) -> PolyMatrix:
-        """Adjugate of the characteristic matrix, whose integer form is
-        computed on first use; a singular pencil raises PreconditionError as
-        `roots` does."""
-        return adjugate_pencil(self)
+    def _adjugate_taylor(self, s, count: int) -> tuple[int, list[list[int]]]:
+        """(den, coeffs): at s = p/q, the Taylor coefficient of order
+        k < min(count, n) of adjugate entry e is coeffs[e][k] / den, with
+        coeffs[e][k] = T_k * q^k for the integers T_k of `_taylor` and
+        den = q^(n-1) * scale.  A singular pencil raises PreconditionError."""
+        scale, entries = self._adjugate
+        s = Fraction(s)
+        p, q = s.numerator, s.denominator
+        n = self.size
+        coeffs = [_taylor(entry, p, q, count) for entry in entries]
+        if q != 1 and count > 1:  # else every power q^k taken is 1
+            powers = [q**k for k in range(min(count, n))]
+            coeffs = [list(map(mul, ts, powers)) for ts in coeffs]
+        return q ** max(n - 1, 0) * scale, coeffs
+
+    def _adjugate_divisible(self, power: Poly) -> bool:
+        """Whether the nonzero `power` divides every adjugate entry, by exact
+        division by its primitive integer part (Gauss's lemma)."""
+        divisor = _primitive_ints(power)[1]
+        return all(_exact_quo(entry, divisor) is not None for entry in self._adjugate[1])
 
     def evaluate(self, s) -> RatMatrix:
         """The characteristic matrix at a rational point, one Fraction per

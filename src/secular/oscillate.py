@@ -14,9 +14,9 @@ Solvers:
   eigenstructure (the principal parts of the resolvent); solution entries are
   e^(sigma t) times a polynomial of degree < chain length.
 * `expm_projectors` -- exp(M t) from the spectral projectors P and nilpotent
-  parts N^k P, the partial fractions of the resolvent adj(s)/f(s) at each
-  exact eigenvalue, read off integer Taylor coefficients of the cached
-  integer adjugate and those of the characteristic polynomial.
+  parts N^k P, the principal parts of the resolvent adj(s)/f(s) at each
+  exact eigenvalue (`spectral._principal_part`, which also gives the
+  residues of the pair reduction).
 * `scalar_residue_solve` -- scalar constant-coefficient ODEs via residues of
   e^(r x)/F(r); multiple roots contribute x^k e^(r x) automatically.
 
@@ -31,15 +31,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import factorial
-from math import lcm as int_lcm
 from typing import TYPE_CHECKING
 
 from .errors import InternalError, PathUnavailableError, PreconditionError
 from .invariants import inertia
 from .matrices import Pencil, RatMatrix, _bilinear
-from .polynomials import Poly, _taylor, squarefree_decompose
+from .polynomials import Poly, squarefree_decompose
 from .realroots import RealRoot, root_sign
-from .spectral import _decide_path, spectral_decompose
+from .spectral import _decide_path, _principal_part, spectral_decompose
 
 if TYPE_CHECKING:
     import numpy as np
@@ -510,51 +509,16 @@ def _rational_spectrum(pencil: Pencil) -> bool:
 
 def _principal_parts(pencil: Pencil) -> list[tuple[Fraction, int, list[RatMatrix]]]:
     """(sigma, m, [N^k P for k < chain]) per eigenvalue sigma of multiplicity m
-    of M, for the similarity pencil sI - M.
-
-    The resolvent (sI - M)^-1 = adj(s)/f(s) has the principal part
-    sum_k N^k P / (s - sigma)^(k+1) at sigma, P the projector and
-    N = (M - sigma I) P.  With f = (s - sigma)^m h, N^k P is therefore the
-    Taylor coefficient of order m-1-k of adj/h at sigma: a convolution of the
-    adjugate's Taylor coefficients with the series of 1/h, whose coefficients
-    are f's of orders m..2m-1.  The adjugate's are the integers T_i of
-    `_taylor` on the pencil's integer adjugate (scale, entries), over
-    q^(n-1-i) * scale for sigma = p/q, and the series of 1/h is brought to
-    one denominator, so each entry of N^k P is one Fraction.  N is
-    nilpotent; its zero powers are dropped, and the terms left number the
-    chain length.
-    """
+    of M, for the similarity pencil sI - M: the resolvent's principal parts
+    (`spectral._principal_part`), as many terms as the chain is long."""
     if not _rational_spectrum(pencil):
         raise PathUnavailableError(
             "spectral projectors need all-rational eigenvalues; use the"
             " floating Jordan path instead"
         )
-    n = pencil.size
-    f = pencil.char_poly()
-    scale, entries = pencil._adjugate
-    parts = []
-    for root in pencil.roots():
-        sigma, m = root.value, root.multiplicity
-        p, q = sigma.numerator, sigma.denominator
-        h = f.taylor(sigma, 2 * m)[m:]
-        inv = [1 / h[0]]
-        for j in range(1, m):
-            inv.append(-sum(h[i] * inv[j - i] for i in range(1, j + 1)) * inv[0])
-        d = int_lcm(*[c.denominator for c in inv])
-        inv = [c.numerator * (d // c.denominator) for c in inv]
-        # T_i q^i over the one denominator q^(n-1) * scale * d
-        g = [[t * q**i for i, t in enumerate(_taylor(entry, p, q, m))] for entry in entries]
-        den = q ** (n - 1) * scale * d
-        terms = [
-            RatMatrix(n, n, tuple([
-                Fraction(sum(ts[i] * inv[j - i] for i in range(j + 1)), den) for ts in g
-            ]))
-            for j in range(m - 1, -1, -1)
-        ]
-        while not any(terms[-1].entries):
-            terms.pop()
-        parts.append((sigma, m, terms))
-    return parts
+    return [(root.value, root.multiplicity,
+             _principal_part(pencil, root.value, root.multiplicity))
+            for root in pencil.roots()]
 
 
 def first_order_matrix(model: MechModel) -> RatMatrix:

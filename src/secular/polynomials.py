@@ -14,12 +14,12 @@ Beyond ring arithmetic the module provides:
   (Collins 1967, Brown 1971), which is also the Sturm chain of `realroots`,
   and one exact division by a primitive divisor (Gauss's lemma), shared by
   `divides`, Yun (1976), rational-root deflation and the adjugate
-  divisibility of `invariants`,
+  divisibility test of `matrices.Pencil._adjugate_divisible`,
 * Taylor coefficients at a rational point p/q by integer homogeneous
-  Horner (`_taylor`), which `Poly.taylor` wraps and which the residues,
-  principal parts and adjugate eigenvectors run directly on a pencil's
-  integer adjugate; the Smith form of `invariants` runs on the same
-  pseudo-division and integer products,
+  Horner (`_taylor`), which `Poly.taylor` wraps and which
+  `matrices.Pencil._adjugate_taylor` runs on a pencil's integer adjugate;
+  the Smith form of `invariants` runs on the same pseudo-division and
+  integer products,
 * factorisation into irreducibles over Q: linear factors from the exact
   roots of the root engine, the rest by Kronecker's evaluation/interpolation
   scheme (guarded by a degree cap, since the divisor-combination search is
@@ -530,20 +530,18 @@ def _poly_sort_key(p: Poly):
     return (p.degree(), p.coeffs)
 
 
-def kronecker_factor(
-    p: Poly, degree_cap: int = KRONECKER_DEGREE_CAP
-) -> list[tuple[Poly, int]]:
+def kronecker_factor(p: Poly) -> list[tuple[Poly, int]]:
     """Complete factorisation of p into monic irreducibles over Q.
 
     Returns (irreducible, exponent) pairs whose product is monic(p); the pairs
-    are sorted by (degree, coefficients).  Degrees above `degree_cap` are
-    rejected up front as a cost guard.
+    are sorted by (degree, coefficients).  Degrees above
+    `KRONECKER_DEGREE_CAP` are rejected up front as a cost guard.
     """
     if p.is_zero():
         raise PreconditionError("factorisation of the zero polynomial")
-    if p.degree() > degree_cap:
+    if p.degree() > KRONECKER_DEGREE_CAP:
         raise PreconditionError(
-            f"degree {p.degree()} exceeds factorisation cap {degree_cap}"
+            f"degree {p.degree()} exceeds factorisation cap {KRONECKER_DEGREE_CAP}"
         )
     out: list[tuple[Poly, int]] = []
     for part, exp in squarefree_decompose(p):

@@ -10,21 +10,18 @@ rank lambda_mu with
 The pieces are residues: with adj(s*Phi - Psi) = (s - s_mu)^(lambda_mu - 1) * G(s)
 and f(s) = (s - s_mu)^lambda_mu * h(s), the matrix R_mu = G(s_mu) / h(s_mu) is
 the residue of the pencil inverse at s_mu and theta_mu = Phi @ R_mu @ Phi.
-G(s_mu) and h(s_mu) are Taylor coefficients at the root, of order
-lambda_mu - 1 of every adjugate entry and of order lambda_mu of f, read off
-by integer homogeneous Horner (`polynomials._taylor`) on the pencil's
-integer adjugate, whose entries share one denominator, so the residue makes
-one Fraction per entry; no quotient polynomial and no `Poly` entry is
-formed.  On the exact path the sums Phi = sum(theta) and Psi =
-sum(s_mu * theta) are checked in integers over one common denominator.  The
-construction never branches on the multiplicity: the divisibility of every
-adjugate entry by (s - s_mu)^(lambda_mu - 1) -- checkable exactly, see
-`remarkable_circumstance_check` -- is what keeps the residues finite, and on
-the exact path the vanishing lower coefficients are that divisibility.
+On the exact path R_mu is the resolvent's principal part at the root
+(`spectral._principal_part`, which also gives Jordan's projectors): the
+divisibility of every adjugate entry by (s - s_mu)^(lambda_mu - 1), see
+`remarkable_circumstance_check`, is that it has one term, and a longer one
+is rejected.  The sums Phi = sum(theta) and Psi = sum(s_mu * theta) are
+checked in integers over one common denominator.
 
-Exact path requires rational roots; otherwise the same coefficients are
-taken at refined root approximations and rounded to floating point
-(tolerance 1e-9, on residuals that read 0 for the empty pair).  The sign of
+Exact path requires rational roots; otherwise G(s_mu) and h(s_mu), the
+Taylor coefficients of order lambda_mu - 1 of every adjugate entry
+(`Pencil._adjugate_taylor`) and of order lambda_mu of f, are taken at
+refined root approximations and rounded to floating point (tolerance 1e-9,
+on residuals that read 0 for the empty pair).  The sign of
 the definite Phi plays no part (Weierstrass 1858): a negative definite pair
 is reduced on its own pencil by the same residues, and only the
 semidefiniteness test of `verify_theorem` reads the sign.
@@ -41,9 +38,8 @@ from typing import TYPE_CHECKING
 from .errors import PreconditionError
 from .invariants import MinorDivisibility, _minor_divisibility, inertia
 from .matrices import Pencil, RatMatrix, _linear_combination
-from .polynomials import _taylor
 from .realroots import RealRoot, refine_root
-from .spectral import FLOAT_ROOT_WIDTH, _decide_path
+from .spectral import FLOAT_ROOT_WIDTH, _decide_path, _principal_part
 
 if TYPE_CHECKING:
     import numpy as np
@@ -141,44 +137,22 @@ def remarkable_circumstance_check(pair: QuadraticPair) -> MinorDivisibility:
     return _minor_divisibility(pair.pencil())
 
 
-def _residue(pencil: Pencil, point: Fraction, mult: int, exact: bool):
-    """R = G(point)/h(point) from Taylor coefficients at the root: G is the
-    (mult-1)-th coefficient of the adjugate, h the mult-th of f = det, for
-    mult at most n, as for any root of f.
-
-    Every entry of the pencil's integer adjugate (scale, entries) has
-    nominal degree n-1, so with point = p/q its k-th coefficient is the
-    integer T_k of `_taylor` over the one denominator q^(n-1-k) * scale.
-    Exact: every lower coefficient must vanish, which is the divisibility by
-    (s - root)^(mult-1) and (s - root)^mult, and each entry of R is one
-    Fraction.  Float: a coefficient c of order k is rounded as
-    float(c * k!)/k!, the k-th derivative at the refined midpoint over k!.
+def _residue(pencil: Pencil, point: Fraction, mult: int) -> np.ndarray:
+    """R = G(point)/h(point) in floats at a refined root approximation: G
+    is the (mult-1)-th Taylor coefficient of the adjugate, h the mult-th of
+    f = det, for mult at most n, as for any root of f.  A coefficient c of
+    order k is rounded as float(c * k!)/k!, the k-th derivative at the
+    midpoint over k!; each adjugate coefficient is one integer over the
+    denominator of `Pencil._adjugate_taylor`, divided once.
     """
-    n = pencil.size
-    scale, entries = pencil._adjugate
-    p, q = point.numerator, point.denominator
-    g = [_taylor(entry, p, q, mult) for entry in entries]
-    den = q ** (n - mult) * scale  # of the coefficient of order mult - 1
-    h = pencil.char_poly().taylor(point, mult + 1)
-    if exact:
-        if any(any(ts[:-1]) for ts in g):
-            raise PreconditionError(
-                "adjugate entry not divisible to the expected order; the"
-                " leading form is not definite"
-            )
-        if any(h[:-1]):
-            raise PreconditionError("root multiplicity mismatch during deflation")
-        hn, hd = h[-1].numerator, h[-1].denominator
-        return RatMatrix(n, n, tuple([Fraction(ts[-1] * hd, den * hn) for ts in g]))
-
     import numpy as np
 
-    def rounded(c, order):
-        return float(c * factorial(order)) / factorial(order)
-
-    fm = factorial(mult - 1)
+    n = pencil.size
+    den, g = pencil._adjugate_taylor(point, mult)
+    h = pencil.char_poly().taylor(point, mult + 1)[-1]
+    fm, fh = factorial(mult - 1), factorial(mult)
     G = np.array([ts[-1] * fm / den / fm for ts in g]).reshape(n, n)
-    return G / rounded(h[-1], mult)
+    return G / (float(h * fh) / fh)
 
 
 def _exact_residuals(comps, pair: QuadraticPair) -> tuple[RatMatrix, RatMatrix]:
@@ -209,7 +183,8 @@ def _float_residuals(comps, pair: QuadraticPair) -> tuple[float, float]:
 def theta_components(pair: QuadraticPair, path: str = "auto") -> ThetaDecomposition:
     """The pieces (root, multiplicity, theta) with Phi = sum(theta) and
     Psi = sum(root * theta); theta = Phi @ R @ Phi for the residue R of the
-    pencil inverse at the root, whatever the sign of the definite Phi."""
+    pencil inverse at the root, whatever the sign of the definite Phi; on
+    the exact path R is the principal part there, which has one term."""
     pencil = pair.pencil()
     n = pair.size
     roots = pencil.roots(FLOAT_ROOT_WIDTH)
@@ -219,9 +194,17 @@ def theta_components(pair: QuadraticPair, path: str = "auto") -> ThetaDecomposit
     phi = pair.phi if mode == "exact" else pair.phi.to_numpy()
     comps = []
     for root in roots:
-        point = refine_root(root, FLOAT_ROOT_WIDTH).approx()
-        theta = phi @ _residue(pencil, point, root.multiplicity, mode == "exact") @ phi
-        if mode == "float":
+        if mode == "exact":
+            terms = _principal_part(pencil, root.value, root.multiplicity)
+            if len(terms) > 1:
+                raise PreconditionError(
+                    "adjugate entry not divisible to the expected order; the"
+                    " leading form is not definite"
+                )
+            theta = phi @ terms[0] @ phi
+        else:
+            point = refine_root(root, FLOAT_ROOT_WIDTH).approx()
+            theta = phi @ _residue(pencil, point, root.multiplicity) @ phi
             theta = tuple(tuple(float(x) for x in row) for row in (theta + theta.T) / 2)
         comps.append(ThetaComponent(root, root.multiplicity, theta))
     if mode == "exact":

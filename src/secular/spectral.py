@@ -1,18 +1,21 @@
-"""Characteristic roots and eigenvectors of matrix pencils.
+"""Characteristic roots, eigenvectors and resolvent principal parts of pencils.
 
 The exact path reads eigenvectors off the pencil's cached integer adjugate
-evaluated at a rational root by integer Horner (first non-null column) or
+at a rational root (`Pencil._adjugate_taylor`, first non-null column) or
 off an exact nullspace of the characteristic matrix there, eliminated on the
-pencil's integer rows at the root.  One rule picks the path of every entry
-point, this module's, the pair reduction's and the Jordan solver's: an
-unknown path raises PreconditionError, "exact" with an irrational root
-raises PathUnavailableError, and "auto" is exact exactly when every root
-involved is.  Isolated irrational roots route to a floating
-path: the interval is refined to width 10^-30, the characteristic matrix at
-the midpoint is rounded once to floats from the pencil's integer model (no
-Fraction matrix is built), and nullspaces are taken by SVD with a relative
-singular-value threshold of 10^-10; at a simple root the one null vector is
-the normalized adjugate column.
+pencil's integer rows at the root.  `_principal_part` reads the resolvent's
+principal part at an exact root off the same coefficients; its residue is
+Weierstrass's R (`secular.quadpairs`) and Jordan's projector
+(`secular.oscillate`).  One rule picks the path of every entry point, this
+module's, the pair reduction's and the Jordan solver's: an unknown path
+raises PreconditionError, "exact" with an irrational root raises
+PathUnavailableError, and "auto" is exact exactly when every root involved
+is.  Isolated irrational roots route to a floating path: the interval is
+refined to width 10^-30, the characteristic matrix at the midpoint is
+rounded once to floats from the pencil's integer model (no Fraction matrix
+is built), and nullspaces are taken by SVD with a relative singular-value
+threshold of 10^-10; at a simple root the one null vector is the normalized
+adjugate column.
 
 For a symmetric pencil whose leading matrix is definite (by `inertia`),
 every root is real and vectors of distinct roots are orthogonal in both
@@ -24,12 +27,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm as int_lcm
 from typing import TYPE_CHECKING
 
 from .errors import InternalError, PathUnavailableError, PreconditionError
 from .invariants import inertia
 from .matrices import Pencil, RatMatrix, _bilinear, _nullspace
-from .polynomials import Poly, _taylor
+from .polynomials import Poly
 from .realroots import RealRoot, refine_root
 
 if TYPE_CHECKING:
@@ -152,13 +156,10 @@ def adjugate_eigenvector(pencil: Pencil, root: RealRoot, path: str = "auto"):
     mode = _decide_path(path, root.is_exact)
     if mode == "exact":
         n = pencil.size
-        scale, entries = pencil._adjugate
-        p, q = root.value.numerator, root.value.denominator
+        den, values = pencil._adjugate_taylor(root.value, 1)
         for j in range(n):
-            # q^(n-1) times each entry at p/q, by integer Horner
-            col = [_taylor(entries[i * n + j], p, q, 1)[0] for i in range(n)]
+            col = [values[i * n + j][0] for i in range(n)]
             if any(col):
-                den = q ** (n - 1) * scale
                 return _sign_normalize(tuple([Fraction(v, den) for v in col]))
     else:
         basis = _float_nullspace(pencil.evaluate_float(_root_point(root)))
@@ -168,6 +169,49 @@ def adjugate_eigenvector(pencil: Pencil, root: RealRoot, path: str = "auto"):
         "adjugate vanishes at this root (geometric multiplicity > 1);"
         " use nullspace_at_root"
     )
+
+
+def _principal_part(pencil: Pencil, sigma: Fraction, m: int) -> list[RatMatrix]:
+    """[R_0, .., R_(r-1)], the principal part sum_k R_k / (s - sigma)^(k+1)
+    of the resolvent adj(s)/f(s) of a regular pencil at an exact root sigma
+    of multiplicity m of f = det.
+
+    With f = (s - sigma)^m h, R_k is the Taylor coefficient of order m-1-k
+    of adj/h: the adjugate's coefficients (`Pencil._adjugate_taylor`)
+    convolved with the 1/h series, over one denominator.  R_0 is the
+    residue; for sI - M it is the projector P, and R_k = N^k P with
+    N = (M - sigma I) P.  Only the r = m - i0 nonzero terms are built, i0
+    the lowest order of a nonzero adjugate coefficient; r is the longest
+    Jordan chain.  m is checked first (PreconditionError unless f vanishes
+    to order exactly m); the resolvent has a pole at a root, so then i0 < m.
+    """
+    f = pencil.char_poly()
+    h = f.taylor(sigma, m + 1)
+    if m < 1 or any(h[:m]) or not h[m]:
+        raise PreconditionError("root multiplicity mismatch during deflation")
+    den, g = pencil._adjugate_taylor(sigma, m)
+    orders = list(zip(*g))  # orders[i]: the order-i coefficient of every entry
+    i0 = next(i for i in range(m) if any(orders[i]))
+    r = m - i0
+    if r > 1:
+        h = f.taylor(sigma, m + r)
+    h = h[m:]
+    inv = [1 / h[0]]
+    for j in range(1, r):
+        inv.append(-sum(h[i] * inv[j - i] for i in range(1, j + 1)) * inv[0])
+    d = int_lcm(*[c.denominator for c in inv])
+    inv = [c.numerator * (d // c.denominator) for c in inv]
+    den *= d
+    n = pencil.size
+    terms = []
+    for j in range(m - 1, i0 - 1, -1):
+        # R_(m-1-j), the order-j coefficient of adj/h: orders[i] * inv[j-i] over i
+        nums = [inv[j - i0] * c for c in orders[i0]]
+        for i in range(i0 + 1, j + 1):
+            w = inv[j - i]
+            nums = [a + w * c for a, c in zip(nums, orders[i])]
+        terms.append(RatMatrix(n, n, tuple([Fraction(v, den) for v in nums])))
+    return terms
 
 
 def _float_nullspace(M: np.ndarray, threshold: float = FLOAT_NULL_THRESHOLD):

@@ -33,7 +33,10 @@ now read integer numerators keep their `Fraction` polynomial definitions:
 the Smith form by `divmod` on `Poly` rows kept primitive, the residue from
 `Poly.taylor` on the `PolyMatrix` adjugate, adjugate divisibility by
 `Poly.divides` on that adjugate, and the exact adjugate eigenvector by
-`Poly.evaluate` on it.  The small constructors and products the
+`Poly.evaluate` on it.  The exact residue of a pair keeps its definition
+before the resolvent's principal part took it over: Taylor coefficients of
+order mult - 1 of the integer adjugate over order mult of the
+determinant, with the lower orders required to vanish.  The small constructors and products the
 tests build their inputs with live here too, outside the library.
 """
 
@@ -56,9 +59,9 @@ from secular.invariants import (
     invariant_factors,
     minor_gcd_chain,
 )
-from secular.matrices import Pencil, PolyMatrix, RatMatrix, det_rational
+from secular.matrices import Pencil, PolyMatrix, RatMatrix, adjugate_pencil, det_rational
 from secular.oscillate import Trajectory
-from secular.polynomials import ONE, Poly, squarefree_decompose
+from secular.polynomials import ONE, Poly, _taylor, squarefree_decompose
 from secular.quadpairs import (
     QuadraticPair,
     ThetaComponent,
@@ -922,6 +925,34 @@ def residue_by_poly_taylor(adj: PolyMatrix, f: Poly, point: Fraction, mult: int,
     return G / rounded(h[-1], mult)
 
 
+def residue_by_integer_taylor(pencil: Pencil, point: Fraction, mult: int) -> RatMatrix:
+    """R = G(point)/h(point) from Taylor coefficients at the root: G is the
+    (mult-1)-th coefficient of the adjugate, h the mult-th of f = det.
+
+    Every entry of the pencil's integer adjugate (scale, entries) has
+    nominal degree n-1, so with point = p/q its k-th coefficient is the
+    integer T_k of `_taylor` over the one denominator q^(n-1-k) * scale.
+    Every lower coefficient must vanish, which is the divisibility by
+    (s - root)^(mult-1) and (s - root)^mult, and each entry of R is one
+    Fraction.
+    """
+    n = pencil.size
+    scale, entries = pencil._adjugate
+    p, q = point.numerator, point.denominator
+    g = [_taylor(entry, p, q, mult) for entry in entries]
+    den = q ** (n - mult) * scale  # of the coefficient of order mult - 1
+    h = pencil.char_poly().taylor(point, mult + 1)
+    if any(any(ts[:-1]) for ts in g):
+        raise PreconditionError(
+            "adjugate entry not divisible to the expected order; the"
+            " leading form is not definite"
+        )
+    if any(h[:-1]):
+        raise PreconditionError("root multiplicity mismatch during deflation")
+    hn, hd = h[-1].numerator, h[-1].denominator
+    return RatMatrix(n, n, tuple([Fraction(ts[-1] * hd, den * hn) for ts in g]))
+
+
 def minor_divisibility_by_poly_divides(pencil: Pencil) -> MinorDivisibility:
     """One record per square-free factor of the pencil's determinant, with
     multiplicity mu: whether factor^(mu-1) divides every entry of the
@@ -931,7 +962,7 @@ def minor_divisibility_by_poly_divides(pencil: Pencil) -> MinorDivisibility:
     for factor, mult in squarefree_decompose(pencil.char_poly()):
         power = factor ** (mult - 1)
         divisible = mult == 1 or all(
-            power.divides(entry) for entry in pencil.char_adjugate().entries
+            power.divides(entry) for entry in adjugate_pencil(pencil).entries
         )
         records.append((factor, mult, divisible))
     return MinorDivisibility(tuple(records))
@@ -940,7 +971,7 @@ def minor_divisibility_by_poly_divides(pencil: Pencil) -> MinorDivisibility:
 def adjugate_eigenvector_by_poly_evaluate(pencil: Pencil, root) -> tuple:
     """The first nonzero column of the `PolyMatrix` adjugate evaluated at an
     exact root entry by entry, its first nonzero entry made positive."""
-    adj = pencil.char_adjugate()
+    adj = adjugate_pencil(pencil)
     for j in range(adj.cols):
         col = tuple(adj.entry(i, j).evaluate(root.value) for i in range(adj.rows))
         if any(v != 0 for v in col):

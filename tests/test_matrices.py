@@ -223,7 +223,7 @@ class TestAdjugateAgainstCofactorOracle:
 class TestPencilDerivedData:
     def test_cached_data_leaves_equality_and_hash_alone(self):
         fresh, used = Pencil.classical(NOTE23), Pencil.classical(NOTE23)
-        used.char_poly(), used.roots(), used.char_adjugate()
+        used.char_poly(), used.roots(), adjugate_pencil(used)
         assert fresh == used and hash(fresh) == hash(used)
         assert len({fresh, used}) == 1
 
@@ -262,11 +262,19 @@ class TestPencilDerivedData:
             with pytest.raises(
                 PreconditionError, match=r"singular pencil \(determinant identically zero\)"
             ):
-                pencil.char_adjugate()
+                adjugate_pencil(pencil)
 
     def test_adjugate_matches_adjugate_pencil(self):
-        pencil = Pencil.classical(NOTE23)
-        assert pencil.char_adjugate() == adjugate_pencil(Pencil.classical(NOTE23))
+        # the Taylor coefficients that `_adjugate_taylor` reads off the
+        # integer adjugate, over its one denominator, are those of the
+        # `PolyMatrix` that `adjugate_pencil` divides out, at every order
+        for pencil in (Pencil.classical(NOTE23),
+                       Pencil(NOTE23, RatMatrix.from_rows([[1, 0, 0], [0, 2, 0], [0, 0, 3]]))):
+            for s in (Fraction(0), Fraction(2), Fraction(-5, 3)):
+                den, coeffs = pencil._adjugate_taylor(s, 4)
+                assert [[Fraction(c, den) for c in cs] for cs in coeffs] == [
+                    entry.taylor(s, 3) for entry in adjugate_pencil(pencil).entries
+                ]
 
 
 def sympy_case(rng, kind, n, orientation):

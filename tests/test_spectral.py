@@ -11,6 +11,7 @@ from secular.polynomials import Poly
 from secular.realroots import RealRoot, refine_root, sturm_isolate
 from secular.spectral import (
     FLOAT_ROOT_WIDTH,
+    _principal_part,
     adjugate_eigenvector,
     cauchy_orthogonality,
     char_roots,
@@ -20,6 +21,7 @@ from secular.spectral import (
 )
 
 from oracles import (
+    adjugate_eigenvector_by_poly_evaluate,
     bilinear_by_fractions,
     cayley_orthogonal,
     cofactor_adjugate_rat,
@@ -71,6 +73,16 @@ class TestAdjugateEigenvector:
             # exact eigen relation (A - s I) v = 0
             residual = (NOTE23 - RatMatrix.identity(3).scale(root.value)).apply(v)
             assert residual == (0, 0, 0)
+
+    def test_exact_vector_of_a_nonsymmetric_pencil(self):
+        # the adjugate is not symmetric here: the vector is a column, and
+        # solves the eigen relation exactly at the roots 1/2, 3 and -1
+        M = RatMatrix.from_rows([[Fraction(1, 2), 1, 0], [0, 3, 2], [0, 0, -1]])
+        for pencil in (Pencil.similarity(M), Pencil.classical(M)):
+            for root in char_roots(pencil):
+                v = adjugate_eigenvector(pencil, root, path="exact")
+                assert pencil.evaluate(root.value).apply(v) == (0, 0, 0)
+                assert v == adjugate_eigenvector_by_poly_evaluate(pencil, root)
 
     def test_degenerate_root_detected(self):
         pencil = Pencil.classical(RatMatrix.identity(2))
@@ -132,6 +144,26 @@ class TestAdjugateEigenvector:
                 assert float(np.max(np.abs(np.array(v) - col))) <= 1e-12
                 checked += 1
         assert checked >= 8
+
+
+class TestPrincipalPart:
+    # a Jordan block of size 2 at 2 (with the entry 1/2) and a simple root 3
+    DEFECTIVE = RatMatrix.from_rows([[2, Fraction(1, 2), 0], [0, 2, 0], [0, 0, 3]])
+
+    def test_projector_and_nilpotent_term(self):
+        pencil = Pencil.similarity(self.DEFECTIVE)
+        P, N = _principal_part(pencil, Fraction(2), 2)
+        assert P == RatMatrix.diagonal([1, 1, 0])
+        assert P @ P == P
+        assert N == (self.DEFECTIVE - RatMatrix.identity(3).scale(2)) @ P
+        assert _principal_part(pencil, Fraction(3), 1) == [RatMatrix.diagonal([0, 0, 1])]
+
+    def test_orientation_negates_the_resolvent(self):
+        # M - sI = -(sI - M): every term changes sign
+        for s, m in ((Fraction(2), 2), (Fraction(3), 1)):
+            assert _principal_part(Pencil.classical(self.DEFECTIVE), s, m) == [
+                -T for T in _principal_part(Pencil.similarity(self.DEFECTIVE), s, m)
+            ]
 
 
 class TestNullspaceAtRoot:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from secular.errors import PathUnavailableError, PreconditionError
 from secular.invariants import inertia, minor_gcd_chain
-from secular.matrices import RatMatrix
+from secular.matrices import RatMatrix, adjugate_pencil
 from secular.polynomials import Poly
 from secular.quadpairs import (
     QuadraticPair,
@@ -21,13 +21,14 @@ from secular.quadpairs import (
     verify_theorem,
 )
 from secular.realroots import refine_root
-from secular.spectral import FLOAT_ROOT_WIDTH, adjugate_eigenvector
+from secular.spectral import FLOAT_ROOT_WIDTH, _principal_part, adjugate_eigenvector
 
 from oracles import (
     adjugate_eigenvector_by_poly_evaluate,
     minor_divisibility_by_poly_divides,
     minor_gcd_chain_by_fraction_smith,
     residue_by_deflation,
+    residue_by_integer_taylor,
     residue_by_poly_taylor,
     theta_components_by_negation,
 )
@@ -316,7 +317,8 @@ def _block_diagonal(block, copies) -> RatMatrix:
 
 class TestResidue:
     """The residue at a root is read off Taylor coefficients: order mult-1 of
-    the adjugate over order mult of the determinant."""
+    the adjugate over order mult of the determinant.  On the exact path it
+    is the one term of the resolvent's principal part."""
 
     def test_exact_matches_deflation_oracle(self):
         rng = random.Random(31)
@@ -325,19 +327,61 @@ class TestResidue:
                          [Fraction(-1, 2), 3]):
             pair, _ = planted_pair(rng, len(spectrum), spectrum)
             pencil = pair.pencil()
-            adj, f = pencil.char_adjugate(), pencil.char_poly()
+            adj, f = adjugate_pencil(pencil), pencil.char_poly()
             for root in pencil.roots():
                 want = residue_by_deflation(adj, f, root.value, root.multiplicity)
-                assert _residue(pencil, root.value, root.multiplicity, True) == want
+                assert _principal_part(pencil, root.value, root.multiplicity) == [want]
                 mults.add(root.multiplicity)
         assert mults == {1, 2, 3}
 
     def test_exact_rejects_wrong_order(self):
+        # the multiplicity is checked before the adjugate is read: a wrong
+        # order, a point that is no root, and orders beyond the degree or
+        # below 1 all raise the one PreconditionError
         pair = pair_of([[1, 0], [0, 1]], [[3, 0], [0, 7]])
-        with pytest.raises(PreconditionError, match="not divisible to the expected order"):
-            _residue(pair.pencil(), Fraction(3), 2, True)
-        with pytest.raises(PreconditionError, match="multiplicity mismatch"):
-            _residue(pair.pencil(), Fraction(4), 1, True)
+        for point, order in ((3, 2), (4, 1), (3, 3), (3, 0), (4, 0), (3, -1), (7, 5)):
+            with pytest.raises(PreconditionError, match="root multiplicity mismatch"):
+                _principal_part(pair.pencil(), Fraction(point), order)
+
+    def test_unchecked_pair_with_a_defective_root_is_rejected(self):
+        # s*Phi - Psi = [[0, s], [s, -1]] for an indefinite Phi that skipped
+        # `checked`: det = -s^2 and adj = [[-1, -s], [-s, 0]], so the double
+        # root 0 has a principal part of two terms and s does not divide adj
+        pair = QuadraticPair(RatMatrix.from_rows([[0, 1], [1, 0]]),
+                             RatMatrix.from_rows([[0, 0], [0, 1]]), "positive")
+        assert len(_principal_part(pair.pencil(), Fraction(0), 2)) == 2
+        with pytest.raises(PreconditionError, match=(
+                "^adjugate entry not divisible to the expected order; the"
+                " leading form is not definite$")):
+            theta_components(pair)
+
+    @given(st.integers(0, 2**32), st.integers(1, 5), st.booleans(), st.sampled_from([1, -1]))
+    @settings(max_examples=40, deadline=None)
+    def test_principal_part_is_the_integer_residue(self, seed, n, planted, sign):
+        # planted spectra and generic Psi, with denominators in Phi (scaled
+        # by a positive c), in Psi and in the roots, for Phi of either sign:
+        # at every exact root the principal part is the one residue of the
+        # integer Taylor oracle
+        rng = random.Random(seed)
+        if planted:
+            spectrum = [Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3))) for _ in range(n)]
+            pair, _ = planted_pair(rng, n, spectrum)
+            phi, psi = pair.phi, pair.psi
+        else:
+            L = RatMatrix.from_rows([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
+            a = [[Fraction(rng.randint(-4, 4), rng.choice((1, 3))) for _ in range(n)]
+                 for _ in range(n)]
+            phi = L.transpose() @ L + RatMatrix.identity(n)
+            psi = RatMatrix.from_rows([[a[min(i, j)][max(i, j)] for j in range(n)]
+                                       for i in range(n)])
+        c = Fraction(rng.randint(1, 5), rng.choice((1, 2, 7)))
+        pair = QuadraticPair.checked(phi.scale(sign * c), psi)
+        assert pair.definiteness == ("positive" if sign > 0 else "negative")
+        pencil = pair.pencil()
+        for root in pencil.roots(FLOAT_ROOT_WIDTH):
+            if root.is_exact:
+                want = residue_by_integer_taylor(pencil, root.value, root.multiplicity)
+                assert _principal_part(pencil, root.value, root.multiplicity) == [want]
 
     def test_float_rounds_as_derivatives(self):
         # irrational double roots (3 +- sqrt(5))/2, and a rational triple root
@@ -354,7 +398,7 @@ class TestResidue:
         triple, _ = planted_pair(random.Random(1), 4, [Fraction(-2, 7)] * 3 + [4])
         for pair, kinds in ((double, {(2, False)}), (triple, {(3, True), (1, True)})):
             pencil = pair.pencil()
-            adj, f = pencil.char_adjugate(), pencil.char_poly()
+            adj, f = adjugate_pencil(pencil), pencil.char_poly()
             mults = set()
             for root in pencil.roots(FLOAT_ROOT_WIDTH):
                 m = root.multiplicity
@@ -364,7 +408,7 @@ class TestResidue:
                      for e in adj.entries]
                 ).reshape(4, 4)
                 h = float(derivative(f, m).evaluate(s)) / factorial(m)
-                assert np.array_equal(_residue(pencil, s, m, False), G / h)
+                assert np.array_equal(_residue(pencil, s, m), G / h)
                 mults.add((m, root.is_exact))
             assert mults == kinds
 
@@ -399,21 +443,24 @@ class TestIntegerKernelsAgainstFractionPolynomials:
             pair = pair_of((L.transpose() @ L + RatMatrix.identity(n)).to_rows(),
                            [[a[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)])
         pencil = pair.pencil()
-        adj, f = pencil.char_adjugate(), pencil.char_poly()
+        adj, f = adjugate_pencil(pencil), pencil.char_poly()
         P = pencil.char_matrix()
         assert minor_gcd_chain(P) == minor_gcd_chain_by_fraction_smith(P)
         assert remarkable_circumstance_check(pair) == minor_divisibility_by_poly_divides(pencil)
         for root in pencil.roots(FLOAT_ROOT_WIDTH):
             m = root.multiplicity
             mid = refine_root(root, FLOAT_ROOT_WIDTH).approx()
-            assert np.array_equal(_residue(pencil, mid, m, False),
+            assert np.array_equal(_residue(pencil, mid, m),
                                   residue_by_poly_taylor(adj, f, mid, m, False))
             if root.is_exact:
                 # the root's order, then the wrong ones up to the degree n of
-                # the determinant (an order below it would divide by h = 0)
-                for order in range(m, n + 1):
-                    assert (_outcome(_residue, pencil, root.value, order, True)
-                            == _outcome(residue_by_poly_taylor, adj, f, root.value, order, True))
+                # the determinant and one beyond it
+                assert (_principal_part(pencil, root.value, m)
+                        == [residue_by_poly_taylor(adj, f, root.value, m, True)])
+                for order in range(m + 1, n + 2):
+                    assert (_outcome(_principal_part, pencil, root.value, order)
+                            == (PreconditionError,
+                                "root multiplicity mismatch during deflation"))
                 assert (_outcome(adjugate_eigenvector, pencil, root, "exact")
                         == _outcome(adjugate_eigenvector_by_poly_evaluate, pencil, root))
 
@@ -422,8 +469,8 @@ class TestIntegerKernelsAgainstFractionPolynomials:
         # a power of two: float(6c)/6 differs from float(c) in some entry
         pair, _ = planted_pair(random.Random(0), 5, [Fraction(-2, 7)] * 4 + [3])
         pencil = pair.pencil()
-        adj, f = pencil.char_adjugate(), pencil.char_poly()
-        got = _residue(pencil, Fraction(-2, 7), 4, False)
+        adj, f = adjugate_pencil(pencil), pencil.char_poly()
+        got = _residue(pencil, Fraction(-2, 7), 4)
         assert np.array_equal(got, residue_by_poly_taylor(adj, f, Fraction(-2, 7), 4, False))
 
 
