@@ -22,19 +22,7 @@ from .errors import (
     PathUnavailableError,
     PreconditionError,
 )
-from .invariants import (
-    darboux_signature_steps,
-    elementary_divisors,
-    inertia,
-    invariant_factors,
-    is_diagonalizable,
-    minor_gcd_chain,
-)
 from .matrices import Pencil, RatMatrix
-from .oscillate import (classify_stability, expm_projectors, first_order_matrix,
-                        sample_trajectory, solve_jordan, solve_modal)
-from .quadpairs import remarkable_circumstance_check, theta_components, verify_theorem
-from .spectral import adjugate_eigenvector, char_roots, nullspace_at_root
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -159,6 +147,8 @@ def _cmd_charpoly(args) -> dict:
 
 
 def _cmd_roots(args) -> dict:
+    from .spectral import char_roots
+
     pencil = _load_pencil_like(args.input)
     roots = char_roots(pencil, args.width)
     return {
@@ -169,6 +159,8 @@ def _cmd_roots(args) -> dict:
 
 
 def _cmd_eigvec(args) -> dict:
+    from .spectral import adjugate_eigenvector, char_roots, nullspace_at_root
+
     pencil = _load_pencil_like(args.input)
     roots = char_roots(pencil)
     root = _pick_root(roots, args)
@@ -197,6 +189,8 @@ def _cmd_eigvec(args) -> dict:
 
 
 def _cmd_invariant_factors(args) -> dict:
+    from .invariants import invariant_factors, minor_gcd_chain
+
     pencil = _load_pencil_like(args.input)
     chain = minor_gcd_chain(pencil.char_matrix())
     inv = invariant_factors(chain)
@@ -209,6 +203,8 @@ def _cmd_invariant_factors(args) -> dict:
 
 
 def _cmd_elementary_divisors(args) -> dict:
+    from .invariants import elementary_divisors, invariant_factors, minor_gcd_chain
+
     pencil = _load_pencil_like(args.input)
     inv = invariant_factors(minor_gcd_chain(pencil.char_matrix()))
     divisors = elementary_divisors(inv)
@@ -223,6 +219,8 @@ def _cmd_elementary_divisors(args) -> dict:
 
 
 def _cmd_diagonalizable(args) -> dict:
+    from .invariants import is_diagonalizable
+
     pencil = _load_pencil_like(args.input)
     verdict, witness = is_diagonalizable(pencil)
     return {
@@ -241,6 +239,8 @@ def _cmd_diagonalizable(args) -> dict:
 
 
 def _cmd_inertia(args) -> dict:
+    from .invariants import inertia
+
     M = _load_matrix(args.input)
     rep = inertia(M)
     return {
@@ -255,6 +255,8 @@ def _cmd_inertia(args) -> dict:
 
 
 def _cmd_darboux_steps(args) -> dict:
+    from .invariants import darboux_signature_steps
+
     M = _load_matrix(args.input)
     steps = darboux_signature_steps(M)
     return {
@@ -267,6 +269,8 @@ def _cmd_darboux_steps(args) -> dict:
 
 
 def _cmd_weierstrass_reduce(args) -> dict:
+    from .quadpairs import remarkable_circumstance_check, theta_components, verify_theorem
+
     pair = sio.pair_from_doc(sio.load_document(args.input))
     circumstance = remarkable_circumstance_check(pair)
     dec = theta_components(pair, path=args.path)
@@ -298,12 +302,14 @@ def _cmd_weierstrass_reduce(args) -> dict:
 
 
 def _cmd_expm(args) -> dict:
+    from .oscillate import expm_projectors
+
     M = _load_matrix(args.input)
     t = args.time
     E = expm_projectors(M, t)
     return {
         "provenance": _provenance(
-            "matrix-exponential-spectral-projectors", "bezout-partial-fractions"
+            "matrix-exponential-spectral-projectors", "weierstrass-1858"
         ),
         "path": "float",
         "t": t,
@@ -312,6 +318,8 @@ def _cmd_expm(args) -> dict:
 
 
 def _cmd_solve(args) -> dict:
+    from .oscillate import first_order_matrix, solve_jordan, solve_modal
+
     model, ic, _times = sio.scenario_from_doc(sio.load_document(args.input))
     if ic is None:
         raise PreconditionError("scenario has no initial conditions")
@@ -340,6 +348,8 @@ def _cmd_solve(args) -> dict:
 
 
 def _cmd_classify(args) -> dict:
+    from .oscillate import classify_stability
+
     model, _ic, _times = sio.scenario_from_doc(sio.load_document(args.input))
     verdict = classify_stability(model)
     doc = sio.verdict_to_doc(verdict)
@@ -351,12 +361,12 @@ def _cmd_classify(args) -> dict:
 
 
 def _cmd_trajectory(args) -> str:
+    from .oscillate import sample_trajectory, solve_modal, time_grid
+
     model, ic, times = sio.scenario_from_doc(sio.load_document(args.input))
     if ic is None:
         raise PreconditionError("scenario has no initial conditions")
     if args.t_max is not None or args.t_steps is not None:
-        from .oscillate import time_grid
-
         t_max = args.t_max if args.t_max is not None else times[-1]
         steps = args.t_steps if args.t_steps is not None else max(1, len(times) - 1)
         times = time_grid(t_max, steps)

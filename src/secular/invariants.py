@@ -30,11 +30,11 @@ with no zero pivot these are the sign permanences of the leading minors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd as int_gcd
 from math import lcm as int_lcm
 
+from ._record import Record
 from .errors import InternalError, PreconditionError
 from .matrices import Pencil, PolyMatrix, RatMatrix, _bareiss_step, _integer_model
 from .polynomials import (
@@ -62,8 +62,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MinorGcdChain:
+class MinorGcdChain(Record):
     """Monic GCDs Delta_1 .. Delta_n of the k x k minors (Delta_0 = 1)."""
 
     deltas: tuple[Poly, ...]
@@ -72,8 +71,7 @@ class MinorGcdChain:
         return iter(self.deltas)
 
 
-@dataclass(frozen=True)
-class InvariantFactors:
+class InvariantFactors(Record):
     """Quotients i_k = Delta_k / Delta_(k-1); each divides the next."""
 
     factors: tuple[Poly, ...]
@@ -82,15 +80,13 @@ class InvariantFactors:
         return iter(self.factors)
 
 
-@dataclass(frozen=True)
-class ElementaryDivisors:
+class ElementaryDivisors(Record):
     """Irreducible-power parts of the invariant factors, flattened."""
 
     divisors: tuple[tuple[Poly, int], ...]
 
 
-@dataclass(frozen=True)
-class MinorDivisibility:
+class MinorDivisibility(Record):
     """Minor-divisibility evidence per root group of a pencil's determinant.
 
     Each record is (square-free factor of the characteristic polynomial,
@@ -105,13 +101,12 @@ class MinorDivisibility:
         return all(divisible for _, _, divisible in self.records)
 
 
-@dataclass(frozen=True)
-class InertiaReport:
+class InertiaReport(Record, ignore=("matrix",)):
     positives: int
     negatives: int
     zeros: int
     method: str  # "minor-formula" | "congruence-fallback"
-    matrix: RatMatrix = field(repr=False, compare=False)
+    matrix: RatMatrix  # left out of equality, the hash and the repr
 
     @property
     def signature(self) -> tuple[int, int, int]:
@@ -281,8 +276,9 @@ def inertia(M: RatMatrix) -> InertiaReport:
     else "congruence-fallback".  The counts are stored on the matrix
     instance, so each matrix is classified once however many callers ask.
     """
-    # Stored as a cached_property would store it: in the instance __dict__,
-    # which a frozen dataclass allows and which equality and hashing ignore.
+    # Stored as a cached_property would store it: in the record's instance
+    # __dict__, which takes entries beside the fields; equality and hashing
+    # read the fields alone.
     stored = vars(M)
     if "_inertia" not in stored:
         stored["_inertia"] = _inertia(M)

@@ -16,21 +16,16 @@ import math
 import re
 import sys
 from fractions import Fraction
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from .errors import ParseError
 from .matrices import Pencil, RatMatrix
-from .oscillate import (
-    InitialConditions,
-    MechModel,
-    ModalSolution,
-    StabilityVerdict,
-    Trajectory,
-    build_model,
-    time_grid,
-)
-from .polynomials import Poly
-from .quadpairs import QuadraticPair
+
+if TYPE_CHECKING:
+    from .oscillate import (InitialConditions, MechModel, ModalSolution, StabilityVerdict,
+                            Trajectory)
+    from .polynomials import Poly
+    from .quadpairs import QuadraticPair
 
 __all__ = [
     "parse_fraction",
@@ -130,6 +125,8 @@ def pencil_from_doc(doc: Any) -> Pencil:
 def pair_from_doc(doc: Any) -> QuadraticPair:
     """A quadratic pair: {"phi": matrix, "psi": matrix}, or a pencil document
     read as (Phi, Psi) = (A, B)."""
+    from .quadpairs import QuadraticPair
+
     if isinstance(doc, dict) and "phi" in doc and "psi" in doc:
         return QuadraticPair.checked(
             matrix_from_doc(doc["phi"]), matrix_from_doc(doc["psi"])
@@ -145,6 +142,8 @@ def scenario_from_doc(
 ) -> tuple[MechModel, InitialConditions | None, tuple[float, ...]]:
     """Scenario: model kind, parameters, optional initial conditions and
     time-grid settings."""
+    from .oscillate import InitialConditions, build_model, time_grid
+
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ParseError("scenario document needs a model kind")
     kind = doc["kind"]

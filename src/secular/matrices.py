@@ -36,7 +36,6 @@ indices (see `secular.io`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd as int_gcd
@@ -44,6 +43,7 @@ from math import lcm as int_lcm
 from operator import mul
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
+from ._record import Record
 from .errors import PreconditionError
 from .polynomials import Poly, _exact_quo, _interpolate, _primitive_ints, _taylor
 from .realroots import RealRoot, sturm_isolate
@@ -67,8 +67,7 @@ def _as_fraction_rows(rows: Iterable[Iterable]) -> list[list[Fraction]]:
     return [[Fraction(v) for v in row] for row in rows]
 
 
-@dataclass(frozen=True)
-class RatMatrix:
+class RatMatrix(Record):
     """Immutable rational matrix, row-major entries."""
 
     rows: int
@@ -405,8 +404,7 @@ def det_rational(M: RatMatrix) -> Fraction:
     return Fraction(_bareiss(rows, M.rows), L**M.rows)
 
 
-@dataclass(frozen=True)
-class PolyMatrix:
+class PolyMatrix(Record):
     """Matrix of dense rational polynomials."""
 
     rows: int
@@ -490,8 +488,7 @@ def _int_adjugate_pencil(pencil: "Pencil") -> tuple[int, list[list[int]]]:
 ORIENTATIONS = ("sA-B", "A-sB")
 
 
-@dataclass(frozen=True)
-class Pencil:
+class Pencil(Record):
     """Square matrix couple (A, B) with an orientation convention.
 
     "sA-B": characteristic matrix s*A - B (frequency pencils det(K*A - B),
@@ -546,8 +543,8 @@ class Pencil:
             rows.append(row)
         return PolyMatrix.from_rows(rows)
 
-    # A cached_property writes the instance __dict__, which a frozen dataclass
-    # allows; equality and hashing still see only A, B and the orientation.
+    # A cached_property writes the record's instance __dict__ beside the
+    # fields; equality and hashing still see only A, B and the orientation.
     _char_poly = cached_property(lambda self: det_pencil(self))
     _roots = cached_property(lambda self: {})  # width -> isolated roots
     # (scale, integer entries) from `_int_adjugate_pencil`, read only in this

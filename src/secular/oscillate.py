@@ -27,12 +27,12 @@ the corrected symmetry/definiteness rule, flagging disagreement.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import factorial
 from typing import TYPE_CHECKING
 
+from ._record import Record
 from .errors import InternalError, PathUnavailableError, PreconditionError
 from .invariants import inertia
 from .matrices import Pencil, RatMatrix, _bilinear
@@ -79,8 +79,7 @@ MODEL_KINDS = (
 )
 
 
-@dataclass(frozen=True)
-class MechModel:
+class MechModel(Record):
     """An oscillation scenario: A y'' + B y = 0 with symmetric A, B."""
 
     kind: str
@@ -105,8 +104,7 @@ class MechModel:
         raise KeyError(name)
 
 
-@dataclass(frozen=True)
-class InitialConditions:
+class InitialConditions(Record):
     positions: tuple[Fraction, ...]
     velocities: tuple[Fraction, ...]
 
@@ -252,8 +250,7 @@ class _ShapeFloats:
         return self._shape_floats
 
 
-@dataclass(frozen=True)
-class Mode(_ShapeFloats):
+class Mode(_ShapeFloats, Record):
     """One oscillatory mode E sin(omega t + phase) * shape."""
 
     k_root: RealRoot  # root K = omega^2 of the frequency equation
@@ -264,8 +261,7 @@ class Mode(_ShapeFloats):
     phase: float  # in [0, 2*pi)
 
 
-@dataclass(frozen=True)
-class DriftMode(_ShapeFloats):
+class DriftMode(_ShapeFloats, Record):
     """Zero-frequency (rigid) mode: (offset + rate*t) * shape."""
 
     shape: tuple
@@ -274,8 +270,7 @@ class DriftMode(_ShapeFloats):
     rate: float
 
 
-@dataclass(frozen=True)
-class ModalSolution:
+class ModalSolution(Record):
     model: MechModel
     modes: tuple[Mode, ...]
     drifts: tuple[DriftMode, ...]
@@ -405,8 +400,7 @@ def solve_modal(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class JordanBlock:
+class JordanBlock(Record):
     """Solution slice e^(sigma t) * (cos/sin carrier) * psi(t).
 
     sigma = sigma_re + i*sigma_im; for real sigma the sin coefficients are
@@ -464,8 +458,7 @@ def _vector_poly(coeffs, times: list[float], n: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class JordanSolution:
+class JordanSolution(Record):
     matrix: RatMatrix
     blocks: tuple[JordanBlock, ...]
     path: str
@@ -636,8 +629,7 @@ def expm_projectors(M: RatMatrix, t: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ScalarTerm:
+class ScalarTerm(Record):
     """coefficient terms x^power e^(alpha x) (c_cos cos(beta x) + c_sin sin(beta x))."""
 
     alpha: float
@@ -653,8 +645,7 @@ class ScalarTerm:
         return x**self.power * math.exp(self.alpha * x) * osc
 
 
-@dataclass(frozen=True)
-class ScalarSolution:
+class ScalarSolution(Record):
     terms: tuple[ScalarTerm, ...]
 
     def evaluate(self, x: float) -> float:
@@ -736,8 +727,7 @@ def scalar_residue_solve(F: Poly, ic) -> ScalarSolution:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StabilityVerdict:
+class StabilityVerdict(Record):
     historical: str  # "stable" | "unstable" | "conditional"
     historical_rule: str
     corrected: str  # "stable" | "unstable"
@@ -835,8 +825,7 @@ def classify_stability(model: MechModel) -> StabilityVerdict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(Record):
     times: tuple[float, ...]
     values: tuple[tuple[float, ...], ...]  # one row per time
     sup_norm: float

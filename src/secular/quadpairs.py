@@ -29,12 +29,12 @@ semidefiniteness test of `verify_theorem` reads the sign.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import factorial
 from typing import TYPE_CHECKING
 
+from ._record import Record
 from .errors import PreconditionError
 from .invariants import MinorDivisibility, _minor_divisibility, inertia
 from .matrices import Pencil, RatMatrix, _linear_combination
@@ -58,8 +58,7 @@ __all__ = [
 FLOAT_RESIDUAL_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class QuadraticPair:
+class QuadraticPair(Record):
     """Symmetric couple (Phi, Psi) with Phi definite."""
 
     phi: RatMatrix
@@ -97,8 +96,7 @@ class QuadraticPair:
         return self._pencil
 
 
-@dataclass(frozen=True)
-class ThetaComponent:
+class ThetaComponent(Record):
     root: RealRoot
     multiplicity: int
     theta: RatMatrix | tuple  # exact matrix, or row tuples of floats
@@ -111,15 +109,13 @@ class ThetaComponent:
         return np.array(self.theta)
 
 
-@dataclass(frozen=True)
-class ThetaDecomposition:
+class ThetaDecomposition(Record):
     components: tuple[ThetaComponent, ...]
     path: str  # "exact" | "float"
     size: int
 
 
-@dataclass(frozen=True)
-class TheoremReport:
+class TheoremReport(Record):
     ok: bool
     phi_residual: Fraction | float
     psi_residual: Fraction | float

@@ -35,10 +35,10 @@ anyway.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import lcm
 
+from ._record import Record, replace
 from .errors import PreconditionError
 from .polynomials import Poly, _derivative, _exact_quo, _primitive_ints, _prs, _yun
 
@@ -50,8 +50,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RealRoot:
+class RealRoot(Record):
     """One real root of a rational polynomial.
 
     kind "exact": `value` holds the rational root, lo == hi == value.

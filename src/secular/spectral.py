@@ -25,11 +25,11 @@ demand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm as int_lcm
 from typing import TYPE_CHECKING
 
+from ._record import Record
 from .errors import InternalError, PathUnavailableError, PreconditionError
 from .invariants import inertia
 from .matrices import Pencil, RatMatrix, _bilinear, _nullspace
@@ -57,8 +57,7 @@ FLOAT_ROOT_WIDTH = Fraction(1, 10**30)
 FLOAT_NULL_THRESHOLD = 1e-10
 
 
-@dataclass(frozen=True)
-class SpectralDecomposition:
+class SpectralDecomposition(Record):
     """Roots with per-root vector systems.
 
     Exact-path vectors are unnormalized Fraction tuples with their squared
@@ -73,15 +72,13 @@ class SpectralDecomposition:
     path: str  # "exact" | "float"
 
 
-@dataclass(frozen=True)
-class OrthogonalityReport:
+class OrthogonalityReport(Record):
     pairs_checked: int
     max_violation: Fraction | float
     ok: bool
 
 
-@dataclass(frozen=True)
-class QFactor:
+class QFactor(Record):
     """Deflated characteristic value at a simple root.
 
     deflated_value = (P / (x - root))(root) = P'(root); the overall scale
@@ -347,10 +344,5 @@ def spectral_decompose(pencil: Pencil, path: str = "auto") -> SpectralDecomposit
             vs, ns = _gram_schmidt_float(basis, Wf)
         vectors.append(tuple(vs))
         norms.append(tuple(ns))
-    return SpectralDecomposition(
-        roots=tuple(roots),
-        vectors=tuple(vectors),
-        sq_norms=tuple(norms),
-        orthonormal=(mode == "float"),
-        path=mode,
-    )
+    return SpectralDecomposition(tuple(roots), tuple(vectors), tuple(norms),
+                                 mode == "float", mode)

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import os
@@ -130,7 +131,7 @@ DEFECTIVE_EXPM_T1 = (
     '  "path": "float",\n'
     '  "provenance": {\n'
     '    "algorithm": "matrix-exponential-spectral-projectors",\n'
-    '    "source": "bezout-partial-fractions"\n'
+    '    "source": "weierstrass-1858"\n'
     '  },\n'
     '  "t": 1.0\n'
     '}\n'
@@ -943,23 +944,29 @@ SCENARIO_DOC = {
 }
 
 
+def run_probe(script, argv):
+    """The last stderr line of a fresh interpreter running script with argv,
+    on this checkout's `secular`."""
+    src = os.path.dirname(os.path.dirname(secular.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stderr.splitlines()[-1]
+
+
 class TestNumpyFreeStartUp:
     """numpy loads only where a float path runs: the exact verbs start and
     finish without it."""
 
     @staticmethod
     def probe(argv):
-        src = os.path.dirname(os.path.dirname(secular.__file__))
-        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-        proc = subprocess.run(
-            [sys.executable, "-c", NUMPY_PROBE, *argv],
-            env=dict(os.environ, PYTHONPATH=path),
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
-        assert proc.returncode == 0, proc.stderr
-        code, loaded = proc.stderr.split()[-2:]
+        code, loaded = run_probe(NUMPY_PROBE, argv).split()
         return int(code), loaded == "True"
 
     @pytest.mark.parametrize(
@@ -984,6 +991,72 @@ class TestNumpyFreeStartUp:
             {"rows": 2, "cols": 2, "entries": ["1/1", "0/1", "0/1", "2/1"]},
         )
         assert self.probe(["expm", "--input", doc, "--time", "1.0"]) == (0, True)
+
+
+MODULES_PROBE = (
+    "import json, sys\n"
+    "import secular\n"
+    "code = 0\n"
+    "if len(sys.argv) > 1:\n"
+    "    from secular.cli import run\n"
+    "    code = run(sys.argv[1:])\n"
+    "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('secular')),\n"
+    "                  'dataclasses' in sys.modules, 'numpy' in sys.modules]), file=sys.stderr)\n"
+)
+# what every verb loads: the front end, the parser and the matrix layer
+CLI_MODULES = {"secular", "secular._record", "secular.cli", "secular.errors", "secular.io",
+               "secular.matrices", "secular.polynomials", "secular.realroots"}
+SPECTRAL = {"secular.invariants", "secular.spectral"}
+OSCILLATE = SPECTRAL | {"secular.oscillate"}
+
+
+class TestLazyStartUp:
+    """A verb loads the engine modules it runs and no others, and no verb
+    loads `dataclasses`."""
+
+    @staticmethod
+    def probe(argv):
+        return json.loads(run_probe(MODULES_PROBE, argv))
+
+    @staticmethod
+    @functools.lru_cache(maxsize=None)
+    def numpy_loads_dataclasses():
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, numpy; print('dataclasses' in sys.modules)"],
+            capture_output=True, text=True, timeout=60,
+        )
+        return proc.stdout.strip() == "True"
+
+    def test_import_alone_loads_no_engine_module(self):
+        assert self.probe([]) == [0, ["secular"], False, False]
+
+    @pytest.mark.parametrize(
+        "command, doc, engine",
+        [
+            ("charpoly", NOTE23_DOC, set()),
+            ("roots", TRIDIAGONAL_DOC, SPECTRAL),
+            ("eigvec", TRIDIAGONAL_DOC, SPECTRAL),
+            ("invariant-factors", JORDAN_BLOCK_DOC, {"secular.invariants"}),
+            ("elementary-divisors", JORDAN_BLOCK_DOC, {"secular.invariants"}),
+            ("diagonalizable", JORDAN_BLOCK_DOC, {"secular.invariants"}),
+            ("inertia", NOTE23_DOC, {"secular.invariants"}),
+            ("darboux-steps", NOTE23_DOC, {"secular.invariants"}),
+            ("weierstrass-reduce", REPEATED_PAIR_DOC, SPECTRAL | {"secular.quadpairs"}),
+            ("expm", JORDAN_BLOCK_DOC, OSCILLATE),
+            ("solve --method modal", SCENARIO_DOC, OSCILLATE),
+            ("solve --method jordan", SCENARIO_DOC, OSCILLATE),
+            ("classify", SCENARIO_DOC, OSCILLATE),
+            ("trajectory", SCENARIO_DOC, OSCILLATE),
+        ],
+    )
+    def test_verb_loads_only_its_modules(self, tmp_path, command, doc, engine):
+        path = write_json(tmp_path, "d.json", doc)
+        code, modules, dataclasses, numpy = self.probe([*command.split(), "--input", path])
+        assert code == 0
+        assert set(modules) == CLI_MODULES | engine
+        # numpy loads where a float path runs: dataclasses may load only
+        # with it, and only if numpy itself loads it
+        assert not dataclasses or (numpy and self.numpy_loads_dataclasses())
 
 
 class TestFlags:
