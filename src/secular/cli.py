@@ -23,13 +23,13 @@ from .errors import (
     PreconditionError,
 )
 from .matrices import Pencil, RatMatrix
+from .realroots import DEFAULT_WIDTH
 
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 EXIT_PATH = 4
 
-DEFAULT_WIDTH = Fraction(1, 10**30)
 DEFAULT_TOLERANCE = 1e-9
 
 

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as int_gcd
-from math import lcm as int_lcm
 
 from ._record import Record
 from .errors import InternalError, PreconditionError
@@ -40,6 +39,7 @@ from .matrices import Pencil, PolyMatrix, RatMatrix, _bareiss_step, _integer_mod
 from .polynomials import (
     Poly,
     _mul,
+    _over_lcm,
     _pdivmod,
     _sub,
     kronecker_factor,
@@ -135,9 +135,8 @@ def minor_gcd_chain(P: PolyMatrix) -> MinorGcdChain:
     block = []
     for i in range(P.rows):
         row = [P.entry(i, j).coeffs for j in range(P.cols)]
-        L = int_lcm(*[c.denominator for p in row for c in p])
-        block.append(_primitive_row([[c.numerator * (L // c.denominator) for c in p]
-                                     for p in row]))
+        ints = iter(_over_lcm([c for p in row for c in p])[1])
+        block.append(_primitive_row([[next(ints) for _ in p] for p in row]))
     deltas = [Poly([1])]
     while block:
         deltas.append(deltas[-1] * Poly(_smith_pivot(block)).monic())

@@ -22,13 +22,14 @@ adjugate; at an exact root their elimination gives the nullspace with no
 Fraction matrix built; the float path rounds them once per entry, and
 `Pencil.evaluate` builds one Fraction per entry.  The adjugate of a matrix M
 is the constant term of that of the pencil sI + M, over its scale.  Matrix
-products, linear combinations and bilinear forms v^T B w run on integer
-models too, with integer dot products and one division per entry; no other
-module reads a matrix's integer model.  Leading principal minors are the
-pivots of one Bareiss pass.  Entry tuples are built from lists: CPython
-sizes a tuple built from a generator by a guess and shrinks it, and the
-freed block then stays on the free list of the smaller size; over 250 rounds
-of the exact-structure benchmark such blocks held about 0.7 MB.
+and matrix-vector products, linear combinations and bilinear forms v^T B w
+run on integer models (`polynomials._over_lcm`) too, with integer dot
+products and one division per entry; no other module reads a matrix's
+integer model.  Leading principal minors are the pivots of one Bareiss
+pass.  Entry tuples are built from lists: CPython sizes a tuple built from
+a generator by a guess and shrinks it, and the freed block then stays on the
+free list of the smaller size; over 250 rounds of the exact-structure
+benchmark such blocks held about 0.7 MB.
 
 Indices are 0-based throughout the code; serialized documents use 1-based
 indices (see `secular.io`).
@@ -45,8 +46,8 @@ from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from ._record import Record
 from .errors import PreconditionError
-from .polynomials import Poly, _exact_quo, _interpolate, _primitive_ints, _taylor
-from .realroots import RealRoot, sturm_isolate
+from .polynomials import Poly, _exact_quo, _interpolate, _over_lcm, _primitive_ints, _taylor
+from .realroots import DEFAULT_WIDTH, RealRoot, sturm_isolate
 
 if TYPE_CHECKING:
     import numpy as np
@@ -143,9 +144,8 @@ class RatMatrix(Record):
     def _int_model(self) -> tuple[int, list[list[int]]]:
         # L, the lcm of the entry denominators, and the integer rows of L*self,
         # built once and only read: eliminations take `_integer_model`'s copies
-        L = int_lcm(*[v.denominator for v in self.entries])
-        return L, [[v.numerator * (L // v.denominator) for v in self.row(i)]
-                   for i in range(self.rows)]
+        L, flat = _over_lcm(self.entries)
+        return L, [flat[i * self.cols : (i + 1) * self.cols] for i in range(self.rows)]
 
     # -- arithmetic ------------------------------------------------------------
 
@@ -192,14 +192,13 @@ class RatMatrix(Record):
         )
 
     def apply(self, vec: Sequence) -> Vector:
-        """Matrix-vector product."""
+        """Matrix-vector product, in integers as `__matmul__`."""
         if len(vec) != self.cols:
             raise PreconditionError("vector length mismatch")
-        v = [Fraction(x) for x in vec]
-        return tuple(
-            sum((self.entry(i, k) * v[k] for k in range(self.cols)), Fraction(0))
-            for i in range(self.rows)
-        )
+        L, m = self._int_model
+        Lv, v = _over_lcm([Fraction(x) for x in vec])
+        d = L * Lv
+        return tuple([Fraction(sum(map(mul, row, v)), d) for row in m])
 
     # -- elimination-based queries ----------------------------------------------
 
@@ -376,9 +375,7 @@ def _linear_combination(weights: Sequence, matrices: Sequence[RatMatrix]) -> Rat
     """The sum of w * M over weights and matrices of one shape, in integers:
     the matrices share one integer model L, the weights one denominator Q,
     and each entry is one Fraction over Q*L."""
-    weights = [Fraction(w) for w in weights]
-    Q = int_lcm(*[w.denominator for w in weights])
-    ws = [w.numerator * (Q // w.denominator) for w in weights]
+    Q, ws = _over_lcm(weights)
     L, models = _integer_model(*matrices)
     flat = [[v for row in m for v in row] for m in models]
     return RatMatrix(matrices[0].rows, matrices[0].cols, tuple([
@@ -390,8 +387,8 @@ def _bilinear(B: RatMatrix, v: Sequence, w: Sequence) -> Fraction:
     """v^T B w in integers on the integer models of B, v and w, divided
     once by the product of their denominators."""
     L, m = B._int_model
-    Lv, (vi,) = RatMatrix(1, len(v), tuple(v))._int_model
-    Lw, (wi,) = RatMatrix(1, len(w), tuple(w))._int_model
+    Lv, vi = _over_lcm(v)
+    Lw, wi = _over_lcm(w)
     return Fraction(sum(x * sum(map(mul, row, wi)) for x, row in zip(vi, m)),
                     L * Lv * Lw)
 
@@ -556,7 +553,7 @@ class Pencil(Record):
         """det of the characteristic matrix, computed on first use."""
         return self._char_poly
 
-    def roots(self, width=Fraction(1, 10**30)) -> list[RealRoot]:
+    def roots(self, width=DEFAULT_WIDTH) -> list[RealRoot]:
         """Real roots of `char_poly` isolated to `width`, once per width."""
         width = Fraction(width)
         if width not in self._roots:

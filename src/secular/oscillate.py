@@ -97,12 +97,6 @@ class MechModel(Record):
         """Frequency pencil: det(K*A - B) = 0, K = omega^2; one per model."""
         return self._pencil
 
-    def parameter(self, name: str) -> Fraction:
-        for k, v in self.parameters:
-            if k == name:
-                return v
-        raise KeyError(name)
-
 
 class InitialConditions(Record):
     positions: tuple[Fraction, ...]
@@ -764,7 +758,8 @@ def classify_stability(model: MechModel) -> StabilityVerdict:
     A positive definite and B positive semidefinite, regardless of root
     multiplicity.  Every solution stays bounded only when B is positive
     definite; a singular B leaves zero-frequency modes that drift as
-    E + V t, and the rule text says so.
+    E + V t, and the rule text says so.  A negative definite A is judged
+    on (-A, -B), the same equation, and the rule text says so.
     """
     pencil = model.pencil()
     roots = pencil.roots()
@@ -786,25 +781,31 @@ def classify_stability(model: MechModel) -> StabilityVerdict:
     else:
         historical = "conditional"
 
-    symmetric = pencil.is_symmetric()
-    b_inertia = inertia(model.stiffness) if symmetric else None
-    a_pd = symmetric and inertia(model.mass).positives == model.size
-    b_psd = symmetric and b_inertia.negatives == 0
-    corrected = "stable" if (symmetric and a_pd and b_psd) else "unstable"
-    if corrected == "unstable":
-        corrected_rule = (
-            "weierstrass-1858: symmetry/definiteness condition violated;"
+    n, stable, negated = model.size, False, False
+    if pencil.is_symmetric():
+        a_inertia = inertia(model.mass)
+        negated = a_inertia.positives < n == a_inertia.negatives
+        b_inertia = inertia(-model.stiffness if negated else model.stiffness)
+        stable = (a_inertia.positives == n or negated) and b_inertia.negatives == 0
+    corrected = "stable" if stable else "unstable"
+    rule = "weierstrass-1858: "
+    if negated:
+        rule += ("the kinetic matrix is negative definite, so the rule applies to"
+                 " the negated equation (-A) y'' + (-B) y = 0: ")
+    if not stable:
+        corrected_rule = rule + (
+            "symmetry/definiteness condition violated;"
             " some solution grows without bound"
         )
-    elif b_inertia.positives == model.size:
-        corrected_rule = (
-            "weierstrass-1858: a symmetric couple with positive definite kinetic"
+    elif b_inertia.positives == n:
+        corrected_rule = rule + (
+            "a symmetric couple with positive definite kinetic"
             " matrix and positive semidefinite stiffness stays bounded whether or"
             " not the characteristic roots are distinct"
         )
     else:
-        corrected_rule = (
-            "weierstrass-1858: a symmetric couple with positive definite"
+        corrected_rule = rule + (
+            "a symmetric couple with positive definite"
             " kinetic matrix and singular positive semidefinite stiffness: the"
             " nonzero-frequency modes stay bounded whether or not the"
             " characteristic roots are distinct, but each zero-frequency mode"

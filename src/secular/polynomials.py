@@ -5,11 +5,15 @@ degree first; the zero polynomial is the empty tuple.  All arithmetic is
 exact, which makes divisibility tests and polynomial identities fully
 reliable -- the substrate every other module builds on.
 
+Rationals enter the private integer section (int lists, lowest degree
+first, the zero polynomial empty) through `_over_lcm`, as integers over the
+lcm of their denominators, in this module and the others.  `Poly` products
+and euclidean division run there on the primitive parts.
+
 Beyond ring arithmetic the module provides:
 
-* monic GCD and Yun square-free decomposition, both over Z in a private
-  integer section (int lists, lowest degree first, the zero polynomial
-  empty): one primitive part, one pseudo-division returning quotient and
+* monic GCD and Yun square-free decomposition, both over Z in the integer
+  section: one primitive part, one pseudo-division returning quotient and
   remainder, one Sturm-signed primitive pseudo-remainder sequence on it
   (Collins 1967, Brown 1971), which is also the Sturm chain of `realroots`,
   and one exact division by a primitive divisor (Gauss's lemma), shared by
@@ -115,15 +119,11 @@ class Poly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
+        if not self.coeffs or not other.coeffs:
             return ZERO
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return Poly(out)
+        (ca, a), (cb, b) = _primitive_ints(self), _primitive_ints(other)
+        c = ca * cb
+        return Poly([c * v for v in _mul(a, b)])
 
     __rmul__ = __mul__
 
@@ -146,19 +146,13 @@ class Poly:
         """Exact euclidean division; deg(remainder) < deg(divisor)."""
         if other.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
+        if self.degree() < other.degree():
             return ZERO, self
-        quo = [Fraction(0)] * (dq + 1)
-        dlc = other.leading()
-        for k in range(dq, -1, -1):
-            c = rem[k + other.degree()] / dlc
-            quo[k] = c
-            if c:
-                for j, b in enumerate(other.coeffs):
-                    rem[k + j] -= c * b
-        return Poly(quo), Poly(rem)
+        (ca, a), (cb, b) = _primitive_ints(self), _primitive_ints(other)
+        quo, rem = _pdivmod(a, b)  # lc(b)**e * a = quo * b + rem
+        cr = ca / b[-1] ** (len(a) - len(b) + 1)
+        cq = cr / cb
+        return Poly([cq * v for v in quo]), Poly([cr * v for v in rem])
 
     def __floordiv__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[0]
@@ -285,12 +279,18 @@ def _primitive_ints(p: Poly) -> tuple[Fraction, list[int]]:
     consume; content carries the sign.  The zero polynomial gives (0, [])."""
     if p.is_zero():
         return Fraction(0), []
-    denom = int_lcm(*[c.denominator for c in p.coeffs])
-    scaled = [c.numerator * (denom // c.denominator) for c in p.coeffs]
+    denom, scaled = _over_lcm(p.coeffs)
     ints = _primitive(scaled)
     if ints[-1] < 0:
         ints = [-v for v in ints]
     return Fraction(scaled[-1] // ints[-1], denom), ints
+
+
+def _over_lcm(values) -> tuple[int, list[int]]:
+    """(L, ints) with values = ints / L for rational or integer values: L is
+    the lcm of their denominators, 1 when there are none."""
+    L = int_lcm(*[v.denominator for v in values])
+    return L, [v.numerator * (L // v.denominator) for v in values]
 
 
 def _primitive(cs) -> list[int]:

@@ -38,8 +38,8 @@ from ._record import Record
 from .errors import PreconditionError
 from .invariants import MinorDivisibility, _minor_divisibility, inertia
 from .matrices import Pencil, RatMatrix, _linear_combination
-from .realroots import RealRoot, refine_root
-from .spectral import FLOAT_ROOT_WIDTH, _decide_path, _principal_part
+from .realroots import RealRoot
+from .spectral import FLOAT_ROOT_WIDTH, _decide_path, _principal_part, _root_point
 
 if TYPE_CHECKING:
     import numpy as np
@@ -199,8 +199,7 @@ def theta_components(pair: QuadraticPair, path: str = "auto") -> ThetaDecomposit
                 )
             theta = phi @ terms[0] @ phi
         else:
-            point = refine_root(root, FLOAT_ROOT_WIDTH).approx()
-            theta = phi @ _residue(pencil, point, root.multiplicity) @ phi
+            theta = phi @ _residue(pencil, _root_point(root), root.multiplicity) @ phi
             theta = tuple(tuple(float(x) for x in row) for row in (theta + theta.T) / 2)
         comps.append(ThetaComponent(root, root.multiplicity, theta))
     if mode == "exact":

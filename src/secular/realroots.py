@@ -36,11 +36,10 @@ anyway.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
 from ._record import Record, replace
 from .errors import PreconditionError
-from .polynomials import Poly, _derivative, _exact_quo, _primitive_ints, _prs, _yun
+from .polynomials import Poly, _derivative, _exact_quo, _over_lcm, _primitive_ints, _prs, _yun
 
 __all__ = [
     "RealRoot",
@@ -48,6 +47,9 @@ __all__ = [
     "refine_root",
     "root_sign",
 ]
+
+# the isolation width when none is given, also the floating path's
+DEFAULT_WIDTH = Fraction(1, 10**30)
 
 
 class RealRoot(Record):
@@ -263,7 +265,7 @@ def _rational_roots(cs, intervals) -> list[Fraction]:
     return roots
 
 
-def sturm_isolate(p: Poly, target_width=Fraction(1, 10**30)) -> list[RealRoot]:
+def sturm_isolate(p: Poly, target_width=DEFAULT_WIDTH) -> list[RealRoot]:
     """Isolate every distinct real root of p, sorted in increasing order.
 
     Rational roots come back exact; irrational ones as disjoint open
@@ -358,14 +360,6 @@ def refine_root(root: RealRoot, width) -> RealRoot:
         raise PreconditionError("refinement width must be positive")
     if root.is_exact or root.width() <= width:
         return root
-    lo, hi = root.lo, root.hi
-    d = lcm(lo.denominator, hi.denominator)
-    a, b, d = _narrow(
-        _primitive_ints(root.poly)[1],
-        lo.numerator * (d // lo.denominator),
-        hi.numerator * (d // hi.denominator),
-        d,
-        width,
-        strict=True,
-    )
+    d, (a, b) = _over_lcm((root.lo, root.hi))
+    a, b, d = _narrow(_primitive_ints(root.poly)[1], a, b, d, width, strict=True)
     return replace(root, lo=Fraction(a, d), hi=Fraction(b, d))

@@ -26,15 +26,14 @@ demand.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm as int_lcm
 from typing import TYPE_CHECKING
 
 from ._record import Record
 from .errors import InternalError, PathUnavailableError, PreconditionError
 from .invariants import inertia
 from .matrices import Pencil, RatMatrix, _bilinear, _nullspace
-from .polynomials import Poly
-from .realroots import RealRoot, refine_root
+from .polynomials import Poly, _over_lcm
+from .realroots import DEFAULT_WIDTH as FLOAT_ROOT_WIDTH, RealRoot, refine_root
 
 if TYPE_CHECKING:
     import numpy as np
@@ -53,7 +52,6 @@ __all__ = [
     "FLOAT_NULL_THRESHOLD",
 ]
 
-FLOAT_ROOT_WIDTH = Fraction(1, 10**30)
 FLOAT_NULL_THRESHOLD = 1e-10
 
 
@@ -196,8 +194,7 @@ def _principal_part(pencil: Pencil, sigma: Fraction, m: int) -> list[RatMatrix]:
     inv = [1 / h[0]]
     for j in range(1, r):
         inv.append(-sum(h[i] * inv[j - i] for i in range(1, j + 1)) * inv[0])
-    d = int_lcm(*[c.denominator for c in inv])
-    inv = [c.numerator * (d // c.denominator) for c in inv]
+    d, inv = _over_lcm(inv)
     den *= d
     n = pencil.size
     terms = []

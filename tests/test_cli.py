@@ -817,6 +817,27 @@ class TestVerbs:
         assert E[0][0] == pytest.approx(math.e, rel=1e-12)
         assert E[1][1] == pytest.approx(math.e**2, rel=1e-12)
 
+    def test_classify_negative_definite_mass(self, tmp_path):
+        # -I y'' + [[-2, 1], [1, -2]] y = 0: the negated equation is definite,
+        # and the Jordan solver finds sigma = +-i and +-i sqrt 3
+        scen = write_json(tmp_path, "negmass.json", {
+            "kind": "custom",
+            "mass": {"rows": 2, "cols": 2, "entries": ["-1", "0", "0", "-1"]},
+            "stiffness": {"rows": 2, "cols": 2, "entries": ["-2", "1", "1", "-2"]},
+            "initial": {"positions": ["1", "0"], "velocities": ["0", "1"]},
+        })
+        code, text = run_to_file(["classify", "--input", scen], tmp_path)
+        assert code == 0
+        doc = json.loads(text)
+        assert doc["corrected"]["verdict"] == doc["historical"]["verdict"] == "stable"
+        assert doc["agreement"] is True
+        assert "applies to the negated equation" in doc["corrected"]["rule"]
+        code, text = run_to_file(["solve", "--method", "jordan", "--input", scen], tmp_path)
+        assert code == 0
+        blocks = json.loads(text)["blocks"]
+        assert [b["sigma_im"] for b in blocks] == pytest.approx([1, math.sqrt(3)])
+        assert [b["sigma_re"] for b in blocks] == pytest.approx([0, 0], abs=1e-12)
+
     def test_classify_and_solve_and_trajectory(self, tmp_path):
         scen = write_json(
             tmp_path,

@@ -507,6 +507,10 @@ class TestIntegerKernelsAgainstFractionOracles:
         else:
             # from_rows([]) cannot tell the oracle's column count
             assert got.entries == matmul_by_fractions(A, B).entries == ()
+        # a matrix-vector product is the product with one column
+        for j in range(B.cols):
+            image = A.apply(B.col(j))
+            assert image == got.col(j) and all(type(v) is Fraction for v in image)
 
     def test_product_shape_mismatch(self):
         with pytest.raises(PreconditionError, match="shape mismatch"):
@@ -601,6 +605,7 @@ class TestIntegerModelPerMatrix:
             ("leading minors", RatMatrix.leading_principal_minors),
             ("products", lambda M: (M @ M, M @ other, other @ M)),
             ("combination", lambda M: _linear_combination([2, Fraction(-1, 3)], [M, other])),
+            ("apply", lambda M: M.apply(other.row(1))),
         ]
         M = RatMatrix.from_rows(rows)
         for _ in range(2):

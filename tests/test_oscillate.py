@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from secular.errors import PathUnavailableError, PreconditionError
-from secular.matrices import RatMatrix
+from secular.matrices import Pencil, RatMatrix
 from secular.oscillate import (
     InitialConditions,
     build_model,
@@ -101,6 +101,23 @@ class TestSolveModal:
                 0.5 * (math.cos(w1 * t) - math.cos(w2 * t)),
             ]
             assert np.allclose(y, expected, atol=1e-12)
+
+    def test_energy_constant_with_drift_mode(self):
+        # B = [[1, -1], [-1, 1]] is singular: the mode (1, 1) drifts, and its
+        # rate enters the velocity, hence the kinetic energy
+        model = build_model(
+            "custom",
+            {},
+            mass=RatMatrix.identity(2),
+            stiffness=RatMatrix.from_rows([[1, -1], [-1, 1]]),
+        )
+        sol = solve_modal(model, InitialConditions.of([1, 0], [Fraction(1, 2), -1]))
+        assert sol.has_drift and sol.drifts[0].rate != 0
+        e0 = sol.energy(0.0)
+        assert e0 == pytest.approx(9 / 8, rel=1e-12)  # (|y'(0)|^2 + y(0)^T B y(0)) / 2
+        for t in (0.4, 3.0, 17.5, 250.0):
+            assert sol.energy(t) == pytest.approx(e0, rel=1e-12)
+        assert np.allclose(sol.derivative(0.0), [0.5, -1.0], atol=1e-12)
 
     def test_zero_initial_conditions(self):
         model = build_model("coupled-springs", {})
@@ -402,6 +419,8 @@ class TestClassifyStability:
 
     def test_definite_stiffness_rule_stays_bounded(self):
         v = classify_stability(build_model("coupled-springs", {}))
+        assert v.corrected_rule.startswith(
+            "weierstrass-1858: a symmetric couple with positive definite kinetic")
         assert "stays bounded" in v.corrected_rule
         assert "drift" not in v.corrected_rule
 
@@ -421,6 +440,41 @@ class TestClassifyStability:
         sol = solve_modal(model, InitialConditions.of([0, 0], [1, 0]))
         assert sol.has_drift
         assert np.max(np.abs(sol.evaluate(100.0))) > 49
+
+    def test_negative_definite_mass_judged_on_negated_equation(self):
+        # -I y'' + [[-2, 1], [1, -2]] y = 0 is I y'' + [[2, -1], [-1, 2]] y = 0:
+        # simple roots K = 1 and 3, so the first-order roots are +-i, +-i sqrt 3
+        model = build_model(
+            "custom",
+            {},
+            mass=RatMatrix.diagonal([-1, -1]),
+            stiffness=RatMatrix.from_rows([[-2, 1], [1, -2]]),
+        )
+        roots = char_roots(model.pencil())
+        assert [(r.value, r.multiplicity) for r in roots] == [(1, 1), (3, 1)]
+        first_order = Pencil.similarity(first_order_matrix(model))
+        assert first_order.char_poly() == Poly([3, 0, 4, 0, 1])
+        v = classify_stability(model)
+        assert (v.historical, v.corrected, v.agreement) == ("stable", "stable", True)
+        assert "applies to the negated equation" in v.corrected_rule
+        assert "stays bounded" in v.corrected_rule
+
+    @pytest.mark.parametrize("stiffness, corrected, phrase", [
+        ([[1, 0], [0, 1]], "unstable", "grows without bound"),
+        ([[-1, 1], [1, -1]], "stable", "drifts as E + V t"),
+    ])
+    def test_negative_definite_mass_other_stiffness(self, stiffness, corrected, phrase):
+        # -B = -I is negative definite; -B = [[1, -1], [-1, 1]] is singular PSD
+        model = build_model(
+            "custom",
+            {},
+            mass=RatMatrix.diagonal([-1, -1]),
+            stiffness=RatMatrix.from_rows(stiffness),
+        )
+        v = classify_stability(model)
+        assert v.corrected == corrected
+        assert "applies to the negated equation" in v.corrected_rule
+        assert phrase in v.corrected_rule
 
     def test_planted_positive_growth_unstable_twice(self):
         model = build_model(

@@ -1,8 +1,9 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from secular.errors import PreconditionError
@@ -88,6 +89,29 @@ class TestArithmetic:
         quo, rem = divmod(p, q)
         assert quo * q + rem == p
         assert rem.degree() < q.degree()
+
+    @given(polys(), polys())
+    @example(Poly(), P(1, 2))
+    @example(P(Fraction(-3, 2)), P(Fraction(2, 5)))
+    @example(P(1, 1), P(0, 0, 3))
+    @example(P(Fraction(1, 3), 0, 2), Poly())
+    @settings(max_examples=80, deadline=None)
+    def test_product_and_division_against_sympy(self, a, b):
+        """Products and euclidean division on the primitive integer parts
+        agree with sympy over QQ, zero and constants included."""
+        sympy = pytest.importorskip("sympy")
+        x = sympy.symbols("x")
+
+        def to_sympy(p):
+            return sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                               for c in reversed(p.coeffs)] or [0], x, domain="QQ")
+
+        assert to_sympy(a * b) == to_sympy(a) * to_sympy(b)
+        if b.is_zero():
+            return
+        quo, rem = divmod(a, b)
+        assert (to_sympy(quo), to_sympy(rem)) == sympy.div(to_sympy(a), to_sympy(b))
+        assert a // b == quo and a % b == rem
 
     @given(polys(max_degree=4), polys(max_degree=4), polys(max_degree=3))
     @settings(max_examples=40)
@@ -385,6 +409,42 @@ class TestKroneckerFactor:
     def test_irreducible_cubic(self):
         # x^3 - x - 1 has no rational roots, hence no degree<=1 factor
         assert kronecker_factor(P(-1, -1, 0, 1)) == [(P(-1, -1, 0, 1), 1)]
+
+    @pytest.mark.parametrize("p, factors", [
+        (P(2, 0, 3, 0, 1), [(P(1, 0, 1), 1), (P(2, 0, 1), 1)]),
+        (P(4, 0, 0, 0, 1), [(P(2, -2, 1), 1), (P(2, 2, 1), 1)]),
+        (P(1, 0, -10, 0, 1), [(P(1, 0, -10, 0, 1), 1)]),
+        (P(-2, 0, 0, 1) * P(1, 1, 0, 1), [(P(-2, 0, 0, 1), 1), (P(1, 1, 0, 1), 1)]),
+        (P(-1, 2) * P(1, 0, 1) * P(3, 0, 1),
+         [(P(Fraction(-1, 2), 1), 1), (P(1, 0, 1), 1), (P(3, 0, 1), 1)]),
+        (P(1, 0, 1) ** 2 * P(-2, 0, 1), [(P(-2, 0, 1), 1), (P(1, 0, 1), 2)]),
+    ])
+    def test_search_above_degree_three(self, p, factors, deadline):
+        # square-free parts of degree 4 and more without a rational root:
+        # Kronecker's divisor search proper, with its quadratic factors
+        # x^4 + 4 = (x^2 - 2x + 2)(x^2 + 2x + 2) and x^4 - 10x^2 + 1, the
+        # minimal polynomial of sqrt(2) + sqrt(3), irreducible
+        deadline(1.0)
+        assert kronecker_factor(p) == factors
+
+    def test_products_of_quadratics_and_cubics_against_sympy(self, deadline):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.symbols("x")
+        deadline(20.0)
+        rng = random.Random(1858)
+        for _ in range(60):
+            degrees = rng.choice([(2, 2), (2, 3), (3, 3), (2, 2, 2)])
+            p = ONE
+            for d in degrees:
+                lead = rng.choice([-3, -2, -1, 1, 2, 3])
+                p = p * Poly([rng.randint(-3, 3) for _ in range(d)] + [lead])
+            expr = sum(sympy.Integer(int(c)) * x**k for k, c in enumerate(p.coeffs))
+            want = sorted(
+                ((Poly(reversed(sympy.Poly(f, x).monic().all_coeffs())), e)
+                 for f, e in sympy.factor_list(expr)[1]),
+                key=lambda fe: (fe[0].degree(), fe[0].coeffs),
+            )
+            assert kronecker_factor(p) == want, p
 
     @given(
         st.lists(

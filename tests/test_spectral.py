@@ -220,6 +220,23 @@ class TestCauchyOrthogonality:
         report = cauchy_orthogonality(dec, RatMatrix.identity(4))
         assert report.ok and report.max_violation == 0
 
+    def test_float_path_repeated_irrational_roots(self):
+        # B = diag(C, C), C = [[1, 1], [1, 0]]: the roots (1 -+ sqrt 5)/2 are
+        # double, so Gram-Schmidt projects the second vector of each SVD
+        # nullspace and the check runs on floats
+        import numpy as np
+
+        C = [[1, 1], [1, 0]]
+        B = RatMatrix.from_rows([row + [0, 0] for row in C] + [[0, 0] + row for row in C])
+        dec = spectral_decompose(Pencil(RatMatrix.identity(4), B))
+        assert dec.path == "float"
+        assert [r.multiplicity for r in dec.roots] == [2, 2]
+        assert [len(vs) for vs in dec.vectors] == [2, 2]
+        report = cauchy_orthogonality(dec, B)
+        assert report.ok and report.pairs_checked == 4
+        V = np.array([v for vs in dec.vectors for v in vs])
+        assert np.allclose(V @ V.T, np.eye(4), rtol=0, atol=1e-12)
+
 
 mixed_fractions = st.one_of(
     st.integers(-20, 20),
