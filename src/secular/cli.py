@@ -79,10 +79,11 @@ def _emit(text: str, args) -> None:
 
 
 def _rational(text: str) -> Fraction:
-    """argparse type for --root: a rational number such as 3, -2/5 or 0.25."""
+    """argparse type for --root: a rational number such as 3, -2/5 or 0.25,
+    in the grammar of document entries (`io.parse_fraction`)."""
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
+        return sio.parse_fraction(text)
+    except ParseError:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}")
 
 

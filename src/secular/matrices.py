@@ -17,10 +17,12 @@ at a rational point) and `Pencil._adjugate_divisible` (exact division), and
 a `PolyMatrix` is built only when `adjugate_pencil` is called.  One sampler,
 `Pencil._numerators`, gives the integer rows of its characteristic matrix P
 at a rational point: at the integers k they are the samples L*P(k) from
-which Newton interpolation in integers reads the determinant and the
-adjugate; at an exact root their elimination gives the nullspace with no
-Fraction matrix built; the float path rounds them once per entry, and
-`Pencil.evaluate` builds one Fraction per entry.  The adjugate of a matrix M
+which Newton interpolation in integers reads the adjugate, and the
+determinant unless P is tridiagonal (as a loaded string's is), when the
+three-term recurrence of its leading minors gives it; at an exact root
+their elimination gives the nullspace with no Fraction matrix built; the
+float path rounds them once per entry, and `Pencil.evaluate` builds one
+Fraction per entry.  The adjugate of a matrix M
 is the constant term of that of the pencil sI + M, over its scale.  Matrix
 and matrix-vector products, linear combinations and bilinear forms v^T B w
 run on integer models (`polynomials._over_lcm`) too, with integer dot
@@ -46,7 +48,8 @@ from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from ._record import Record
 from .errors import PreconditionError
-from .polynomials import Poly, _exact_quo, _interpolate, _over_lcm, _primitive_ints, _taylor
+from .polynomials import (Poly, _exact_quo, _interpolate, _mul, _over_lcm, _primitive_ints, _sub,
+                          _taylor)
 from .realroots import DEFAULT_WIDTH, RealRoot, sturm_isolate
 
 if TYPE_CHECKING:
@@ -435,18 +438,44 @@ class PolyMatrix(Record):
         )
 
 
-def det_pencil(pencil: "Pencil") -> Poly:
-    """Exact determinant of the characteristic matrix P by evaluation and
-    interpolation.
+def _tridiagonal(rows) -> bool:
+    """Whether the square rows are zero outside the band |i - j| <= 1."""
+    return not any(any(row[:max(i - 1, 0)]) or any(row[i + 2:])
+                   for i, row in enumerate(rows))
 
-    L^n det P is an integer polynomial of degree at most n: Bareiss gives its
-    values det(L*P(k)) at k = 0..n, and Newton interpolation in integers its
-    coefficients.
+
+def det_pencil(pencil: "Pencil") -> Poly:
+    """Exact determinant of the characteristic matrix P.
+
+    L^n det P is an integer polynomial of degree at most n.  When both
+    integer models are zero outside the band |i - j| <= 1 (every pencil of
+    size 2 or less, every loaded string), it is the continuant of the entries
+    p_ij = s*LA_ij - LB_ij ("sA-B") or LA_ij - s*LB_ij ("A-sB"), by the
+    three-term recurrence of the leading minors
+    f_k = p_kk f_(k-1) - p_(k,k-1) p_(k-1,k) f_(k-2).  Otherwise Bareiss
+    gives its values det(L*P(k)) at k = 0..n, and Newton interpolation in
+    integers its coefficients.
     """
     n = pencil.size
-    scale = pencil._int_model[0] ** n
-    values = [_bareiss(pencil._numerators(k)[1], n) for k in range(n + 1)]
-    return Poly(Fraction(c, scale) for c in _interpolate(range(n + 1), values))
+    L, (A, B) = pencil._int_model
+    if _tridiagonal(A) and _tridiagonal(B):
+        s_times_a = pencil.orientation == "sA-B"
+
+        def p(i, j):  # the entry p_ij, lowest degree first
+            a, b = A[i][j], B[i][j]
+            return [-b, a] if s_times_a else [a, -b]
+
+        prev, coeffs = [], [1]
+        for k in range(n):
+            nxt = _mul(p(k, k), coeffs)
+            if k:
+                nxt = _sub(nxt, _mul(_mul(p(k, k - 1), p(k - 1, k)), prev))
+            prev, coeffs = coeffs, nxt
+    else:
+        values = [_bareiss(pencil._numerators(k)[1], n) for k in range(n + 1)]
+        coeffs = _interpolate(range(n + 1), values)
+    scale = L**n
+    return Poly(Fraction(c, scale) for c in coeffs)
 
 
 def adjugate_pencil(pencil: "Pencil") -> PolyMatrix:

@@ -338,25 +338,39 @@ class ModalSolution(Record):
         return min((m.omega for m in self.modes), default=0.0)
 
 
+def _mass_sign(model: MechModel) -> int:
+    """1 when A is positive definite, -1 when it is negative definite, else
+    0.  With A negative definite, A y'' + B y = 0 is the same equation as
+    (-A) y'' + (-B) y = 0, which is solved and judged in its place."""
+    a_inertia = inertia(model.mass)
+    if a_inertia.positives == model.size:
+        return 1
+    return -1 if a_inertia.negatives == model.size else 0
+
+
 def solve_modal(
     model: MechModel, ic: InitialConditions, path: str = "auto"
 ) -> ModalSolution:
     """Fit the mode superposition to initial positions and velocities.
 
-    Requires a symmetric couple with positive definite A and real
-    non-negative frequency roots; K = 0 roots produce flagged drift terms.
-    Projections p = v^T A Y / v^T A v and q = v^T A V / v^T A v give
-    amplitude E = sqrt(p^2 + (q/omega)^2) and phase atan2(p, q/omega).
+    Requires a symmetric couple with definite A and real non-negative
+    frequency roots; K = 0 roots produce flagged drift terms.  A negative
+    definite A is solved on (-A, -B), the same equation, as
+    `classify_stability` judges it.  Projections p = v^T A Y / v^T A v and
+    q = v^T A V / v^T A v give amplitude E = sqrt(p^2 + (q/omega)^2) and
+    phase atan2(p, q/omega).
     """
     import numpy as np
 
     if ic.size != model.size or len(ic.velocities) != model.size:
         raise PreconditionError("initial conditions have the wrong dimension")
-    if inertia(model.mass).positives != model.size:
+    sign = _mass_sign(model)
+    if not sign:
         raise PreconditionError(
-            "modal solution needs a positive definite kinetic matrix"
+            "modal solution needs a positive or negative definite kinetic matrix"
         )
-    dec = spectral_decompose(model.pencil(), path=path)
+    pencil = model.pencil() if sign > 0 else Pencil(-model.mass, -model.stiffness, "sA-B")
+    dec = spectral_decompose(pencil, path=path)
     for root in dec.roots:
         if root_sign(root) < 0:
             raise PreconditionError(
@@ -364,7 +378,7 @@ def solve_modal(
                 " oscillatory (see the stability classifier)"
             )
     exact = dec.path == "exact"
-    A = model.mass
+    A = pencil.A
     Af = A.to_numpy()
     Y = np.array([float(x) for x in ic.positions])
     V = np.array([float(x) for x in ic.velocities])
@@ -783,10 +797,10 @@ def classify_stability(model: MechModel) -> StabilityVerdict:
 
     n, stable, negated = model.size, False, False
     if pencil.is_symmetric():
-        a_inertia = inertia(model.mass)
-        negated = a_inertia.positives < n == a_inertia.negatives
+        sign = _mass_sign(model)
+        negated = sign < 0
         b_inertia = inertia(-model.stiffness if negated else model.stiffness)
-        stable = (a_inertia.positives == n or negated) and b_inertia.negatives == 0
+        stable = sign != 0 and b_inertia.negatives == 0
     corrected = "stable" if stable else "unstable"
     rule = "weierstrass-1858: "
     if negated:

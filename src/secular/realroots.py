@@ -24,13 +24,15 @@ secant guesses through integer endpoint values, each confirmed by two
 signs, so the endpoints are still bisection's, bit for bit.
 
 Rational roots are split off first.  A rational root p/q of the integer model
-has q dividing its leading coefficient lc, and such rationals lie at least
-1/lc**2 apart, so once an isolating interval is narrower than 1/(2 lc**2) the
-one candidate `limit_denominator(lc)` of its midpoint decides whether its
-root is rational.  If any are, the irrational roots are isolated afresh
-from the polynomial deflated by exact integer division, so bisection
-endpoints can never collide with them; a defensive nudge handles the case
-anyway.
+has q dividing its leading coefficient lc, so it is m/lc for an integer m,
+and a cell narrower than 1/lc holds at most one such point: the first one
+at or after its left end decides whether its root is rational.  If none is,
+the final narrowing goes on from those cells, which lie on the same dyadic
+grid, so it lands on the cell bisection from the isolating interval reaches;
+a cell already narrower than the target width is reached from that interval
+instead.  If any are, the irrational roots are isolated afresh from the
+polynomial deflated by exact integer division, so bisection endpoints can
+never collide with them; a defensive nudge handles the case anyway.
 """
 
 from __future__ import annotations
@@ -243,26 +245,27 @@ def _narrow(
     return a, b, d
 
 
-def _rational_roots(cs, intervals) -> list[Fraction]:
+def _rational_roots(cs, intervals) -> tuple[list[Fraction], list[tuple[int, int, int]]]:
     """The rational roots of the square-free integer polynomial cs, given an
-    isolating interval for each of its real roots.
+    isolating interval for each of its real roots, and those intervals
+    narrowed below 1/lc (lc > 0 the leading coefficient).
 
-    A rational root p/q has q | lc (lc the leading coefficient), and two
-    such rationals lie at least 1/lc**2 apart.  Once an interval is narrower
-    than 1/(2 lc**2), the rational of denominator at most lc nearest its
-    midpoint is the only candidate for its root.  A midpoint that lands on
-    the root is nudged like any other, which keeps the root inside the
-    interval, so the candidate still finds it.
+    A rational root p/q has q | lc, so it is m/lc for an integer m, and a
+    cell narrower than 1/lc holds at most one such point.  Bisection keeps
+    the root strictly inside the cell (a midpoint that lands on a root is
+    nudged), so the root is rational exactly when the first such point at
+    or after the left end, m = ceil(lc a/d), lies in the cell and is a root.
     """
     lc = cs[-1]
-    roots = []
+    width = Fraction(1, lc)
+    roots, cells = [], []
     for a, b, d in intervals:
-        a, b, d = _narrow(cs, a, b, d, Fraction(1, 2 * lc * lc))
-        cand = Fraction(a + b, 2 * d).limit_denominator(lc)
-        p, q = cand.numerator, cand.denominator
-        if a * q <= p * d <= b * q and _sign_at(cs, p, q) == 0:
-            roots.append(cand)
-    return roots
+        a, b, d = _narrow(cs, a, b, d, width)
+        m = -(-lc * a // d)
+        if m * d <= lc * b and _sign_at(cs, m, lc) == 0:
+            roots.append(Fraction(m, lc))
+        cells.append((a, b, d))
+    return roots, cells
 
 
 def sturm_isolate(p: Poly, target_width=DEFAULT_WIDTH) -> list[RealRoot]:
@@ -305,7 +308,7 @@ def sturm_isolate(p: Poly, target_width=DEFAULT_WIDTH) -> list[RealRoot]:
         raise AssertionError("isolated root lost during decomposition")
 
     intervals = _isolate(chain)
-    exact_values = _rational_roots(chain[0], intervals)
+    exact_values, cells = _rational_roots(chain[0], intervals)
     roots = [
         RealRoot.exact(r, *factor_of_exact(r)) for r in exact_values
     ]
@@ -317,6 +320,14 @@ def sturm_isolate(p: Poly, target_width=DEFAULT_WIDTH) -> list[RealRoot]:
             deflated = _exact_quo(deflated, [-r.numerator, r.denominator])
         chain = _prs(deflated, _derivative(deflated))
         intervals = _isolate(chain) if len(deflated) > 1 else []
+    else:
+        # no grid point is a root, so bisection goes on from a cell as it
+        # would from the interval; where a cell is already narrower than the
+        # target, bisection stops at one of its ancestors: start again
+        intervals = [
+            cell if Fraction(cell[1] - cell[0], cell[2]) >= target_width else start
+            for cell, start in zip(cells, intervals)
+        ]
     # separate every interval (ends included) from the exact roots, so the
     # defining factor is nonzero at both endpoints
     exact = [(r.numerator, r.denominator) for r in exact_values]

@@ -36,8 +36,11 @@ the Smith form by `divmod` on `Poly` rows kept primitive, the residue from
 `Poly.evaluate` on it.  The exact residue of a pair keeps its definition
 before the resolvent's principal part took it over: Taylor coefficients of
 order mult - 1 of the integer adjugate over order mult of the
-determinant, with the lower orders required to vanish.  The small constructors and products the
-tests build their inputs with live here too, outside the library.
+determinant, with the lower orders required to vanish.  Rational roots keep
+their former reading: one `limit_denominator` candidate from an interval
+narrower than 1/(2 lc**2), and every final narrowing started from the
+isolating interval.  The small constructors and products the tests build
+their inputs with live here too, outside the library.
 """
 
 from __future__ import annotations
@@ -61,13 +64,24 @@ from secular.invariants import (
 )
 from secular.matrices import Pencil, PolyMatrix, RatMatrix, adjugate_pencil, det_rational
 from secular.oscillate import Trajectory
-from secular.polynomials import ONE, Poly, _taylor, squarefree_decompose
+from secular.polynomials import (
+    ONE,
+    Poly,
+    _derivative,
+    _exact_quo,
+    _primitive_ints,
+    _prs,
+    _taylor,
+    _yun,
+    squarefree_decompose,
+)
 from secular.quadpairs import (
     QuadraticPair,
     ThetaComponent,
     ThetaDecomposition,
     theta_components,
 )
+from secular.realroots import DEFAULT_WIDTH, RealRoot, _isolate, _narrow, _sign_at
 
 
 def poly_gcd_by_euclid(p: Poly, q: Poly) -> Poly:
@@ -981,3 +995,85 @@ def adjugate_eigenvector_by_poly_evaluate(pencil: Pencil, root) -> tuple:
         "adjugate vanishes at this root (geometric multiplicity > 1);"
         " use nullspace_at_root"
     )
+
+
+def rational_roots_by_limit_denominator(cs, intervals) -> list[Fraction]:
+    """The rational roots of the square-free integer polynomial cs, given an
+    isolating interval for each of its real roots.
+
+    A rational root p/q has q | lc (lc the leading coefficient), and two
+    such rationals lie at least 1/lc**2 apart.  Once an interval is narrower
+    than 1/(2 lc**2), the rational of denominator at most lc nearest its
+    midpoint is the only candidate for its root.  A midpoint that lands on
+    the root is nudged like any other, which keeps the root inside the
+    interval, so the candidate still finds it.
+    """
+    lc = cs[-1]
+    roots = []
+    for a, b, d in intervals:
+        a, b, d = _narrow(cs, a, b, d, Fraction(1, 2 * lc * lc))
+        cand = Fraction(a + b, 2 * d).limit_denominator(lc)
+        p, q = cand.numerator, cand.denominator
+        if a * q <= p * d <= b * q and _sign_at(cs, p, q) == 0:
+            roots.append(cand)
+    return roots
+
+
+def sturm_isolate_from_intervals(p: Poly, target_width=DEFAULT_WIDTH) -> list[RealRoot]:
+    """`sturm_isolate` with every rational root read off an interval
+    narrower than 1/(2 lc**2) by `limit_denominator`, and every final
+    narrowing started from the isolating interval itself, not from a cell
+    the rational-root test has narrowed."""
+    if p.is_zero():
+        raise PreconditionError("root isolation of the zero polynomial")
+    target_width = Fraction(target_width)
+    if target_width <= 0:  # bisection would never stop
+        raise PreconditionError("isolation width must be positive")
+    if p.degree() == 0:
+        return []
+    # the Sturm chain of p ends in gcd(p, p') up to a constant: a constant
+    # means p is square-free; otherwise Yun starts from it, and the chain of
+    # p's square-free part w is the one to isolate
+    _, cs = _primitive_ints(p)
+    chain = _prs(cs, _derivative(cs))
+    if len(chain[-1]) == 1:
+        parts = [(cs, p.monic(), 1)]
+    else:
+        cs, factors = _yun(cs, chain[-1])
+        parts = [(f, Poly(f).monic(), e) for f, e in factors]
+        chain = _prs(cs, _derivative(cs))
+
+    def factor_of_exact(r: Fraction) -> tuple[Poly, int]:
+        for fz, f, e in parts:
+            if _sign_at(fz, r.numerator, r.denominator) == 0:
+                return f, e
+        raise AssertionError("rational root lost during decomposition")
+
+    def factor_of_interval(a: int, b: int, d: int) -> tuple[Poly, int]:
+        for fz, f, e in parts:
+            if (_sign_at(fz, a, d) > 0) != (_sign_at(fz, b, d) > 0):
+                return f, e
+        raise AssertionError("isolated root lost during decomposition")
+
+    intervals = _isolate(chain)
+    exact_values = rational_roots_by_limit_denominator(chain[0], intervals)
+    roots = [
+        RealRoot.exact(r, *factor_of_exact(r)) for r in exact_values
+    ]
+
+    if exact_values:
+        # the printed intervals come from isolating what is left
+        deflated = chain[0]
+        for r in exact_values:
+            deflated = _exact_quo(deflated, [-r.numerator, r.denominator])
+        chain = _prs(deflated, _derivative(deflated))
+        intervals = _isolate(chain) if len(deflated) > 1 else []
+    # separate every interval (ends included) from the exact roots, so the
+    # defining factor is nonzero at both endpoints
+    exact = [(r.numerator, r.denominator) for r in exact_values]
+    for a, b, d in intervals:
+        a, b, d = _narrow(chain[0], a, b, d, target_width, apart=exact)
+        f, e = factor_of_interval(a, b, d)
+        roots.append(RealRoot.isolated(Fraction(a, d), Fraction(b, d), f, e))
+
+    return sorted(roots, key=lambda r: r.approx())

@@ -5,11 +5,13 @@ import os
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 
 import pytest
 
 import secular
 from secular.cli import run
+from secular.errors import ParseError
 from secular.io import (
     dump_document,
     format_fraction,
@@ -838,6 +840,29 @@ class TestVerbs:
         assert [b["sigma_im"] for b in blocks] == pytest.approx([1, math.sqrt(3)])
         assert [b["sigma_re"] for b in blocks] == pytest.approx([0, 0], abs=1e-12)
 
+    def test_modal_solve_and_trajectory_negative_definite_mass(self, tmp_path):
+        # -I y'' + [[-2, 1], [1, -2]] y = 0 prints what the negated equation
+        # I y'' + [[2, -1], [-1, 2]] y = 0 prints
+        initial = {"positions": ["1", "0"], "velocities": ["0", "1"]}
+        negated = write_json(tmp_path, "negmass.json", {
+            "kind": "custom",
+            "mass": {"rows": 2, "cols": 2, "entries": ["-1", "0", "0", "-1"]},
+            "stiffness": {"rows": 2, "cols": 2, "entries": ["-2", "1", "1", "-2"]},
+            "initial": initial,
+        })
+        positive = write_json(tmp_path, "posmass.json", {
+            "kind": "custom",
+            "mass": {"rows": 2, "cols": 2, "entries": ["1", "0", "0", "1"]},
+            "stiffness": {"rows": 2, "cols": 2, "entries": ["2", "-1", "-1", "2"]},
+            "initial": initial,
+        })
+        for verb in (["solve", "--method", "modal"], ["trajectory"]):
+            code, text = run_to_file(verb + ["--input", negated], tmp_path, "neg.out")
+            assert code == 0
+            assert (code, text) == run_to_file(verb + ["--input", positive], tmp_path)
+        modes = json.loads(run_to_file(["solve", "--input", negated], tmp_path)[1])["modes"]
+        assert [m["squared_frequency"] for m in modes] == ["1/1", "3/1"]
+
     def test_classify_and_solve_and_trajectory(self, tmp_path):
         scen = write_json(
             tmp_path,
@@ -903,7 +928,8 @@ class TestWidthFlag:
         assert approxs[0] == pytest.approx(-math.sqrt(2), abs=1e-3)
         assert approxs[1] == pytest.approx(math.sqrt(2), abs=1e-3)
 
-    @pytest.mark.parametrize("width", ["0", "-1", "abc", "1/0"])
+    # "1e-99999999" would build 10**99999999 in Fraction
+    @pytest.mark.parametrize("width", ["0", "-1", "abc", "1/0", "1_0", "\u0663", "1e-99999999"])
     def test_invalid_width_exits_2(self, tmp_path, width, capsys, one_second):
         doc = write_json(
             tmp_path,
@@ -1081,7 +1107,7 @@ class TestLazyStartUp:
 
 
 class TestFlags:
-    @pytest.mark.parametrize("root", ["abc", "1/0"])
+    @pytest.mark.parametrize("root", ["abc", "1/0", "1_0", "\u0663"])
     def test_invalid_root_exits_2(self, note23_file, root, capsys):
         with pytest.raises(SystemExit) as exc:
             run(["eigvec", "--input", note23_file, "--root", root])
@@ -1261,6 +1287,25 @@ class TestExitCodes:
         bad = tmp_path / "bad.json"
         bad.write_text("{ not json")
         assert run(["roots", "--input", str(bad)]) == 2
+
+    @pytest.mark.parametrize(
+        "entry", ["1_000", "1_0/3", "2/1_0", "1e1_0", "0.1_5", "\u0663", "\u0663/4",
+                  "1/\u0663", "\uff13", "\u00a03", "3\u2003"])
+    def test_separators_and_non_ascii_exit_2(self, tmp_path, capsys, entry):
+        # Fraction reads "1_000" as 1000 and the Arabic-Indic "\u0663" as 3;
+        # the document grammar takes ASCII alone, without separators
+        with pytest.raises(ParseError, match="ASCII"):
+            parse_fraction(entry)
+        doc = write_json(tmp_path, "m.json", {"rows": 1, "cols": 1, "entries": [entry]})
+        assert run(["charpoly", "--input", doc]) == 2
+        assert capsys.readouterr().err.startswith("parse error: bad rational literal")
+
+    @pytest.mark.parametrize("text, value", [
+        ("3", 3), ("-2/5", Fraction(-2, 5)), ("+4", 4), ("0.25", Fraction(1, 4)),
+        ("1e-3", Fraction(1, 1000)), ("3E2", 300), (" 7/2\n", Fraction(7, 2)), (12, 12),
+    ])
+    def test_accepted_literals(self, text, value):
+        assert parse_fraction(text) == value
 
     def test_malformed_matrix(self, tmp_path):
         doc = write_json(

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from secular import matrices
 from secular.errors import PreconditionError
 from secular.invariants import inertia
 from secular.matrices import (
@@ -20,6 +21,7 @@ from secular.matrices import (
     det_pencil,
     det_rational,
 )
+from secular.oscillate import build_model
 from secular.polynomials import Poly
 
 from oracles import (
@@ -311,15 +313,30 @@ def sympy_case(rng, kind, n, orientation):
     return RatMatrix.from_rows(A), RatMatrix.from_rows(B)
 
 
+def sympy_char_poly(A: RatMatrix, B: RatMatrix, orientation: str) -> list[Fraction]:
+    """Coefficients, lowest first, of sympy's det(s*A - B) or det(A - s*B),
+    by fraction-free elimination over QQ[s], not interpolation."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    s = sympy.symbols("s")
+    ring = sympy.QQ[s]
+    n = A.rows
+    a, b = (
+        sympy.Matrix(n, n, [sympy.Rational(v.numerator, v.denominator) for v in M.entries])
+        for M in (A, B)
+    )
+    char = s * a - b if orientation == "sA-B" else a - s * b
+    want = sympy.Poly(ring.to_sympy(DomainMatrix.from_Matrix(char).convert_to(ring).det()), s)
+    return [] if want.is_zero else [
+        Fraction(int(c.p), int(c.q)) for c in reversed(want.all_coeffs())
+    ]
+
+
 class TestCharPolyAgainstSympy:
     """Pencil.char_poly equals sympy's det(s*A - B) or det(A - s*B) exactly."""
 
     def test_char_poly_matches(self):
-        sympy = pytest.importorskip("sympy")
-        from sympy.polys.matrices import DomainMatrix
-
-        s = sympy.symbols("s")
-        ring = sympy.QQ[s]
         rng = random.Random(11)
         kinds = ("integer", "rational", "singular-leading", "zero")
         degree_dropped = zero = 0
@@ -327,23 +344,77 @@ class TestCharPolyAgainstSympy:
             for kind in kinds:
                 for orientation in ("sA-B", "A-sB"):
                     A, B = sympy_case(rng, kind, n, orientation)
-                    a, b = (
-                        sympy.Matrix(n, n, [sympy.Rational(v.numerator, v.denominator)
-                                            for v in M.entries])
-                        for M in (A, B)
-                    )
-                    char = s * a - b if orientation == "sA-B" else a - s * b
-                    # fraction-free elimination over QQ[s], not interpolation
-                    det = DomainMatrix.from_Matrix(char).convert_to(ring).det()
-                    want = sympy.Poly(ring.to_sympy(det), s)
-                    coeffs = [] if want.is_zero else [
-                        Fraction(int(c.p), int(c.q)) for c in reversed(want.all_coeffs())
-                    ]
                     got = Pencil(A, B, orientation).char_poly()
-                    assert list(got.coeffs) == coeffs, (n, kind, orientation)
+                    assert list(got.coeffs) == sympy_char_poly(A, B, orientation), (
+                        n, kind, orientation)
                     degree_dropped += 0 <= got.degree() < n
                     zero += got.is_zero()
         assert degree_dropped >= 10 and zero >= 10
+
+
+def tridiagonal_case(rng, n):
+    """A seeded non-symmetric tridiagonal matrix with rational entries, about
+    a third of them zero, on and off the diagonal."""
+    def entry():
+        if rng.random() < 0.3:
+            return Fraction(0)
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+
+    return RatMatrix.from_rows(
+        [[entry() if abs(i - j) <= 1 else 0 for j in range(n)] for i in range(n)])
+
+
+class TestTridiagonalContinuant:
+    """A pencil whose two matrices vanish outside |i - j| <= 1 (a loaded
+    string's, any pencil of size 2 or less) takes its determinant from the
+    three-term recurrence of its leading minors, with no Bareiss
+    determinant and no interpolation."""
+
+    def test_matches_sympy(self, monkeypatch):
+        monkeypatch.setattr(matrices, "_bareiss", None)  # a call would fail
+        rng = random.Random(23)
+        zero_diagonal = zero_off_diagonal = 0
+        for n in range(9):
+            for orientation in ORIENTATIONS:
+                for _ in range(3):
+                    A, B = tridiagonal_case(rng, n), tridiagonal_case(rng, n)
+                    got = Pencil(A, B, orientation).char_poly()
+                    assert list(got.coeffs) == sympy_char_poly(A, B, orientation), (
+                        n, orientation, A, B)
+                    zero_diagonal += any(
+                        A.entry(i, i) == B.entry(i, i) == 0 for i in range(n))
+                    zero_off_diagonal += any(
+                        A.entry(i, i + 1) == B.entry(i, i + 1) == 0 for i in range(n - 1))
+        assert zero_diagonal >= 5 and zero_off_diagonal >= 5
+
+    def test_one_entry_outside_the_band_interpolates(self, monkeypatch):
+        calls = []
+        bareiss = matrices._bareiss
+        monkeypatch.setattr(matrices, "_bareiss", lambda *a: calls.append(1) or bareiss(*a))
+        rng = random.Random(24)
+        for orientation in ORIENTATIONS:
+            for i, j in ((0, 2), (3, 0), (1, 4)):
+                A, B = tridiagonal_case(rng, 5), tridiagonal_case(rng, 5)
+                rows = A.to_rows() if orientation == "sA-B" else B.to_rows()
+                rows[i][j] = Fraction(rng.choice([-2, -1, 1, 2]), 3)
+                if orientation == "sA-B":
+                    A = RatMatrix.from_rows(rows)
+                else:
+                    B = RatMatrix.from_rows(rows)
+                calls.clear()
+                got = Pencil(A, B, orientation).char_poly()
+                assert calls == [1] * 6  # Bareiss at k = 0..5
+                assert list(got.coeffs) == sympy_char_poly(A, B, orientation)
+
+    def test_loaded_string_12(self, deadline):
+        # the determinant and the twelve roots at the default width, which
+        # take a few tens of milliseconds, under a deadline
+        model = build_model("loaded-string", {"n": 12, "a": Fraction(3, 2)})
+        deadline(2.0)
+        f, roots = model.pencil().char_poly(), model.pencil().roots()
+        deadline(0)
+        assert list(f.coeffs) == sympy_char_poly(model.mass, model.stiffness, "sA-B")
+        assert len(roots) == 12 and not any(r.is_exact for r in roots)
 
 
 def transpose_check(P: Pencil) -> bool:

@@ -459,6 +459,36 @@ class TestClassifyStability:
         assert "applies to the negated equation" in v.corrected_rule
         assert "stays bounded" in v.corrected_rule
 
+    def test_negative_definite_mass_solved_on_negated_equation(self):
+        # the modal solution of -I y'' + [[-2, 1], [1, -2]] y = 0 is that of
+        # I y'' + [[2, -1], [-1, 2]] y = 0, mode for mode, and it belongs to
+        # the model as given
+        ic = InitialConditions.of([1, 0], [0, 1])
+        negated = build_model("custom", {}, mass=RatMatrix.diagonal([-1, -1]),
+                              stiffness=RatMatrix.from_rows([[-2, 1], [1, -2]]))
+        positive = build_model("custom", {}, mass=RatMatrix.identity(2),
+                               stiffness=RatMatrix.from_rows([[2, -1], [-1, 2]]))
+        sol, ref = solve_modal(negated, ic), solve_modal(positive, ic)
+        assert sol.model is negated
+        assert (sol.modes, sol.drifts, sol.path) == (ref.modes, ref.drifts, ref.path)
+        assert [m.k_root.value for m in sol.modes] == [1, 3]
+        assert all(m.sq_norm > 0 for m in sol.modes)
+        times = [0.0, 0.7, 3.1]
+        assert sample_trajectory(sol, times) == sample_trajectory(ref, times)
+        assert sol.evaluate(0.0) == pytest.approx([1, 0], abs=1e-12)
+        assert sol.derivative(0.0) == pytest.approx([0, 1], abs=1e-12)
+        assert second_order_residual(sol, negated, [0.3, 1.9]) < 1e-6
+        # the energy of -A and -B is the negated one, still constant
+        assert sol.energy(2.5) == pytest.approx(sol.energy(0.0), rel=1e-12)
+        assert sol.energy(0.0) == pytest.approx(-ref.energy(0.0), rel=1e-12)
+
+    @pytest.mark.parametrize("mass", [[[1, 0], [0, -1]], [[-1, 0], [0, 0]]])
+    def test_indefinite_or_singular_mass_not_solved(self, mass):
+        model = build_model("custom", {}, mass=RatMatrix.from_rows(mass),
+                            stiffness=RatMatrix.identity(2))
+        with pytest.raises(PreconditionError, match="positive or negative definite"):
+            solve_modal(model, InitialConditions.of([1, 0], [0, 1]))
+
     @pytest.mark.parametrize("stiffness, corrected, phrase", [
         ([[1, 0], [0, 1]], "unstable", "grows without bound"),
         ([[-1, 1], [1, -1]], "stable", "drifts as E + V t"),

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from secular import polynomials, realroots
@@ -23,6 +23,7 @@ from oracles import (
     bisect_narrow,
     poly_from_roots,
     sturm_chain_by_divmod,
+    sturm_isolate_from_intervals,
 )
 
 
@@ -681,3 +682,74 @@ class TestAgainstSympy:
             else:
                 value = theirs.evalf(80)
                 assert ours.lo < Fraction(str(value)) < ours.hi
+
+
+# irreducible over Q: quadratics with and without real roots, x^3 - 2,
+# x^3 - x - 1, 3x^3 - 5x + 1 and x^4 - 10x^2 + 1 (roots +-sqrt 2 +- sqrt 3)
+IRREDUCIBLE = [
+    P(-2, 0, 1), P(-3, 0, 2), P(-7, 0, 5), P(-1, 1, 1), P(1, 0, 1),
+    P(-2, 0, 0, 1), P(-1, -1, 0, 1), P(1, -5, 0, 3), P(1, 0, -10, 0, 1),
+]
+ISOLATION_WIDTHS = [Fraction(3), Fraction(1), Fraction(1, 2), Fraction(1, 1000),
+                    Fraction(1, 7**5), Fraction(1, 10**30)]
+
+
+def root_fields(roots):
+    return [(r.kind, r.value, r.lo, r.hi, r.poly, r.multiplicity) for r in roots]
+
+
+class TestRationalRootsBelowOneOverLc:
+    """A rational root m/lc is tested in a cell narrower than 1/lc, and with
+    no rational root the final narrowing goes on from that cell unless it is
+    already narrower than the target width: every field of every root is
+    the one the `limit_denominator` test at 1/(2 lc**2) and a final
+    narrowing from the isolating interval give."""
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.one_of(
+                    # q x - p with q <= 12
+                    st.tuples(st.integers(-30, 30), st.integers(1, 12)).map(
+                        lambda pq: P(-pq[0], pq[1])),
+                    st.sampled_from(IRREDUCIBLE),
+                ),
+                st.integers(1, 2),  # squares
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        st.sampled_from(ISOLATION_WIDTHS),
+    )
+    # the narrowed cell (below 1/7) is narrower than the width: the final
+    # narrowing starts from the isolating interval
+    @example([(P(-3, 0, 7), 1)], Fraction(1))
+    @example([(P(-3, 0, 7), 1)], Fraction(1, 1000))
+    # a rational root next to an irrational one of the same denominator
+    @example([(P(-2, 0, 9), 1), (P(-4, 3), 2)], Fraction(1, 2))
+    @example([(P(-7, 12), 2), (P(-1, 0, 0, 1) * P(1, 0, 1), 1)], Fraction(1, 10**30))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_limit_denominator_route(self, factors, width):
+        p = P(1)
+        for f, e in factors:
+            p = p * f**e
+        assert root_fields(sturm_isolate(p, width)) == root_fields(
+            sturm_isolate_from_intervals(p, width))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_seeded_squarefree(self, seed):
+        rng = random.Random(2300 + seed)
+        for _ in range(20):
+            p = Poly(_squarefree_case(rng))
+            for width in ISOLATION_WIDTHS:
+                assert root_fields(sturm_isolate(p, width)) == root_fields(
+                    sturm_isolate_from_intervals(p, width))
+
+    def test_one_candidate_per_cell(self):
+        # 1/lc = 1/6: the root 5/6 and the root sqrt(29)/6 of 36x^2 - 29,
+        # 0.064 away from it, are told apart in cells below 1/6
+        cs = tuple(_primitive_ints(P(-5, 6) * P(-29, 0, 36))[1])
+        exact, cells = realroots._rational_roots(cs, _intervals(cs))
+        assert exact == [Fraction(5, 6)]
+        assert len(cells) == 3
+        assert all(Fraction(b - a, d) < Fraction(1, 6) for a, b, d in cells)
