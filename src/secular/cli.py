@@ -96,14 +96,25 @@ def _positive_rational(text: str) -> Fraction:
 
 
 def _finite_float(text: str) -> float:
-    """argparse type for --time: a finite floating-point number."""
+    """argparse type for --time and --t-max, and under --tolerance: a finite
+    floating-point number, in ASCII with no "_" separators as a rational
+    (`io.parse_fraction`)."""
     try:
-        value = float(text)
+        value = float(sio._plain_literal(text))
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}")
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"must be finite: {text!r}")
     return value
+
+
+def _integer(text: str) -> int:
+    """argparse type for --t-steps and --root-index: an integer in ASCII
+    digits with no "_" separators."""
+    try:
+        return int(sio._plain_literal(text))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
 
 
 def _tolerance(text: str) -> float:
@@ -400,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("eigvec", _cmd_eigvec, path=path,
         root={"type": _rational, "default": None,
               "help": "exact rational root value p/q"},
-        root_index={"type": int, "default": None, "help": "1-based root index"})
+        root_index={"type": _integer, "default": None, "help": "1-based root index"})
     add("invariant-factors", _cmd_invariant_factors)
     add("elementary-divisors", _cmd_elementary_divisors)
     add("diagonalizable", _cmd_diagonalizable)
@@ -415,7 +426,8 @@ def build_parser() -> argparse.ArgumentParser:
         method={"choices": ["modal", "jordan"], "default": "modal"})
     add("classify", _cmd_classify)
     add("trajectory", _cmd_trajectory, path=path,
-        t_max={"type": float, "default": None}, t_steps={"type": int, "default": None})
+        t_max={"type": _finite_float, "default": None},
+        t_steps={"type": _integer, "default": None})
     return parser
 
 

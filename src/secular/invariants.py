@@ -15,13 +15,20 @@ elementary divisors.
 
 A matrix is diagonalizable exactly when all of those are simple, that is
 when its minimal polynomial f / Delta_(n-1) is square-free.  The adjugate of
-the characteristic matrix holds the (n-1)-minors, so for a square-free factor
-g of f of multiplicity mu, g^(mu-1) divides every adjugate entry exactly when
-it divides Delta_(n-1), that is when g divides the minimal polynomial once.
-Jordan's test for simple elementary divisors and Weierstrass's "remarkable
-circumstance" for definite pairs are both this one test on the pencil's
-cached integer adjugate, which `Pencil._adjugate_divisible` runs by exact
-division by the primitive integer part of g^(mu-1) (Gauss's lemma).
+the characteristic matrix P holds the (n-1)-minors, so for a square-free
+factor g of f of multiplicity mu, g^(mu-1) divides every adjugate entry
+exactly when it divides Delta_(n-1).  That is read off a kernel, by the
+Smith form at one root alpha of an irreducible factor of g: the unimodular
+transforms stay invertible at alpha, so dim ker P(alpha) counts the
+invariant factors that alpha annuls.  Each holds the factor at least once,
+their exponents sum to mu, and Delta_(n-1) holds mu less the largest, so
+g^(mu-1) divides it exactly when each holds the factor once, that is when
+dim ker P(alpha) = mu.  For all roots of g at once this is one integer
+elimination over Q[s]/(g) (`Pencil._factor_rows`): no root's kernel
+exceeds mu, so its rational nullity is at most mu * deg g, and equal to it
+exactly then (`_minor_divisibility`).  Jordan's test for simple elementary
+divisors and Weierstrass's "remarkable circumstance" for definite pairs are
+both this one test, and neither builds the adjugate.
 
 Inertia of a symmetric rational matrix is read off the pivot signs of one
 symmetric Bareiss pass with swaps and Lagrange's completing-the-square step;
@@ -35,12 +42,13 @@ from math import gcd as int_gcd
 
 from ._record import Record
 from .errors import InternalError, PreconditionError
-from .matrices import Pencil, PolyMatrix, RatMatrix, _bareiss_step, _integer_model
+from .matrices import Pencil, PolyMatrix, RatMatrix, _bareiss_step, _integer_model, _rref
 from .polynomials import (
     Poly,
     _mul,
     _over_lcm,
     _pdivmod,
+    _primitive_ints,
     _sub,
     kronecker_factor,
     squarefree_decompose,
@@ -235,14 +243,19 @@ def elementary_divisors(inv: InvariantFactors) -> ElementaryDivisors:
 
 
 def _minor_divisibility(pencil: Pencil) -> MinorDivisibility:
-    """One record per square-free factor of the pencil's determinant, with
-    multiplicity mu: whether factor^(mu-1) divides every entry of the
-    pencil's cached integer adjugate (`Pencil._adjugate_divisible`).
-    factor^0 divides everything, so a square-free determinant never builds
-    the adjugate."""
+    """One record per square-free factor g of the pencil's determinant, of
+    degree d and multiplicity mu: whether g^(mu-1) divides every adjugate
+    entry, that is (see the module docstring) whether the rows of
+    `Pencil._factor_rows` have rational nullity mu*d, one `_rref` per
+    multiple factor.  g^0 divides everything, so a square-free determinant
+    eliminates nothing."""
     records = []
     for factor, mult in squarefree_decompose(pencil.char_poly()):
-        divisible = mult == 1 or pencil._adjugate_divisible(factor ** (mult - 1))
+        divisible = mult == 1
+        if not divisible:
+            g = _primitive_ints(factor)[1]
+            size = pencil.size * (len(g) - 1)
+            divisible = size - len(_rref(pencil._factor_rows(g), size)) == mult * (len(g) - 1)
         records.append((factor, mult, divisible))
     return MinorDivisibility(tuple(records))
 

@@ -47,6 +47,14 @@ __all__ = [
 _EXPONENT = re.compile(r"([0-9.]*)[eE]([-+]?[0-9]+)\s*$")
 
 
+def _plain_literal(text: str) -> str:
+    """The number text itself if it is ASCII with no "_" digit separators,
+    which Python's number readers would accept; else ValueError."""
+    if "_" in text or not text.isascii():
+        raise ValueError("digits are ASCII, with no '_' separators")
+    return text
+
+
 def parse_fraction(text: Any) -> Fraction:
     """A rational literal: an integer, or a string that `Fraction` reads in
     ASCII alone with no "_" digit separators, such as "-3", "2/5", "0.25"
@@ -54,8 +62,8 @@ def parse_fraction(text: Any) -> Fraction:
     try:
         if isinstance(text, bool):
             raise ValueError("boolean is not a rational literal")
-        if isinstance(text, str) and ("_" in text or not text.isascii()):
-            raise ValueError("digits are ASCII, with no '_' separators")
+        if isinstance(text, str):
+            _plain_literal(text)
         if isinstance(text, str) and (match := _EXPONENT.search(text)):
             # Fraction would build 10**exponent, however many digits that has;
             # Python before 3.10.7 has no digit limit

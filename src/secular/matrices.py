@@ -13,14 +13,18 @@ roots (per width), integer adjugate and integer model once, on first use.
 The integer adjugate is what interpolation produces: one scale L^(n-1) and
 n^2 lists of n integer coefficients, so adj P = entries / scale; other
 modules read it only through `Pencil._adjugate_taylor` (Taylor coefficients
-at a rational point) and `Pencil._adjugate_divisible` (exact division), and
-a `PolyMatrix` is built only when `adjugate_pencil` is called.  One sampler,
+at a rational point), and a `PolyMatrix` is built only when
+`adjugate_pencil` is called.  Whether a factor's power divides the adjugate
+is not read off it but off a kernel: `Pencil._factor_rows` writes the
+characteristic matrix at the roots of a square-free factor as integer rows
+over Q (`secular.invariants` gives the argument).  One sampler,
 `Pencil._numerators`, gives the integer rows of its characteristic matrix P
 at a rational point: at the integers k they are the samples L*P(k) from
 which Newton interpolation in integers reads the adjugate, and the
 determinant unless P is tridiagonal (as a loaded string's is), when the
 three-term recurrence of its leading minors gives it; at an exact root
-their elimination gives the nullspace with no Fraction matrix built; the
+their elimination gives the nullspace, for eigenvectors and for the theta
+pieces of `secular.quadpairs`, with no Fraction matrix built; the
 float path rounds them once per entry, and `Pencil.evaluate` builds one
 Fraction per entry.  The adjugate of a matrix M
 is the constant term of that of the pencil sI + M, over its scale.  Matrix
@@ -48,8 +52,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from ._record import Record
 from .errors import PreconditionError
-from .polynomials import (Poly, _exact_quo, _interpolate, _mul, _over_lcm, _primitive_ints, _sub,
-                          _taylor)
+from .polynomials import Poly, _interpolate, _mul, _over_lcm, _sub, _taylor
 from .realroots import DEFAULT_WIDTH, RealRoot, sturm_isolate
 
 if TYPE_CHECKING:
@@ -607,11 +610,25 @@ class Pencil(Record):
             coeffs = [list(map(mul, ts, powers)) for ts in coeffs]
         return q ** max(n - 1, 0) * scale, coeffs
 
-    def _adjugate_divisible(self, power: Poly) -> bool:
-        """Whether the nonzero `power` divides every adjugate entry, by exact
-        division by its primitive integer part (Gauss's lemma)."""
-        divisor = _primitive_ints(power)[1]
-        return all(_exact_quo(entry, divisor) is not None for entry in self._adjugate[1])
+    def _factor_rows(self, g: Sequence[int]) -> list[list[int]]:
+        """The characteristic matrix at the roots of g, a square-free integer
+        polynomial of degree d >= 1 (lowest degree first), as n*d fresh
+        integer rows over Q: P(alpha) acts on Q[alpha]^n, alpha = s mod g,
+        written in the basis 1 .. alpha^(d-1), so entry (i, j) becomes the
+        d x d block LA_ij * lc*C - LB_ij * lc*I for "sA-B" (A and B swapped
+        for "A-sB", the same kernel), C the companion matrix of g and lc its
+        leading coefficient.  For d = 1 these are the rows of `_numerators`
+        at the root -g_0/g_1, up to sign.
+        """
+        d, lc = len(g) - 1, g[-1]
+        # lc*C: multiplication by alpha sends alpha^b to alpha^(b+1), and
+        # alpha^(d-1) to -(g_0 + .. + g_(d-1) alpha^(d-1)) / lc
+        C = [[lc * (a == b + 1) for b in range(d - 1)] + [-g[a]] for a in range(d)]
+        L, (A, B) = self._int_model
+        if self.orientation == "A-sB":
+            A, B = B, A
+        return [[x * C[a][b] - y * lc * (a == b) for x, y in zip(row_a, row_b) for b in range(d)]
+                for row_a, row_b in zip(A, B) for a in range(d)]
 
     def evaluate(self, s) -> RatMatrix:
         """The characteristic matrix at a rational point, one Fraction per

@@ -15,8 +15,7 @@ Solvers:
   e^(sigma t) times a polynomial of degree < chain length.
 * `expm_projectors` -- exp(M t) from the spectral projectors P and nilpotent
   parts N^k P, the principal parts of the resolvent adj(s)/f(s) at each
-  exact eigenvalue (`spectral._principal_part`, which also gives the
-  residues of the pair reduction).
+  exact eigenvalue (`spectral._principal_part`).
 * `scalar_residue_solve` -- scalar constant-coefficient ODEs via residues of
   e^(r x)/F(r); multiple roots contribute x^k e^(r x) automatically.
 

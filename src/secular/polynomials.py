@@ -17,8 +17,9 @@ Beyond ring arithmetic the module provides:
   remainder, one Sturm-signed primitive pseudo-remainder sequence on it
   (Collins 1967, Brown 1971), which is also the Sturm chain of `realroots`,
   and one exact division by a primitive divisor (Gauss's lemma), shared by
-  `divides`, Yun (1976), rational-root deflation and the adjugate
-  divisibility test of `matrices.Pencil._adjugate_divisible`,
+  `divides`, Yun (1976) and rational-root deflation; whether a power of a
+  factor divides a pencil's adjugate is read off a kernel instead
+  (`secular.invariants`),
 * Taylor coefficients at a rational point p/q by integer homogeneous
   Horner (`_taylor`), which `Poly.taylor` wraps and which
   `matrices.Pencil._adjugate_taylor` runs on a pencil's integer adjugate;

@@ -10,12 +10,18 @@ rank lambda_mu with
 The pieces are residues: with adj(s*Phi - Psi) = (s - s_mu)^(lambda_mu - 1) * G(s)
 and f(s) = (s - s_mu)^lambda_mu * h(s), the matrix R_mu = G(s_mu) / h(s_mu) is
 the residue of the pencil inverse at s_mu and theta_mu = Phi @ R_mu @ Phi.
-On the exact path R_mu is the resolvent's principal part at the root
-(`spectral._principal_part`, which also gives Jordan's projectors): the
-divisibility of every adjugate entry by (s - s_mu)^(lambda_mu - 1), see
-`remarkable_circumstance_check`, is that it has one term, and a longer one
-is rejected.  The sums Phi = sum(theta) and Psi = sum(s_mu * theta) are
-checked in integers over one common denominator.
+The divisibility of every adjugate entry by (s - s_mu)^(lambda_mu - 1),
+Weierstrass's "remarkable circumstance", is that the kernel of
+s_mu*Phi - Psi has dimension lambda_mu (`remarkable_circumstance_check`;
+`secular.invariants` gives the argument), and then the pole is simple.  On
+the exact path theta_mu is read off a kernel basis V at the root, with no
+adjugate built: with P(s) = s*Phi - Psi = P(s_mu) + (s - s_mu) Phi, the
+Laurent series of P(s)^-1 gives P(s_mu) R_mu = R_mu P(s_mu) = 0 and
+V^T Phi R_mu = V^T, as V^T P(s_mu) = 0 for P symmetric, so
+R_mu = V (V^T Phi V)^-1 V^T and theta_mu = (Phi V)(V^T Phi V)^-1 (Phi V)^T.
+A kernel smaller than lambda_mu is rejected.  The sums Phi = sum(theta) and
+Psi = sum(s_mu * theta) are checked in integers over one common
+denominator.
 
 Exact path requires rational roots; otherwise G(s_mu) and h(s_mu), the
 Taylor coefficients of order lambda_mu - 1 of every adjugate entry
@@ -37,9 +43,9 @@ from typing import TYPE_CHECKING
 from ._record import Record
 from .errors import PreconditionError
 from .invariants import MinorDivisibility, _minor_divisibility, inertia
-from .matrices import Pencil, RatMatrix, _linear_combination
+from .matrices import Pencil, RatMatrix, _linear_combination, _nullspace
 from .realroots import RealRoot
-from .spectral import FLOAT_ROOT_WIDTH, _decide_path, _principal_part, _root_point
+from .spectral import FLOAT_ROOT_WIDTH, _decide_path, _root_point
 
 if TYPE_CHECKING:
     import numpy as np
@@ -126,10 +132,10 @@ class TheoremReport(Record):
 
 
 def remarkable_circumstance_check(pair: QuadraticPair) -> MinorDivisibility:
-    """Exact divisibility of every adjugate entry of s*Phi - Psi by
-    (s - s_mu)^(lambda_mu - 1), grouped by square-free factor so that
-    irrational roots are covered jointly; one record per factor, simple ones
-    included."""
+    """Divisibility of every adjugate entry of s*Phi - Psi by
+    (s - s_mu)^(lambda_mu - 1), read off the kernel at the roots and
+    grouped by square-free factor so that irrational roots are covered
+    jointly; one record per factor, simple ones included."""
     return _minor_divisibility(pair.pencil())
 
 
@@ -149,6 +155,23 @@ def _residue(pencil: Pencil, point: Fraction, mult: int) -> np.ndarray:
     fm, fh = factorial(mult - 1), factorial(mult)
     G = np.array([ts[-1] * fm / den / fm for ts in g]).reshape(n, n)
     return G / (float(h * fh) / fh)
+
+
+def _exact_theta(pair: QuadraticPair, root: RealRoot) -> RatMatrix:
+    """theta = (Phi V)(V^T Phi V)^-1 (Phi V)^T for the kernel basis V of the
+    characteristic matrix at the exact root, in `RatMatrix` products on
+    integer models.  A kernel of dimension below the multiplicity is a
+    Jordan chain longer than one, which a definite pair does not have: the
+    adjugate then is not divisible to the expected order."""
+    basis = _nullspace(pair.pencil()._numerators(root.value)[1], pair.size)
+    if len(basis) != root.multiplicity:
+        raise PreconditionError(
+            "adjugate entry not divisible to the expected order; the"
+            " leading form is not definite"
+        )
+    V = RatMatrix.from_rows(list(zip(*basis)))
+    phi_v = pair.phi @ V
+    return phi_v @ (V.transpose() @ phi_v).inverse() @ phi_v.transpose()
 
 
 def _exact_residuals(comps, pair: QuadraticPair) -> tuple[RatMatrix, RatMatrix]:
@@ -180,7 +203,7 @@ def theta_components(pair: QuadraticPair, path: str = "auto") -> ThetaDecomposit
     """The pieces (root, multiplicity, theta) with Phi = sum(theta) and
     Psi = sum(root * theta); theta = Phi @ R @ Phi for the residue R of the
     pencil inverse at the root, whatever the sign of the definite Phi; on
-    the exact path R is the principal part there, which has one term."""
+    the exact path it is read off the kernel at the root (`_exact_theta`)."""
     pencil = pair.pencil()
     n = pair.size
     roots = pencil.roots(FLOAT_ROOT_WIDTH)
@@ -191,13 +214,7 @@ def theta_components(pair: QuadraticPair, path: str = "auto") -> ThetaDecomposit
     comps = []
     for root in roots:
         if mode == "exact":
-            terms = _principal_part(pencil, root.value, root.multiplicity)
-            if len(terms) > 1:
-                raise PreconditionError(
-                    "adjugate entry not divisible to the expected order; the"
-                    " leading form is not definite"
-                )
-            theta = phi @ terms[0] @ phi
+            theta = _exact_theta(pair, root)
         else:
             theta = phi @ _residue(pencil, _root_point(root), root.multiplicity) @ phi
             theta = tuple(tuple(float(x) for x in row) for row in (theta + theta.T) / 2)

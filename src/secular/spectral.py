@@ -3,19 +3,20 @@
 The exact path reads eigenvectors off the pencil's cached integer adjugate
 at a rational root (`Pencil._adjugate_taylor`, first non-null column) or
 off an exact nullspace of the characteristic matrix there, eliminated on the
-pencil's integer rows at the root.  `_principal_part` reads the resolvent's
-principal part at an exact root off the same coefficients; its residue is
-Weierstrass's R (`secular.quadpairs`) and Jordan's projector
-(`secular.oscillate`).  One rule picks the path of every entry point, this
-module's, the pair reduction's and the Jordan solver's: an unknown path
-raises PreconditionError, "exact" with an irrational root raises
-PathUnavailableError, and "auto" is exact exactly when every root involved
-is.  Isolated irrational roots route to a floating path: the interval is
-refined to width 10^-30, the characteristic matrix at the midpoint is
-rounded once to floats from the pencil's integer model (no Fraction matrix
-is built), and nullspaces are taken by SVD with a relative singular-value
-threshold of 10^-10; at a simple root the one null vector is the normalized
-adjugate column.
+pencil's integer rows at the root, the nullspace from which Weierstrass's
+theta pieces are read as well (`secular.quadpairs`).  `_principal_part`
+reads the resolvent's principal part at an exact root off the adjugate's
+coefficients; its terms are the projector and nilpotent parts of the
+Jordan solver (`secular.oscillate`).  One rule picks the path of every
+entry point, this module's, the pair reduction's and the Jordan solver's:
+an unknown path raises PreconditionError, "exact" with an irrational root
+raises PathUnavailableError, and "auto" is exact exactly when every root
+involved is.  Isolated irrational roots route to a floating path: the
+interval is refined to width 10^-30, the characteristic matrix at the
+midpoint is rounded once to floats from the pencil's integer model (no
+Fraction matrix is built), and nullspaces are taken by SVD with a relative
+singular-value threshold of 10^-10; at a simple root the one null vector is
+the normalized adjugate column.
 
 For a symmetric pencil whose leading matrix is definite (by `inertia`),
 every root is real and vectors of distinct roots are orthogonal in both

@@ -33,10 +33,12 @@ now read integer numerators keep their `Fraction` polynomial definitions:
 the Smith form by `divmod` on `Poly` rows kept primitive, the residue from
 `Poly.taylor` on the `PolyMatrix` adjugate, adjugate divisibility by
 `Poly.divides` on that adjugate, and the exact adjugate eigenvector by
-`Poly.evaluate` on it.  The exact residue of a pair keeps its definition
-before the resolvent's principal part took it over: Taylor coefficients of
-order mult - 1 of the integer adjugate over order mult of the
-determinant, with the lower orders required to vanish.  Rational roots keep
+`Poly.evaluate` on it.  Adjugate divisibility keeps its integer definition
+too, from before the kernel at the roots decided it: exact division of the
+pencil's interpolated integer adjugate.  The exact residue of a pair keeps
+its definition before the resolvent's principal part took it over: Taylor
+coefficients of order mult - 1 of the integer adjugate over order mult of
+the determinant, with the lower orders required to vanish.  Rational roots keep
 their former reading: one `limit_denominator` candidate from an interval
 narrower than 1/(2 lc**2), and every final narrowing started from the
 isolating interval.  The small constructors and products the tests build
@@ -978,6 +980,26 @@ def minor_divisibility_by_poly_divides(pencil: Pencil) -> MinorDivisibility:
         divisible = mult == 1 or all(
             power.divides(entry) for entry in adjugate_pencil(pencil).entries
         )
+        records.append((factor, mult, divisible))
+    return MinorDivisibility(tuple(records))
+
+
+def _adjugate_divisible(pencil: Pencil, power: Poly) -> bool:
+    """Whether the nonzero `power` divides every adjugate entry, by exact
+    division by its primitive integer part (Gauss's lemma)."""
+    divisor = _primitive_ints(power)[1]
+    return all(_exact_quo(entry, divisor) is not None for entry in pencil._adjugate[1])
+
+
+def minor_divisibility_by_exact_division(pencil: Pencil) -> MinorDivisibility:
+    """One record per square-free factor of the pencil's determinant, with
+    multiplicity mu: whether factor^(mu-1) divides every entry of the
+    pencil's cached integer adjugate (`_adjugate_divisible`).  factor^0
+    divides everything, so a square-free determinant never builds the
+    adjugate."""
+    records = []
+    for factor, mult in squarefree_decompose(pencil.char_poly()):
+        divisible = mult == 1 or _adjugate_divisible(pencil, factor ** (mult - 1))
         records.append((factor, mult, divisible))
     return MinorDivisibility(tuple(records))
 

@@ -1395,16 +1395,47 @@ class TestExitCodes:
         assert "beyond floating-point range" in captured.err
         assert "RuntimeWarning" not in captured.err
 
-    def test_nan_t_max_exits_3(self, tmp_path, capsys):
+    @pytest.mark.parametrize("verb, flag, value", [
+        # float and int read "_" separators and non-ASCII digits, which the
+        # number flags refuse as rationals are refused; a NaN or infinite
+        # t-max never reaches the grid
+        ("expm", "--time", "\u0663"), ("expm", "--time", "1_0"),
+        ("weierstrass-reduce", "--tolerance", "1e-9_0"),
+        ("weierstrass-reduce", "--tolerance", "\uff11e-9"),
+        ("trajectory", "--t-max", "\u0663"), ("trajectory", "--t-max", "1_0"),
+        ("trajectory", "--t-max", "inf"), ("trajectory", "--t-max", "nan"),
+        ("trajectory", "--t-steps", "1_0"), ("trajectory", "--t-steps", "\u0663"),
+        ("trajectory", "--t-steps", "2.0"),
+        ("eigvec", "--root-index", "\u0661"), ("eigvec", "--root-index", "0_1"),
+    ])
+    def test_number_flags_exit_2(self, tmp_path, capsys, verb, flag, value):
+        doc = {"expm": JORDAN_BLOCK_DOC, "eigvec": JORDAN_BLOCK_DOC,
+               "weierstrass-reduce": REPEATED_PAIR_DOC}.get(verb, {
+                   "kind": "coupled-springs",
+                   "parameters": {"m": "1", "k": "1", "k0": "1"},
+                   "initial": {"positions": ["1", "0"], "velocities": ["0", "0"]}})
+        path = write_json(tmp_path, "in.json", doc)
+        with pytest.raises(SystemExit) as exc:
+            run([verb, "--input", path, flag, value])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and flag in captured.err
+
+    def test_nan_grid_is_a_precondition(self):
+        # the library guards the grid the flags no longer let NaN reach
+        from secular.errors import PreconditionError
+        from secular.oscillate import time_grid
+
+        with pytest.raises(PreconditionError, match="grid needs t_max >= 0"):
+            time_grid(math.nan, 3)
+
+    def test_number_flags_read_ascii_numbers(self, tmp_path, capsys):
         doc = write_json(tmp_path, "s.json", {
             "kind": "coupled-springs",
             "parameters": {"m": "1", "k": "1", "k0": "1"},
-            "initial": {"positions": ["1", "0"], "velocities": ["0", "0"]},
-        })
-        assert run(["trajectory", "--input", doc, "--t-max", "nan"]) == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "grid needs t_max >= 0" in captured.err
+            "initial": {"positions": ["1", "0"], "velocities": ["0", "0"]}})
+        assert run(["trajectory", "--input", doc, "--t-max", " 1e1 ", "--t-steps", "+4"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 6  # header and 5 times
 
     def test_fractional_string_masses_exits_3(self, tmp_path, capsys):
         # int() would truncate 5/2 to 2 masses

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from secular.errors import PreconditionError
 from secular.invariants import (
+    MinorDivisibility,
     _minor_divisibility,
     darboux_signature_steps,
     elementary_divisors,
@@ -24,6 +25,7 @@ from oracles import (
     conjugated_jordan,
     darboux_steps_by_fractions,
     is_diagonalizable_by_smith,
+    minor_divisibility_by_exact_division,
     minor_divisibility_by_poly_divides,
     minor_gcd_chain_by_fraction_smith,
     minor_gcd_chain_by_minors,
@@ -404,6 +406,87 @@ class TestDiagonalizableAgainstSmithForm:
             for _ in range(10):
                 self.check(RatMatrix.from_rows(
                     [[rng.randint(-1, 1) for _ in range(n)] for _ in range(n)]))
+
+
+def unimodular(rng, n: int) -> RatMatrix:
+    """A random unimodular integer matrix from elementary row operations."""
+    S = [[int(r == c) for c in range(n)] for r in range(n)]
+    for _ in range(2 * n if n > 1 else 0):
+        r, c = rng.sample(range(n), 2)
+        f = rng.choice((-2, -1, 1, 2))
+        S[r] = [x + f * y for x, y in zip(S[r], S[c])]
+    return RatMatrix.from_rows(S)
+
+
+# monic irreducible quadratics and cubics over Q
+QUADRATICS = [Poly([-1, -1, 1]), Poly([1, 0, 1]), Poly([-2, 0, 1]), Poly([1, 1, 1]),
+              Poly([3, -3, 1])]
+CUBICS = [Poly([-2, 0, 0, 1]), Poly([-1, -1, 0, 1]), Poly([1, -3, 0, 1]),
+          Poly([1, 1, 0, 1]), Poly([-3, 2, -1, 1])]
+
+
+def repeated_companion(C: RatMatrix, copies: int, coupling) -> list[list[Fraction]]:
+    """copies of C down the diagonal, each coupled to the next by the
+    block coupling() above the diagonal."""
+    d = C.rows
+    rows = [[Fraction(0)] * (d * copies) for _ in range(d * copies)]
+    for k in range(copies):
+        for i in range(d):
+            rows[k * d + i][k * d : k * d + d] = C.row(i)
+        if k + 1 < copies:
+            for i, row in enumerate(coupling()):
+                rows[k * d + i][(k + 1) * d : (k + 2) * d] = row
+    return rows
+
+
+class TestKernelDivisibilityAgainstExactDivision:
+    """The kernel at the roots of each multiple factor gives the records of
+    exact division of the interpolated integer adjugate: on U J U^-1 with
+    integer Jordan blocks and on repeated companion blocks of irreducible
+    quadratics and cubics, coupled or not, as pencils T(sI - M) and
+    T(M - sI) with a leading matrix T carrying denominators."""
+
+    @given(st.integers(0, 2**32), st.sampled_from(["jordan", "quadratic", "cubic"]),
+           st.booleans(), st.sampled_from(["sA-B", "A-sB"]))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_exact_division(self, seed, kind, coupled, orientation):
+        rng = random.Random(seed)
+        if kind == "jordan":
+            M = conjugated_jordan(rng, rng.randint(1, 6), denominators=(1,))
+        else:
+            g = rng.choice(QUADRATICS if kind == "quadratic" else CUBICS)
+            copies = rng.randint(2, 3) if kind == "quadratic" else 2
+            d = g.degree()
+
+            def coupling():
+                return [[rng.randint(-1, 1) if coupled else 0 for _ in range(d)]
+                        for _ in range(d)]
+
+            U = unimodular(rng, d * copies)
+            M = U @ RatMatrix.from_rows(repeated_companion(companion(g), copies, coupling)) \
+                @ U.inverse()
+        n = M.rows
+        T = RatMatrix.diagonal([Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 4))
+                                for _ in range(n)]) @ unimodular(rng, n)
+        if orientation == "sA-B":
+            pencil = Pencil(T, T @ M, orientation)
+        else:
+            pencil = Pencil(T @ M, T, orientation)
+        assert _minor_divisibility(pencil) == minor_divisibility_by_exact_division(pencil)
+
+    @pytest.mark.parametrize("g", [QUADRATICS[0], CUBICS[1]])
+    @pytest.mark.parametrize("coupled", [False, True])
+    def test_repeated_irreducible(self, g, coupled):
+        # diag(C, C) is semisimple; [[C, I], [0, C]] has chains of length 2
+        d = g.degree()
+        M = RatMatrix.from_rows(repeated_companion(
+            companion(g), 2, lambda: [[int(coupled and i == j) for j in range(d)]
+                                      for i in range(d)]))
+        ok, witness = is_diagonalizable(M)
+        assert ok is not coupled
+        assert witness.records == ((g, 2, not coupled),)
+        assert witness == MinorDivisibility(
+            minor_divisibility_by_exact_division(Pencil.similarity(M)).records)
 
 
 class TestInertia:

@@ -374,10 +374,10 @@ def pencil_work(monkeypatch):
     isolations that `secular.matrices` runs, keyed by function name."""
     import secular.matrices as matrices
 
-    counts = {}
-    for name in ("det_pencil", "_int_adjugate_pencil", "sturm_isolate"):
+    counts = dict.fromkeys(("det_pencil", "_int_adjugate_pencil", "sturm_isolate"), 0)
+    for name in counts:
         def counted(*args, _name=name, _fn=getattr(matrices, name), **kwargs):
-            counts[_name] = counts.get(_name, 0) + 1
+            counts[_name] += 1
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(matrices, name, counted)
@@ -401,7 +401,7 @@ class TestPencilWorkDoneOnce:
         solve_modal(model, InitialConditions.of([1, 0, 0, 0], [0, 0, 0, 1]))
         assert classify_stability(model).corrected == "stable"
         frequency_poly_in_rho(model)
-        assert pencil_work == {"det_pencil": 1, "sturm_isolate": 1}
+        assert pencil_work == {"det_pencil": 1, "_int_adjugate_pencil": 0, "sturm_isolate": 1}
 
     def test_modal_inertia(self, monkeypatch):
         # solve_modal, char_roots and classify_stability all ask for the mass
@@ -439,6 +439,20 @@ class TestPencilWorkDoneOnce:
         sol = solve_modal(model, InitialConditions.of([1, 0, 0, 0], [0, 0, 0, 1]))
         assert sol.path == "float" and len(sol.modes) == 4
 
+    @pytest.mark.parametrize("rows, verdict", [
+        # the defective 4x4 matrix of the CI console-script step: chains of
+        # length 2 at the roots of the double square-free factor (x-2)(x-3)
+        ([[2, 1, 0, 0], [0, 2, 0, 1], [0, 0, 3, "1/2"], [0, 0, 0, 3]], False),
+        # diag(C, C) with C = [[1, 1], [1, 0]]: the double factor x^2 - x - 1
+        ([[1, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 1], [0, 0, 1, 0]], True),
+    ])
+    def test_diagonalizable_builds_no_adjugate(self, pencil_work, rows, verdict):
+        from secular.invariants import is_diagonalizable
+
+        ok, witness = is_diagonalizable(RatMatrix.from_rows(rows))
+        assert ok is verdict and len(witness.records) == 1
+        assert pencil_work == {"det_pencil": 1, "_int_adjugate_pencil": 0, "sturm_isolate": 0}
+
     def test_checked_pair(self, pencil_work):
         from secular.quadpairs import (
             QuadraticPair,
@@ -453,4 +467,5 @@ class TestPencilWorkDoneOnce:
         assert remarkable_circumstance_check(pair).ok
         assert theta_components(pair).path == "exact"
         assert spectral_decompose(pair.pencil()).path == "exact"
-        assert pencil_work == {"det_pencil": 1, "_int_adjugate_pencil": 1, "sturm_isolate": 1}
+        # the double root 1 reads its kernel, for the circumstance and for theta
+        assert pencil_work == {"det_pencil": 1, "_int_adjugate_pencil": 0, "sturm_isolate": 1}

@@ -228,9 +228,10 @@ class TestThetaComponents:
         with pytest.raises(PreconditionError, match="unknown arithmetic path 'bogus'"):
             theta_components(pair, path="bogus")
 
-    def test_negative_pair_builds_one_determinant_and_adjugate(self, monkeypatch):
+    def test_negative_pair_builds_one_determinant_and_no_adjugate(self, monkeypatch):
         # the circumstance check, the reduction and its verification all read
-        # the one pencil s*Phi - Psi of the pair, whatever the sign of Phi
+        # the one pencil s*Phi - Psi of the pair, whatever the sign of Phi,
+        # and the double root's kernel stands in for the adjugate
         import secular.matrices as matrices
 
         positive, _ = planted_pair(random.Random(5), 3, [2, 2, 5])
@@ -243,11 +244,11 @@ class TestThetaComponents:
                 return real(pencil)
 
             monkeypatch.setattr(matrices, name, counted)
-        assert remarkable_circumstance_check(pair).ok  # the double root reads the adjugate
+        assert remarkable_circumstance_check(pair).ok
         dec = theta_components(pair)
         assert dec.path == "exact"
         assert verify_theorem(dec, pair).ok
-        assert calls == {"det_pencil": 1, "_int_adjugate_pencil": 1}
+        assert calls == {"det_pencil": 1, "_int_adjugate_pencil": 0}
 
     def test_float_path_multiplicity_robust(self):
         # a double root and its 1e-6 perturbation give nearby decompositions
@@ -382,6 +383,23 @@ class TestResidue:
             if root.is_exact:
                 want = residue_by_integer_taylor(pencil, root.value, root.multiplicity)
                 assert _principal_part(pencil, root.value, root.multiplicity) == [want]
+
+    @given(st.integers(0, 2**32), st.integers(1, 5), st.sampled_from([1, -1]))
+    @settings(max_examples=40, deadline=None)
+    def test_kernel_theta_is_phi_residue_phi(self, seed, n, sign):
+        # planted spectra with repeated rational roots, Phi of either sign:
+        # theta read off the kernel at each root is Phi R Phi for the
+        # resolvent's one-term principal part R there
+        rng = random.Random(seed)
+        spectrum = [Fraction(rng.randint(-2, 2), rng.choice((1, 2, 3))) for _ in range(n)]
+        planted, _ = planted_pair(rng, n, spectrum)
+        pair = QuadraticPair.checked(planted.phi.scale(sign), planted.psi.scale(sign))
+        pencil = pair.pencil()
+        dec = theta_components(pair, path="exact")
+        assert sum(c.multiplicity for c in dec.components) == n
+        for c in dec.components:
+            terms = _principal_part(pencil, c.root.value, c.multiplicity)
+            assert [c.theta] == [pair.phi @ R @ pair.phi for R in terms]
 
     def test_float_rounds_as_derivatives(self):
         # irrational double roots (3 +- sqrt(5))/2, and a rational triple root
