@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -31,6 +32,8 @@ EXIT_PRECONDITION = 3
 EXIT_PATH = 4
 
 DEFAULT_TOLERANCE = 1e-9
+# a flag value such as -1/2, -1e0 or -.5, not an option
+_NEGATIVE_NUMBER = re.compile(r"-\.?[0-9]")
 
 
 def _provenance(algorithm: str, source: str) -> dict:
@@ -123,6 +126,18 @@ def _tolerance(text: str) -> float:
     if value < 0:
         raise argparse.ArgumentTypeError(f"must not be negative: {text!r}")
     return value
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reads a token such as -1/2, -1e0 or -.5 as a
+    flag's value: argparse itself takes a token that begins with "-" for an
+    option unless it is a plain negative decimal, so `--root -1/2` would
+    fail where `--root=-1/2` runs."""
+
+    def _parse_optional(self, arg_string):
+        if _NEGATIVE_NUMBER.match(arg_string):
+            return None
+        return super()._parse_optional(arg_string)
 
 
 def _pick_root(roots, args):
@@ -388,7 +403,7 @@ def _cmd_trajectory(args) -> str:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="secular",
         description="Exact-rational engine for symmetric matrix pencils and"
         " small-oscillation systems",

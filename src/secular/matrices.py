@@ -22,7 +22,8 @@ over Q (`secular.invariants` gives the argument).  One sampler,
 at a rational point: at the integers k they are the samples L*P(k) from
 which Newton interpolation in integers reads the adjugate, and the
 determinant unless P is tridiagonal (as a loaded string's is), when the
-three-term recurrence of its leading minors gives it; at an exact root
+three-term recurrence of its leading minors gives it (and, for a Jacobi
+pencil, counts its roots: `_minor_count`); at an exact root
 their elimination gives the nullspace, for eigenvectors and for the theta
 pieces of `secular.quadpairs`, with no Fraction matrix built; the
 float path rounds them once per entry, and `Pencil.evaluate` builds one
@@ -481,6 +482,40 @@ def det_pencil(pencil: "Pencil") -> Poly:
     return Poly(Fraction(c, scale) for c in coeffs)
 
 
+def _minor_count(pencil: "Pencil") -> Callable[[int, int], int] | None:
+    """The root counter of a Jacobi pencil, else None: for an "sA-B" pencil
+    with A diagonal with positive entries and B symmetric tridiagonal with
+    no zero below its diagonal (every loaded string), the number of roots
+    above m/d (d > 0) is the number of sign changes, zeros skipped, in the
+    leading minors f_0 = 1, f_1, .., f_n of (m/d)A - B (Cauchy 1829, Sturm
+    1829, Givens 1954).  They obey f_k = (x a_k - b_kk) f_(k-1)
+    - b_(k,k-1)^2 f_(k-2), so each f_k has k simple roots that strictly
+    interlace those of f_(k+1), and where f_k vanishes (k < n), f_(k-1) and
+    f_(k+1) have opposite signs, which skipping the zero keeps; at a root of
+    f_n the count is that of the roots strictly above it.  The minors come in
+    integers, F_k = d^k f_k of the integer models A', B':
+    F_k = (m A'_kk - d B'_kk) F_(k-1) - d^2 B'_(k,k-1)^2 F_(k-2).
+    """
+    _, (A, B) = pencil._int_model
+    n = pencil.size
+    if (pencil.orientation != "sA-B" or not _tridiagonal(B)
+            or any(x for i, row in enumerate(A) for j, x in enumerate(row) if i != j)
+            or any(A[k][k] <= 0 for k in range(n))
+            or any(B[k][k - 1] == 0 or B[k][k - 1] != B[k - 1][k] for k in range(1, n))):
+        return None
+    rows = [(A[k][k], B[k][k], B[k][k - 1] ** 2 if k else 0) for k in range(n)]
+
+    def count(m: int, d: int) -> int:
+        d2, f0, f1, positive, changes = d * d, 0, 1, True, 0
+        for a, b, c in rows:
+            f0, f1 = f1, (m * a - d * b) * f1 - d2 * c * f0
+            if f1 and (f1 > 0) != positive:
+                positive, changes = not positive, changes + 1
+        return changes
+
+    return count
+
+
 def adjugate_pencil(pencil: "Pencil") -> PolyMatrix:
     """Adjugate (transposed cofactors) of the characteristic matrix P with the
     standard (-1)^(i+j) signs, so that P @ adj(P) = det(P) * I as a
@@ -575,7 +610,8 @@ class Pencil(Record):
     # A cached_property writes the record's instance __dict__ beside the
     # fields; equality and hashing still see only A, B and the orientation.
     _char_poly = cached_property(lambda self: det_pencil(self))
-    _roots = cached_property(lambda self: {})  # width -> isolated roots
+    # (width numerator, width denominator) -> isolated roots
+    _roots = cached_property(lambda self: {})
     # (scale, integer entries) from `_int_adjugate_pencil`, read only in this
     # module; `adjugate_pencil` divides them out on each call
     _adjugate = cached_property(lambda self: _int_adjugate_pencil(self))
@@ -586,14 +622,17 @@ class Pencil(Record):
         return self._char_poly
 
     def roots(self, width=DEFAULT_WIDTH) -> list[RealRoot]:
-        """Real roots of `char_poly` isolated to `width`, once per width."""
+        """Real roots of `char_poly` isolated to `width`, once per width: a
+        Jacobi pencil counts them with its leading minors (`_minor_count`),
+        any other with the Sturm chain of its determinant."""
         width = Fraction(width)
-        if width not in self._roots:
+        key = width.numerator, width.denominator
+        if key not in self._roots:
             f = self.char_poly()
             if f.is_zero():
                 raise PreconditionError("singular pencil (determinant identically zero)")
-            self._roots[width] = sturm_isolate(f, width)
-        return list(self._roots[width])
+            self._roots[key] = sturm_isolate(f, width, _minor_count(self))
+        return list(self._roots[key])
 
     def _adjugate_taylor(self, s, count: int) -> tuple[int, list[list[int]]]:
         """(den, coeffs): at s = p/q, the Taylor coefficient of order

@@ -359,8 +359,6 @@ def solve_modal(
     q = v^T A V / v^T A v give amplitude E = sqrt(p^2 + (q/omega)^2) and
     phase atan2(p, q/omega).
     """
-    import numpy as np
-
     if ic.size != model.size or len(ic.velocities) != model.size:
         raise PreconditionError("initial conditions have the wrong dimension")
     sign = _mass_sign(model)
@@ -376,22 +374,27 @@ def solve_modal(
                 "negative squared frequency: the equilibrium is not"
                 " oscillatory (see the stability classifier)"
             )
-    exact = dec.path == "exact"
     A = pencil.A
-    Af = A.to_numpy()
-    Y = np.array([float(x) for x in ic.positions])
-    V = np.array([float(x) for x in ic.velocities])
+    if dec.path == "exact":  # numpy is loaded only on the float path
+        def project(v, nv):
+            return (float(_bilinear(A, v, ic.positions) / nv),
+                    float(_bilinear(A, v, ic.velocities) / nv))
+    else:
+        import numpy as np
+
+        Af = A.to_numpy()
+        Y = np.array([float(x) for x in ic.positions])
+        V = np.array([float(x) for x in ic.velocities])
+
+        def project(v, nv):
+            vf = np.array(v)
+            return float(vf @ Af @ Y) / float(nv), float(vf @ Af @ V) / float(nv)
+
     modes: list[Mode] = []
     drifts: list[DriftMode] = []
     for root, vectors, norms in zip(dec.roots, dec.vectors, dec.sq_norms):
         for v, nv in zip(vectors, norms):
-            if exact:
-                p = float(_bilinear(A, v, ic.positions) / nv)
-                q = float(_bilinear(A, v, ic.velocities) / nv)
-            else:
-                vf = np.array(v)
-                p = float(vf @ Af @ Y) / float(nv)
-                q = float(vf @ Af @ V) / float(nv)
+            p, q = project(v, nv)
             if root_sign(root) == 0:
                 drifts.append(DriftMode(v, nv, p, q))
                 continue

@@ -5,16 +5,23 @@ open isolating interval (lo, hi) with rational endpoints across which the
 square-free defining polynomial changes sign.  Multiplicities always refer to
 the original (possibly non-square-free) polynomial.
 
-Isolation uses Sturm's root-counting theorem.  The Sturm chain is the
-primitive pseudo-remainder sequence of `polynomials` on int lists, which
-keeps coefficient growth in check while preserving the sign structure the
-theorem needs.  The chain of p ends in gcd(p, p') up to a constant; when
-that is not a constant, Yun's decomposition over Z starts from it, and the
-chain of the square-free part it returns is the one isolated.  Every sign is
-taken in integers: the sign of p at n/d is that of d**deg * p(n/d), which
+Isolation bisects the Cauchy interval of the square-free part with a root
+counter: a function of n and d > 0 giving the number of roots above n/d up
+to a constant, so that its drop across (a, b] is the number of roots there.
+The default counter is Sturm's, the sign variations of the primitive
+pseudo-remainder sequence of `polynomials` on int lists, which keeps
+coefficient growth in check while preserving the sign structure the theorem
+needs.  The chain of p ends in gcd(p, p') up to a constant; when that is not
+a constant, Yun's decomposition over Z starts from it, and the chain of the
+square-free part it returns is the one counted.  A caller that knows a
+cheaper counter for a square-free p passes it instead, and no chain is
+built: `Pencil.roots` passes the sign changes of a Jacobi pencil's leading
+minors (`secular.matrices`), O(n) integer operations per point.  Every sign
+is taken in integers: the sign of p at n/d is that of d**deg * p(n/d), which
 homogeneous Horner computes without fractions.  Bisection keeps both
 endpoints as unreduced numerators over one denominator that doubles at each
-halving, so the endpoints are exactly those of Fraction bisection.
+halving, so the endpoints are exactly those of Fraction bisection, and the
+intervals come out in increasing order.
 
 Narrowing an isolating interval does not halve step by step.  Bisection
 stops at the first depth k where the interval is narrow enough, and its
@@ -23,21 +30,25 @@ interval; quadratic interval refinement (Abbott) finds that cell from
 secant guesses through integer endpoint values, each confirmed by two
 signs, so the endpoints are still bisection's, bit for bit.
 
-Rational roots are split off first.  A rational root p/q of the integer model
-has q dividing its leading coefficient lc, so it is m/lc for an integer m,
-and a cell narrower than 1/lc holds at most one such point: the first one
-at or after its left end decides whether its root is rational.  If none is,
-the final narrowing goes on from those cells, which lie on the same dyadic
-grid, so it lands on the cell bisection from the isolating interval reaches;
-a cell already narrower than the target width is reached from that interval
-instead.  If any are, the irrational roots are isolated afresh from the
-polynomial deflated by exact integer division, so bisection endpoints can
-never collide with them; a defensive nudge handles the case anyway.
+Each root is narrowed in one pass, which also splits off the rational
+roots.  A rational root p/q of the integer model has q dividing its leading
+coefficient lc, so it is m/lc for an integer m, and a cell narrower than
+1/lc holds at most one such point: refinement stops at the first depth
+where cells are that narrow, and the first such point at or after the
+cell's left end decides whether its root is rational.  If no root is,
+refinement goes on from that cell with the step size it had reached down
+to the target width, or, where the target depth is the shallower, the
+target cell is that cell's ancestor; either way it is the cell bisection
+from the isolating interval reaches.  If any is, the irrational roots are
+isolated afresh from the polynomial deflated by exact integer division,
+counted by the counter less the rational roots above the point, and each
+is narrowed until its interval holds no rational root, ends included.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property, partial
 
 from ._record import Record, replace
 from .errors import PreconditionError
@@ -87,12 +98,16 @@ class RealRoot(Record):
     def width(self) -> Fraction:
         return self.hi - self.lo
 
+    # the midpoint, built on first use
+    _approx = cached_property(
+        lambda self: self.value if self.kind == "exact" else (self.lo + self.hi) / 2)
+
     def approx(self) -> Fraction:
         """Rational representative: the value itself, or the midpoint."""
-        return self.value if self.is_exact else (self.lo + self.hi) / 2
+        return self._approx
 
     def as_float(self) -> float:
-        return float(self.approx())
+        return float(self._approx)
 
     def __repr__(self) -> str:
         if self.is_exact:
@@ -120,6 +135,7 @@ def _sign_at(cs: tuple[int, ...], n: int, d: int) -> int:
 
 
 def _variations(chain: list[tuple[int, ...]], n: int, d: int) -> int:
+    """Sturm's counter: the sign variations of the chain at n/d."""
     signs = [s for s in (_sign_at(q, n, d) for q in chain) if s]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
@@ -140,14 +156,15 @@ def _halve(cs, a, b, d):
     return a, m, b, d, s
 
 
-def _isolate(chain: list[tuple[int, ...]]) -> list[tuple[int, int, int]]:
+def _isolate(cs, count) -> list[tuple[int, int, int]]:
     """Isolating intervals (a, b, d), meaning (a/d, b/d), of every real root
-    of the square-free chain[0], from Sturm bisection of its Cauchy interval.
+    of the square-free integer polynomial cs, in increasing order, from
+    bisection of its Cauchy interval; count(n, d) is the number of roots of
+    cs above n/d up to a constant.
     """
-    cs = chain[0]
     bound = 1 + Fraction(max(abs(c) for c in cs[:-1]), cs[-1])
     n, d = bound.numerator, bound.denominator
-    stack = [(-n, n, d, _variations(chain, -n, d), _variations(chain, n, d))]
+    stack = [(-n, n, d, count(-n, d), count(n, d))]
     intervals = []
     while stack:
         a, b, d, va, vb = stack.pop()
@@ -155,13 +172,22 @@ def _isolate(chain: list[tuple[int, ...]]) -> list[tuple[int, int, int]]:
             intervals.append((a, b, d))
         elif va - vb > 1:
             a, m, b, d, _ = _halve(cs, a, b, d)
-            vm = _variations(chain, m, d)
-            stack.append((a, m, d, va, vm))
+            vm = count(m, d)
             stack.append((m, b, d, vm, vb))
+            stack.append((a, m, d, va, vm))
     return intervals
 
 
-def _qir(cs, a, b, d, k) -> tuple[int, int, int]:
+def _depth(a, b, d, width: Fraction, strict=False) -> int:
+    """The first depth k at which the cells of (a/d, b/d), b - a over
+    d * 2**k, are narrower than `width` (no wider, if strict)."""
+    # wide at depth j while x >= y * 2**j
+    x, y = (b - a) * width.denominator - strict, width.numerator * d
+    k = max(0, x.bit_length() - y.bit_length())
+    return k + (x >= y << k)
+
+
+def _qir(cs, a, b, d, k, state=None) -> tuple[int, int, int, int, int]:
     """The cell of depth k that bisection of the isolating interval (a/d,
     b/d) of the square-free integer polynomial cs reaches, found by
     quadratic interval refinement (Abbott 2014) on the same dyadic grid.
@@ -172,10 +198,14 @@ def _qir(cs, a, b, d, k) -> tuple[int, int, int]:
     success and halves, with one plain halving, on failure.  A grid point
     that is a root stops the search at the last cell confirmed, where
     bisection is still the same; the caller bisects on from there.
+
+    Returns the state (lo, depth, m, flo, fhi): the cell reached, the step
+    exponent m, and the values of cs at the cell's ends over its
+    denominator.  Passed back as `state` with a larger k, it goes on from
+    that cell as one pass would have.
     """
     span, deg = b - a, len(cs) - 1
-    lo, depth, m = a, 0, 2
-    flo, fhi = _value_at(cs, a, d), _value_at(cs, b, d)
+    lo, depth, m, flo, fhi = state or (a, 0, 2, _value_at(cs, a, d), _value_at(cs, b, d))
     while depth < k and flo and fhi:
         step = min(m, k - depth)
         n, grid, base = 1 << step, d << (depth + step), lo << step
@@ -208,7 +238,7 @@ def _qir(cs, a, b, d, k) -> tuple[int, int, int]:
         else:
             lo, flo, fhi = 2 * lo, flo << deg, fm
         depth += 1
-    return lo, lo + span, d << depth
+    return lo, depth, m, flo, fhi
 
 
 def _narrow(
@@ -230,51 +260,25 @@ def _narrow(
             a * q <= p * d <= b * q for p, q in apart
         )
 
-    # wide at depth j while x >= y * 2**j
-    x, y = (b - a) * wd - strict, wn * d
-    k = max(0, x.bit_length() - y.bit_length())
-    k += x >= y << k
-    a, b, d = _qir(cs, a, b, d, k)
-    lo_positive = _sign_at(cs, a, d) > 0
+    lo, depth, _, flo, _ = _qir(cs, a, b, d, _depth(a, b, d, width, strict))
+    a, b, d = lo, lo + b - a, d << depth
     while wide(a, b, d):
         a, m, b, d, s = _halve(cs, a, b, d)
-        if (s > 0) != lo_positive:
+        if (s > 0) != (flo > 0):
             b = m
         else:
             a = m
     return a, b, d
 
 
-def _rational_roots(cs, intervals) -> tuple[list[Fraction], list[tuple[int, int, int]]]:
-    """The rational roots of the square-free integer polynomial cs, given an
-    isolating interval for each of its real roots, and those intervals
-    narrowed below 1/lc (lc > 0 the leading coefficient).
-
-    A rational root p/q has q | lc, so it is m/lc for an integer m, and a
-    cell narrower than 1/lc holds at most one such point.  Bisection keeps
-    the root strictly inside the cell (a midpoint that lands on a root is
-    nudged), so the root is rational exactly when the first such point at
-    or after the left end, m = ceil(lc a/d), lies in the cell and is a root.
-    """
-    lc = cs[-1]
-    width = Fraction(1, lc)
-    roots, cells = [], []
-    for a, b, d in intervals:
-        a, b, d = _narrow(cs, a, b, d, width)
-        m = -(-lc * a // d)
-        if m * d <= lc * b and _sign_at(cs, m, lc) == 0:
-            roots.append(Fraction(m, lc))
-        cells.append((a, b, d))
-    return roots, cells
-
-
-def sturm_isolate(p: Poly, target_width=DEFAULT_WIDTH) -> list[RealRoot]:
+def sturm_isolate(p: Poly, target_width=DEFAULT_WIDTH, count=None) -> list[RealRoot]:
     """Isolate every distinct real root of p, sorted in increasing order.
 
     Rational roots come back exact; irrational ones as disjoint open
     intervals narrower than `target_width`.  Multiplicities are read off the
     square-free decomposition of p, which runs only when p has a repeated
-    factor.
+    factor.  `count`, given only for a square-free p, is a root counter (see
+    the module docstring) that stands in for the Sturm chain.
     """
     if p.is_zero():
         raise PreconditionError("root isolation of the zero polynomial")
@@ -283,60 +287,86 @@ def sturm_isolate(p: Poly, target_width=DEFAULT_WIDTH) -> list[RealRoot]:
         raise PreconditionError("isolation width must be positive")
     if p.degree() == 0:
         return []
-    # the Sturm chain of p ends in gcd(p, p') up to a constant: a constant
-    # means p is square-free; otherwise Yun starts from it, and the chain of
-    # p's square-free part w is the one to isolate
     _, cs = _primitive_ints(p)
-    chain = _prs(cs, _derivative(cs))
-    if len(chain[-1]) == 1:
-        parts = [(cs, p.monic(), 1)]
-    else:
-        cs, factors = _yun(cs, chain[-1])
-        parts = [(f, Poly(f).monic(), e) for f, e in factors]
+    parts = [(cs, p.monic(), 1)]
+    if count is None:
+        # the Sturm chain of p ends in gcd(p, p') up to a constant: a
+        # constant means p is square-free; otherwise Yun starts from it, and
+        # the chain of p's square-free part is the one to count
         chain = _prs(cs, _derivative(cs))
-
-    def factor_of_exact(r: Fraction) -> tuple[Poly, int]:
-        for fz, f, e in parts:
-            if _sign_at(fz, r.numerator, r.denominator) == 0:
-                return f, e
-        raise AssertionError("rational root lost during decomposition")
+        if len(chain[-1]) > 1:
+            cs, factors = _yun(cs, chain[-1])
+            parts = [(f, Poly(f).monic(), e) for f, e in factors]
+            chain = _prs(cs, _derivative(cs))
+        count = partial(_variations, chain)
 
     def factor_of_interval(a: int, b: int, d: int) -> tuple[Poly, int]:
+        if len(parts) == 1:
+            return parts[0][1:]
         for fz, f, e in parts:
             if (_sign_at(fz, a, d) > 0) != (_sign_at(fz, b, d) > 0):
                 return f, e
         raise AssertionError("isolated root lost during decomposition")
 
-    intervals = _isolate(chain)
-    exact_values, cells = _rational_roots(chain[0], intervals)
-    roots = [
-        RealRoot.exact(r, *factor_of_exact(r)) for r in exact_values
-    ]
+    # one refinement per root: to cells narrower than 1/lc, where its one
+    # rational candidate is tested
+    lc = cs[-1]
+    below_lc = Fraction(1, lc)
+    exact, cells = [], []
+    for a, b, d in _isolate(cs, count):
+        k = _depth(a, b, d, below_lc)
+        state = _qir(cs, a, b, d, k)
+        lo, depth = state[:2]
+        if depth == k:
+            cell = lo, lo + b - a, d << depth
+        else:  # a grid point is the root: bisection nudges past it
+            cell = _narrow(cs, a, b, d, below_lc)
+        m = -(-lc * cell[0] // cell[2])
+        if m * cell[2] <= lc * cell[1] and _sign_at(cs, m, lc) == 0:
+            exact.append(Fraction(m, lc))
+        else:
+            cells.append((a, b, d, state))
 
-    if exact_values:
-        # the printed intervals come from isolating what is left
-        deflated = chain[0]
-        for r in exact_values:
-            deflated = _exact_quo(deflated, [-r.numerator, r.denominator])
-        chain = _prs(deflated, _derivative(deflated))
-        intervals = _isolate(chain) if len(deflated) > 1 else []
-    else:
-        # no grid point is a root, so bisection goes on from a cell as it
-        # would from the interval; where a cell is already narrower than the
-        # target, bisection stops at one of its ancestors: start again
-        intervals = [
-            cell if Fraction(cell[1] - cell[0], cell[2]) >= target_width else start
-            for cell, start in zip(cells, intervals)
-        ]
-    # separate every interval (ends included) from the exact roots, so the
-    # defining factor is nonzero at both endpoints
-    exact = [(r.numerator, r.denominator) for r in exact_values]
-    for a, b, d in intervals:
-        a, b, d = _narrow(chain[0], a, b, d, target_width, apart=exact)
-        f, e = factor_of_interval(a, b, d)
-        roots.append(RealRoot.isolated(Fraction(a, d), Fraction(b, d), f, e))
+    roots = []
+    if not exact:
+        # no grid point is a root, so the target cell lies on the path this
+        # refinement took: below its cell, or above it for a wider target
+        for a, b, d, state in cells:
+            span, k = b - a, _depth(a, b, d, target_width)
+            lo, depth = state[:2]
+            if k > depth:
+                lo = _qir(cs, a, b, d, k, state)[0]
+            else:
+                lo = (a << k) + ((lo - (a << depth)) // span >> (depth - k)) * span
+            hi, d = lo + span, d << k
+            roots.append(RealRoot.isolated(Fraction(lo, d), Fraction(hi, d),
+                                           *factor_of_interval(lo, hi, d)))
+        return roots
 
-    return sorted(roots, key=lambda r: r.approx())
+    for r in exact:
+        for fz, f, e in parts:
+            if _sign_at(fz, r.numerator, r.denominator) == 0:
+                roots.append(RealRoot.exact(r, f, e))
+                break
+        else:
+            raise AssertionError("rational root lost during decomposition")
+    # the printed intervals come from isolating what is left; each is
+    # separated (ends included) from the exact roots, so the defining factor
+    # is nonzero at both endpoints
+    apart = [(r.numerator, r.denominator) for r in exact]
+    deflated = cs
+    for u, v in apart:
+        deflated = _exact_quo(deflated, [-u, v])
+
+    def count_left(n, d):
+        return count(n, d) - sum(1 for u, v in apart if u * d > n * v)
+
+    for a, b, d in _isolate(deflated, count_left) if len(deflated) > 1 else []:
+        a, b, d = _narrow(deflated, a, b, d, target_width, apart=apart)
+        roots.append(RealRoot.isolated(Fraction(a, d), Fraction(b, d),
+                                       *factor_of_interval(a, b, d)))
+    # disjoint, and clear of the exact roots: ordered by their left ends
+    return sorted(roots, key=lambda r: r.lo)
 
 
 def root_sign(root: RealRoot) -> int:
@@ -346,10 +376,11 @@ def root_sign(root: RealRoot) -> int:
     at 0 decides which side the root lies on (0 itself would have been
     reported exact)."""
     if root.is_exact:
-        return 0 if root.value == 0 else (1 if root.value > 0 else -1)
-    if root.lo >= 0:
+        v = root.value.numerator
+        return (v > 0) - (v < 0)
+    if root.lo.numerator >= 0:
         return 1
-    if root.hi <= 0:
+    if root.hi.numerator <= 0:
         return -1
     _, cs = _primitive_ints(root.poly)
     at_zero = _sign_at(cs, 0, 1)

@@ -41,7 +41,10 @@ coefficients of order mult - 1 of the integer adjugate over order mult of
 the determinant, with the lower orders required to vanish.  Rational roots keep
 their former reading: one `limit_denominator` candidate from an interval
 narrower than 1/(2 lc**2), and every final narrowing started from the
-isolating interval.  The small constructors and products the tests build
+isolating interval.  Root isolation keeps its Sturm-chain form from before
+Jacobi pencils counted roots by their leading minors: chain bisection,
+rational roots tested in cells narrowed below 1/lc, and a second narrowing
+from those cells or from the isolating interval.  The small constructors and products the tests build
 their inputs with live here too, outside the library.
 """
 
@@ -83,7 +86,7 @@ from secular.quadpairs import (
     ThetaDecomposition,
     theta_components,
 )
-from secular.realroots import DEFAULT_WIDTH, RealRoot, _isolate, _narrow, _sign_at
+from secular.realroots import DEFAULT_WIDTH, RealRoot, _halve, _narrow, _sign_at
 
 
 def poly_gcd_by_euclid(p: Poly, q: Poly) -> Poly:
@@ -1077,7 +1080,7 @@ def sturm_isolate_from_intervals(p: Poly, target_width=DEFAULT_WIDTH) -> list[Re
                 return f, e
         raise AssertionError("isolated root lost during decomposition")
 
-    intervals = _isolate(chain)
+    intervals = isolate_by_chain(chain)
     exact_values = rational_roots_by_limit_denominator(chain[0], intervals)
     roots = [
         RealRoot.exact(r, *factor_of_exact(r)) for r in exact_values
@@ -1089,7 +1092,126 @@ def sturm_isolate_from_intervals(p: Poly, target_width=DEFAULT_WIDTH) -> list[Re
         for r in exact_values:
             deflated = _exact_quo(deflated, [-r.numerator, r.denominator])
         chain = _prs(deflated, _derivative(deflated))
-        intervals = _isolate(chain) if len(deflated) > 1 else []
+        intervals = isolate_by_chain(chain) if len(deflated) > 1 else []
+    # separate every interval (ends included) from the exact roots, so the
+    # defining factor is nonzero at both endpoints
+    exact = [(r.numerator, r.denominator) for r in exact_values]
+    for a, b, d in intervals:
+        a, b, d = _narrow(chain[0], a, b, d, target_width, apart=exact)
+        f, e = factor_of_interval(a, b, d)
+        roots.append(RealRoot.isolated(Fraction(a, d), Fraction(b, d), f, e))
+
+    return sorted(roots, key=lambda r: r.approx())
+
+
+def _variations(chain: list[tuple[int, ...]], n: int, d: int) -> int:
+    signs = [s for s in (_sign_at(q, n, d) for q in chain) if s]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def isolate_by_chain(chain: list[tuple[int, ...]]) -> list[tuple[int, int, int]]:
+    """Isolating intervals (a, b, d), meaning (a/d, b/d), of every real root
+    of the square-free chain[0], from Sturm bisection of its Cauchy interval.
+    """
+    cs = chain[0]
+    bound = 1 + Fraction(max(abs(c) for c in cs[:-1]), cs[-1])
+    n, d = bound.numerator, bound.denominator
+    stack = [(-n, n, d, _variations(chain, -n, d), _variations(chain, n, d))]
+    intervals = []
+    while stack:
+        a, b, d, va, vb = stack.pop()
+        if va - vb == 1:
+            intervals.append((a, b, d))
+        elif va - vb > 1:
+            a, m, b, d, _ = _halve(cs, a, b, d)
+            vm = _variations(chain, m, d)
+            stack.append((a, m, d, va, vm))
+            stack.append((m, b, d, vm, vb))
+    return intervals
+
+
+def _rational_roots(cs, intervals) -> tuple[list[Fraction], list[tuple[int, int, int]]]:
+    """The rational roots of the square-free integer polynomial cs, given an
+    isolating interval for each of its real roots, and those intervals
+    narrowed below 1/lc (lc > 0 the leading coefficient).
+
+    A rational root p/q has q | lc, so it is m/lc for an integer m, and a
+    cell narrower than 1/lc holds at most one such point.  Bisection keeps
+    the root strictly inside the cell (a midpoint that lands on a root is
+    nudged), so the root is rational exactly when the first such point at
+    or after the left end, m = ceil(lc a/d), lies in the cell and is a root.
+    """
+    lc = cs[-1]
+    width = Fraction(1, lc)
+    roots, cells = [], []
+    for a, b, d in intervals:
+        a, b, d = _narrow(cs, a, b, d, width)
+        m = -(-lc * a // d)
+        if m * d <= lc * b and _sign_at(cs, m, lc) == 0:
+            roots.append(Fraction(m, lc))
+        cells.append((a, b, d))
+    return roots, cells
+
+
+def sturm_isolate_by_chain(p: Poly, target_width=DEFAULT_WIDTH) -> list[RealRoot]:
+    """`sturm_isolate` as it ran before Jacobi pencils counted roots with
+    their leading minors and each root was narrowed in one pass: Sturm-chain
+    bisection for every polynomial, rational roots tested in cells narrowed
+    below 1/lc, and a second narrowing to the target that starts from those
+    cells, or from the isolating interval where a cell is already narrower
+    than the target."""
+    if p.is_zero():
+        raise PreconditionError("root isolation of the zero polynomial")
+    target_width = Fraction(target_width)
+    if target_width <= 0:  # bisection would never stop
+        raise PreconditionError("isolation width must be positive")
+    if p.degree() == 0:
+        return []
+    # the Sturm chain of p ends in gcd(p, p') up to a constant: a constant
+    # means p is square-free; otherwise Yun starts from it, and the chain of
+    # p's square-free part w is the one to isolate
+    _, cs = _primitive_ints(p)
+    chain = _prs(cs, _derivative(cs))
+    if len(chain[-1]) == 1:
+        parts = [(cs, p.monic(), 1)]
+    else:
+        cs, factors = _yun(cs, chain[-1])
+        parts = [(f, Poly(f).monic(), e) for f, e in factors]
+        chain = _prs(cs, _derivative(cs))
+
+    def factor_of_exact(r: Fraction) -> tuple[Poly, int]:
+        for fz, f, e in parts:
+            if _sign_at(fz, r.numerator, r.denominator) == 0:
+                return f, e
+        raise AssertionError("rational root lost during decomposition")
+
+    def factor_of_interval(a: int, b: int, d: int) -> tuple[Poly, int]:
+        for fz, f, e in parts:
+            if (_sign_at(fz, a, d) > 0) != (_sign_at(fz, b, d) > 0):
+                return f, e
+        raise AssertionError("isolated root lost during decomposition")
+
+    intervals = isolate_by_chain(chain)
+    exact_values, cells = _rational_roots(chain[0], intervals)
+    roots = [
+        RealRoot.exact(r, *factor_of_exact(r)) for r in exact_values
+    ]
+
+    if exact_values:
+        # the printed intervals come from isolating what is left
+        deflated = chain[0]
+        for r in exact_values:
+            deflated = _exact_quo(deflated, [-r.numerator, r.denominator])
+        chain = _prs(deflated, _derivative(deflated))
+        intervals = isolate_by_chain(chain) if len(deflated) > 1 else []
+    else:
+        # no grid point is a root, so bisection goes on from a cell as it
+        # would from the interval; where a cell is already narrower than the
+        # target, bisection stops at one of its ancestors: start again
+        intervals = [
+            cell if Fraction(cell[1] - cell[0], cell[2]) >= target_width else start
+            for cell, start in zip(cells, intervals)
+        ]
     # separate every interval (ends included) from the exact roots, so the
     # defining factor is nonzero at both endpoints
     exact = [(r.numerator, r.denominator) for r in exact_values]

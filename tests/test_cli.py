@@ -181,6 +181,8 @@ DRIFT_SOLVE_JORDAN = (
 # root 2 and a negative definite pair.
 JORDAN_BLOCK_DOC = {"rows": 2, "cols": 2, "entries": ["2", "1", "0", "2"]}
 IDENTITY_DOC = {"rows": 2, "cols": 2, "entries": ["1", "0", "0", "1"]}
+# [[-1/2, 1], [0, 3]]: the eigenvalue -1/2 is exact
+NEGATIVE_ROOT_DOC = {"rows": 2, "cols": 2, "entries": ["-1/2", "1", "0", "3"]}
 REPEATED_PAIR_DOC = {
     "phi": {"rows": 3, "cols": 3, "entries": ["2", "1", "0", "1", "2", "0", "0", "0", "1"]},
     "psi": {"rows": 3, "cols": 3, "entries": ["4", "2", "0", "2", "4", "0", "0", "0", "3"]},
@@ -1025,6 +1027,7 @@ class TestNumpyFreeStartUp:
             ("inertia", NOTE23_DOC),
             ("elementary-divisors", TRIDIAGONAL_DOC),
             ("classify", SCENARIO_DOC),
+            ("solve", SCENARIO_DOC),
         ],
     )
     def test_exact_verbs_import_no_numpy(self, tmp_path, verb, doc):
@@ -1133,6 +1136,33 @@ class TestFlags:
             run([verb, "--input", path, flag, value])
         assert exc.value.code == 2
         assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "verb, doc, flag, value, code",
+        [("eigvec", NEGATIVE_ROOT_DOC, "--root", "-1/2", 0),
+         ("eigvec", NEGATIVE_ROOT_DOC, "--root", "-0.5", 0),
+         ("roots", TRIDIAGONAL_DOC, "--width", "-1/2", 2),
+         ("expm", JORDAN_BLOCK_DOC, "--time", "-1e0", 0),
+         ("expm", JORDAN_BLOCK_DOC, "--time", "-.5", 0),
+         ("weierstrass-reduce", REPEATED_PAIR_DOC, "--tolerance", "-1e-3", 2),
+         ("weierstrass-reduce", REPEATED_PAIR_DOC, "--tolerance", "-0e0", 0),
+         ("trajectory", SCENARIO_DOC, "--t-max", "-1e0", 3),
+         ("trajectory", SCENARIO_DOC, "--t-max", "-1/2", 2)],
+    )
+    def test_negative_value_reads_as_after_equals(self, tmp_path, capsys, verb, doc, flag,
+                                                  value, code):
+        # argparse takes "-1/2" or "-1e0" for an option unless told otherwise
+        def outcome(argv):
+            try:
+                status = run(argv)
+            except SystemExit as exc:
+                status = exc.code
+            return status, capsys.readouterr().out
+
+        path = write_json(tmp_path, "in.json", doc)
+        spaced = outcome([verb, "--input", path, flag, value])
+        assert spaced == outcome([verb, "--input", path, f"{flag}={value}"])
+        assert spaced[0] == code
 
     @pytest.mark.parametrize(
         "verb, flag",

@@ -1,9 +1,10 @@
 import math
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from secular import polynomials, realroots
@@ -23,6 +24,7 @@ from oracles import (
     bisect_narrow,
     poly_from_roots,
     sturm_chain_by_divmod,
+    sturm_isolate_by_chain,
     sturm_isolate_from_intervals,
 )
 
@@ -401,7 +403,7 @@ def _squarefree_case(rng):
 
 
 def _intervals(cs):
-    return realroots._isolate(_prs(cs, _derivative(cs)))
+    return realroots._isolate(cs, partial(realroots._variations, _prs(cs, _derivative(cs))))
 
 
 def _wider_than(width, strict):
@@ -480,7 +482,12 @@ class TestQuadraticRefinement:
         for cs in [(-2, 0, 1), CLUSTER, (-5, 3, 0, 1)]:
             for a, b, d in _intervals(cs):
                 expected = bisect_narrow(cs, a, b, d, lambda _a, _b, dk: dk < d << k)
-                assert realroots._qir(cs, a, b, d, k) == expected
+                lo, depth = realroots._qir(cs, a, b, d, k)[:2]
+                assert (lo, lo + b - a, d << depth) == expected
+                # a pass stopped halfway and resumed lands on the same cell
+                halfway = realroots._qir(cs, a, b, d, k // 2)
+                lo, depth = realroots._qir(cs, a, b, d, k, halfway)[:2]
+                assert (lo, lo + b - a, d << depth) == expected
 
     def test_grid_root_hands_over_to_bisection(self, halvings):
         # (x - 3/4)(x^2 - 2) has the grid point 3/4 of (0, 4)/4 as a root
@@ -745,11 +752,92 @@ class TestRationalRootsBelowOneOverLc:
                 assert root_fields(sturm_isolate(p, width)) == root_fields(
                     sturm_isolate_from_intervals(p, width))
 
-    def test_one_candidate_per_cell(self):
+    def test_one_candidate_per_cell(self, monkeypatch):
         # 1/lc = 1/6: the root 5/6 and the root sqrt(29)/6 of 36x^2 - 29,
-        # 0.064 away from it, are told apart in cells below 1/6
-        cs = tuple(_primitive_ints(P(-5, 6) * P(-29, 0, 36))[1])
-        exact, cells = realroots._rational_roots(cs, _intervals(cs))
-        assert exact == [Fraction(5, 6)]
-        assert len(cells) == 3
-        assert all(Fraction(b - a, d) < Fraction(1, 6) for a, b, d in cells)
+        # 0.064 away from it, are told apart in cells below 1/6, where each
+        # of the three roots has one candidate m/6
+        p = P(-5, 6) * P(-29, 0, 36)
+        cs = tuple(_primitive_ints(p)[1])
+        candidates = []
+        sign_at = realroots._sign_at
+        monkeypatch.setattr(realroots, "_sign_at", lambda q, n, d: (
+            d == cs[-1] and candidates.append(Fraction(n, d))) or sign_at(q, n, d))
+        roots = sturm_isolate(p, 1)
+        assert [r.kind for r in roots] == ["isolated", "exact", "isolated"]
+        assert roots[1].value == Fraction(5, 6)
+        assert len(candidates) == 3 and Fraction(5, 6) in candidates
+
+
+# similarity pencil of [[-2, 2, 0], [2, -2, -1], [0, -1, -2]]: the leading
+# minor f_2 = s(s + 4) vanishes at 0, the midpoint of the Cauchy interval
+# (-8, 8), and -2 is a rational root beside two irrational ones
+ZERO_MINOR = [[-2, 2, 0], [2, -2, -1], [0, -1, -2]]
+# [[2, 1, 0], [1, 2, 1], [0, 1, 2]]: the roots 2 and 2 +- sqrt(2)
+MIXED_ROOTS = [[2, 1, 0], [1, 2, 1], [0, 1, 2]]
+PENCIL_KINDS = ["jacobi", "zero-sub", "full-A", "indefinite-A", "A-sB"]
+ENTRY = st.one_of(st.integers(-6, 6), st.builds(Fraction, st.integers(-12, 12), st.integers(1, 4)))
+POSITIVE = st.one_of(st.integers(1, 6), st.builds(Fraction, st.integers(1, 12), st.integers(1, 4)))
+
+
+@st.composite
+def tridiagonal_pencils(draw):
+    """(kind, pencil): an "sA-B" pencil with A diagonal and positive and B
+    symmetric tridiagonal with nonzero sub-diagonal ("jacobi"), or one
+    that breaks one of those conditions; sizes 1..10, entries integer or
+    rational."""
+    kind = draw(st.sampled_from(PENCIL_KINDS))
+    n = draw(st.integers(1, 10))
+    a = [Fraction(draw(POSITIVE)) for _ in range(n)]
+    diag = [Fraction(draw(ENTRY)) for _ in range(n)]
+    sub = [Fraction(draw(ENTRY.filter(bool))) for _ in range(n - 1)]
+    if kind == "zero-sub" and n > 1:
+        sub[draw(st.integers(0, n - 2))] = Fraction(0)
+    if kind == "indefinite-A":
+        a[draw(st.integers(0, n - 1))] *= -1
+    A = [[a[i] if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+    B = [[diag[i] if i == j else sub[min(i, j)] if abs(i - j) == 1 else Fraction(0)
+          for j in range(n)] for i in range(n)]
+    if kind == "full-A" and n > 1:
+        A[0][1] = A[1][0] = Fraction(draw(ENTRY.filter(bool)))
+    # "A-sB": the same matrices, with the characteristic matrix A - sB
+    return kind, Pencil(RatMatrix.from_rows(A), RatMatrix.from_rows(B),
+                        "A-sB" if kind == "A-sB" else "sA-B")
+
+
+class TestMinorCountAgainstChain:
+    """`Pencil.roots` counts a Jacobi pencil's roots with its leading minors
+    and narrows each root in one pass; every field of every root must be
+    the one Sturm-chain bisection, the rational test in cells below 1/lc
+    and a second narrowing gave."""
+
+    @given(tridiagonal_pencils(), st.sampled_from(
+        [Fraction(3), Fraction(1), Fraction(1, 1000), Fraction(1, 10**30)]))
+    @example(("jacobi", Pencil.similarity(RatMatrix.from_rows(ZERO_MINOR))), Fraction(1, 10**30))
+    @example(("jacobi", Pencil.similarity(RatMatrix.from_rows(ZERO_MINOR))), Fraction(3))
+    @example(("jacobi", Pencil.similarity(RatMatrix.from_rows(MIXED_ROOTS))), Fraction(1, 1000))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_chain_route(self, case, width):
+        from secular.matrices import _minor_count
+
+        kind, pencil = case
+        f = pencil.char_poly()
+        assume(not f.is_zero())
+        jacobi = kind == "jacobi" or (pencil.size == 1 and kind in ("zero-sub", "full-A"))
+        assert (_minor_count(pencil) is not None) == jacobi
+        assert root_fields(pencil.roots(width)) == root_fields(sturm_isolate_by_chain(f, width))
+
+    @pytest.mark.parametrize("rows", [ZERO_MINOR, MIXED_ROOTS])
+    def test_rational_root_beside_irrational_ones(self, rows):
+        roots = Pencil.similarity(RatMatrix.from_rows(rows)).roots()
+        assert [r.kind for r in roots] == ["isolated", "exact", "isolated"]
+        assert roots[1].value == (-2 if rows is ZERO_MINOR else 2)
+
+    def test_counter_counts_roots_above(self):
+        # f_2 vanishes at 0; at the root -2 only the roots above it count
+        from secular.matrices import _minor_count
+
+        pencil = Pencil.similarity(RatMatrix.from_rows(ZERO_MINOR))
+        count = _minor_count(pencil)
+        roots = sorted(float(r.approx()) for r in pencil.roots())
+        for m, d in [(-9, 1), (-2, 1), (0, 1), (-1, 3), (5, 2), (9, 1)]:
+            assert count(m, d) == sum(1 for r in roots if r > m / d)

@@ -388,7 +388,9 @@ class TestPencilWorkDoneOnce:
     """A model or pair hands out one pencil, and the pencil computes its
     determinant, roots and adjugate once however many callers read them."""
 
-    def test_modal_model(self, pencil_work):
+    def test_modal_model(self, pencil_work, monkeypatch):
+        import secular.polynomials as polynomials
+        import secular.realroots as realroots
         from secular.oscillate import (
             InitialConditions,
             build_model,
@@ -397,11 +399,38 @@ class TestPencilWorkDoneOnce:
             solve_modal,
         )
 
+        # a string's pencil counts its roots by its leading minors: no
+        # pseudo-remainder sequence is built
+        chains = []
+        for module in (polynomials, realroots):
+            monkeypatch.setattr(module, "_prs", lambda *args, _prs=module._prs: (
+                chains.append(args) or _prs(*args)))
         model = build_model("loaded-string", {"n": 4, "a": 1})
         solve_modal(model, InitialConditions.of([1, 0, 0, 0], [0, 0, 0, 1]))
         assert classify_stability(model).corrected == "stable"
         frequency_poly_in_rho(model)
         assert pencil_work == {"det_pencil": 1, "_int_adjugate_pencil": 0, "sturm_isolate": 1}
+        assert len(chains) == 0
+
+    def test_string_root_refined_in_one_pass(self, monkeypatch):
+        # each irrational root of the 12-mass string starts one quadratic
+        # refinement, which the rational test pauses and the target width
+        # resumes; no root is narrowed twice from its isolating interval
+        import secular.realroots as realroots
+        from secular.oscillate import build_model
+
+        starts, resumes = [], []
+        qir = realroots._qir
+
+        def counted(cs, a, b, d, k, state=None):
+            (resumes if state else starts).append((a, b, d))
+            return qir(cs, a, b, d, k, state)
+
+        monkeypatch.setattr(realroots, "_qir", counted)
+        roots = build_model("loaded-string", {"n": 12, "a": Fraction(3, 2)}).pencil().roots()
+        assert len(roots) == 12 and not any(r.is_exact for r in roots)
+        assert len(starts) == 12 and len(set(starts)) == 12
+        assert sorted(resumes) == sorted(starts)
 
     def test_modal_inertia(self, monkeypatch):
         # solve_modal, char_roots and classify_stability all ask for the mass
