@@ -11,7 +11,6 @@ the algorithm and its historical source label, plus the arithmetic path
 from __future__ import annotations
 
 import argparse
-import math
 import re
 import sys
 from fractions import Fraction
@@ -100,24 +99,19 @@ def _positive_rational(text: str) -> Fraction:
 
 def _finite_float(text: str) -> float:
     """argparse type for --time and --t-max, and under --tolerance: a finite
-    floating-point number, in ASCII with no "_" separators as a rational
-    (`io.parse_fraction`)."""
+    floating-point number (`io._number`)."""
     try:
-        value = float(sio._plain_literal(text))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite: {text!r}")
-    return value
+        return sio._number(text, float)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
 
 
 def _integer(text: str) -> int:
-    """argparse type for --t-steps and --root-index: an integer in ASCII
-    digits with no "_" separators."""
+    """argparse type for --t-steps and --root-index: an integer (`io._number`)."""
     try:
-        return int(sio._plain_literal(text))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+        return sio._number(text, int)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
 
 
 def _tolerance(text: str) -> float:

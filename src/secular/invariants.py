@@ -42,7 +42,7 @@ from math import gcd as int_gcd
 
 from ._record import Record
 from .errors import InternalError, PreconditionError
-from .matrices import Pencil, PolyMatrix, RatMatrix, _bareiss_step, _integer_model, _rref
+from .matrices import Pencil, PolyMatrix, RatMatrix, _bareiss_step, _rref
 from .polynomials import (
     Poly,
     _mul,
@@ -272,7 +272,7 @@ def is_diagonalizable(P: Pencil | RatMatrix) -> tuple[bool, MinorDivisibility]:
     """
     if isinstance(P, RatMatrix):
         P = Pencil.similarity(P)
-    if P.orientation != "sA-B" or P.A != RatMatrix.identity(P.size):
+    if P != Pencil.similarity(P.B):
         raise PreconditionError(
             "diagonalizability test expects the pencil lambda*I - A"
         )
@@ -298,7 +298,7 @@ def inertia(M: RatMatrix) -> InertiaReport:
 
 
 def _inertia(M: RatMatrix) -> tuple[int, int, int, str]:
-    """One symmetric Bareiss pass (Math. Comp. 1968) on the integer model of
+    """One symmetric Bareiss pass (Math. Comp. 1968) on the integer rows of
     M.  Each pivot is a leading minor of the form reached so far, so its
     sign against the pivot before counts one positive or one negative square
     (Jacobi; Sylvester's law of inertia).  A zero pivot trades places with a
@@ -310,7 +310,7 @@ def _inertia(M: RatMatrix) -> tuple[int, int, int, str]:
     """
     if not M.is_symmetric():
         raise PreconditionError("inertia requires a symmetric matrix")
-    _L, (m,) = _integer_model(M)
+    m = M._int_rows()
     signs = [0, 0]  # positive, negative squares
     prev, k, plain = 1, 0, True
     while k < len(m):

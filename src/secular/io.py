@@ -101,26 +101,40 @@ def matrix_to_doc(M: RatMatrix) -> dict:
     return doc
 
 
-def _dimension(value: Any) -> int:
-    # int() would truncate 2.5 and overflow on 1e400 (inf)
-    if isinstance(value, float) and not value.is_integer():
-        raise ParseError(f"matrix rows and cols must be integers, not {value!r}")
-    return int(value)
+def _number(value: Any, kind: type) -> int | float:
+    """A number of the CLI's number flags or of a document field outside
+    `entries` (rows, cols, steps, t_max), read by `kind`, int or float: a
+    JSON number or a string in ASCII with no "_" separators, never a
+    boolean, integral for int (int() truncates 2.5) and finite for float;
+    else ValueError, or TypeError for a value of another type."""
+    if isinstance(value, bool):
+        raise ValueError(f"{value!r} is not a number")
+    if isinstance(value, str):
+        _plain_literal(value)
+    elif kind is int and isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value!r} is not an integer")
+    number = kind(value)
+    if kind is float and not math.isfinite(number):
+        raise ValueError(f"{value!r} is not finite")
+    return number
 
 
 def matrix_from_doc(doc: Any) -> RatMatrix:
     if not isinstance(doc, dict):
         raise ParseError("matrix document must be an object")
     try:
-        rows, cols = _dimension(doc["rows"]), _dimension(doc["cols"])
-        entries = doc["entries"]
-    except (KeyError, TypeError, ValueError) as exc:
+        rows, cols, entries = doc["rows"], doc["cols"], doc["entries"]
+    except KeyError as exc:
         raise ParseError(f"malformed matrix document: {exc}") from None
+    try:
+        rows, cols = _number(rows, int), _number(cols, int)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"matrix rows and cols must be integers: {exc}") from None
     if rows < 0 or cols < 0:
         raise ParseError("matrix rows and cols must not be negative")
     if not isinstance(entries, list) or len(entries) != rows * cols:
         raise ParseError("matrix entries do not match rows*cols")
-    M = RatMatrix(rows, cols, tuple(parse_fraction(v) for v in entries))
+    M = RatMatrix.from_entries(rows, cols, [parse_fraction(v) for v in entries])
     if doc.get("symmetric") and not M.is_symmetric():
         raise ParseError("matrix flagged symmetric but is not")
     return M
@@ -175,18 +189,18 @@ def scenario_from_doc(
     if "initial" in doc:
         raw = doc["initial"]
         try:
-            ic = InitialConditions.of(
-                [parse_fraction(v) for v in raw["positions"]],
-                [parse_fraction(v) for v in raw["velocities"]],
-            )
+            vectors = raw["positions"], raw["velocities"]
+            if not all(isinstance(v, list) for v in vectors):
+                raise TypeError("positions and velocities must be arrays")
+            ic = InitialConditions.of(*[[parse_fraction(x) for x in v] for v in vectors])
         except (KeyError, TypeError) as exc:
             raise ParseError(f"malformed initial conditions: {exc}") from None
         if ic.size != model.size or len(ic.velocities) != model.size:
             raise ParseError("initial conditions have the wrong dimension")
     grid_spec = doc.get("t_grid", {"t_max": 10.0, "steps": 200})
     try:
-        times = time_grid(float(grid_spec["t_max"]), int(grid_spec["steps"]))
-    except (KeyError, TypeError, ValueError) as exc:
+        times = time_grid(_number(grid_spec["t_max"], float), _number(grid_spec["steps"], int))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed t_grid: {exc}") from None
     return model, ic, times
 

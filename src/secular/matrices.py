@@ -1,39 +1,39 @@
 """Exact rational matrices, polynomial matrices and pencils.
 
-`RatMatrix` holds Fraction entries, `PolyMatrix` `Poly` entries.  A `Pencil`
+A `RatMatrix` is integers over one denominator: `nums`, row-major, over
+`den`, in lowest terms (den > 0, gcd(den, *nums) = 1), so that equality and
+hashing compare canonical integers.  Rationals enter it once, through
+`polynomials._over_lcm`; every kernel computes on the integers and returns
+its (d, integers), brought to lowest terms by one gcd chain; `entries`,
+`entry`, `row`, `col`, `to_rows` and `to_numpy` build Fractions or floats
+from them on each read.  `PolyMatrix` holds `Poly` entries.  A `Pencil`
 packages a matrix couple (A, B) with its orientation: "sA-B" (determinant in
-s of s*A - B) or "A-sB" (of A - s*B, such as A - xI).  Elimination runs in
-integers on an integer model (one common denominator L), which each matrix
-builds once and keeps; several matrices rescale theirs to the lcm of their
-L, and the eliminations, which run in place, get fresh copies: Bareiss for
-determinants, fraction-free Gauss-Jordan on [M | I] for inverses and
-adjugates, and a symmetric Bareiss pass with swaps and Lagrange's add step
-for inertia (`secular.invariants`).  A pencil computes its determinant, real
-roots (per width), integer adjugate and integer model once, on first use.
-The integer adjugate is what interpolation produces: one scale L^(n-1) and
-n^2 lists of n integer coefficients, so adj P = entries / scale; other
-modules read it only through `Pencil._adjugate_taylor` (Taylor coefficients
-at a rational point), and a `PolyMatrix` is built only when
-`adjugate_pencil` is called.  Whether a factor's power divides the adjugate
-is not read off it but off a kernel: `Pencil._factor_rows` writes the
-characteristic matrix at the roots of a square-free factor as integer rows
-over Q (`secular.invariants` gives the argument).  One sampler,
-`Pencil._numerators`, gives the integer rows of its characteristic matrix P
-at a rational point: at the integers k they are the samples L*P(k) from
+s of s*A - B) or "A-sB" (of A - s*B, such as A - xI).  It reads the
+orientation once, into its integer model (L, X, Y) with characteristic
+matrix P(s) = (s*X + Y) / L, and every pencil kernel reads that form.
+Eliminations run in place on fresh integer rows: Bareiss for determinants,
+fraction-free Gauss-Jordan on [M | I] for inverses and adjugates, and a
+symmetric Bareiss pass with swaps and Lagrange's add step for inertia
+(`secular.invariants`).  A pencil computes its determinant, real roots (per
+width), integer adjugate and integer model once, on first use.  The integer
+adjugate is what interpolation produces: one scale L^(n-1) and n^2 lists of
+n integer coefficients, so adj P = entries / scale; other modules read it
+only through `Pencil._adjugate_taylor` (Taylor coefficients at a rational
+point), and a `PolyMatrix` is built only when `adjugate_pencil` is called.
+Whether a factor's power divides the adjugate is not read off it but off a
+kernel: `Pencil._factor_rows` writes the characteristic matrix at the roots
+of a square-free factor as integer rows over Q (`secular.invariants` gives
+the argument).  One sampler, `Pencil._numerators`, gives the integer rows of
+P at a rational point: at the integers k they are the samples L*P(k) from
 which Newton interpolation in integers reads the adjugate, and the
 determinant unless P is tridiagonal (as a loaded string's is), when the
 three-term recurrence of its leading minors gives it (and, for a Jacobi
-pencil, counts its roots: `_minor_count`); at an exact root
-their elimination gives the nullspace, for eigenvectors and for the theta
-pieces of `secular.quadpairs`, with no Fraction matrix built; the
-float path rounds them once per entry, and `Pencil.evaluate` builds one
-Fraction per entry.  The adjugate of a matrix M
-is the constant term of that of the pencil sI + M, over its scale.  Matrix
-and matrix-vector products, linear combinations and bilinear forms v^T B w
-run on integer models (`polynomials._over_lcm`) too, with integer dot
-products and one division per entry; no other module reads a matrix's
-integer model.  Leading principal minors are the pivots of one Bareiss
-pass.  Entry tuples are built from lists: CPython sizes a tuple built from
+pencil, counts its roots: `_minor_count`); at an exact root their
+elimination gives the nullspace, for eigenvectors and for the theta pieces
+of `secular.quadpairs`; the float path rounds them once per entry.  The
+adjugate of a matrix M is the constant term of that of the pencil sI + M,
+over its scale.  Leading principal minors are the pivots of one Bareiss
+pass.  Integer tuples are built from lists: CPython sizes a tuple built from
 a generator by a guess and shrinks it, and the freed block then stays on the
 free list of the smaller size; over 250 rounds of the exact-structure
 benchmark such blocks held about 0.7 MB.
@@ -71,36 +71,49 @@ __all__ = [
 Vector = tuple[Fraction, ...]
 
 
-def _as_fraction_rows(rows: Iterable[Iterable]) -> list[list[Fraction]]:
-    return [[Fraction(v) for v in row] for row in rows]
-
-
 class RatMatrix(Record):
-    """Immutable rational matrix, row-major entries."""
+    """Immutable rational matrix: the integers `nums`, row-major, over one
+    denominator `den`, in lowest terms (den > 0, gcd(den, *nums) = 1)."""
 
     rows: int
     cols: int
-    entries: tuple[Fraction, ...]
+    den: int
+    nums: tuple[int, ...]
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def _lowest(cls, rows: int, cols: int, d: int, nums: list[int]) -> "RatMatrix":
+        """The matrix nums / d (d > 0) in lowest terms, by one gcd chain."""
+        g = int_gcd(d, *nums)
+        if g != 1:
+            d //= g
+            nums = [v // g for v in nums]
+        return cls(rows, cols, d, tuple(nums))
+
+    @classmethod
+    def from_entries(cls, rows: int, cols: int, entries: Iterable) -> "RatMatrix":
+        """The rows x cols matrix of rational entries, row-major, in lowest
+        terms over the lcm of their denominators (`_over_lcm`)."""
+        L, nums = _over_lcm([v if isinstance(v, (int, Fraction)) else Fraction(v)
+                             for v in entries])
+        return cls(rows, cols, L, tuple(nums))
+
+    @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "RatMatrix":
-        data = _as_fraction_rows(rows)
-        ncols = len(data[0]) if data else 0
-        if any(len(r) != ncols for r in data):
+        rows = list(rows)
+        ncols = len(rows[0]) if rows else 0
+        if any(len(r) != ncols for r in rows):
             raise PreconditionError("ragged matrix rows")
-        return cls(len(data), ncols, tuple([v for r in data for v in r]))
+        return cls.from_entries(len(rows), ncols, [v for r in rows for v in r])
 
     @classmethod
     def identity(cls, n: int) -> "RatMatrix":
-        return cls.from_rows(
-            [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        )
+        return cls(n, n, 1, tuple([int(i == j) for i in range(n) for j in range(n)]))
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "RatMatrix":
-        return cls(rows, cols, (Fraction(0),) * (rows * cols))
+        return cls(rows, cols, 1, (0,) * (rows * cols))
 
     @classmethod
     def diagonal(cls, values: Sequence) -> "RatMatrix":
@@ -109,26 +122,37 @@ class RatMatrix(Record):
             [[values[i] if i == j else 0 for j in range(n)] for i in range(n)]
         )
 
-    # -- access --------------------------------------------------------------
+    # -- access: Fractions built from (den, nums) on each read ----------------
+
+    @property
+    def entries(self) -> Vector:
+        return tuple([Fraction(v, self.den) for v in self.nums])
 
     def entry(self, i: int, j: int) -> Fraction:
-        return self.entries[i * self.cols + j]
+        return Fraction(self.nums[i * self.cols + j], self.den)
 
     def row(self, i: int) -> Vector:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
+        d, n = self.den, self.cols
+        return tuple([Fraction(v, d) for v in self.nums[i * n : (i + 1) * n]])
 
     def col(self, j: int) -> Vector:
-        return tuple([self.entries[i * self.cols + j] for i in range(self.rows)])
+        return tuple([Fraction(v, self.den) for v in self.nums[j :: self.cols]])
 
     def to_rows(self) -> list[list[Fraction]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
     def to_numpy(self) -> np.ndarray:
+        """One correctly rounded integer division per entry, as float(Fraction)."""
         import numpy as np
 
-        return np.array(
-            [[float(self.entry(i, j)) for j in range(self.cols)] for i in range(self.rows)]
-        ).reshape(self.rows, self.cols)
+        d = self.den
+        return np.array([[v / d for v in row] for row in self._int_rows()]).reshape(
+            self.rows, self.cols)
+
+    def _int_rows(self, c: int = 1) -> list[list[int]]:
+        """The rows of c * den * self as fresh integer lists, for eliminations."""
+        n, nums = self.cols, self.nums
+        return [[c * v for v in nums[i * n : (i + 1) * n]] for i in range(self.rows)]
 
     @property
     def is_square(self) -> bool:
@@ -137,75 +161,54 @@ class RatMatrix(Record):
     @cached_property
     def _symmetric(self) -> bool:
         # stored in the instance __dict__, which equality and hashing ignore
+        n, nums = self.cols, self.nums
         return self.is_square and all(
-            self.entry(i, j) == self.entry(j, i)
-            for i in range(self.rows)
-            for j in range(i + 1, self.cols)
+            nums[i * n + j] == nums[j * n + i] for i in range(n) for j in range(i + 1, n)
         )
 
     def is_symmetric(self) -> bool:
         """Compared entry by entry on the first call only."""
         return self._symmetric
 
-    @cached_property
-    def _int_model(self) -> tuple[int, list[list[int]]]:
-        # L, the lcm of the entry denominators, and the integer rows of L*self,
-        # built once and only read: eliminations take `_integer_model`'s copies
-        L, flat = _over_lcm(self.entries)
-        return L, [flat[i * self.cols : (i + 1) * self.cols] for i in range(self.rows)]
-
-    # -- arithmetic ------------------------------------------------------------
-
-    def map(self, fn: Callable[[Fraction], Fraction]) -> "RatMatrix":
-        return RatMatrix(self.rows, self.cols, tuple([fn(v) for v in self.entries]))
+    # -- arithmetic: integers over one denominator ------------------------------
 
     def scale(self, c) -> "RatMatrix":
         c = Fraction(c)
-        return self.map(lambda v: c * v)
+        return RatMatrix._lowest(self.rows, self.cols, self.den * c.denominator,
+                                 [c.numerator * v for v in self.nums])
 
     def __neg__(self) -> "RatMatrix":
-        return self.scale(-1)
+        return RatMatrix(self.rows, self.cols, self.den, tuple([-v for v in self.nums]))
 
     def __add__(self, other: "RatMatrix") -> "RatMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise PreconditionError("matrix shape mismatch in addition")
-        return RatMatrix(
-            self.rows,
-            self.cols,
-            tuple([a + b for a, b in zip(self.entries, other.entries)]),
-        )
+        return _linear_combination((1, 1), (self, other))
 
     def __sub__(self, other: "RatMatrix") -> "RatMatrix":
-        return self + (-other)
+        return _linear_combination((1, -1), (self, other))
 
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
-        """Integer dot products of the integer models L1*self and L2*other,
-        each divided once by L1*L2."""
+        """Integer dot products of the numerators, over the product of the
+        denominators."""
         if self.cols != other.rows:
             raise PreconditionError("matrix shape mismatch in product")
-        L1, a = self._int_model
-        L2, b = other._int_model
-        d = L1 * L2
-        cols = [[row[j] for row in b] for j in range(other.cols)]
-        return RatMatrix(self.rows, other.cols, tuple([
-            Fraction(sum(map(mul, row, col)), d) for row in a for col in cols
-        ]))
+        b, n = other.nums, other.cols
+        cols = [b[j::n] for j in range(n)]
+        return RatMatrix._lowest(self.rows, n, self.den * other.den, [
+            sum(map(mul, row, col)) for row in self._int_rows() for col in cols
+        ])
 
     def transpose(self) -> "RatMatrix":
-        return RatMatrix(
-            self.cols,
-            self.rows,
-            tuple([self.entry(i, j) for j in range(self.cols) for i in range(self.rows)]),
-        )
+        nums, n = self.nums, self.cols
+        return RatMatrix(self.cols, self.rows, self.den,
+                         tuple([v for j in range(n) for v in nums[j::n]]))
 
     def apply(self, vec: Sequence) -> Vector:
         """Matrix-vector product, in integers as `__matmul__`."""
         if len(vec) != self.cols:
             raise PreconditionError("vector length mismatch")
-        L, m = self._int_model
         Lv, v = _over_lcm([Fraction(x) for x in vec])
-        d = L * Lv
-        return tuple([Fraction(sum(map(mul, row, v)), d) for row in m])
+        d = self.den * Lv
+        return tuple([Fraction(sum(map(mul, row, v)), d) for row in self._int_rows()])
 
     # -- elimination-based queries ----------------------------------------------
 
@@ -213,22 +216,21 @@ class RatMatrix(Record):
         return det_rational(self)
 
     def submatrix(self, keep_rows: Sequence[int], keep_cols: Sequence[int]) -> "RatMatrix":
-        return RatMatrix.from_rows(
-            [[self.entry(i, j) for j in keep_cols] for i in keep_rows]
-        )
+        n, nums = self.cols, self.nums
+        return RatMatrix._lowest(len(keep_rows), len(keep_cols), self.den,
+                                 [nums[i * n + j] for i in keep_rows for j in keep_cols])
 
     def leading_principal_minors(self) -> list[Fraction]:
         """Determinants of the leading k x k blocks, k = 1..n.
 
-        Bareiss elimination without pivoting on the integer model L*M: its
-        k-th pivot is the leading k x k minor of L*M, which is L^k times the
-        minor of M (Sylvester's identity).  A zero pivot stops the
-        elimination, and the minors after it are block determinants.
+        Bareiss elimination without pivoting on the integer rows of L*M,
+        L = den: its k-th pivot is the leading k x k minor of L*M, which is
+        L^k times the minor of M (Sylvester's identity).  A zero pivot stops
+        the elimination, and the minors after it are block determinants.
         """
         if not self.is_square:
             raise PreconditionError("leading minors of a non-square matrix")
-        n = self.rows
-        L, (m,) = _integer_model(self)
+        n, L, m = self.rows, self.den, self._int_rows()
         minors = []
         prev = 1
         for k in range(n):
@@ -244,12 +246,12 @@ class RatMatrix(Record):
         ]
 
     def rank(self) -> int:
-        return len(_rref(_integer_model(self)[1][0], self.cols))
+        return len(_rref(self._int_rows(), self.cols))
 
     def nullspace(self) -> list[Vector]:
         """Exact basis of the right nullspace, one vector per free column
-        (`_nullspace` on the integer model)."""
-        return _nullspace(_integer_model(self)[1][0], self.cols)
+        (`_nullspace` on the integer rows)."""
+        return _nullspace(self._int_rows(), self.cols)
 
     def adjugate(self) -> "RatMatrix":
         """Transposed cofactor matrix: self @ adj = det * I, at any rank.
@@ -261,19 +263,18 @@ class RatMatrix(Record):
         if not self.is_square:
             raise PreconditionError("adjugate of a non-square matrix")
         scale, entries = Pencil.similarity(-self)._adjugate
-        return RatMatrix(self.rows, self.cols,
-                         tuple([Fraction(e[0], scale) for e in entries]))
+        return RatMatrix._lowest(self.rows, self.cols, scale, [e[0] for e in entries])
 
     def inverse(self) -> "RatMatrix":
-        """L * adj(L*M) / det(L*M), from one fraction-free Gauss-Jordan pass
-        on the integer model L*M."""
+        """L * adj(L*M) / det(L*M), L = den, from one fraction-free
+        Gauss-Jordan pass on the integer rows of L*M."""
         if not self.is_square:
             raise PreconditionError("inverse of a non-square matrix")
-        L, (m,) = _integer_model(self)
-        det, adj = _int_adjugate(m)
+        det, adj = _int_adjugate(self._int_rows())
         if det == 0:
             raise PreconditionError("inverse of a singular matrix")
-        return RatMatrix(self.rows, self.cols, tuple([Fraction(L * v, det) for v in adj]))
+        L = self.den if det > 0 else -self.den
+        return RatMatrix._lowest(self.rows, self.cols, abs(det), [L * v for v in adj])
 
 
 def _rref(m: list[list[int]], ncols: int) -> list[int]:
@@ -368,44 +369,36 @@ def _int_adjugate(m: list[list[int]]) -> tuple[int, list[int]]:
     return _bareiss(m, n, above=True), [v for row in m for v in row[n:]]
 
 
-def _integer_model(*matrices: RatMatrix) -> tuple[int, list[list[list[int]]]]:
-    """L, the lcm of every entry denominator of the matrices, and the rows
-    of each matrix times L as fresh lists of integers, rescaled from each
-    matrix's own cached model, so callers may eliminate in place."""
-    models = [M._int_model for M in matrices]
-    L = int_lcm(*[l for l, _ in models])
-    scaled = [(L // l, rows) for l, rows in models]
-    return L, [[[v * s for v in row] for row in rows] for s, rows in scaled]
-
-
 def _linear_combination(weights: Sequence, matrices: Sequence[RatMatrix]) -> RatMatrix:
     """The sum of w * M over weights and matrices of one shape, in integers:
-    the matrices share one integer model L, the weights one denominator Q,
-    and each entry is one Fraction over Q*L."""
+    the weights over their one denominator Q, each scaled to L, the lcm of
+    the matrices' denominators, and each entry one integer dot product with
+    the numerators, over Q*L."""
+    shape = matrices[0].rows, matrices[0].cols
+    if any((M.rows, M.cols) != shape for M in matrices):
+        raise PreconditionError("matrix shape mismatch in addition")
     Q, ws = _over_lcm(weights)
-    L, models = _integer_model(*matrices)
-    flat = [[v for row in m for v in row] for m in models]
-    return RatMatrix(matrices[0].rows, matrices[0].cols, tuple([
-        Fraction(sum(map(mul, ws, entry)), Q * L) for entry in zip(*flat)
-    ]))
+    L = int_lcm(*[M.den for M in matrices])
+    ws = [w * (L // M.den) for w, M in zip(ws, matrices)]
+    return RatMatrix._lowest(*shape, Q * L, [
+        sum(map(mul, ws, entry)) for entry in zip(*[M.nums for M in matrices])
+    ])
 
 
 def _bilinear(B: RatMatrix, v: Sequence, w: Sequence) -> Fraction:
-    """v^T B w in integers on the integer models of B, v and w, divided
-    once by the product of their denominators."""
-    L, m = B._int_model
+    """v^T B w in integers on the numerators of B, v and w, divided once by
+    the product of their denominators."""
     Lv, vi = _over_lcm(v)
     Lw, wi = _over_lcm(w)
-    return Fraction(sum(x * sum(map(mul, row, wi)) for x, row in zip(vi, m)),
-                    L * Lv * Lw)
+    return Fraction(sum(x * sum(map(mul, row, wi)) for x, row in zip(vi, B._int_rows())),
+                    B.den * Lv * Lw)
 
 
 def det_rational(M: RatMatrix) -> Fraction:
-    """Exact determinant via Bareiss elimination on an integer model."""
+    """Exact determinant via Bareiss elimination on the integer rows."""
     if not M.is_square:
         raise PreconditionError("determinant of a non-square matrix")
-    L, (rows,) = _integer_model(M)
-    return Fraction(_bareiss(rows, M.rows), L**M.rows)
+    return Fraction(_bareiss(M._int_rows(), M.rows), M.den**M.rows)
 
 
 class PolyMatrix(Record):
@@ -451,23 +444,20 @@ def _tridiagonal(rows) -> bool:
 def det_pencil(pencil: "Pencil") -> Poly:
     """Exact determinant of the characteristic matrix P.
 
-    L^n det P is an integer polynomial of degree at most n.  When both
-    integer models are zero outside the band |i - j| <= 1 (every pencil of
-    size 2 or less, every loaded string), it is the continuant of the entries
-    p_ij = s*LA_ij - LB_ij ("sA-B") or LA_ij - s*LB_ij ("A-sB"), by the
-    three-term recurrence of the leading minors
+    With P(s) = (s*X + Y) / L, L^n det P is an integer polynomial of
+    degree at most n.  When X and Y are zero outside the band |i - j| <= 1
+    (every pencil of size 2 or less, every loaded string), it is the
+    continuant of the entries p_ij = s*X_ij + Y_ij, by the three-term
+    recurrence of the leading minors
     f_k = p_kk f_(k-1) - p_(k,k-1) p_(k-1,k) f_(k-2).  Otherwise Bareiss
     gives its values det(L*P(k)) at k = 0..n, and Newton interpolation in
     integers its coefficients.
     """
     n = pencil.size
-    L, (A, B) = pencil._int_model
-    if _tridiagonal(A) and _tridiagonal(B):
-        s_times_a = pencil.orientation == "sA-B"
-
+    L, X, Y = pencil._int_model
+    if _tridiagonal(X) and _tridiagonal(Y):
         def p(i, j):  # the entry p_ij, lowest degree first
-            a, b = A[i][j], B[i][j]
-            return [-b, a] if s_times_a else [a, -b]
+            return [Y[i][j], X[i][j]]
 
         prev, coeffs = [], [1]
         for k in range(n):
@@ -483,32 +473,33 @@ def det_pencil(pencil: "Pencil") -> Poly:
 
 
 def _minor_count(pencil: "Pencil") -> Callable[[int, int], int] | None:
-    """The root counter of a Jacobi pencil, else None: for an "sA-B" pencil
-    with A diagonal with positive entries and B symmetric tridiagonal with
-    no zero below its diagonal (every loaded string), the number of roots
+    """The root counter of a Jacobi pencil, else None: for P(s) = s*X + Y
+    (over L) with X diagonal with positive entries and Y symmetric
+    tridiagonal with no zero below its diagonal (every loaded string, and
+    an "A-sB" pencil whose -B is positive diagonal), the number of roots
     above m/d (d > 0) is the number of sign changes, zeros skipped, in the
-    leading minors f_0 = 1, f_1, .., f_n of (m/d)A - B (Cauchy 1829, Sturm
-    1829, Givens 1954).  They obey f_k = (x a_k - b_kk) f_(k-1)
-    - b_(k,k-1)^2 f_(k-2), so each f_k has k simple roots that strictly
+    leading minors f_0 = 1, f_1, .., f_n of (m/d)X + Y (Cauchy 1829, Sturm
+    1829, Givens 1954).  They obey f_k = (x X_kk + Y_kk) f_(k-1)
+    - Y_(k,k-1)^2 f_(k-2), so each f_k has k simple roots that strictly
     interlace those of f_(k+1), and where f_k vanishes (k < n), f_(k-1) and
     f_(k+1) have opposite signs, which skipping the zero keeps; at a root of
     f_n the count is that of the roots strictly above it.  The minors come in
-    integers, F_k = d^k f_k of the integer models A', B':
-    F_k = (m A'_kk - d B'_kk) F_(k-1) - d^2 B'_(k,k-1)^2 F_(k-2).
+    integers, F_k = d^k f_k:
+    F_k = (m X_kk + d Y_kk) F_(k-1) - d^2 Y_(k,k-1)^2 F_(k-2).
     """
-    _, (A, B) = pencil._int_model
+    _, X, Y = pencil._int_model
     n = pencil.size
-    if (pencil.orientation != "sA-B" or not _tridiagonal(B)
-            or any(x for i, row in enumerate(A) for j, x in enumerate(row) if i != j)
-            or any(A[k][k] <= 0 for k in range(n))
-            or any(B[k][k - 1] == 0 or B[k][k - 1] != B[k - 1][k] for k in range(1, n))):
+    if (not _tridiagonal(Y)
+            or any(x for i, row in enumerate(X) for j, x in enumerate(row) if i != j)
+            or any(X[k][k] <= 0 for k in range(n))
+            or any(Y[k][k - 1] == 0 or Y[k][k - 1] != Y[k - 1][k] for k in range(1, n))):
         return None
-    rows = [(A[k][k], B[k][k], B[k][k - 1] ** 2 if k else 0) for k in range(n)]
+    rows = [(X[k][k], Y[k][k], Y[k][k - 1] ** 2 if k else 0) for k in range(n)]
 
     def count(m: int, d: int) -> int:
         d2, f0, f1, positive, changes = d * d, 0, 1, True, 0
-        for a, b, c in rows:
-            f0, f1 = f1, (m * a - d * b) * f1 - d2 * c * f0
+        for x, y, c in rows:
+            f0, f1 = f1, (m * x + d * y) * f1 - d2 * c * f0
             if f1 and (f1 > 0) != positive:
                 positive, changes = not positive, changes + 1
         return changes
@@ -594,18 +585,12 @@ class Pencil(Record):
         return self.A if self.orientation == "sA-B" else self.B
 
     def char_matrix(self) -> PolyMatrix:
-        n = self.size
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                a, b = self.A.entry(i, j), self.B.entry(i, j)
-                if self.orientation == "sA-B":
-                    row.append(Poly([-b, a]))
-                else:
-                    row.append(Poly([a, -b]))
-            rows.append(row)
-        return PolyMatrix.from_rows(rows)
+        """P(s) = (s*X + Y) / L, one `Poly` per entry."""
+        L, X, Y = self._int_model
+        return PolyMatrix.from_rows([
+            [Poly([Fraction(y, L), Fraction(x, L)]) for x, y in zip(row_x, row_y)]
+            for row_x, row_y in zip(X, Y)
+        ])
 
     # A cached_property writes the record's instance __dict__ beside the
     # fields; equality and hashing still see only A, B and the orientation.
@@ -615,7 +600,15 @@ class Pencil(Record):
     # (scale, integer entries) from `_int_adjugate_pencil`, read only in this
     # module; `adjugate_pencil` divides them out on each call
     _adjugate = cached_property(lambda self: _int_adjugate_pencil(self))
-    _int_model = cached_property(lambda self: _integer_model(self.A, self.B))
+
+    @cached_property
+    def _int_model(self) -> tuple[int, list[list[int]], list[list[int]]]:
+        """(L, X, Y), integer rows only read, with P(s) = (s*X + Y) / L and L
+        the lcm of the denominators: X = L*A and Y = -L*B for "sA-B", X = -L*B
+        and Y = L*A for "A-sB".  No kernel reads the orientation."""
+        L = int_lcm(self.A.den, self.B.den)
+        LA, neg_LB = self.A._int_rows(L // self.A.den), self.B._int_rows(-L // self.B.den)
+        return (L, LA, neg_LB) if self.orientation == "sA-B" else (L, neg_LB, LA)
 
     def char_poly(self) -> Poly:
         """det of the characteristic matrix, computed on first use."""
@@ -654,34 +647,28 @@ class Pencil(Record):
         polynomial of degree d >= 1 (lowest degree first), as n*d fresh
         integer rows over Q: P(alpha) acts on Q[alpha]^n, alpha = s mod g,
         written in the basis 1 .. alpha^(d-1), so entry (i, j) becomes the
-        d x d block LA_ij * lc*C - LB_ij * lc*I for "sA-B" (A and B swapped
-        for "A-sB", the same kernel), C the companion matrix of g and lc its
-        leading coefficient.  For d = 1 these are the rows of `_numerators`
-        at the root -g_0/g_1, up to sign.
+        d x d block X_ij * lc*C + Y_ij * lc*I of P = (s*X + Y) / L, C the
+        companion matrix of g and lc its leading coefficient.  For d = 1 and
+        g_1 > 0 these are the rows of `_numerators` at the root -g_0/g_1.
         """
         d, lc = len(g) - 1, g[-1]
         # lc*C: multiplication by alpha sends alpha^b to alpha^(b+1), and
         # alpha^(d-1) to -(g_0 + .. + g_(d-1) alpha^(d-1)) / lc
         C = [[lc * (a == b + 1) for b in range(d - 1)] + [-g[a]] for a in range(d)]
-        L, (A, B) = self._int_model
-        if self.orientation == "A-sB":
-            A, B = B, A
-        return [[x * C[a][b] - y * lc * (a == b) for x, y in zip(row_a, row_b) for b in range(d)]
-                for row_a, row_b in zip(A, B) for a in range(d)]
+        _, X, Y = self._int_model
+        return [[x * C[a][b] + y * lc * (a == b) for x, y in zip(row_x, row_y) for b in range(d)]
+                for row_x, row_y in zip(X, Y) for a in range(d)]
 
     def evaluate(self, s) -> RatMatrix:
-        """The characteristic matrix at a rational point, one Fraction per
-        entry from `_numerators`."""
+        """The characteristic matrix at a rational point, `_numerators` in
+        lowest terms."""
         d, rows = self._numerators(s)
-        return RatMatrix(self.size, self.size,
-                         tuple([Fraction(x, d) for row in rows for x in row]))
+        return RatMatrix._lowest(self.size, self.size, d, [x for row in rows for x in row])
 
     def evaluate_float(self, s) -> np.ndarray:
-        """`evaluate(s).to_numpy()` without the Fractions: each entry is one
-        integer true division of `_numerators`, which Python rounds
-        correctly, as float(Fraction) does, so the floats are the same, and
-        an entry beyond floating-point range raises the same OverflowError.
-        """
+        """`evaluate(s).to_numpy()` without the gcd chain: one correctly
+        rounded integer division per entry of `_numerators`, the same floats,
+        and the same OverflowError for an entry beyond floating-point range."""
         import numpy as np
 
         d, rows = self._numerators(s)
@@ -690,13 +677,11 @@ class Pencil(Record):
     def _numerators(self, s) -> tuple[int, list[list[int]]]:
         """(d, rows) with the characteristic matrix at s equal to rows / d.
 
-        With s = p/q and the integer model L, A' = L*A, B' = L*B, the rows are
-        p*A' - q*B' for "sA-B" and q*A' - p*B' for "A-sB", and d = q*L.
+        With s = p/q and P(s) = (s*X + Y) / L, the rows are p*X + q*Y and
+        d = q*L.
         """
         s = Fraction(s)
-        u, v = s.numerator, s.denominator
-        if self.orientation == "A-sB":
-            u, v = v, u
-        L, (A, B) = self._int_model
-        return s.denominator * L, [[u * a - v * b for a, b in zip(row_a, row_b)]
-                                   for row_a, row_b in zip(A, B)]
+        p, q = s.numerator, s.denominator
+        L, X, Y = self._int_model
+        return q * L, [[p * x + q * y for x, y in zip(row_x, row_y)]
+                       for row_x, row_y in zip(X, Y)]

@@ -159,8 +159,8 @@ def _residue(pencil: Pencil, point: Fraction, mult: int) -> np.ndarray:
 
 def _exact_theta(pair: QuadraticPair, root: RealRoot) -> RatMatrix:
     """theta = (Phi V)(V^T Phi V)^-1 (Phi V)^T for the kernel basis V of the
-    characteristic matrix at the exact root, in `RatMatrix` products on
-    integer models.  A kernel of dimension below the multiplicity is a
+    characteristic matrix at the exact root, in `RatMatrix` products over
+    one denominator each.  A kernel of dimension below the multiplicity is a
     Jordan chain longer than one, which a definite pair does not have: the
     adjugate then is not divisible to the expected order."""
     basis = _nullspace(pair.pencil()._numerators(root.value)[1], pair.size)
@@ -220,7 +220,7 @@ def theta_components(pair: QuadraticPair, path: str = "auto") -> ThetaDecomposit
             theta = tuple(tuple(float(x) for x in row) for row in (theta + theta.T) / 2)
         comps.append(ThetaComponent(root, root.multiplicity, theta))
     if mode == "exact":
-        if any(any(res.entries) for res in _exact_residuals(comps, pair)):
+        if any(any(res.nums) for res in _exact_residuals(comps, pair)):
             raise PreconditionError(
                 "residue components do not reassemble the pair; the leading"
                 " form is not definite"
@@ -263,7 +263,7 @@ def verify_theorem(
             # the signature of -theta swaps that of theta
             semidef_ok &= (rep.negatives if sign > 0 else rep.positives) == 0
         phi_res, psi_res = (
-            max((abs(v) for v in res.entries), default=Fraction(0))
+            Fraction(max(map(abs, res.nums), default=0), res.den)
             for res in _exact_residuals(dec.components, pair)
         )
         ok = phi_res == 0 and psi_res == 0 and ranks_ok and semidef_ok and mult_ok

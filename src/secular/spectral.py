@@ -205,15 +205,15 @@ def _principal_part(pencil: Pencil, sigma: Fraction, m: int) -> list[RatMatrix]:
         for i in range(i0 + 1, j + 1):
             w = inv[j - i]
             nums = [a + w * c for a, c in zip(nums, orders[i])]
-        terms.append(RatMatrix(n, n, tuple([Fraction(v, den) for v in nums])))
+        terms.append(RatMatrix._lowest(n, n, den, nums))
     return terms
 
 
-def _float_nullspace(M: np.ndarray, threshold: float = FLOAT_NULL_THRESHOLD):
+def _float_nullspace(M: np.ndarray):
     import numpy as np
 
     _, s, vh = np.linalg.svd(M)
-    cutoff = threshold * (s[0] if s.size and s[0] > 0 else 1.0)
+    cutoff = FLOAT_NULL_THRESHOLD * (s[0] if s.size and s[0] > 0 else 1.0)
     basis = []
     for k in range(M.shape[1]):
         sv = s[k] if k < s.size else 0.0

@@ -20,9 +20,10 @@ common denominator keep their former `Fraction` definitions here: Taylor
 coefficients by synthetic division, divisibility by `divmod`, the monic gcd
 by Euclid's remainders and Yun's square-free decomposition on those gcds
 (instead of the primitive pseudo-remainder sequence and exact integer
-division), matrix products, linear combinations, bilinear forms, the
-characteristic matrix at a point, and rank and nullspace from the reduced
-row echelon form.  The float kernels keep their former definitions too: the
+division), matrix products, linear combinations (scaling and negation
+among them), transposes, inverses by cofactors, bilinear forms, the
+characteristic matrix at a point and as `Poly` entries in either
+orientation, and rank and nullspace from the reduced row echelon form.  The float kernels keep their former definitions too: the
 characteristic matrix as a Fraction matrix converted entry by entry,
 trajectories one time at a time, and leading minors as one block
 determinant each.  Routes that rebuilt what a pencil already holds keep
@@ -443,7 +444,7 @@ def residue_by_deflation(adj: PolyMatrix, f: Poly, root: Fraction, mult: int) ->
     h, rem = divmod(f, lin**mult)
     if not rem.is_zero():
         raise PreconditionError("root multiplicity mismatch during deflation")
-    return RatMatrix(adj.rows, adj.cols, tuple(g)).scale(1 / h.evaluate(root))
+    return RatMatrix.from_entries(adj.rows, adj.cols, g).scale(1 / h.evaluate(root))
 
 
 def _congruence_diagonal(M: RatMatrix) -> list[Fraction]:
@@ -515,12 +516,26 @@ def verify_jordan_exact(sol) -> bool:
 
 
 def char_matrix_by_fractions(pencil: Pencil, s) -> RatMatrix:
-    """The characteristic matrix at a rational point by Fraction scaling and
-    subtraction of the pencil's two matrices."""
+    """The characteristic matrix at a rational point, entry by entry in
+    Fractions: s*a - b for "sA-B", a - s*b for "A-sB"."""
     s = Fraction(s)
+    pairs = zip(pencil.A.entries, pencil.B.entries)
     if pencil.orientation == "sA-B":
-        return pencil.A.scale(s) - pencil.B
-    return pencil.A - pencil.B.scale(s)
+        values = [s * a - b for a, b in pairs]
+    else:
+        values = [a - s * b for a, b in pairs]
+    return RatMatrix.from_entries(pencil.size, pencil.size, values)
+
+
+def char_poly_matrix_by_fractions(pencil: Pencil) -> PolyMatrix:
+    """The characteristic matrix as one `Poly` per entry, from the Fraction
+    entries of A and B in the pencil's orientation."""
+    pairs = zip(pencil.A.entries, pencil.B.entries)
+    if pencil.orientation == "sA-B":
+        entries = [Poly([-b, a]) for a, b in pairs]
+    else:
+        entries = [Poly([a, -b]) for a, b in pairs]
+    return PolyMatrix(pencil.size, pencil.size, tuple(entries))
 
 
 def float_char_matrix_by_fractions(pencil, x) -> np.ndarray:
@@ -565,15 +580,29 @@ def matmul_by_fractions(A: RatMatrix, B: RatMatrix) -> RatMatrix:
                 for j in range(B.cols)
             ]
         )
-    return RatMatrix.from_rows(out)
+    return RatMatrix.from_entries(A.rows, B.cols, [v for row in out for v in row])
 
 
 def linear_combination_by_fractions(weights, matrices) -> RatMatrix:
-    """sum of w * M from a zero matrix, by Fraction scaling and addition."""
-    total = RatMatrix.zeros(matrices[0].rows, matrices[0].cols)
-    for w, M in zip(weights, matrices):
-        total = total + M.scale(w)
-    return total
+    """sum of w * M entry by entry, as Fraction products summed from zero;
+    one weight and one matrix give a scaled (or negated) matrix."""
+    M0 = matrices[0]
+    return RatMatrix.from_entries(M0.rows, M0.cols, [
+        sum((Fraction(w) * v for w, v in zip(weights, values)), Fraction(0))
+        for values in zip(*[M.entries for M in matrices])
+    ])
+
+
+def transpose_by_fractions(M: RatMatrix) -> RatMatrix:
+    """The transpose, entry by entry."""
+    return RatMatrix.from_entries(M.cols, M.rows, [
+        M.entry(i, j) for j in range(M.cols) for i in range(M.rows)])
+
+
+def inverse_by_cofactors(M: RatMatrix) -> RatMatrix:
+    """adj M / det M, both by cofactor expansion."""
+    return linear_combination_by_fractions([1 / cofactor_det_rat(M)],
+                                           [cofactor_adjugate_rat(M)])
 
 
 def _rref_by_fractions(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
@@ -935,7 +964,7 @@ def residue_by_poly_taylor(adj: PolyMatrix, f: Poly, point: Fraction, mult: int,
             )
         if any(h[:-1]):
             raise PreconditionError("root multiplicity mismatch during deflation")
-        return RatMatrix(adj.rows, adj.cols, tuple([cs[-1] / h[-1] for cs in g]))
+        return RatMatrix.from_entries(adj.rows, adj.cols, [cs[-1] / h[-1] for cs in g])
 
     def rounded(c, order):
         return float(c * factorial(order)) / factorial(order)
@@ -969,7 +998,7 @@ def residue_by_integer_taylor(pencil: Pencil, point: Fraction, mult: int) -> Rat
     if any(h[:-1]):
         raise PreconditionError("root multiplicity mismatch during deflation")
     hn, hd = h[-1].numerator, h[-1].denominator
-    return RatMatrix(n, n, tuple([Fraction(ts[-1] * hd, den * hn) for ts in g]))
+    return RatMatrix.from_entries(n, n, [Fraction(ts[-1] * hd, den * hn) for ts in g])
 
 
 def minor_divisibility_by_poly_divides(pencil: Pencil) -> MinorDivisibility:

@@ -1357,6 +1357,9 @@ class TestExitCodes:
             '{"rows": 1e400, "cols": 2, "entries": ["1/1", "2/1"]}',
             # int() would truncate 2.5 to 2
             '{"rows": 2.5, "cols": 2, "entries": ["1/1", "2/1", "2/1", "1/1"]}',
+            # int() reads true and the Arabic-Indic digit one as 1
+            '{"rows": true, "cols": 1, "entries": ["1/1"]}',
+            '{"rows": "\u0661", "cols": 1, "entries": ["1/1"]}',
         ],
     )
     def test_non_integral_dimensions(self, tmp_path, capsys, text):
@@ -1364,6 +1367,25 @@ class TestExitCodes:
         doc.write_text(text)
         assert run(["inertia", "--input", str(doc)]) == 2
         assert "must be integers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fields", [
+        # a string is not an array of digits
+        {"initial": {"positions": "10", "velocities": "00"}},
+        {"t_grid": {"t_max": 10, "steps": 2.7}},
+        {"t_grid": {"t_max": 10, "steps": True}},
+        {"t_grid": {"t_max": "1_0", "steps": 10}},
+        {"t_grid": {"t_max": True, "steps": 10}},
+        {"t_grid": {"t_max": "inf", "steps": 10}},
+        {"t_grid": {"t_max": "\u0663", "steps": 10}},
+    ])
+    def test_scenario_numbers_follow_the_flag_grammar(self, tmp_path, capsys, fields):
+        # --t-steps 2.7, --t-max 1_0 and --t-max inf exit 2 as well
+        doc = write_json(tmp_path, "s.json", {
+            "kind": "coupled-springs", "parameters": {"m": "1", "k": "1", "k0": "1"},
+            "initial": {"positions": ["1", "0"], "velocities": ["0", "0"]}, **fields})
+        for verb in ("trajectory", "solve"):
+            assert run([verb, "--input", doc]) == 2
+            assert capsys.readouterr().err.startswith("parse error:")
 
     def test_exponent_beyond_digit_limit(self, tmp_path, deadline, capsys):
         # 1e999999999 would build a billion-digit integer; 1e5000 goes past

@@ -567,7 +567,7 @@ class TestInertiaAgainstCongruenceOracle:
     and its method against leading minors by cofactor expansion."""
 
     @given(sparse_symmetric())
-    @example(RatMatrix(0, 0, ()))
+    @example(RatMatrix.from_entries(0, 0, []))
     @example(RatMatrix.zeros(4, 4))
     @example(RatMatrix.from_rows([[0, 1], [1, 0]]))
     @example(RatMatrix.from_rows([[0, 1, 1], [1, 0, 1], [1, 1, 0]]))
@@ -624,7 +624,7 @@ class TestDarbouxAgainstFractionSamples:
     agrees with the similarity pencil's roots and Fraction samples."""
 
     @given(st.one_of(symmetric_with_denominators(), sparse_symmetric()))
-    @example(RatMatrix(0, 0, ()))
+    @example(RatMatrix.from_entries(0, 0, []))
     @example(RatMatrix.diagonal([Fraction(1, 2), Fraction(1, 2), Fraction(-1, 3)]))
     @settings(max_examples=80, deadline=None)
     def test_matches_fraction_samples(self, M):

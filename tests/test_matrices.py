@@ -1,6 +1,7 @@
 import random
 import types
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
@@ -14,29 +15,35 @@ from secular.matrices import (
     ORIENTATIONS,
     Pencil,
     RatMatrix,
-    _integer_model,
     _linear_combination,
     _nullspace,
+    _rref,
     adjugate_pencil,
     det_pencil,
     det_rational,
 )
 from secular.oscillate import build_model
-from secular.polynomials import Poly
+from secular.polynomials import Poly, _primitive_ints, squarefree_decompose
+from secular.spectral import _principal_part
 
 from oracles import (
     char_matrix_by_fractions,
+    char_poly_matrix_by_fractions,
     cofactor_adjugate_poly,
     cofactor_adjugate_rat,
     cofactor_det_poly,
     cofactor_det_rat,
+    conjugated_jordan,
     float_char_matrix_by_fractions,
+    inverse_by_cofactors,
     leading_minors_by_blocks,
     linear_combination_by_fractions,
     matmul_by_fractions,
     nullspace_by_fractions,
     poly_matmul,
     rank_by_fractions,
+    spectral_projectors_by_bezout,
+    transpose_by_fractions,
 )
 
 NOTE23 = RatMatrix.from_rows([[1, -1, 0], [-1, 2, 1], [0, 1, 1]])
@@ -461,12 +468,16 @@ class TestRatMatrixAlgebra:
     def test_leading_principal_minors(self):
         assert NOTE23.leading_principal_minors() == [1, 1, 0]
 
-    def test_symmetry_compared_once(self, monkeypatch):
+    def test_symmetry_compared_once(self):
         compared = []
-        entry = RatMatrix.entry
-        monkeypatch.setattr(RatMatrix, "entry",
-                            lambda M, i, j: compared.append((i, j)) or entry(M, i, j))
+
+        class Counted(tuple):
+            def __getitem__(self, k):
+                compared.append(k)
+                return tuple.__getitem__(self, k)
+
         M = RatMatrix.from_rows([[1, 2], [2, 1]])
+        vars(M)["nums"] = Counted(M.nums)
         assert M.is_symmetric() and compared
         compared.clear()
         assert M.is_symmetric() and not compared
@@ -554,7 +565,7 @@ mixed_fractions = st.one_of(
 
 def rat_matrices(rows, cols):
     return st.lists(mixed_fractions, min_size=rows * cols, max_size=rows * cols).map(
-        lambda vs: RatMatrix(rows, cols, tuple(vs)))
+        lambda vs: RatMatrix.from_entries(rows, cols, vs))
 
 
 shapes = st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4))
@@ -641,22 +652,83 @@ class TestIntegerKernelsAgainstFractionOracles:
         assert all(type(v) is Fraction for v in got.entries)
 
 
+def assert_integer_form(got: RatMatrix, want: RatMatrix) -> None:
+    """got is in lowest terms, den > 0 and gcd(den, *nums) = 1, and equals the
+    oracle's matrix entry by entry, in equality and in its hash."""
+    assert type(got.nums) is tuple and all(type(v) is int for v in got.nums)
+    assert got.den > 0 and gcd(got.den, *got.nums) == 1
+    assert (got.rows, got.cols, got.entries) == (want.rows, want.cols, want.entries)
+    assert got == want and hash(got) == hash(want)
+
+
 class TestIntegerModelPerMatrix:
-    """Each matrix builds its integer model once and keeps it; the kernels
-    that eliminate in place take fresh copies, so running every kernel in
+    """A matrix is its integer form (den, nums) in lowest terms, and every
+    kernel returns that form: the outputs equal their Fraction oracles and
+    compare and hash equal however they were reached.  The kernels that
+    eliminate in place take fresh integer rows, so running every kernel in
     turn on one instance changes none of its results."""
 
-    def test_built_once_and_handed_out_as_copies(self):
-        M = RatMatrix.from_rows([[Fraction(1, 2), 1], [1, Fraction(1, 3)]])
-        L, rows = M._int_model
-        assert (L, rows) == (6, [[3, 6], [6, 2]])
-        assert M._int_model[1] is rows
-        _, (copy,) = _integer_model(M)
-        assert copy == rows and copy is not rows
-        assert all(c is not r for c, r in zip(copy, rows))
-        # two matrices share the lcm of their own denominators
-        L2, (a, b) = _integer_model(M, RatMatrix.from_rows([[Fraction(1, 4), 0], [0, 1]]))
-        assert (L2, a, b) == (12, [[6, 12], [12, 4]], [[3, 0], [0, 12]])
+    @given(shapes.flatmap(lambda s: st.tuples(rat_matrices(s[0], s[1]),
+                                              rat_matrices(s[1], s[2]),
+                                              rat_matrices(s[0], s[1]))),
+           mixed_fractions)
+    @settings(max_examples=60)
+    def test_products_combinations_and_entrywise_kernels(self, operands, c):
+        A, B, C = operands
+        for got, want in [
+            (A @ B, matmul_by_fractions(A, B)),
+            (_linear_combination([c, 1, -c], [A, C, C]),
+             linear_combination_by_fractions([c, 1, -c], [A, C, C])),
+            (A + C, linear_combination_by_fractions([1, 1], [A, C])),
+            (A - C, linear_combination_by_fractions([1, -1], [A, C])),
+            (A.scale(0), RatMatrix.zeros(A.rows, A.cols)),
+            (A.scale(-abs(c)), linear_combination_by_fractions([-abs(c)], [A])),
+            (A.scale(c), linear_combination_by_fractions([c], [A])),
+            (-A, linear_combination_by_fractions([-1], [A])),
+            (A.transpose(), transpose_by_fractions(A)),
+        ]:
+            assert_integer_form(got, want)
+
+    @given(st.integers(1, 4).flatmap(lambda n: st.tuples(rat_matrices(n, n),
+                                                         rat_matrices(n, n))),
+           st.sampled_from(ORIENTATIONS), mixed_fractions)
+    @settings(max_examples=60)
+    def test_inverse_adjugate_and_pencil_values(self, MN, orientation, s):
+        M, N = MN
+        assert_integer_form(M.adjugate(), cofactor_adjugate_rat(M))
+        if cofactor_det_rat(M):
+            assert_integer_form(M.inverse(), inverse_by_cofactors(M))
+        pencil = Pencil(M, N, orientation)
+        assert_integer_form(pencil.evaluate(s), char_matrix_by_fractions(pencil, s))
+
+    @given(st.integers(0, 2**32), st.integers(1, 4))
+    @settings(max_examples=40, deadline=None)
+    def test_principal_parts(self, seed, n):
+        # R_k = N^k P at each eigenvalue sigma, P the Bezout projector and
+        # N = (M - sigma I) P, as many terms as the longest Jordan chain
+        M = conjugated_jordan(random.Random(seed), n)
+        eye = RatMatrix.identity(n)
+        for sigma, m, chain, P in spectral_projectors_by_bezout(M):
+            N = matmul_by_fractions(linear_combination_by_fractions([1, -sigma], [M, eye]), P)
+            want = [P]
+            while len(want) < chain:
+                want.append(matmul_by_fractions(N, want[-1]))
+            got = _principal_part(Pencil.similarity(M), sigma, m)
+            assert len(got) == chain
+            for term, oracle in zip(got, want):
+                assert_integer_form(term, oracle)
+
+    def test_equal_matrices_by_any_route(self):
+        half, two, one = (RatMatrix.from_rows([[Fraction(1, 2)]]),
+                          RatMatrix.from_rows([[2]]), RatMatrix.identity(1))
+        routes = [half @ two, two.scale(Fraction(1, 2)), half + half, two - one, -(-one),
+                  half.inverse().scale(Fraction(1, 2)), half.adjugate(),
+                  RatMatrix.from_entries(1, 1, ["2/2"]), RatMatrix.diagonal([Fraction(3, 3)]),
+                  Pencil.similarity(RatMatrix.zeros(1, 1)).evaluate(1),
+                  RatMatrix.from_rows([[Fraction(1, 6), 2], [3, 4]]).submatrix([0], [0]).scale(6)]
+        assert all(M == one and hash(M) == hash(one) for M in routes)
+        assert len(set(routes)) == 1
+        assert all((M.den, M.nums) == (1, (1,)) for M in routes)
 
     @pytest.mark.parametrize("rows", [
         [[Fraction(1, 2), 2, 0], [2, Fraction(-1, 3), 1], [0, 1, 5]],
@@ -682,7 +754,53 @@ class TestIntegerModelPerMatrix:
         for _ in range(2):
             for name, kernel in kernels:
                 assert kernel(M) == kernel(RatMatrix.from_rows(rows)), name
-        assert M._int_model == RatMatrix.from_rows(rows)._int_model
+
+
+class TestPencilIntegerForm:
+    """A pencil reads its orientation once, into P(s) = (s*X + Y) / L; in
+    both orientations the characteristic matrix, its integer rows at a
+    point, its determinant (the continuant when banded) and the nullity of
+    its rows at the roots of a factor are those of the Fraction oracles."""
+
+    @given(st.integers(1, 4).flatmap(lambda n: st.tuples(rat_matrices(n, n),
+                                                         rat_matrices(n, n))),
+           st.sampled_from(ORIENTATIONS), st.booleans(), mixed_fractions)
+    @settings(max_examples=60)
+    def test_char_matrix_numerators_and_determinant(self, AB, orientation, banded, s):
+        if banded:  # zero outside |i - j| <= 1: the continuant gives det
+            AB = [RatMatrix.from_rows([[v if abs(i - j) <= 1 else 0 for j, v in enumerate(row)]
+                                       for i, row in enumerate(M.to_rows())]) for M in AB]
+        pencil = Pencil(*AB, orientation)
+        P = char_poly_matrix_by_fractions(pencil)
+        assert pencil.char_matrix() == P
+        d, rows = pencil._numerators(s)
+        assert (tuple([Fraction(x, d) for row in rows for x in row])
+                == char_matrix_by_fractions(pencil, s).entries)
+        assert det_pencil(pencil) == cofactor_det_poly(P)
+
+    @given(st.integers(0, 2**32), st.integers(1, 4), st.sampled_from(ORIENTATIONS))
+    @settings(max_examples=40, deadline=None)
+    def test_factor_rows_nullity(self, seed, n, orientation):
+        # S(sI - M) or its negation, M with rational eigenvalues: the nullity
+        # of the rows at the roots of each square-free factor is the sum of
+        # the kernel dimensions there
+        rng = random.Random(seed)
+        M = conjugated_jordan(rng, n)
+        S = RatMatrix.from_rows([[Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                                  for _ in range(n)] for _ in range(n)])
+        if not cofactor_det_rat(S):
+            S = RatMatrix.identity(n)
+        pencil = Pencil(S, S @ M) if orientation == "sA-B" else Pencil(S @ M, S, "A-sB")
+        roots = [r.value for r in pencil.roots()]
+        for factor, _mult in squarefree_decompose(pencil.char_poly()):
+            g = _primitive_ints(factor)[1]
+            rows = pencil._factor_rows(g)
+            if len(g) == 2:
+                assert rows == pencil._numerators(Fraction(-g[0], g[1]))[1]
+            size = n * (len(g) - 1)
+            assert size - len(_rref(rows, size)) == sum(
+                len(nullspace_by_fractions(char_matrix_by_fractions(pencil, r)))
+                for r in roots if factor.evaluate(r) == 0)
 
 
 def with_zero_leading_minor(M: RatMatrix, k: int) -> RatMatrix:

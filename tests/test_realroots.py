@@ -774,7 +774,7 @@ class TestRationalRootsBelowOneOverLc:
 ZERO_MINOR = [[-2, 2, 0], [2, -2, -1], [0, -1, -2]]
 # [[2, 1, 0], [1, 2, 1], [0, 1, 2]]: the roots 2 and 2 +- sqrt(2)
 MIXED_ROOTS = [[2, 1, 0], [1, 2, 1], [0, 1, 2]]
-PENCIL_KINDS = ["jacobi", "zero-sub", "full-A", "indefinite-A", "A-sB"]
+PENCIL_KINDS = ["jacobi", "zero-sub", "full-A", "indefinite-A", "A-sB", "jacobi-A-sB"]
 ENTRY = st.one_of(st.integers(-6, 6), st.builds(Fraction, st.integers(-12, 12), st.integers(1, 4)))
 POSITIVE = st.one_of(st.integers(1, 6), st.builds(Fraction, st.integers(1, 12), st.integers(1, 4)))
 
@@ -782,9 +782,10 @@ POSITIVE = st.one_of(st.integers(1, 6), st.builds(Fraction, st.integers(1, 12), 
 @st.composite
 def tridiagonal_pencils(draw):
     """(kind, pencil): an "sA-B" pencil with A diagonal and positive and B
-    symmetric tridiagonal with nonzero sub-diagonal ("jacobi"), or one
-    that breaks one of those conditions; sizes 1..10, entries integer or
-    rational."""
+    symmetric tridiagonal with nonzero sub-diagonal ("jacobi"), the same
+    characteristic matrix as the "A-sB" pencil (-B) - s(-A) ("jacobi-A-sB"),
+    or one that breaks one of those conditions; sizes 1..10, entries
+    integer or rational."""
     kind = draw(st.sampled_from(PENCIL_KINDS))
     n = draw(st.integers(1, 10))
     a = [Fraction(draw(POSITIVE)) for _ in range(n)]
@@ -799,9 +800,11 @@ def tridiagonal_pencils(draw):
           for j in range(n)] for i in range(n)]
     if kind == "full-A" and n > 1:
         A[0][1] = A[1][0] = Fraction(draw(ENTRY.filter(bool)))
+    A, B = RatMatrix.from_rows(A), RatMatrix.from_rows(B)
+    if kind == "jacobi-A-sB":
+        return kind, Pencil(-B, -A, "A-sB")
     # "A-sB": the same matrices, with the characteristic matrix A - sB
-    return kind, Pencil(RatMatrix.from_rows(A), RatMatrix.from_rows(B),
-                        "A-sB" if kind == "A-sB" else "sA-B")
+    return kind, Pencil(A, B, "A-sB" if kind == "A-sB" else "sA-B")
 
 
 class TestMinorCountAgainstChain:
@@ -822,7 +825,9 @@ class TestMinorCountAgainstChain:
         kind, pencil = case
         f = pencil.char_poly()
         assume(not f.is_zero())
-        jacobi = kind == "jacobi" or (pencil.size == 1 and kind in ("zero-sub", "full-A"))
+        # a 1 x 1 "A-sB" pencil a - sb is Jacobi when -b > 0
+        jacobi = kind in ("jacobi", "jacobi-A-sB") or pencil.size == 1 and (
+            kind in ("zero-sub", "full-A") or kind == "A-sB" and pencil.B.entry(0, 0) < 0)
         assert (_minor_count(pencil) is not None) == jacobi
         assert root_fields(pencil.roots(width)) == root_fields(sturm_isolate_by_chain(f, width))
 

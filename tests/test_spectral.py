@@ -256,7 +256,7 @@ class TestBilinearAgainstFractionOracle:
         # vectors mix ints and Fractions with unrelated denominators
         entries, v, w = case
         n = len(v)
-        B = RatMatrix(n, n, tuple(Fraction(x) for x in entries))
+        B = RatMatrix.from_entries(n, n, entries)
         got = _bilinear(B, v, w)
         assert type(got) is Fraction
         assert got == bilinear_by_fractions(B, v, w)
