@@ -323,18 +323,18 @@ def _cmd_weierstrass_reduce(args) -> dict:
 
 
 def _cmd_expm(args) -> dict:
-    from .oscillate import expm_projectors
+    from .oscillate import expm_rows
 
     M = _load_matrix(args.input)
     t = args.time
-    E = expm_projectors(M, t)
+    E = expm_rows(M, t)
     return {
         "provenance": _provenance(
             "matrix-exponential-spectral-projectors", "weierstrass-1858"
         ),
         "path": "float",
         "t": t,
-        "exponential": [[float(v) for v in row] for row in E],
+        "exponential": E,
     }
 
 

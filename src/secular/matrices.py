@@ -5,7 +5,7 @@ A `RatMatrix` is integers over one denominator: `nums`, row-major, over
 hashing compare canonical integers.  Rationals enter it once, through
 `polynomials._over_lcm`; every kernel computes on the integers and returns
 its (d, integers), brought to lowest terms by one gcd chain; `entries`,
-`entry`, `row`, `col`, `to_rows` and `to_numpy` build Fractions or floats
+`entry`, `row`, `col`, `to_rows`, `to_floats` and `to_numpy` build Fractions or floats
 from them on each read.  `PolyMatrix` holds `Poly` entries.  A `Pencil`
 packages a matrix couple (A, B) with its orientation: "sA-B" (determinant in
 s of s*A - B) or "A-sB" (of A - s*B, such as A - xI).  It reads the
@@ -28,9 +28,11 @@ P at a rational point: at the integers k they are the samples L*P(k) from
 which Newton interpolation in integers reads the adjugate, and the
 determinant unless P is tridiagonal (as a loaded string's is), when the
 three-term recurrence of its leading minors gives it (and, for a Jacobi
-pencil, counts its roots: `_minor_count`); at an exact root their
-elimination gives the nullspace, for eigenvectors and for the theta pieces
-of `secular.quadpairs`; the float path rounds them once per entry.  The
+pencil, counts its roots, `_minor_count`, and with the trailing minors
+gives its null vector near a root, `_jacobi_null_vector`); at an exact
+root their elimination gives the nullspace, for eigenvectors and for the
+theta pieces of `secular.quadpairs`; the float path rounds them once per
+entry.  The
 adjugate of a matrix M is the constant term of that of the pencil sI + M,
 over its scale.  Leading principal minors are the pivots of one Bareiss
 pass.  Integer tuples are built from lists: CPython sizes a tuple built from
@@ -52,7 +54,7 @@ from operator import mul
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from ._record import Record
-from .errors import PreconditionError
+from .errors import InternalError, PreconditionError
 from .polynomials import Poly, _interpolate, _mul, _over_lcm, _sub, _taylor
 from .realroots import DEFAULT_WIDTH, RealRoot, sturm_isolate
 
@@ -141,13 +143,17 @@ class RatMatrix(Record):
     def to_rows(self) -> list[list[Fraction]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
+    def to_floats(self) -> list[list[float]]:
+        """The rows as Python floats, one correctly rounded integer division
+        per entry, as float(Fraction)."""
+        d = self.den
+        return [[v / d for v in row] for row in self._int_rows()]
+
     def to_numpy(self) -> np.ndarray:
-        """One correctly rounded integer division per entry, as float(Fraction)."""
+        """`to_floats` as an array."""
         import numpy as np
 
-        d = self.den
-        return np.array([[v / d for v in row] for row in self._int_rows()]).reshape(
-            self.rows, self.cols)
+        return np.array(self.to_floats()).reshape(self.rows, self.cols)
 
     def _int_rows(self, c: int = 1) -> list[list[int]]:
         """The rows of c * den * self as fresh integer lists, for eliminations."""
@@ -394,6 +400,11 @@ def _bilinear(B: RatMatrix, v: Sequence, w: Sequence) -> Fraction:
                     B.den * Lv * Lw)
 
 
+def _bilinear_float(rows: list[list[float]], v: Sequence[float], w: Sequence[float]) -> float:
+    """v^T B w in Python floats, B given by its float rows (`to_floats`)."""
+    return sum(x * sum(map(mul, row, w)) for x, row in zip(v, rows))
+
+
 def det_rational(M: RatMatrix) -> Fraction:
     """Exact determinant via Bareiss elimination on the integer rows."""
     if not M.is_square:
@@ -472,21 +483,13 @@ def det_pencil(pencil: "Pencil") -> Poly:
     return Poly(Fraction(c, scale) for c in coeffs)
 
 
-def _minor_count(pencil: "Pencil") -> Callable[[int, int], int] | None:
-    """The root counter of a Jacobi pencil, else None: for P(s) = s*X + Y
-    (over L) with X diagonal with positive entries and Y symmetric
-    tridiagonal with no zero below its diagonal (every loaded string, and
-    an "A-sB" pencil whose -B is positive diagonal), the number of roots
-    above m/d (d > 0) is the number of sign changes, zeros skipped, in the
-    leading minors f_0 = 1, f_1, .., f_n of (m/d)X + Y (Cauchy 1829, Sturm
-    1829, Givens 1954).  They obey f_k = (x X_kk + Y_kk) f_(k-1)
-    - Y_(k,k-1)^2 f_(k-2), so each f_k has k simple roots that strictly
-    interlace those of f_(k+1), and where f_k vanishes (k < n), f_(k-1) and
-    f_(k+1) have opposite signs, which skipping the zero keeps; at a root of
-    f_n the count is that of the roots strictly above it.  The minors come in
-    integers, F_k = d^k f_k:
-    F_k = (m X_kk + d Y_kk) F_(k-1) - d^2 Y_(k,k-1)^2 F_(k-2).
-    """
+def _jacobi_rows(pencil: "Pencil") -> list[tuple[int, int, int]] | None:
+    """[(X_kk, Y_kk, Y_(k,k-1))], Y_(0,-1) = 0, when the pencil is Jacobi,
+    else None: P(s) = s*X + Y (over L) with X diagonal with positive entries
+    and Y symmetric tridiagonal with no zero below its diagonal (every
+    loaded string, and an "A-sB" pencil whose -B is positive diagonal).
+    X is then positive definite and (m/d)X + Y unreduced tridiagonal, so
+    every root is real and simple and has a one-dimensional kernel."""
     _, X, Y = pencil._int_model
     n = pencil.size
     if (not _tridiagonal(Y)
@@ -494,9 +497,28 @@ def _minor_count(pencil: "Pencil") -> Callable[[int, int], int] | None:
             or any(X[k][k] <= 0 for k in range(n))
             or any(Y[k][k - 1] == 0 or Y[k][k - 1] != Y[k - 1][k] for k in range(1, n))):
         return None
-    rows = [(X[k][k], Y[k][k], Y[k][k - 1] ** 2 if k else 0) for k in range(n)]
+    return [(X[k][k], Y[k][k], Y[k][k - 1] if k else 0) for k in range(n)]
 
-    def count(m: int, d: int) -> int:
+
+def _minor_count(pencil: "Pencil") -> Callable[..., int] | None:
+    """The root counter of a Jacobi pencil (`_jacobi_rows`), else None: the
+    number of roots above m/d (d > 0) is the number of sign changes, zeros
+    skipped, in the leading minors f_0 = 1, f_1, .., f_n of (m/d)X + Y
+    (Cauchy 1829, Sturm 1829, Givens 1954).  They obey
+    f_k = (x X_kk + Y_kk) f_(k-1) - Y_(k,k-1)^2 f_(k-2), so each f_k has k
+    simple roots that strictly interlace those of f_(k+1), and where f_k
+    vanishes (k < n), f_(k-1) and f_(k+1) have opposite signs, which skipping
+    the zero keeps; at a root of f_n the count is that of the roots strictly
+    above it.  The minors come in integers, F_k = d^k f_k:
+    F_k = (m X_kk + d Y_kk) F_(k-1) - d^2 Y_(k,k-1)^2 F_(k-2).  A sign of
+    the determinant at m/d that the caller knows is not needed.
+    """
+    jacobi = pencil._jacobi
+    if jacobi is None:
+        return None
+    rows = [(x, y, c * c) for x, y, c in jacobi]
+
+    def count(m: int, d: int, _sign=None) -> int:
         d2, f0, f1, positive, changes = d * d, 0, 1, True, 0
         for x, y, c in rows:
             f0, f1 = f1, (m * x + d * y) * f1 - d2 * c * f0
@@ -505,6 +527,47 @@ def _minor_count(pencil: "Pencil") -> Callable[[int, int], int] | None:
         return changes
 
     return count
+
+
+def _jacobi_null_vector(jacobi: list[tuple[int, int, int]], m: int, d: int) -> list[int]:
+    """An integer null vector of the Jacobi pencil (`_jacobi_rows`) at a simple
+    root m/d (d > 0), or at a point near one: a column of the
+    adjugate of the integer rows M = m*X + d*Y, first entry positive.
+
+    Lagrange wrote each amplitude of the loaded string as a polynomial in
+    the root: with a_k = M_kk, b_k = M_(k,k-1), the leading minors
+    P_(k+1) = a_k P_k - b_k^2 P_(k-1) of `_minor_count` and the trailing
+    ones Q_k = a_k Q_(k+1) - b_(k+1)^2 Q_(k+2) give adj M, for i <= j,
+    (-1)^(i+j) b_(i+1) .. b_j P_i Q_(j+1).  Its last column is the forward
+    recurrence v_k = (-1)^k P_k / (b_1 .. b_k), v_0 = 1, scaled.  Off the
+    root by e, that column is the kernel of M changed in its last row, which
+    is accurate only where the eigenvector's last entry is not small
+    (Wilkinson, The Algebraic Eigenvalue Problem, 1965, ch. 5), so column r
+    with the largest diagonal entry P_r Q_(r+1) is taken: at the root,
+    adj M = c u u^T, and u_r^2 is at least |u|^2 / n.
+    """
+    n = len(jacobi)
+    a = [m * x + d * y for x, y, _ in jacobi]
+    b = [d * c for _, _, c in jacobi]
+    P, Q = [1] * (n + 1), [1] * (n + 1)
+    for k in range(n):
+        P[k + 1] = a[k] * P[k] - (b[k] * b[k] * P[k - 1] if k else 0)
+    for k in range(n - 1, -1, -1):
+        Q[k] = a[k] * Q[k + 1] - (b[k + 1] * b[k + 1] * Q[k + 2] if k + 1 < n else 0)
+    r = max(range(n), key=lambda k: abs(P[k] * Q[k + 1]))
+    v = [0] * n
+    v[r] = P[r] * Q[r + 1]
+    if not v[r]:
+        raise InternalError("adjugate of a Jacobi pencil vanishes near a simple root")
+    c = Q[r + 1]
+    for k in range(r - 1, -1, -1):
+        c *= -b[k + 1]
+        v[k] = c * P[k]
+    c = P[r]
+    for k in range(r + 1, n):
+        c *= -b[k]
+        v[k] = c * Q[k + 1]
+    return v if v[0] > 0 else [-x for x in v]
 
 
 def adjugate_pencil(pencil: "Pencil") -> PolyMatrix:
@@ -600,6 +663,8 @@ class Pencil(Record):
     # (scale, integer entries) from `_int_adjugate_pencil`, read only in this
     # module; `adjugate_pencil` divides them out on each call
     _adjugate = cached_property(lambda self: _int_adjugate_pencil(self))
+    # the rows of a Jacobi pencil, or None (`_jacobi_rows`)
+    _jacobi = cached_property(lambda self: _jacobi_rows(self))
 
     @cached_property
     def _int_model(self) -> tuple[int, list[list[int]], list[list[int]]]:

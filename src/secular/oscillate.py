@@ -13,9 +13,10 @@ Solvers:
 * `solve_jordan` -- first-order systems dx/dt = M x through the generalized
   eigenstructure (the principal parts of the resolvent); solution entries are
   e^(sigma t) times a polynomial of degree < chain length.
-* `expm_projectors` -- exp(M t) from the spectral projectors P and nilpotent
+* `expm_rows` -- exp(M t) from the spectral projectors P and nilpotent
   parts N^k P, the principal parts of the resolvent adj(s)/f(s) at each
-  exact eigenvalue (`spectral._principal_part`).
+  exact eigenvalue (`spectral._principal_part`), summed in Python floats;
+  `expm_projectors` returns it as an array.
 * `scalar_residue_solve` -- scalar constant-coefficient ODEs via residues of
   e^(r x)/F(r); multiple roots contribute x^k e^(r x) automatically.
 
@@ -34,7 +35,7 @@ from typing import TYPE_CHECKING
 from ._record import Record
 from .errors import InternalError, PathUnavailableError, PreconditionError
 from .invariants import inertia
-from .matrices import Pencil, RatMatrix, _bilinear
+from .matrices import Pencil, RatMatrix, _bilinear, _bilinear_float
 from .polynomials import Poly, squarefree_decompose
 from .realroots import RealRoot, root_sign
 from .spectral import _decide_path, _principal_part, spectral_decompose
@@ -62,6 +63,7 @@ __all__ = [
     "first_order_matrix",
     "spectral_projectors",
     "expm_projectors",
+    "expm_rows",
     "scalar_residue_solve",
     "classify_stability",
     "sample_trajectory",
@@ -375,20 +377,17 @@ def solve_modal(
                 " oscillatory (see the stability classifier)"
             )
     A = pencil.A
-    if dec.path == "exact":  # numpy is loaded only on the float path
+    if dec.path == "exact":
         def project(v, nv):
             return (float(_bilinear(A, v, ic.positions) / nv),
                     float(_bilinear(A, v, ic.velocities) / nv))
     else:
-        import numpy as np
-
-        Af = A.to_numpy()
-        Y = np.array([float(x) for x in ic.positions])
-        V = np.array([float(x) for x in ic.velocities])
+        Af = A.to_floats()
+        Y = [float(x) for x in ic.positions]
+        V = [float(x) for x in ic.velocities]
 
         def project(v, nv):
-            vf = np.array(v)
-            return float(vf @ Af @ Y) / float(nv), float(vf @ Af @ V) / float(nv)
+            return _bilinear_float(Af, v, Y) / nv, _bilinear_float(Af, v, V) / nv
 
     modes: list[Mode] = []
     drifts: list[DriftMode] = []
@@ -607,31 +606,42 @@ def solve_jordan(M: RatMatrix, ic, path: str = "auto") -> JordanSolution:
     return JordanSolution(M, tuple(blocks), "float")
 
 
-def expm_projectors(M: RatMatrix, t: float) -> np.ndarray:
-    """exp(M t) assembled from exact spectral projectors.
+def expm_rows(M: RatMatrix, t: float) -> list[list[float]]:
+    """exp(M t) assembled from exact spectral projectors, as rows of
+    Python floats.
 
     exp(M t) = sum_i e^(sigma_i t) sum_{k < r_i} N_i^k p_i t^k / k!, with the
     terms N_i^k p_i read off the resolvent's principal parts
     (`_principal_parts`).  The projector algebra (p_i^2 = p_i, sum p_i = I)
-    is exact; only the final scalar exponentials are floating point.
-    Irrational eigenvalues are rejected toward the floating Jordan path.  An
-    entry beyond floating-point range raises OverflowError, and numpy warns
-    of nothing.
+    is exact; only the final sum is floating point.  Each entry of a term is
+    rounded once from its integers over one denominator
+    (`RatMatrix.to_floats`), and per eigenvalue the entries are summed as
+    acc + term * t^k/k!, then added to the result as out + e^(sigma t) * acc,
+    the order and the operations of an elementwise array sum, so the bytes
+    are those of one.  Irrational eigenvalues are rejected toward the
+    floating Jordan path.  An entry beyond floating-point range, an
+    overflowing e^(sigma t) among them, raises OverflowError; no warning is
+    issued.
     """
-    import numpy as np
-
-    out = np.zeros((M.rows, M.rows))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for sigma, _m, terms in _principal_parts(Pencil.similarity(M)):
-            acc = terms[0].to_numpy()
-            tk = 1.0
-            for k, term in enumerate(terms[1:], 1):
-                tk *= t / k
-                acc = acc + term.to_numpy() * tk
-            out += math.exp(float(sigma) * t) * acc
-    if not np.isfinite(out).all():
+    out = [[0.0] * M.rows for _ in range(M.rows)]
+    for sigma, _m, terms in _principal_parts(Pencil.similarity(M)):
+        acc = terms[0].to_floats()
+        tk = 1.0
+        for k, term in enumerate(terms[1:], 1):
+            tk *= t / k
+            acc = [[a + v * tk for a, v in zip(ra, rv)] for ra, rv in zip(acc, term.to_floats())]
+        e = math.exp(float(sigma) * t)
+        out = [[o + e * a for o, a in zip(ro, ra)] for ro, ra in zip(out, acc)]
+    if not all(math.isfinite(v) for row in out for v in row):
         raise OverflowError("matrix exponential entry is not a finite float")
     return out
+
+
+def expm_projectors(M: RatMatrix, t: float) -> np.ndarray:
+    """`expm_rows` as an n x n array."""
+    import numpy as np
+
+    return np.array(expm_rows(M, t)).reshape(M.rows, M.rows)
 
 
 # ---------------------------------------------------------------------------

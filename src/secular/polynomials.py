@@ -67,7 +67,8 @@ class Poly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Fraction | int | str] = ()):
-        cs = [Fraction(c) for c in coeffs]
+        # a coefficient that is a Fraction already is kept, not rebuilt
+        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))

@@ -7,12 +7,14 @@ the original (possibly non-square-free) polynomial.
 
 Isolation bisects the Cauchy interval of the square-free part with a root
 counter: a function of n and d > 0 giving the number of roots above n/d up
-to a constant, so that its drop across (a, b] is the number of roots there.
-The default counter is Sturm's, the sign variations of the primitive
-pseudo-remainder sequence of `polynomials` on int lists, which keeps
-coefficient growth in check while preserving the sign structure the theorem
-needs.  The chain of p ends in gcd(p, p') up to a constant; when that is not
-a constant, Yun's decomposition over Z starts from it, and the chain of the
+to a constant, so that its drop across (a, b] is the number of roots there;
+at a midpoint it is also handed the sign of the polynomial there, which
+bisection has just taken.  The default counter is Sturm's, the sign
+variations of the primitive pseudo-remainder sequence of `polynomials` on
+int lists, which keeps coefficient growth in check while preserving the
+sign structure the theorem needs; the sign handed to it is its first.
+The chain of p ends in gcd(p, p') up to a constant; when that is not a
+constant, Yun's decomposition over Z starts from it, and the chain of the
 square-free part it returns is the one counted.  A caller that knows a
 cheaper counter for a square-free p passes it instead, and no chain is
 built: `Pencil.roots` passes the sign changes of a Jacobi pencil's leading
@@ -134,9 +136,11 @@ def _sign_at(cs: tuple[int, ...], n: int, d: int) -> int:
     return (acc > 0) - (acc < 0)
 
 
-def _variations(chain: list[tuple[int, ...]], n: int, d: int) -> int:
-    """Sturm's counter: the sign variations of the chain at n/d."""
-    signs = [s for s in (_sign_at(q, n, d) for q in chain) if s]
+def _variations(chain: list[tuple[int, ...]], n: int, d: int, first=None) -> int:
+    """Sturm's counter: the sign variations of the chain at n/d; `first`,
+    when given, is the sign of chain[0] there, which is then not taken."""
+    head = _sign_at(chain[0], n, d) if first is None else first
+    signs = [s for s in (head, *(_sign_at(q, n, d) for q in chain[1:])) if s]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
@@ -159,8 +163,9 @@ def _halve(cs, a, b, d):
 def _isolate(cs, count) -> list[tuple[int, int, int]]:
     """Isolating intervals (a, b, d), meaning (a/d, b/d), of every real root
     of the square-free integer polynomial cs, in increasing order, from
-    bisection of its Cauchy interval; count(n, d) is the number of roots of
-    cs above n/d up to a constant.
+    bisection of its Cauchy interval; count(n, d, sign) is the number of
+    roots of cs above n/d up to a constant, and is handed the sign of cs at
+    each midpoint, which bisection has taken already.
     """
     bound = 1 + Fraction(max(abs(c) for c in cs[:-1]), cs[-1])
     n, d = bound.numerator, bound.denominator
@@ -171,8 +176,8 @@ def _isolate(cs, count) -> list[tuple[int, int, int]]:
         if va - vb == 1:
             intervals.append((a, b, d))
         elif va - vb > 1:
-            a, m, b, d, _ = _halve(cs, a, b, d)
-            vm = count(m, d)
+            a, m, b, d, s = _halve(cs, a, b, d)
+            vm = count(m, d, s)
             stack.append((m, b, d, vm, vb))
             stack.append((a, m, d, va, vm))
     return intervals
@@ -358,8 +363,13 @@ def sturm_isolate(p: Poly, target_width=DEFAULT_WIDTH, count=None) -> list[RealR
     for u, v in apart:
         deflated = _exact_quo(deflated, [-u, v])
 
-    def count_left(n, d):
-        return count(n, d) - sum(1 for u, v in apart if u * d > n * v)
+    def count_left(n, d, sign=None):
+        # cs is deflated times the factors v*x - u, so the sign of cs at a
+        # midpoint is the deflated one's times theirs
+        if sign is not None:
+            for u, v in apart:
+                sign *= (v * n > u * d) - (v * n < u * d)
+        return count(n, d, sign) - sum(1 for u, v in apart if u * d > n * v)
 
     for a, b, d in _isolate(deflated, count_left) if len(deflated) > 1 else []:
         a, b, d = _narrow(deflated, a, b, d, target_width, apart=apart)

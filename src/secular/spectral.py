@@ -12,11 +12,18 @@ entry point, this module's, the pair reduction's and the Jordan solver's:
 an unknown path raises PreconditionError, "exact" with an irrational root
 raises PathUnavailableError, and "auto" is exact exactly when every root
 involved is.  Isolated irrational roots route to a floating path: the
-interval is refined to width 10^-30, the characteristic matrix at the
-midpoint is rounded once to floats from the pencil's integer model (no
-Fraction matrix is built), and nullspaces are taken by SVD with a relative
-singular-value threshold of 10^-10; at a simple root the one null vector is
-the normalized adjugate column.
+interval is refined to width 10^-30, and the kernel is taken at its
+midpoint.  A Jacobi pencil (`matrices._jacobi_rows`: every loaded string,
+d'Alembert's two masses, a 2 x 2 symmetric matrix) reads its one null
+vector there off its integer leading and trailing minors, as Lagrange
+wrote the loaded string's amplitudes as polynomials in the root, and
+rounds each entry of the unit vector once; it loads no numpy.  Any other
+pencil rounds its characteristic matrix at the midpoint once to floats
+from the integer model (no Fraction matrix is built) and takes nullspaces
+by SVD with a relative singular-value threshold of 10^-10; at a simple
+root the one null vector is the normalized adjugate column.  Weight norms
+and projections on the floating path are Python float sums over a
+matrix's float rows (`RatMatrix.to_floats`).
 
 For a symmetric pencil whose leading matrix is definite (by `inertia`),
 every root is real and vectors of distinct roots are orthogonal in both
@@ -27,12 +34,14 @@ demand.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt, sqrt
 from typing import TYPE_CHECKING
 
 from ._record import Record
 from .errors import InternalError, PathUnavailableError, PreconditionError
 from .invariants import inertia
-from .matrices import Pencil, RatMatrix, _bilinear, _nullspace
+from .matrices import (Pencil, RatMatrix, _bilinear, _bilinear_float, _jacobi_null_vector,
+                       _nullspace)
 from .polynomials import Poly, _over_lcm
 from .realroots import DEFAULT_WIDTH as FLOAT_ROOT_WIDTH, RealRoot, refine_root
 
@@ -146,8 +155,9 @@ def adjugate_eigenvector(pencil: Pencil, root: RealRoot, path: str = "auto"):
     exactly; the vector is sign-normalized (first nonzero entry positive).
     Floating path: the adjugate has rank one exactly when the nullity is
     one, and its columns then span the nullspace, so the vector is the unit
-    SVD null vector.  An all-zero adjugate (nullity above one) means the
-    root has higher geometric multiplicity; use `nullspace_at_root` then.
+    null vector of `nullspace_at_root`.  An all-zero adjugate (nullity above
+    one) means the root has higher geometric multiplicity; use
+    `nullspace_at_root` then.
     """
     mode = _decide_path(path, root.is_exact)
     if mode == "exact":
@@ -158,7 +168,7 @@ def adjugate_eigenvector(pencil: Pencil, root: RealRoot, path: str = "auto"):
             if any(col):
                 return _sign_normalize(tuple([Fraction(v, den) for v in col]))
     else:
-        basis = _float_nullspace(pencil.evaluate_float(_root_point(root)))
+        basis = _float_null_vectors(pencil, root)
         if len(basis) == 1:
             return basis[0]
     raise PreconditionError(
@@ -226,14 +236,49 @@ def _float_nullspace(M: np.ndarray):
     return basis
 
 
+def _unit_floats(v: list[int]) -> tuple[float, ...]:
+    """v / |v| as floats, each entry one correctly rounded integer division:
+    |v| is the integer square root of sum v_k^2 scaled by a power of four
+    to at least 2^256, so it errs by less than 2^-128 relative."""
+    s = sum([x * x for x in v])
+    t = max(0, 128 - s.bit_length() // 2)
+    norm = isqrt(s << 2 * t)
+    return tuple([(x << t) / norm for x in v])
+
+
+def _float_null_vectors(pencil: Pencil, root: RealRoot) -> list[tuple[float, ...]]:
+    """The floating path's unit kernel basis at the root's midpoint: the
+    Jacobi pencil's one null vector from its integer minors, else the SVD's."""
+    x = _root_point(root)
+    if pencil._jacobi is not None:
+        return [_unit_floats(_jacobi_null_vector(pencil._jacobi, x.numerator, x.denominator))]
+    return _float_nullspace(pencil.evaluate_float(x))
+
+
 def nullspace_at_root(pencil: Pencil, root: RealRoot, path: str = "auto"):
     """Exact (or floating) basis of the nullspace of the characteristic
-    matrix at a root; its size is the geometric multiplicity."""
+    matrix at a root; its size is the geometric multiplicity.
+
+    Exact path: the integer rows at the root, eliminated (`_nullspace`),
+    each vector sign-normalized.  Floating path, at the midpoint m/d of the
+    root refined to 10^-30: a Jacobi pencil, whose roots are all simple,
+    gives its one null vector in integers, an adjugate column from the
+    leading minors of `matrices._minor_count` and the trailing ones
+    (`matrices._jacobi_null_vector`), first entry positive, and each entry
+    of the unit vector is one correctly rounded integer division
+    (`_unit_floats`).  Lagrange wrote the loaded string's amplitudes as
+    these polynomials in the root; their recurrence runs in integers
+    because in floats, and off the root from its last row, it loses the
+    entries where the mode is small (Wilkinson, The Algebraic Eigenvalue
+    Problem, 1965, ch. 5).  Any other pencil takes the SVD null vectors of
+    its characteristic matrix rounded to floats, each with its first entry
+    above 10^-12 in size positive.
+    """
     mode = _decide_path(path, root.is_exact)
     if mode == "exact":
         rows = pencil._numerators(root.value)[1]
         return [_sign_normalize(v) for v in _nullspace(rows, pencil.size)]
-    return _float_nullspace(pencil.evaluate_float(_root_point(root)))
+    return _float_null_vectors(pencil, root)
 
 
 def cauchy_orthogonality(dec: SpectralDecomposition, B: RatMatrix) -> OrthogonalityReport:
@@ -243,12 +288,10 @@ def cauchy_orthogonality(dec: SpectralDecomposition, B: RatMatrix) -> Orthogonal
     floating path the largest magnitude is reported against a 1e-9 gate.
     """
     exact = dec.path == "exact"
-    if not exact:
-        import numpy as np
     worst: Fraction | float = Fraction(0) if exact else 0.0
     pairs = 0
     groups = list(zip(dec.roots, dec.vectors))
-    Bf = None if exact else B.to_numpy()
+    Bf = None if exact else B.to_floats()
     for a in range(len(groups)):
         for b in range(a + 1, len(groups)):
             for v in groups[a][1]:
@@ -258,7 +301,7 @@ def cauchy_orthogonality(dec: SpectralDecomposition, B: RatMatrix) -> Orthogonal
                         val = abs(_bilinear(B, v, w))
                         worst = max(worst, val)
                     else:
-                        val = abs(float(np.array(v) @ Bf @ np.array(w)))
+                        val = abs(_bilinear_float(Bf, v, w))
                         worst = max(worst, val)
     ok = (worst == 0) if exact else (worst <= 1e-9)
     return OrthogonalityReport(pairs, worst, ok)
@@ -308,17 +351,20 @@ def _gram_schmidt_exact(vectors, W: RatMatrix):
     return out, norms
 
 
-def _gram_schmidt_float(vectors, W: np.ndarray):
-    import numpy as np
-
+def _gram_schmidt_float(vectors, W: list[list[float]]):
+    """W-orthonormalize float vectors in Python floats, W given by its
+    float rows (`RatMatrix.to_floats`); returns them with unit norms."""
     out = []
     for v in vectors:
-        v = np.array(v, dtype=float)
+        v = [float(x) for x in v]
         for u in out:
-            v = v - (u @ W @ v) / (u @ W @ u) * u
-        v = v / np.sqrt(abs(v @ W @ v))
-        out.append(v)
-    return [tuple(float(x) for x in v) for v in out], [1.0] * len(out)
+            c = _bilinear_float(W, u, v) / _bilinear_float(W, u, u)
+            v = [a - c * b for a, b in zip(v, u)]
+        nv = sqrt(abs(_bilinear_float(W, v, v)))
+        if not nv:
+            raise OverflowError("weight norm of a vector is not a positive float")
+        out.append(tuple([a / nv for a in v]))
+    return out, [1.0] * len(out)
 
 
 def spectral_decompose(pencil: Pencil, path: str = "auto") -> SpectralDecomposition:
@@ -331,7 +377,7 @@ def spectral_decompose(pencil: Pencil, path: str = "auto") -> SpectralDecomposit
     roots = char_roots(pencil)
     mode = _decide_path(path, all(r.is_exact for r in roots))
     W = pencil.leading()
-    Wf = None if mode == "exact" else W.to_numpy()
+    Wf = None if mode == "exact" else W.to_floats()
     vectors = []
     norms = []
     for root in roots:

@@ -45,8 +45,12 @@ narrower than 1/(2 lc**2), and every final narrowing started from the
 isolating interval.  Root isolation keeps its Sturm-chain form from before
 Jacobi pencils counted roots by their leading minors: chain bisection,
 rational roots tested in cells narrowed below 1/lc, and a second narrowing
-from those cells or from the isolating interval.  The small constructors and products the tests build
-their inputs with live here too, outside the library.
+from those cells or from the isolating interval.  The floating path keeps
+its numpy routes from before it ran on Python floats: the SVD null vectors
+Jacobi pencils took before their integer minors gave them, Gram-Schmidt
+on arrays, and the matrix exponential summed as arrays.  The small
+constructors and products the tests build their inputs with live here too,
+outside the library.
 """
 
 from __future__ import annotations
@@ -69,7 +73,7 @@ from secular.invariants import (
     minor_gcd_chain,
 )
 from secular.matrices import Pencil, PolyMatrix, RatMatrix, adjugate_pencil, det_rational
-from secular.oscillate import Trajectory
+from secular.oscillate import Trajectory, _principal_parts
 from secular.polynomials import (
     ONE,
     Poly,
@@ -87,7 +91,7 @@ from secular.quadpairs import (
     ThetaDecomposition,
     theta_components,
 )
-from secular.realroots import DEFAULT_WIDTH, RealRoot, _halve, _narrow, _sign_at
+from secular.realroots import DEFAULT_WIDTH, RealRoot, _halve, _narrow, _sign_at, refine_root
 
 
 def poly_gcd_by_euclid(p: Poly, q: Poly) -> Poly:
@@ -1250,3 +1254,59 @@ def sturm_isolate_by_chain(p: Poly, target_width=DEFAULT_WIDTH) -> list[RealRoot
         roots.append(RealRoot.isolated(Fraction(a, d), Fraction(b, d), f, e))
 
     return sorted(roots, key=lambda r: r.approx())
+
+
+def float_nullspace_by_svd(M: np.ndarray):
+    """The floating kernel basis by SVD, as the library took it for every
+    pencil before Jacobi pencils read theirs off their integer minors:
+    singular values at most 10^-10 of the largest, each vector with its first
+    entry above 10^-12 in size positive."""
+    _, s, vh = np.linalg.svd(M)
+    cutoff = 1e-10 * (s[0] if s.size and s[0] > 0 else 1.0)
+    basis = []
+    for k in range(M.shape[1]):
+        sv = s[k] if k < s.size else 0.0
+        if sv <= cutoff:
+            v = vh[k]
+            lead = v[int(np.argmax(np.abs(v) > 1e-12))]
+            if lead < 0:
+                v = -v
+            basis.append(tuple(float(x) for x in v))
+    return basis
+
+
+def null_vectors_by_svd(pencil: Pencil, root: RealRoot):
+    """The SVD kernel basis of the characteristic matrix, rounded from
+    Fractions, at the root's midpoint refined to 10^-30."""
+    return float_nullspace_by_svd(
+        float_char_matrix_by_fractions(pencil, refine_root(root, DEFAULT_WIDTH).approx()))
+
+
+def gram_schmidt_by_numpy(vectors, W: np.ndarray):
+    """W-orthonormalization on numpy arrays, as the floating path ran it
+    before it summed Python floats."""
+    out = []
+    for v in vectors:
+        v = np.array(v, dtype=float)
+        for u in out:
+            v = v - (u @ W @ v) / (u @ W @ u) * u
+        v = v / np.sqrt(abs(v @ W @ v))
+        out.append(v)
+    return [tuple(float(x) for x in v) for v in out], [1.0] * len(out)
+
+
+def expm_by_numpy_sum(M: RatMatrix, t: float) -> np.ndarray:
+    """exp(M t) from the resolvent's principal parts summed as numpy arrays,
+    as `expm_projectors` summed them before its Python float lists."""
+    out = np.zeros((M.rows, M.rows))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for sigma, _m, terms in _principal_parts(Pencil.similarity(M)):
+            acc = terms[0].to_numpy()
+            tk = 1.0
+            for k, term in enumerate(terms[1:], 1):
+                tk *= t / k
+                acc = acc + term.to_numpy() * tk
+            out += math.exp(float(sigma) * t) * acc
+    if not np.isfinite(out).all():
+        raise OverflowError("matrix exponential entry is not a finite float")
+    return out

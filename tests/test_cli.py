@@ -993,6 +993,24 @@ SCENARIO_DOC = {
 }
 
 
+LOADED_STRING_DOC = {
+    "kind": "loaded-string",
+    "parameters": {"n": "4", "a": "3/2"},
+    "initial": {"positions": ["1", "0", "-1/2", "0"], "velocities": ["0", "1", "0", "0"]},
+}
+DALEMBERT_DOC = {
+    "kind": "dalembert-two-mass",
+    "parameters": {"T": "2"},
+    "initial": {"positions": ["1", "0"], "velocities": ["0", "1"]},
+}
+DENSE_SCENARIO_DOC = {
+    "kind": "custom",
+    "mass": {"rows": 2, "cols": 2, "entries": ["2", "1", "1", "3"]},
+    "stiffness": {"rows": 2, "cols": 2, "entries": ["1", "0", "0", "3"]},
+    "initial": {"positions": ["1", "0"], "velocities": ["0", "1"]},
+}
+
+
 def run_probe(script, argv):
     """The last stderr line of a fresh interpreter running script with argv,
     on this checkout's `secular`."""
@@ -1034,13 +1052,39 @@ class TestNumpyFreeStartUp:
         argv = [] if verb is None else [verb, "--input", write_json(tmp_path, "d.json", doc)]
         assert self.probe(argv) == (0, False)
 
-    def test_expm_imports_numpy(self, tmp_path):
+    def test_expm_imports_no_numpy(self, tmp_path):
+        # rational eigenvalues: the principal parts are summed in Python floats
         doc = write_json(
             tmp_path,
             "diag.json",
             {"rows": 2, "cols": 2, "entries": ["1/1", "0/1", "0/1", "2/1"]},
         )
-        assert self.probe(["expm", "--input", doc, "--time", "1.0"]) == (0, True)
+        assert self.probe(["expm", "--input", doc, "--time", "1.0"]) == (0, False)
+
+    @pytest.mark.parametrize(
+        "command, doc",
+        [
+            ("solve --method modal", LOADED_STRING_DOC),
+            ("solve", DALEMBERT_DOC),
+            ("eigvec", {"rows": 2, "cols": 2, "entries": ["1", "2", "2", "-3"]}),
+        ],
+        ids=["loaded-string", "dalembert", "eigvec-2x2"],
+    )
+    def test_jacobi_float_paths_import_no_numpy(self, tmp_path, capsys, command, doc):
+        # irrational roots: the float path, with null vectors from the minors
+        path = write_json(tmp_path, "d.json", doc)
+        argv = [*command.split(), "--input", path]
+        assert run(argv) == 0
+        assert json.loads(capsys.readouterr().out)["path"] == "float"
+        assert self.probe(argv) == (0, False)
+
+    @pytest.mark.parametrize("verb", ["solve", "trajectory"])
+    def test_dense_solve_and_trajectory_still_import_numpy(self, tmp_path, verb):
+        # a full mass matrix takes the SVD, and every trajectory the array
+        # grid: a silent fallback to either elsewhere would show here
+        doc = DENSE_SCENARIO_DOC if verb == "solve" else LOADED_STRING_DOC
+        path = write_json(tmp_path, "d.json", doc)
+        assert self.probe([verb, "--input", path]) == (0, True)
 
 
 MODULES_PROBE = (
@@ -1429,6 +1473,14 @@ class TestExitCodes:
                 "parameters": {"m": "1", "k": "1", "k0": "1"},
                 "initial": {"positions": ["1", "0"], "velocities": ["0", "0"]},
             }, ["--t-max", "1e308"]),
+            # a mass of 1e-400 rounds to 0.0: a mode's weight norm is no
+            # positive float, where a numpy division warned and gave inf
+            ("solve", {
+                "kind": "custom",
+                "mass": {"rows": 2, "cols": 2, "entries": ["1e-400", "0", "0", "2e-400"]},
+                "stiffness": {"rows": 2, "cols": 2, "entries": ["2", "-1", "-1", "1"]},
+                "initial": {"positions": ["1", "0"], "velocities": ["0", "1"]},
+            }, []),
         ],
     )
     def test_float_overflow_exits_3(self, tmp_path, deadline, capsys, verb, entries, flags):

@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +13,7 @@ from secular.oscillate import (
     build_model,
     classify_stability,
     expm_projectors,
+    expm_rows,
     first_order_matrix,
     frequency_poly_in_rho,
     loaded_string_frequency_series,
@@ -28,6 +30,7 @@ from secular.spectral import char_roots
 from oracles import (
     conjugated_jordan,
     expm_by_bezout,
+    expm_by_numpy_sum,
     expm_taylor,
     jordan_blocks_by_bezout,
     jordan_at,
@@ -373,6 +376,36 @@ class TestProjectorsAndExpm:
             assert [(b.sigma_re, b.chain_length, b.cos_coeffs) for b in sol.blocks] == \
                 jordan_blocks_by_bezout(M, x0)
         assert rejected and defective and len(cases) - rejected - defective
+
+
+class TestExpmListSum:
+    """`expm_rows` sums the principal parts as Python floats with the
+    operations and order of the numpy sum it replaced, and `expm_projectors`
+    is its array."""
+
+    def test_bit_identical_to_numpy_sum(self, deadline):
+        deadline(60)
+        rng = random.Random(27)
+        for M in [conjugated_jordan(rng, rng.randint(0, 6)) for _ in range(48)]:
+            for t in (1.0, -0.75, 2.5, 1e-3, 40.0):
+                expected = expm_by_numpy_sum(M, t).tobytes()
+                assert np.array(expm_rows(M, t)).reshape(M.rows, M.rows).tobytes() == expected
+                assert expm_projectors(M, t).tobytes() == expected
+
+    @pytest.mark.parametrize("rows, t", [
+        # math.exp(2e6) overflows
+        ([[1, 0], [0, 2]], 1e6),
+        # the chain of 0 has length 3: entry (0, 2) of acc is -1e200 * 1e200
+        # = -inf, then -inf + 1 * (1e200 * 1e200 / 2) = -inf + inf
+        ([[0, 1, -10**200], [0, 0, 1], [0, 0, 0]], 1e200),
+    ])
+    def test_overflow_raises_without_warning(self, rows, t):
+        M = RatMatrix.from_rows(rows)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for call in (expm_rows, expm_projectors, expm_by_numpy_sum):
+                with pytest.raises(OverflowError):
+                    call(M, t)
 
 
 class TestScalarResidue:

@@ -43,6 +43,35 @@ def polys(max_degree=6, nonzero=False):
     return base
 
 
+class TestConstruction:
+    """Every coefficient becomes a Fraction: one that is a Fraction already
+    is kept as it is, any other goes through Fraction(c), with its errors."""
+
+    def test_accepted_inputs(self):
+        half = Fraction(1, 2)
+        p = Poly([3, "-2/4", half, 0.25, "0"])
+        assert p.coeffs == (3, Fraction(-1, 2), half, Fraction(1, 4))
+        assert all(type(c) is Fraction for c in p.coeffs)
+        assert p.coeffs[2] is half
+        assert Poly(p).coeffs == p.coeffs
+
+    def test_fraction_subclass_is_rebuilt(self):
+        class Tagged(Fraction):
+            pass
+
+        (c,) = Poly([Tagged(2, 3)]).coeffs
+        assert type(c) is Fraction and c == Fraction(2, 3)
+
+    @pytest.mark.parametrize("bad, error", [("x", ValueError), ("1/0", ZeroDivisionError),
+                                            (None, TypeError), (float("nan"), ValueError),
+                                            (float("inf"), OverflowError), (1j, TypeError)])
+    def test_rejected_inputs_raise_as_fraction(self, bad, error):
+        with pytest.raises(error):
+            Fraction(bad)
+        with pytest.raises(error):
+            Poly([1, bad])
+
+
 class TestArithmetic:
     def test_expand_product(self):
         assert poly_from_roots([1, 2]) == P(2, -3, 1)

@@ -22,6 +22,7 @@ from secular.realroots import (
 from oracles import (
     bisect_bracket,
     bisect_narrow,
+    isolate_by_chain,
     poly_from_roots,
     sturm_chain_by_divmod,
     sturm_isolate_by_chain,
@@ -156,6 +157,46 @@ class TestSquarefreeShortcut:
         ]
         with pytest.raises(AssertionError, match="decomposed"):
             sturm_isolate(P(-3, 1) ** 2)
+
+
+# square-free polynomials: irrational roots alone, beside a rational one,
+# and rational roots alone
+MIDPOINT_FIXTURES = [
+    P(0, -3, 4, -1),
+    P(-2, 0, 1) * poly_from_roots([5]),
+    poly_from_roots([Fraction(1, 3), Fraction(-7, 2)]),
+    P(-2, 0, 1),
+    P(-8, 10, -6, 1),
+    P(16, 0, -24, -1, 9),
+]
+
+
+class TestMidpointSignOnce:
+    """On the Sturm path, bisection hands the sign it took at each midpoint
+    to the counter as its chain's first sign, so no sign is taken twice; the
+    isolating intervals and every root stay those of chain bisection."""
+
+    @pytest.mark.parametrize("p", MIDPOINT_FIXTURES)
+    def test_each_midpoint_sign_taken_once(self, monkeypatch, p):
+        cs = tuple(_primitive_ints(p)[1])
+        chain = _prs(list(cs), _derivative(list(cs)))
+        assert len(chain[-1]) == 1  # square-free
+        expected = isolate_by_chain(chain)
+        taken = []
+        sign_at = realroots._sign_at
+        monkeypatch.setattr(realroots, "_sign_at", lambda q, n, d: (
+            tuple(q) == cs and taken.append(Fraction(n, d))) or sign_at(q, n, d))
+        got = realroots._isolate(cs, partial(realroots._variations, chain))
+        assert sorted(got) == sorted(expected)
+        assert len(taken) == len(set(taken))
+
+    @pytest.mark.parametrize("p", MIDPOINT_FIXTURES)
+    @pytest.mark.parametrize("width", [Fraction(1), Fraction(1, 10**30)])
+    def test_roots_as_chain_bisection(self, deadline, p, width):
+        # a wrong sign handed to the counter miscounts, or never isolates
+        deadline(5.0)
+        assert root_fields(sturm_isolate(p, width)) == \
+            root_fields(sturm_isolate_by_chain(p, width))
 
 
 class TestRepeatedRootGcdOnce:

@@ -1,8 +1,9 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from secular.errors import PathUnavailableError, PreconditionError
@@ -11,6 +12,7 @@ from secular.polynomials import Poly
 from secular.realroots import RealRoot, refine_root, sturm_isolate
 from secular.spectral import (
     FLOAT_ROOT_WIDTH,
+    _gram_schmidt_float,
     _principal_part,
     adjugate_eigenvector,
     cauchy_orthogonality,
@@ -498,3 +500,147 @@ class TestPencilWorkDoneOnce:
         assert spectral_decompose(pair.pencil()).path == "exact"
         # the double root 1 reads its kernel, for the circumstance and for theta
         assert pencil_work == {"det_pencil": 1, "_int_adjugate_pencil": 0, "sturm_isolate": 1}
+
+
+JACOBI_ENTRY = st.one_of(st.integers(-60, 60), st.builds(Fraction, st.integers(-60, 60), st.integers(1, 4)))
+JACOBI_SUB = st.builds(Fraction, st.integers(-12, 12).filter(bool), st.integers(1, 8))
+JACOBI_MASS = st.builds(Fraction, st.integers(1, 12), st.integers(1, 4))
+
+
+@st.composite
+def jacobi_pencils(draw):
+    """An "sA-B" pencil with A positive diagonal and B symmetric tridiagonal
+    with nonzero sub-diagonal, or the "A-sB" pencil (-B) - s(-A) with the
+    same characteristic matrix (the "jacobi-A-sB" kind of
+    test_realroots.py); sizes 1..12.  A wide diagonal beside a small
+    sub-diagonal gives modes that decay by many orders along the string."""
+    n = draw(st.integers(1, 12))
+    a = [draw(JACOBI_MASS) for _ in range(n)]
+    diag = [draw(JACOBI_ENTRY) for _ in range(n)]
+    sub = [draw(JACOBI_SUB) for _ in range(n - 1)]
+    A = RatMatrix.diagonal(a)
+    B = RatMatrix.from_rows([[diag[i] if i == j else sub[min(i, j)] if abs(i - j) == 1 else 0
+                              for j in range(n)] for i in range(n)])
+    return Pencil(-B, -A, "A-sB") if draw(st.booleans()) else Pencil(A, B, "sA-B")
+
+
+def mpmath_shapes(pencil: Pencil):
+    """The mass-normalised mode shapes (|v^T W v| = 1, W the leading matrix,
+    first entry positive) of a Jacobi pencil in increasing order of its
+    roots, from a 50-digit symmetric eigensolver: with P(s) = (s*X + Y) / L
+    and X diagonal, the roots are the eigenvalues of -X^(-1/2) Y X^(-1/2)
+    and the shapes sqrt(L) X^(-1/2) u."""
+    import mpmath
+
+    L, X, Y = pencil._int_model
+    n = pencil.size
+    with mpmath.workdps(50):
+        roots = [mpmath.sqrt(X[k][k]) for k in range(n)]
+        C = mpmath.matrix(n, n)
+        for i in range(n):
+            for j in range(n):
+                C[i, j] = -mpmath.mpf(Y[i][j]) / (roots[i] * roots[j])
+        E, U = mpmath.eigsy(C)
+        shapes = []
+        for k in sorted(range(n), key=lambda k: E[k]):
+            v = [U[i, k] / roots[i] * mpmath.sqrt(L) for i in range(n)]
+            shapes.append(v if v[0] > 0 else [-x for x in v])
+    return shapes
+
+
+# a wide diagonal and a sub-diagonal of 1/8: the modes decay by about 10^28
+# along the string, where the forward recurrence v_k = (-1)^k P_k / (b_1 .. b_k)
+# at the refined midpoint is wrong in the third digit
+DECAYING = Pencil(RatMatrix.identity(12), RatMatrix.from_rows(
+    [[(-1) ** i * 40 + i if i == j else Fraction(1, 8) if abs(i - j) == 1 else 0
+      for j in range(12)] for i in range(12)]), "sA-B")
+
+
+class TestJacobiNullVector:
+    """A Jacobi pencil's float null vectors come from its integer minors:
+    an exact adjugate column, correctly rounded once normalised, with no
+    SVD and no numpy."""
+
+    @given(jacobi_pencils())
+    @example(DECAYING)
+    @settings(max_examples=60, deadline=None)
+    def test_mass_normalised_shapes_match_mpmath(self, pencil):
+        import mpmath
+
+        dec = spectral_decompose(pencil, path="float")
+        assert dec.path == "float" and len(dec.roots) == pencil.size
+        for (got,), ref in zip(dec.vectors, mpmath_shapes(pencil)):
+            scale = max(abs(x) for x in ref)
+            err = max(abs(mpmath.mpf(g) - x) for g, x in zip(got, ref))
+            assert err <= 4 * 2.0**-52 * scale
+
+    @given(jacobi_pencils())
+    @example(DECAYING)
+    @settings(max_examples=60, deadline=None)
+    def test_against_svd_oracle(self, pencil):
+        import numpy as np
+
+        from oracles import float_char_matrix_by_fractions, null_vectors_by_svd
+
+        for root in char_roots(pencil):
+            (v,) = nullspace_at_root(pencil, root, path="float")
+            assert adjugate_eigenvector(pencil, root, path="float") == v
+            assert v[0] > 0 and abs(math.fsum(x * x for x in v) - 1) <= 1e-15
+            (w,) = null_vectors_by_svd(pencil, root)
+            # the SVD's own error: eps * |M| over the gap to the next
+            # singular value; its sign rule reads the first entry above 1e-12
+            M = float_char_matrix_by_fractions(pencil, refine_root(root, FLOAT_ROOT_WIDTH).approx())
+            s = np.linalg.svd(M, compute_uv=False)
+            tol = 64 * 2.0**-52 * s[0] / s[-2] if pencil.size > 1 else 0.0
+            assert min(max(abs(x - y) for x, y in zip(v, w)),
+                       max(abs(x + y) for x, y in zip(v, w))) <= tol
+
+    @given(jacobi_pencils(), st.sampled_from([Fraction(1), Fraction(1, 1000), FLOAT_ROOT_WIDTH]))
+    @example(Pencil.similarity(RatMatrix.from_rows([[2, 1, 0], [1, 2, 1], [0, 1, 2]])),
+             FLOAT_ROOT_WIDTH)
+    @settings(max_examples=60, deadline=None)
+    def test_exact_adjugate_column(self, pencil, width):
+        # M v = +-det(M) e_r exactly, with M = m*X + d*Y the integer rows at
+        # the midpoint m/d (the root itself when it is rational): v is a
+        # column of adj M, negated if need be to make its first entry positive
+        from secular.matrices import _jacobi_null_vector
+
+        _, X, Y = pencil._int_model
+        for root in char_roots(pencil, width):
+            x = root.approx()
+            m, d = x.numerator, x.denominator
+            rows = [[m * a + d * b for a, b in zip(ra, rb)] for ra, rb in zip(X, Y)]
+            v = _jacobi_null_vector(pencil._jacobi, m, d)
+            det = RatMatrix.from_rows(rows).det()  # Bareiss
+            Mv = [sum(a * b for a, b in zip(row, v)) for row in rows]
+            assert v[0] > 0
+            assert sum(1 for y in Mv if y) == (det != 0)
+            assert all(y in (0, det, -det) for y in Mv)
+            if root.is_exact:
+                assert Mv == [0] * pencil.size
+
+    def test_dense_pencil_keeps_the_svd(self):
+        # a full mass matrix is not Jacobi: the SVD oracle's vectors exactly
+        from oracles import null_vectors_by_svd
+
+        A = RatMatrix.from_rows([[2, 1, 0], [1, 3, 1], [0, 1, 2]])
+        B = RatMatrix.from_rows([[1, 1, 1], [1, 2, 0], [1, 0, 5]])
+        pencil = Pencil(A, B)
+        assert pencil._jacobi is None
+        for root in char_roots(pencil):
+            assert nullspace_at_root(pencil, root, path="float") == null_vectors_by_svd(pencil, root)
+
+    @given(jacobi_pencils())
+    @settings(max_examples=30, deadline=None)
+    def test_gram_schmidt_against_numpy_oracle(self, pencil):
+        import numpy as np
+
+        from oracles import gram_schmidt_by_numpy
+
+        W = pencil.leading()
+        for root in char_roots(pencil):
+            basis = nullspace_at_root(pencil, root, path="float")
+            got, norms = _gram_schmidt_float(basis, W.to_floats())
+            want, _ = gram_schmidt_by_numpy(basis, W.to_numpy())
+            assert norms == [1.0]
+            assert np.allclose(got, want, rtol=0, atol=8 * 2.0**-52)
