@@ -1,5 +1,6 @@
 """Microbenchmark of the hot records: construction, ==, hash and a field
-read of RealRoot, RatMatrix, Pencil and Mode.
+read of RealRoot, RatMatrix, Pencil and Mode, and the same for `Poly` with
+its product, euclidean division and monic form.
 
     PYTHONPATH=src python scripts/record_microbench.py [--baseline SRC] [--rounds N]
 
@@ -11,7 +12,13 @@ over the rounds of the mean time of one operation, in nanoseconds.
 A RatMatrix is built from its entries by `RatMatrix.from_entries` (by the
 class itself in a tree older than that constructor), and it stores only
 integers over one denominator: the `RatMatrix.entries` row times a build
-of four Fractions, not a field read.
+of four Fractions, not a field read.  The same holds for `Poly.coeffs` on a
+`Poly` stored as content * prim.  The `Poly` rows take a quartic with
+denominators 2 to 6, a negative leading coefficient and a quadratic
+divisor, the sizes of the characteristic polynomials the engine divides.
+`Poly ==` compares it with an equal quartic built from other Fraction
+objects, as two computations of one polynomial give: over shared objects,
+a tuple of Fractions compares by identity and never calls Fraction.__eq__.
 """
 
 import argparse
@@ -34,6 +41,13 @@ OPERATIONS = (
     ("hash(Pencil)", "hash(p1)"),
     ("RatMatrix.entries", "a.entries"),
     ("RealRoot.lo", "r1.lo"),
+    ("Poly(fractions)", "Poly(cs)"),
+    ("Poly ==", "q1 == q2"),
+    ("hash(Poly)", "hash(q1)"),
+    ("Poly *", "q1 * d"),
+    ("divmod(Poly)", "divmod(q1, d)"),
+    ("Poly.monic", "q1.monic()"),
+    ("Poly.coeffs", "q1.coeffs"),
 )
 
 
@@ -60,7 +74,11 @@ def namespace(RealRoot, RatMatrix, Pencil, Mode, Poly):
     build = getattr(RatMatrix, "from_entries", RatMatrix)
     a, b = build(2, 2, entries), build(2, 2, entries)
     r1, r2 = (RealRoot("isolated", None, f, f, p, 1) for _ in range(2))
+    cs = tuple(Fraction(n, d) for n, d in ((7, 6), (-5, 2), (0, 1), (11, 3), (-4, 3)))
+    q1, q2 = Poly(cs), Poly([Fraction(c.numerator, c.denominator) for c in cs])
+    d = Poly([Fraction(1, 2), Fraction(-1, 3), 1])
     return dict(RealRoot=RealRoot, build=build, Pencil=Pencil, Mode=Mode, f=f, p=p,
+                Poly=Poly, cs=cs, q1=q1, q2=q2, d=d,
                 entries=entries, shape=shape, a=a, b=b, r1=r1, r2=r2,
                 p1=Pencil(a, a, "sA-B"), p2=Pencil(b, b, "sA-B"),
                 m1=Mode(r1, 1.0, shape, f, 1.0, 0.5), m2=Mode(r2, 1.0, shape, f, 1.0, 0.5))

@@ -44,11 +44,11 @@ from ._record import Record
 from .errors import InternalError, PreconditionError
 from .matrices import Pencil, PolyMatrix, RatMatrix, _bareiss_step, _rref
 from .polynomials import (
+    ONE,
     Poly,
     _mul,
     _over_lcm,
     _pdivmod,
-    _primitive_ints,
     _sub,
     kronecker_factor,
     squarefree_decompose,
@@ -139,15 +139,15 @@ def minor_gcd_chain(P: PolyMatrix) -> MinorGcdChain:
     if not P.is_square:
         raise PreconditionError("minor chain of a non-square matrix")
     if P.rows == 0:
-        return MinorGcdChain((Poly([1]),))  # the empty determinant
+        return MinorGcdChain((ONE,))  # the empty determinant
     block = []
     for i in range(P.rows):
-        row = [P.entry(i, j).coeffs for j in range(P.cols)]
-        ints = iter(_over_lcm([c for p in row for c in p])[1])
-        block.append(_primitive_row([[next(ints) for _ in p] for p in row]))
-    deltas = [Poly([1])]
+        row = [P.entry(i, j) for j in range(P.cols)]
+        scales = _over_lcm([p.content for p in row])[1]
+        block.append(_primitive_row([[s * v for v in p.prim] for s, p in zip(scales, row)]))
+    deltas = [ONE]
     while block:
-        deltas.append(deltas[-1] * Poly(_smith_pivot(block)).monic())
+        deltas.append(deltas[-1] * Poly._of(_smith_pivot(block)).monic())
         block = [row[1:] for row in block[1:]]
     return MinorGcdChain(tuple(deltas[1:]))
 
@@ -219,7 +219,7 @@ def _primitive_row(row: list[list[int]]) -> list[list[int]]:
 def invariant_factors(chain: MinorGcdChain) -> InvariantFactors:
     """i_k = Delta_k / Delta_(k-1), verifying both divisibility chains."""
     factors = []
-    prev = Poly([1])
+    prev = ONE
     for delta in chain.deltas:
         quo, rem = divmod(delta, prev)
         if not rem.is_zero():
@@ -253,7 +253,7 @@ def _minor_divisibility(pencil: Pencil) -> MinorDivisibility:
     for factor, mult in squarefree_decompose(pencil.char_poly()):
         divisible = mult == 1
         if not divisible:
-            g = _primitive_ints(factor)[1]
+            g = factor.prim
             size = pencil.size * (len(g) - 1)
             divisible = size - len(_rref(pencil._factor_rows(g), size)) == mult * (len(g) - 1)
         records.append((factor, mult, divisible))

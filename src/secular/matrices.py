@@ -257,7 +257,8 @@ class RatMatrix(Record):
     def nullspace(self) -> list[Vector]:
         """Exact basis of the right nullspace, one vector per free column
         (`_nullspace` on the integer rows)."""
-        return _nullspace(self._int_rows(), self.cols)
+        return [tuple([Fraction(v, d) for v in vs])
+                for d, vs in _nullspace(self._int_rows(), self.cols)]
 
     def adjugate(self) -> "RatMatrix":
         """Transposed cofactor matrix: self @ adj = det * I, at any rank.
@@ -309,25 +310,27 @@ def _rref(m: list[list[int]], ncols: int) -> list[int]:
     return pivots
 
 
-def _nullspace(m: list[list[int]], ncols: int) -> list[Vector]:
+def _nullspace(m: list[list[int]], ncols: int) -> list[tuple[int, list[int]]]:
     """Exact basis of the right nullspace of the integer rows m (consumed);
     any nonzero rational multiple of the rows gives the same basis.
 
     Deterministic: free columns in increasing order, each basis vector has a
     1 in its free coordinate, and the others are read off the integer
-    echelon rows of `_rref` with one Fraction per entry.
+    echelon rows of `_rref`, as (den, ints) for the vector ints / den, den > 0.
     """
     pivots = _rref(m, ncols)
     basis = []
     for j in range(ncols):
         if j in pivots:
             continue
-        v = [Fraction(0)] * ncols
-        v[j] = Fraction(1)
+        den = int_lcm(*[m[r][c] for r, c in enumerate(pivots) if m[r][j]])
+        v = [0] * ncols
+        v[j] = den
         for r, c in enumerate(pivots):
-            v[c] = Fraction(-m[r][j], m[r][c])
-        basis.append(tuple(v))
+            v[c] = -m[r][j] * (den // m[r][c])
+        basis.append((den, v))
     return basis
+
 
 
 def _bareiss_step(m: list[list[int]], k: int, prev: int, rows: Iterable[int]) -> None:
@@ -479,8 +482,7 @@ def det_pencil(pencil: "Pencil") -> Poly:
     else:
         values = [_bareiss(pencil._numerators(k)[1], n) for k in range(n + 1)]
         coeffs = _interpolate(range(n + 1), values)
-    scale = L**n
-    return Poly(Fraction(c, scale) for c in coeffs)
+    return Poly._of(coeffs, den=L**n)
 
 
 def _jacobi_rows(pencil: "Pencil") -> list[tuple[int, int, int]] | None:
@@ -576,9 +578,8 @@ def adjugate_pencil(pencil: "Pencil") -> PolyMatrix:
     polynomial identity: the pencil's integer adjugate (`_int_adjugate_pencil`),
     divided by its scale into one `Poly` per entry."""
     scale, entries = pencil._adjugate
-    return PolyMatrix(pencil.size, pencil.size, tuple([
-        Poly([Fraction(x, scale) for x in entry]) for entry in entries
-    ]))
+    return PolyMatrix(pencil.size, pencil.size,
+                      tuple([Poly._of(entry, den=scale) for entry in entries]))
 
 
 def _int_adjugate_pencil(pencil: "Pencil") -> tuple[int, list[list[int]]]:
@@ -596,7 +597,7 @@ def _int_adjugate_pencil(pencil: "Pencil") -> tuple[int, list[list[int]]]:
     if f.is_zero():
         raise PreconditionError("singular pencil (determinant identically zero)")
     n = pencil.size
-    c = 2 + max(abs(x) for x in f.coeffs) // abs(f.leading())
+    c = 2 + max(map(abs, f.prim)) // f.prim[-1]
     points = range(c, c + n)
     values = [_int_adjugate(pencil._numerators(k)[1])[1] for k in points]
     return (pencil._int_model[0] ** max(n - 1, 0),
@@ -651,7 +652,7 @@ class Pencil(Record):
         """P(s) = (s*X + Y) / L, one `Poly` per entry."""
         L, X, Y = self._int_model
         return PolyMatrix.from_rows([
-            [Poly([Fraction(y, L), Fraction(x, L)]) for x, y in zip(row_x, row_y)]
+            [Poly._of((y, x), den=L) for x, y in zip(row_x, row_y)]
             for row_x, row_y in zip(X, Y)
         ])
 

@@ -36,7 +36,7 @@ from ._record import Record
 from .errors import InternalError, PathUnavailableError, PreconditionError
 from .invariants import inertia
 from .matrices import Pencil, RatMatrix, _bilinear, _bilinear_float
-from .polynomials import Poly, squarefree_decompose
+from .polynomials import ZERO, Poly, squarefree_decompose
 from .realroots import RealRoot, root_sign
 from .spectral import _decide_path, _principal_part, spectral_decompose
 
@@ -209,19 +209,20 @@ def loaded_string_frequency_series(n: int, a) -> Poly:
     K = -rho^2, equals this series up to a nonzero rational scalar.
     """
     a = Fraction(a)
-    coeffs = [Fraction(0)] * (2 * n + 1)
-    for j in range(n + 1):
-        coeffs[2 * j] = Fraction(math.comb(n, j)) * a**j / factorial(j)
-    return Poly(coeffs)
+    p, q = a.numerator, a.denominator
+    # times n! q^n, the j-th term is C(n, j) n!/j! p^j q^(n-j)
+    ints = [0] * (2 * n + 1)
+    ints[::2] = [math.comb(n, j) * math.perm(n, n - j) * p**j * q ** (n - j)
+                 for j in range(n + 1)]
+    return Poly._of(ints, den=factorial(n) * q**n) if n >= 0 else ZERO
 
 
 def frequency_poly_in_rho(model: MechModel) -> Poly:
     """det(K*A - B) rewritten as a polynomial in rho via K = -rho^2."""
     q = model.pencil().char_poly()
-    coeffs = [Fraction(0)] * (2 * q.degree() + 1)
-    for j in range(q.degree() + 1):
-        coeffs[2 * j] = q[j] * (-1) ** j
-    return Poly(coeffs)
+    ints = [0] * (2 * q.degree() + 1)
+    ints[::2] = [(-1) ** j * c for j, c in enumerate(q.prim)]
+    return Poly._of(ints, q.content)
 
 
 # ---------------------------------------------------------------------------

@@ -1,20 +1,24 @@
 """Exact dense univariate polynomials over the rationals.
 
-A polynomial is a tuple of `fractions.Fraction` coefficients stored lowest
-degree first; the zero polynomial is the empty tuple.  All arithmetic is
-exact, which makes divisibility tests and polynomial identities fully
-reliable -- the substrate every other module builds on.
+A polynomial is stored as its content times its primitive part (Collins
+1967): `content`, one `fractions.Fraction` carrying the sign, times `prim`,
+a tuple of coprime integers, lowest degree first, with a positive leading
+entry; the zero polynomial is 0 times ().  The form is canonical, so
+equality and hashing compare it, and `coeffs` are built on each read.  All
+arithmetic is exact, which makes divisibility tests and polynomial
+identities fully reliable -- the substrate every other module builds on.
 
-Rationals enter the private integer section (int lists, lowest degree
+Rationals enter the private integer section (int sequences, lowest degree
 first, the zero polynomial empty) through `_over_lcm`, as integers over the
-lcm of their denominators, in this module and the others.  `Poly` products
-and euclidean division run there on the primitive parts.
+lcm of their denominators, in this module and the others, and integers over
+one denominator leave it through `Poly._of`.  `Poly` arithmetic and the
+integer kernels here and in `realroots` and `invariants` run on `prim`.
 
 Beyond ring arithmetic the module provides:
 
 * monic GCD and Yun square-free decomposition, both over Z in the integer
-  section: one primitive part, one pseudo-division returning quotient and
-  remainder, one Sturm-signed primitive pseudo-remainder sequence on it
+  section: one pseudo-division returning quotient and remainder, one
+  Sturm-signed primitive pseudo-remainder sequence on it
   (Collins 1967, Brown 1971), which is also the Sturm chain of `realroots`,
   and one exact division by a primitive divisor (Gauss's lemma), shared by
   `divides`, Yun (1976) and rational-root deflation; whether a power of a
@@ -58,80 +62,93 @@ KRONECKER_DEGREE_CAP = 12
 
 
 class Poly:
-    """Dense univariate polynomial with Fraction coefficients.
-
-    Immutable; trailing zero coefficients are trimmed on construction, so the
-    leading coefficient is nonzero unless the polynomial is zero (empty).
+    """Dense univariate polynomial over Q, stored as `content` (a Fraction
+    with the sign; 0 for zero) times `prim` (coprime integers, lowest degree
+    first, positive leading entry; () for zero).  `Poly(coeffs)` takes ints,
+    Fractions, strings and floats, lowest degree first.  Immutable.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("content", "prim")
 
     def __init__(self, coeffs: Iterable[Fraction | int | str] = ()):
-        # a coefficient that is a Fraction already is kept, not rebuilt
-        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        den, ints = _over_lcm([c if isinstance(c, (int, Fraction)) else Fraction(c)
+                               for c in coeffs])
+        p = Poly._of(ints, den=den)
+        self.content, self.prim = p.content, p.prim
+
+    @classmethod
+    def _of(cls, ints: Sequence[int], c=1, den: int = 1) -> "Poly":
+        """The polynomial c * ints / den, for integers ints (lowest degree
+        first, trailing zeros allowed), a rational c and an integer den != 0:
+        their gcd, signed like the leading one, moves into the content."""
+        ints = list(ints)
+        while ints and not ints[-1]:
+            ints.pop()
+        g = int_gcd(*ints) if c else 0  # 0 for the zero polynomial
+        if g and ints[-1] < 0:
+            g = -g
+        p = object.__new__(cls)
+        p.content = Fraction(c.numerator * g, c.denominator * den)
+        p.prim = tuple([v // g for v in ints]) if g else ()
+        return p
 
     # -- basic queries -----------------------------------------------------
 
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self.prim) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.prim
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients, lowest degree first; empty for zero."""
+        n, d = self.content.numerator, self.content.denominator
+        return tuple([Fraction(n * v, d) for v in self.prim])
 
     def leading(self) -> Fraction:
-        return self.coeffs[-1] if self.coeffs else Fraction(0)
+        return self[len(self.prim) - 1]
 
     def __getitem__(self, k: int) -> Fraction:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
+        return self.content * self.prim[k] if 0 <= k < len(self.prim) else Fraction(0)
 
     def __iter__(self):
         # without it, iteration would call __getitem__, which never runs out
         return iter(self.coeffs)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Poly) and self.coeffs == other.coeffs
+        return (isinstance(other, Poly) and self.prim == other.prim
+                and self.content == other.content)
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self.content, self.prim))
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.prim)
 
     # -- ring arithmetic ----------------------------------------------------
 
     def __add__(self, other: "Poly") -> "Poly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly(out)
+        L, (u, v) = _over_lcm((self.content, other.content))
+        return Poly._of([u * a + v * b for a, b in
+                         itertools.zip_longest(self.prim, other.prim, fillvalue=0)], den=L)
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
     def __neg__(self) -> "Poly":
-        return Poly([-c for c in self.coeffs])
+        return Poly._of(self.prim, -self.content)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        if not self.coeffs or not other.coeffs:
-            return ZERO
-        (ca, a), (cb, b) = _primitive_ints(self), _primitive_ints(other)
-        c = ca * cb
-        return Poly([c * v for v in _mul(a, b)])
+        return Poly._of(_mul(self.prim, other.prim), self.content * other.content)
 
     __rmul__ = __mul__
 
     def scale(self, c) -> "Poly":
-        c = Fraction(c)
-        return Poly([c * a for a in self.coeffs])
+        return Poly._of(self.prim, self.content * Fraction(c))
 
     def __pow__(self, e: int) -> "Poly":
         if e < 0:
@@ -150,11 +167,10 @@ class Poly:
             raise ZeroDivisionError("division by zero polynomial")
         if self.degree() < other.degree():
             return ZERO, self
-        (ca, a), (cb, b) = _primitive_ints(self), _primitive_ints(other)
+        a, b = self.prim, other.prim
         quo, rem = _pdivmod(a, b)  # lc(b)**e * a = quo * b + rem
-        cr = ca / b[-1] ** (len(a) - len(b) + 1)
-        cq = cr / cb
-        return Poly([cq * v for v in quo]), Poly([cr * v for v in rem])
+        cr = self.content / b[-1] ** (len(a) - len(b) + 1)
+        return Poly._of(quo, cr / other.content), Poly._of(rem, cr)
 
     def __floordiv__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[0]
@@ -164,10 +180,10 @@ class Poly:
 
     def divides(self, other: "Poly") -> bool:
         """True iff self divides other exactly (zero divides only zero),
-        by the exact division of the primitive integer parts."""
+        by the exact division of the primitive parts."""
         if self.is_zero():
             return other.is_zero()
-        return _exact_quo(_primitive_ints(other)[1], _primitive_ints(self)[1]) is not None
+        return _exact_quo(other.prim, self.prim) is not None
 
     # -- calculus / evaluation ----------------------------------------------
 
@@ -179,7 +195,7 @@ class Poly:
         return acc
 
     def derivative(self) -> "Poly":
-        return Poly([k * c for k, c in enumerate(self.coeffs)][1:])
+        return Poly._of(_derivative(self.prim), self.content)
 
     def taylor(self, a, count: int) -> list:
         """The first `count` coefficients of self in powers of (x - a), for
@@ -190,11 +206,10 @@ class Poly:
         """
         a = Fraction(a)
         q = a.denominator
-        content, cs = _primitive_ints(self)
-        d = len(cs) - 1
-        num, den = content.numerator, content.denominator
+        d = self.degree()
+        num, den = self.content.numerator, self.content.denominator
         out = [Fraction(num * t, den * q ** (d - k))
-               for k, t in enumerate(_taylor(cs, a.numerator, q, count))]
+               for k, t in enumerate(_taylor(self.prim, a.numerator, q, count))]
         return out + [Fraction(0)] * (count - len(out))
 
     # -- normal forms ---------------------------------------------------------
@@ -202,16 +217,13 @@ class Poly:
     def monic(self) -> "Poly":
         if self.is_zero():
             return self
-        return self.scale(1 / self.leading())
+        return Poly._of(self.prim, den=self.prim[-1])
 
     def integer_primitive(self) -> tuple[Fraction, "Poly"]:
-        """Write self = content * primitive with integer primitive part.
-
-        The primitive part has coprime integer coefficients and positive
-        leading coefficient; content carries the sign.
-        """
-        content, ints = _primitive_ints(self)
-        return content, Poly(ints)
+        """(content, primitive part as a `Poly`): self = content * primitive,
+        the primitive part with coprime integer coefficients and positive
+        leading coefficient; content carries the sign."""
+        return self.content, Poly._of(self.prim)
 
     # -- presentation ---------------------------------------------------------
 
@@ -220,8 +232,9 @@ class Poly:
         if self.is_zero():
             return "0"
         parts = []
+        cs = self.coeffs
         for k in range(self.degree(), -1, -1):
-            c = self[k]
+            c = cs[k]
             if c == 0:
                 continue
             sign = "-" if c < 0 else ("+" if parts else "")
@@ -242,20 +255,21 @@ def _frac_str(f: Fraction) -> str:
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
-ZERO = Poly()
-ONE = Poly([1])
-X = Poly([0, 1])
+ZERO = Poly._of(())
+ONE = Poly._of((1,))
+X = Poly._of((0, 1))
 
 
 def poly_gcd(p: Poly, q: Poly) -> Poly:
     """Monic greatest common divisor over Q: the last element of the
-    primitive pseudo-remainder sequence of the primitive integer parts.
+    primitive pseudo-remainder sequence of the primitive parts.
 
     gcd(p, 0) is monic(p); gcd(0, 0) is rejected.
     """
     if p.is_zero() and q.is_zero():
         raise PreconditionError("gcd(0, 0) is undefined")
-    return Poly(_prs(_primitive_ints(p)[1], _primitive_ints(q)[1])[-1]).monic()
+    g = _prs(p.prim, q.prim)[-1]
+    return Poly._of(g, den=g[-1])
 
 
 def squarefree_decompose(p: Poly) -> list[tuple[Poly, int]]:
@@ -267,25 +281,11 @@ def squarefree_decompose(p: Poly) -> list[tuple[Poly, int]]:
     """
     if p.is_zero():
         raise PreconditionError("square-free decomposition of the zero polynomial")
-    _, cs = _primitive_ints(p)
-    _, factors = _yun(cs, _prs(cs, _derivative(cs))[-1])
-    return [(Poly(f).monic(), k) for f, k in factors]
+    _, factors = _yun(p.prim, _prs(p.prim, _derivative(p.prim))[-1])
+    return [(Poly._of(f, den=f[-1]), k) for f, k in factors]
 
 
-# -- integer polynomials: int lists, lowest degree first, zero empty ----------
-
-
-def _primitive_ints(p: Poly) -> tuple[Fraction, list[int]]:
-    """(content, ints) with p = content * ints: the coefficients as coprime
-    integers with a positive leading one, in a fresh list the caller may
-    consume; content carries the sign.  The zero polynomial gives (0, [])."""
-    if p.is_zero():
-        return Fraction(0), []
-    denom, scaled = _over_lcm(p.coeffs)
-    ints = _primitive(scaled)
-    if ints[-1] < 0:
-        ints = [-v for v in ints]
-    return Fraction(scaled[-1] // ints[-1], denom), ints
+# -- integer polynomials: int sequences, lowest degree first, zero empty ------
 
 
 def _over_lcm(values) -> tuple[int, list[int]]:
@@ -483,11 +483,11 @@ def _kronecker_split_squarefree(f: Poly) -> list[Poly]:
 
     # any width will do: only the exact roots are read
     exact = [r.value for r in sturm_isolate(f, 1) if r.is_exact]
-    _, rest = _primitive_ints(f)
+    rest = f.prim
     for r in exact:
         rest = _exact_quo(rest, [-r.numerator, r.denominator])
-    linear = [Poly([-r, 1]) for r in exact]
-    return linear + (_kronecker_search(Poly(rest)) if len(rest) > 1 else [])
+    linear = [Poly._of([-r.numerator, r.denominator], den=r.denominator) for r in exact]
+    return linear + (_kronecker_search(Poly._of(rest)) if len(rest) > 1 else [])
 
 
 def _kronecker_search(f: Poly) -> list[Poly]:
@@ -519,17 +519,13 @@ def _kronecker_search(f: Poly) -> list[Poly]:
             coeffs = _interpolate(points, combo)
             if coeffs is None:
                 continue
-            cand = Poly(coeffs)
+            cand = Poly._of(coeffs)
             if cand.degree() < 2 or cand.degree() > d:
                 continue
             quo, rem = divmod(fz, cand)
             if rem.is_zero():
                 return _kronecker_search(cand.monic()) + _kronecker_search(quo.monic())
     return [f.monic()]
-
-
-def _poly_sort_key(p: Poly):
-    return (p.degree(), p.coeffs)
 
 
 def kronecker_factor(p: Poly) -> list[tuple[Poly, int]]:
@@ -545,8 +541,6 @@ def kronecker_factor(p: Poly) -> list[tuple[Poly, int]]:
         raise PreconditionError(
             f"degree {p.degree()} exceeds factorisation cap {KRONECKER_DEGREE_CAP}"
         )
-    out: list[tuple[Poly, int]] = []
-    for part, exp in squarefree_decompose(p):
-        for irr in _kronecker_split_squarefree(part):
-            out.append((irr, exp))
-    return sorted(out, key=lambda fe: _poly_sort_key(fe[0]))
+    out = [(irr, exp) for part, exp in squarefree_decompose(p)
+           for irr in _kronecker_split_squarefree(part)]
+    return sorted(out, key=lambda fe: (fe[0].degree(), fe[0].coeffs))

@@ -158,7 +158,8 @@ def _residue(pencil: Pencil, point: Fraction, mult: int) -> np.ndarray:
 
 
 def _exact_theta(pair: QuadraticPair, root: RealRoot) -> RatMatrix:
-    """theta = (Phi V)(V^T Phi V)^-1 (Phi V)^T for the kernel basis V of the
+    """theta = (Phi V)(V^T Phi V)^-1 (Phi V)^T for the integer kernel basis V
+    (`_nullspace` without its denominators, which theta does not see) of the
     characteristic matrix at the exact root, in `RatMatrix` products over
     one denominator each.  A kernel of dimension below the multiplicity is a
     Jordan chain longer than one, which a definite pair does not have: the
@@ -169,9 +170,9 @@ def _exact_theta(pair: QuadraticPair, root: RealRoot) -> RatMatrix:
             "adjugate entry not divisible to the expected order; the"
             " leading form is not definite"
         )
-    V = RatMatrix.from_rows(list(zip(*basis)))
-    phi_v = pair.phi @ V
-    return phi_v @ (V.transpose() @ phi_v).inverse() @ phi_v.transpose()
+    Vt = RatMatrix(len(basis), pair.size, 1, tuple([x for _, v in basis for x in v]))
+    phi_v = pair.phi @ Vt.transpose()
+    return phi_v @ (Vt @ phi_v).inverse() @ phi_v.transpose()
 
 
 def _exact_residuals(comps, pair: QuadraticPair) -> tuple[RatMatrix, RatMatrix]:

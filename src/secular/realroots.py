@@ -54,7 +54,7 @@ from functools import cached_property, partial
 
 from ._record import Record, replace
 from .errors import PreconditionError
-from .polynomials import Poly, _derivative, _exact_quo, _over_lcm, _primitive_ints, _prs, _yun
+from .polynomials import Poly, _derivative, _exact_quo, _over_lcm, _prs, _yun
 
 __all__ = [
     "RealRoot",
@@ -292,7 +292,7 @@ def sturm_isolate(p: Poly, target_width=DEFAULT_WIDTH, count=None) -> list[RealR
         raise PreconditionError("isolation width must be positive")
     if p.degree() == 0:
         return []
-    _, cs = _primitive_ints(p)
+    cs = p.prim
     parts = [(cs, p.monic(), 1)]
     if count is None:
         # the Sturm chain of p ends in gcd(p, p') up to a constant: a
@@ -301,7 +301,7 @@ def sturm_isolate(p: Poly, target_width=DEFAULT_WIDTH, count=None) -> list[RealR
         chain = _prs(cs, _derivative(cs))
         if len(chain[-1]) > 1:
             cs, factors = _yun(cs, chain[-1])
-            parts = [(f, Poly(f).monic(), e) for f, e in factors]
+            parts = [(f, Poly._of(f, den=f[-1]), e) for f, e in factors]
             chain = _prs(cs, _derivative(cs))
         count = partial(_variations, chain)
 
@@ -392,7 +392,7 @@ def root_sign(root: RealRoot) -> int:
         return 1
     if root.hi.numerator <= 0:
         return -1
-    _, cs = _primitive_ints(root.poly)
+    cs = root.poly.prim
     at_zero = _sign_at(cs, 0, 1)
     at_lo = _sign_at(cs, root.lo.numerator, root.lo.denominator)
     if at_zero == 0:
@@ -413,5 +413,5 @@ def refine_root(root: RealRoot, width) -> RealRoot:
     if root.is_exact or root.width() <= width:
         return root
     d, (a, b) = _over_lcm((root.lo, root.hi))
-    a, b, d = _narrow(_primitive_ints(root.poly)[1], a, b, d, width, strict=True)
+    a, b, d = _narrow(root.poly.prim, a, b, d, width, strict=True)
     return replace(root, lo=Fraction(a, d), hi=Fraction(b, d))

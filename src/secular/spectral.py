@@ -277,7 +277,8 @@ def nullspace_at_root(pencil: Pencil, root: RealRoot, path: str = "auto"):
     mode = _decide_path(path, root.is_exact)
     if mode == "exact":
         rows = pencil._numerators(root.value)[1]
-        return [_sign_normalize(v) for v in _nullspace(rows, pencil.size)]
+        return [_sign_normalize(tuple([Fraction(v, d) for v in vs]))
+                for d, vs in _nullspace(rows, pencil.size)]
     return _float_null_vectors(pencil, root)
 
 

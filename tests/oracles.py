@@ -48,7 +48,10 @@ rational roots tested in cells narrowed below 1/lc, and a second narrowing
 from those cells or from the isolating interval.  The floating path keeps
 its numpy routes from before it ran on Python floats: the SVD null vectors
 Jacobi pencils took before their integer minors gave them, Gram-Schmidt
-on arrays, and the matrix exponential summed as arrays.  The small
+on arrays, and the matrix exponential summed as arrays.  `Poly` keeps its
+form from before it stored content * prim: a tuple of Fraction
+coefficients (`FractionPoly`), converted to a primitive integer part and
+back around each product, division, gcd and Yun decomposition.  The small
 constructors and products the tests build their inputs with live here too,
 outside the library.
 """
@@ -79,7 +82,11 @@ from secular.polynomials import (
     Poly,
     _derivative,
     _exact_quo,
-    _primitive_ints,
+    _frac_str,
+    _mul,
+    _over_lcm,
+    _pdivmod,
+    _primitive,
     _prs,
     _taylor,
     _yun,
@@ -1023,7 +1030,7 @@ def minor_divisibility_by_poly_divides(pencil: Pencil) -> MinorDivisibility:
 def _adjugate_divisible(pencil: Pencil, power: Poly) -> bool:
     """Whether the nonzero `power` divides every adjugate entry, by exact
     division by its primitive integer part (Gauss's lemma)."""
-    divisor = _primitive_ints(power)[1]
+    divisor = power.prim
     return all(_exact_quo(entry, divisor) is not None for entry in pencil._adjugate[1])
 
 
@@ -1092,7 +1099,7 @@ def sturm_isolate_from_intervals(p: Poly, target_width=DEFAULT_WIDTH) -> list[Re
     # the Sturm chain of p ends in gcd(p, p') up to a constant: a constant
     # means p is square-free; otherwise Yun starts from it, and the chain of
     # p's square-free part w is the one to isolate
-    _, cs = _primitive_ints(p)
+    cs = p.prim
     chain = _prs(cs, _derivative(cs))
     if len(chain[-1]) == 1:
         parts = [(cs, p.monic(), 1)]
@@ -1203,7 +1210,7 @@ def sturm_isolate_by_chain(p: Poly, target_width=DEFAULT_WIDTH) -> list[RealRoot
     # the Sturm chain of p ends in gcd(p, p') up to a constant: a constant
     # means p is square-free; otherwise Yun starts from it, and the chain of
     # p's square-free part w is the one to isolate
-    _, cs = _primitive_ints(p)
+    cs = p.prim
     chain = _prs(cs, _derivative(cs))
     if len(chain[-1]) == 1:
         parts = [(cs, p.monic(), 1)]
@@ -1310,3 +1317,198 @@ def expm_by_numpy_sum(M: RatMatrix, t: float) -> np.ndarray:
     if not np.isfinite(out).all():
         raise OverflowError("matrix exponential entry is not a finite float")
     return out
+
+
+# -- the Fraction-tuple polynomial, as `Poly` stored it before content * prim --
+
+
+class FractionPoly:
+    """Dense univariate polynomial with Fraction coefficients.
+
+    Immutable; trailing zero coefficients are trimmed on construction, so the
+    leading coefficient is nonzero unless the polynomial is zero (empty).
+    """
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs=()):
+        # a coefficient that is a Fraction already is kept, not rebuilt
+        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        object.__setattr__(self, "coeffs", tuple(cs))
+
+    def degree(self) -> int:
+        """Degree; -1 for the zero polynomial."""
+        return len(self.coeffs) - 1
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def leading(self) -> Fraction:
+        return self.coeffs[-1] if self.coeffs else Fraction(0)
+
+    def __getitem__(self, k: int) -> Fraction:
+        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
+
+    def __iter__(self):
+        return iter(self.coeffs)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, FractionPoly) and self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash(self.coeffs)
+
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
+
+    def __add__(self, other):
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        return FractionPoly(out)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return FractionPoly([-c for c in self.coeffs])
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self.scale(other)
+        if not self.coeffs or not other.coeffs:
+            return FractionPoly()
+        (ca, a), (cb, b) = _fraction_primitive_ints(self), _fraction_primitive_ints(other)
+        c = ca * cb
+        return FractionPoly([c * v for v in _mul(a, b)])
+
+    __rmul__ = __mul__
+
+    def scale(self, c):
+        c = Fraction(c)
+        return FractionPoly([c * a for a in self.coeffs])
+
+    def __pow__(self, e: int):
+        if e < 0:
+            raise ValueError("negative polynomial power")
+        out, base = FractionPoly([1]), self
+        while e:
+            if e & 1:
+                out = out * base
+            base = base * base
+            e >>= 1
+        return out
+
+    def __divmod__(self, other):
+        """Exact euclidean division; deg(remainder) < deg(divisor)."""
+        if other.is_zero():
+            raise ZeroDivisionError("division by zero polynomial")
+        if self.degree() < other.degree():
+            return FractionPoly(), self
+        (ca, a), (cb, b) = _fraction_primitive_ints(self), _fraction_primitive_ints(other)
+        quo, rem = _pdivmod(a, b)  # lc(b)**e * a = quo * b + rem
+        cr = ca / b[-1] ** (len(a) - len(b) + 1)
+        cq = cr / cb
+        return FractionPoly([cq * v for v in quo]), FractionPoly([cr * v for v in rem])
+
+    def __floordiv__(self, other):
+        return divmod(self, other)[0]
+
+    def __mod__(self, other):
+        return divmod(self, other)[1]
+
+    def divides(self, other) -> bool:
+        """True iff self divides other exactly (zero divides only zero),
+        by the exact division of the primitive integer parts."""
+        if self.is_zero():
+            return other.is_zero()
+        return _exact_quo(_fraction_primitive_ints(other)[1],
+                          _fraction_primitive_ints(self)[1]) is not None
+
+    def evaluate(self, x):
+        """Horner evaluation; works for Fraction, float and complex x."""
+        acc = 0 * x
+        for c in reversed(self.coeffs):
+            acc = acc * x + c
+        return acc
+
+    def derivative(self):
+        return FractionPoly([k * c for k, c in enumerate(self.coeffs)][1:])
+
+    def taylor(self, a, count: int) -> list:
+        """The first `count` coefficients of self in powers of (x - a)."""
+        a = Fraction(a)
+        q = a.denominator
+        content, cs = _fraction_primitive_ints(self)
+        d = len(cs) - 1
+        num, den = content.numerator, content.denominator
+        out = [Fraction(num * t, den * q ** (d - k))
+               for k, t in enumerate(_taylor(cs, a.numerator, q, count))]
+        return out + [Fraction(0)] * (count - len(out))
+
+    def monic(self):
+        if self.is_zero():
+            return self
+        return self.scale(1 / self.leading())
+
+    def integer_primitive(self):
+        content, ints = _fraction_primitive_ints(self)
+        return content, FractionPoly(ints)
+
+    def to_string(self, var: str = "x") -> str:
+        """Deterministic human-readable rendering, highest degree first."""
+        if self.is_zero():
+            return "0"
+        parts = []
+        for k in range(self.degree(), -1, -1):
+            c = self[k]
+            if c == 0:
+                continue
+            sign = "-" if c < 0 else ("+" if parts else "")
+            mag = abs(c)
+            if k == 0:
+                body = _frac_str(mag)
+            else:
+                head = "" if mag == 1 else _frac_str(mag) + "*"
+                body = head + (var if k == 1 else f"{var}^{k}")
+            parts.append(sign + body)
+        return "".join(parts)
+
+    def __repr__(self) -> str:
+        return f"FractionPoly({self.to_string()})"
+
+
+def _fraction_primitive_ints(p: FractionPoly) -> tuple[Fraction, list[int]]:
+    """(content, ints) with p = content * ints: the coefficients as coprime
+    integers with a positive leading one, in a fresh list the caller may
+    consume; content carries the sign.  The zero polynomial gives (0, [])."""
+    if p.is_zero():
+        return Fraction(0), []
+    denom, scaled = _over_lcm(p.coeffs)
+    ints = _primitive(scaled)
+    if ints[-1] < 0:
+        ints = [-v for v in ints]
+    return Fraction(scaled[-1] // ints[-1], denom), ints
+
+
+def fraction_poly_gcd(p: FractionPoly, q: FractionPoly) -> FractionPoly:
+    """Monic gcd over Q: the last element of the primitive pseudo-remainder
+    sequence of the primitive integer parts."""
+    if p.is_zero() and q.is_zero():
+        raise PreconditionError("gcd(0, 0) is undefined")
+    return FractionPoly(_prs(_fraction_primitive_ints(p)[1],
+                             _fraction_primitive_ints(q)[1])[-1]).monic()
+
+
+def fraction_squarefree_decompose(p: FractionPoly) -> list[tuple[FractionPoly, int]]:
+    """Yun decomposition of monic(p), factors by increasing exponent."""
+    if p.is_zero():
+        raise PreconditionError("square-free decomposition of the zero polynomial")
+    _, cs = _fraction_primitive_ints(p)
+    _, factors = _yun(cs, _prs(cs, _derivative(cs))[-1])
+    return [(FractionPoly(f).monic(), k) for f, k in factors]

@@ -678,6 +678,113 @@ DENOMINATOR_DARBOUX = (
     '}\n'
 )
 
+# A bare matrix whose classical characteristic polynomial has a rational,
+# negative content: -x^3+7/4*x^2+1847/1800*x-103/150.  `charpoly`,
+# `invariant-factors` and `elementary-divisors` stdout on it, byte for byte,
+# as the Fraction-tuple `Poly` printed them.
+NEGATIVE_CONTENT_DOC = {
+    "rows": 3, "cols": 3,
+    "entries": ["1/2", "-1/3", "0", "-1/3", "2", "1/5", "0", "1/5", "-3/4"],
+}
+NEGATIVE_CONTENT_CHARPOLY = (
+    '{\n'
+    '  "charpoly": {\n'
+    '    "coefficients": [\n'
+    '      "-103/150",\n'
+    '      "1847/1800",\n'
+    '      "7/4",\n'
+    '      "-1/1"\n'
+    '    ],\n'
+    '    "display": "-x^3+7/4*x^2+1847/1800*x-103/150"\n'
+    '  },\n'
+    '  "path": "exact",\n'
+    '  "provenance": {\n'
+    '    "algorithm": "characteristic-determinant",\n'
+    '    "source": "cauchy-1829"\n'
+    '  }\n'
+    '}\n'
+)
+
+NEGATIVE_CONTENT_INVARIANT_FACTORS = (
+    '{\n'
+    '  "invariant_factors": [\n'
+    '    {\n'
+    '      "coefficients": [\n'
+    '        "1/1"\n'
+    '      ],\n'
+    '      "display": "1"\n'
+    '    },\n'
+    '    {\n'
+    '      "coefficients": [\n'
+    '        "1/1"\n'
+    '      ],\n'
+    '      "display": "1"\n'
+    '    },\n'
+    '    {\n'
+    '      "coefficients": [\n'
+    '        "103/150",\n'
+    '        "-1847/1800",\n'
+    '        "-7/4",\n'
+    '        "1/1"\n'
+    '      ],\n'
+    '      "display": "x^3-7/4*x^2-1847/1800*x+103/150"\n'
+    '    }\n'
+    '  ],\n'
+    '  "minor_gcds": [\n'
+    '    {\n'
+    '      "coefficients": [\n'
+    '        "1/1"\n'
+    '      ],\n'
+    '      "display": "1"\n'
+    '    },\n'
+    '    {\n'
+    '      "coefficients": [\n'
+    '        "1/1"\n'
+    '      ],\n'
+    '      "display": "1"\n'
+    '    },\n'
+    '    {\n'
+    '      "coefficients": [\n'
+    '        "103/150",\n'
+    '        "-1847/1800",\n'
+    '        "-7/4",\n'
+    '        "1/1"\n'
+    '      ],\n'
+    '      "display": "x^3-7/4*x^2-1847/1800*x+103/150"\n'
+    '    }\n'
+    '  ],\n'
+    '  "path": "exact",\n'
+    '  "provenance": {\n'
+    '    "algorithm": "minor-gcd-invariant-factors",\n'
+    '    "source": "kronecker-1874"\n'
+    '  }\n'
+    '}\n'
+)
+
+NEGATIVE_CONTENT_ELEMENTARY_DIVISORS = (
+    '{\n'
+    '  "elementary_divisors": [\n'
+    '    {\n'
+    '      "exponent": 1,\n'
+    '      "irreducible": {\n'
+    '        "coefficients": [\n'
+    '          "103/150",\n'
+    '          "-1847/1800",\n'
+    '          "-7/4",\n'
+    '          "1/1"\n'
+    '        ],\n'
+    '        "display": "x^3-7/4*x^2-1847/1800*x+103/150"\n'
+    '      }\n'
+    '    }\n'
+    '  ],\n'
+    '  "path": "exact",\n'
+    '  "provenance": {\n'
+    '    "algorithm": "elementary-divisors",\n'
+    '    "source": "weierstrass-1868"\n'
+    '  }\n'
+    '}\n'
+)
+
 @pytest.fixture
 def note23_file(tmp_path):
     path = tmp_path / "note23.json"
@@ -1276,6 +1383,16 @@ class TestDeterminism:
         path = write_json(tmp_path, "m.json", DENOMINATOR_SYMMETRIC_DOC)
         assert run(["darboux-steps", "--input", path]) == 0
         assert capsys.readouterr().out == DENOMINATOR_DARBOUX
+
+    @pytest.mark.parametrize("verb, expected", [
+        ("charpoly", NEGATIVE_CONTENT_CHARPOLY),
+        ("invariant-factors", NEGATIVE_CONTENT_INVARIANT_FACTORS),
+        ("elementary-divisors", NEGATIVE_CONTENT_ELEMENTARY_DIVISORS),
+    ])
+    def test_negative_rational_content_stdout_pinned(self, tmp_path, capsys, verb, expected):
+        path = write_json(tmp_path, "m.json", NEGATIVE_CONTENT_DOC)
+        assert run([verb, "--input", path]) == 0
+        assert capsys.readouterr().out == expected
 
     def test_eigvec_nullspace_stdout_pinned(self, tmp_path, capsys):
         path = write_json(tmp_path, "p.json", REPEATED_ROOT_PENCIL_DOC)

@@ -23,7 +23,7 @@ from secular.matrices import (
     det_rational,
 )
 from secular.oscillate import build_model
-from secular.polynomials import Poly, _primitive_ints, squarefree_decompose
+from secular.polynomials import Poly, squarefree_decompose
 from secular.spectral import _principal_part
 
 from oracles import (
@@ -636,7 +636,8 @@ class TestIntegerKernelsAgainstFractionOracles:
             pencil = Pencil(M, M.scale(s) - N, orientation)
         else:
             pencil = Pencil(N + M.scale(s), M, orientation)
-        basis = _nullspace(pencil._numerators(s)[1], pencil.size)
+        basis = [tuple(Fraction(v, d) for v in ints)
+                 for d, ints in _nullspace(pencil._numerators(s)[1], pencil.size)]
         assert basis == nullspace_by_fractions(char_matrix_by_fractions(pencil, s))
         assert len(basis) >= pencil.size - X.cols
 
@@ -793,7 +794,7 @@ class TestPencilIntegerForm:
         pencil = Pencil(S, S @ M) if orientation == "sA-B" else Pencil(S @ M, S, "A-sB")
         roots = [r.value for r in pencil.roots()]
         for factor, _mult in squarefree_decompose(pencil.char_poly()):
-            g = _primitive_ints(factor)[1]
+            g = factor.prim
             rows = pencil._factor_rows(g)
             if len(g) == 2:
                 assert rows == pencil._numerators(Fraction(-g[0], g[1]))[1]

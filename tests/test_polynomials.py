@@ -18,8 +18,11 @@ from secular.polynomials import (
 from secular.polynomials import _interpolate, _kronecker_split_squarefree
 
 from oracles import (
+    FractionPoly,
     divides_by_divmod,
     expand_factors,
+    fraction_poly_gcd,
+    fraction_squarefree_decompose,
     poly_from_roots,
     poly_gcd_by_euclid,
     squarefree_by_fractions,
@@ -44,15 +47,16 @@ def polys(max_degree=6, nonzero=False):
 
 
 class TestConstruction:
-    """Every coefficient becomes a Fraction: one that is a Fraction already
-    is kept as it is, any other goes through Fraction(c), with its errors."""
+    """Every coefficient reads back as a Fraction: ints and Fractions enter
+    the integer form as they are, any other goes through Fraction(c), with
+    its errors."""
 
     def test_accepted_inputs(self):
         half = Fraction(1, 2)
         p = Poly([3, "-2/4", half, 0.25, "0"])
         assert p.coeffs == (3, Fraction(-1, 2), half, Fraction(1, 4))
         assert all(type(c) is Fraction for c in p.coeffs)
-        assert p.coeffs[2] is half
+        assert p.coeffs[2] == half and type(p.coeffs[2]) is Fraction
         assert Poly(p).coeffs == p.coeffs
 
     def test_fraction_subclass_is_rebuilt(self):
@@ -408,6 +412,122 @@ class TestSquarefreeAgainstFractionYun:
         for decompose in (squarefree_decompose, squarefree_by_fractions):
             with pytest.raises(PreconditionError, match="zero polynomial"):
                 decompose(Poly())
+
+
+class _Tagged(Fraction):
+    pass
+
+
+# every input form `Poly` takes: ints, Fractions (subclasses too), strings
+# and floats, with trailing zeros; about half have a negative leading
+# coefficient, so a negative content
+raw_coefficients = st.one_of(
+    st.integers(-50, 50),
+    small_fractions,
+    small_fractions.map(lambda f: f"{f.numerator}/{f.denominator}"),
+    small_fractions.map(lambda f: _Tagged(f.numerator, f.denominator)),
+    st.floats(-64, 64, allow_nan=False, width=16),
+    big_fractions,
+)
+raw_polys = st.tuples(st.lists(raw_coefficients, max_size=6),
+                      st.lists(st.sampled_from((0, "0", 0.0, Fraction(0))), max_size=2)
+                      ).map(lambda t: t[0] + t[1])
+
+
+def same(p: Poly, f: FractionPoly) -> None:
+    """p and the Fraction-tuple oracle f read alike."""
+    assert p.coeffs == f.coeffs and all(type(c) is Fraction for c in p.coeffs)
+    assert p.to_string() == f.to_string() and repr(p) == "Poly(" + f.to_string() + ")"
+    assert (p.degree(), p.leading(), p[0], p[p.degree() + 1]) == (
+        f.degree(), f.leading(), f[0], f[f.degree() + 1])
+
+
+class TestAgainstFractionPoly:
+    """content * prim against the Fraction tuple it replaced
+    (`oracles.FractionPoly`), on every public operation."""
+
+    @given(raw_polys)
+    @example([0, "0", 0.0])
+    @example(["-1/2", 0, _Tagged(-3, 4), -0.0])
+    @settings(max_examples=150)
+    def test_form_and_reads(self, raw):
+        p, f = Poly(raw), FractionPoly(raw)
+        same(p, f)
+        assert type(p.content) is Fraction and type(p.prim) is tuple
+        if p.is_zero():
+            assert (p.content, p.prim) == (0, ())
+        else:
+            assert p.prim[-1] > 0 and math.gcd(*p.prim) == 1 and p.content != 0
+            assert p.coeffs == tuple(p.content * v for v in p.prim)
+        assert Poly(p) == p and hash(Poly(p)) == hash(p) and list(p) == list(f)
+
+    @given(raw_polys, raw_polys)
+    @settings(max_examples=150)
+    def test_equality_and_hash(self, a, b):
+        p, q = Poly(a), Poly(b)
+        assert (p == q) == (FractionPoly(a) == FractionPoly(b))
+        # the same polynomial written differently
+        r = Poly([str(Fraction(c)) for c in a] + ["0"])
+        assert r == p and hash(r) == hash(p)
+        assert p != tuple(p.coeffs) and p != FractionPoly(a)
+
+    @given(raw_polys, raw_polys, st.integers(0, 3), small_fractions, st.integers(-5, 5))
+    @settings(max_examples=150, deadline=None)
+    def test_ring_operations(self, a, b, e, c, k):
+        p, q, f, g = Poly(a), Poly(b), FractionPoly(a), FractionPoly(b)
+        for got, want in ((p + q, f + g), (p - q, f - g), (-p, -f), (p * q, f * g),
+                          (p ** e, f ** e), (p * c, f * c), (k * p, k * f),
+                          (p.scale(c), f.scale(c))):
+            same(got, want)
+
+    @given(raw_polys, raw_polys)
+    @settings(max_examples=150, deadline=None)
+    def test_division(self, a, b):
+        p, q, f, g = Poly(a), Poly(b), FractionPoly(a), FractionPoly(b)
+        assert p.divides(q) == f.divides(g) and q.divides(p) == g.divides(f)
+        assert (p * q).divides(q * q * p) and g.divides(f * g)
+        if not q.is_zero():
+            (quo, rem), (fq, fr) = divmod(p, q), divmod(f, g)
+            same(quo, fq)
+            same(rem, fr)
+            same(p // q, f // g)
+            same(p % q, f % g)
+
+    @given(raw_polys, small_fractions, st.floats(-8, 8, allow_nan=False),
+           st.integers(0, 8))
+    @settings(max_examples=150, deadline=None)
+    def test_calculus_and_evaluation(self, a, x, y, count):
+        p, f = Poly(a), FractionPoly(a)
+        same(p.derivative(), f.derivative())
+        assert p.taylor(x, count) == f.taylor(x, count)
+        assert p.evaluate(x) == f.evaluate(x)
+        # Horner over the same Fraction coefficients: the same float bits
+        assert repr(p.evaluate(y)) == repr(f.evaluate(y))
+
+    @given(raw_polys)
+    @settings(max_examples=150, deadline=None)
+    def test_normal_forms(self, a):
+        p, f = Poly(a), FractionPoly(a)
+        same(p.monic(), f.monic())
+        (c, prim), (fc, fprim) = p.integer_primitive(), f.integer_primitive()
+        assert c == fc and type(c) is Fraction
+        same(prim, fprim)
+        assert prim.prim == p.prim and c == p.content
+
+    @given(raw_polys, raw_polys, raw_polys)
+    @settings(max_examples=100, deadline=None)
+    def test_gcd_and_squarefree(self, a, b, c):
+        p, q, r = Poly(a), Poly(b), Poly(c)
+        f, g, h = FractionPoly(a), FractionPoly(b), FractionPoly(c)
+        for (x, y), (fx, fy) in (((p * r, q * r), (f * h, g * h)), ((p, q), (f, g))):
+            if not (x.is_zero() and y.is_zero()):
+                same(poly_gcd(x, y), fraction_poly_gcd(fx, fy))
+        x, fx = p * q * q * r, f * g * g * h
+        if not x.is_zero():
+            got, want = squarefree_decompose(x), fraction_squarefree_decompose(fx)
+            assert [k for _, k in got] == [k for _, k in want]
+            for (u, _), (v, _) in zip(got, want):
+                same(u, v)
 
 
 class TestKroneckerFactor:

@@ -11,7 +11,7 @@ from secular import polynomials, realroots
 from secular.errors import PreconditionError
 from secular.matrices import Pencil, RatMatrix
 from secular.oscillate import build_model
-from secular.polynomials import Poly, _derivative, _primitive_ints, _prs, poly_gcd
+from secular.polynomials import Poly, _derivative, _prs, poly_gcd
 from secular.realroots import (
     RealRoot,
     refine_root,
@@ -178,7 +178,7 @@ class TestMidpointSignOnce:
 
     @pytest.mark.parametrize("p", MIDPOINT_FIXTURES)
     def test_each_midpoint_sign_taken_once(self, monkeypatch, p):
-        cs = tuple(_primitive_ints(p)[1])
+        cs = p.prim
         chain = _prs(list(cs), _derivative(list(cs)))
         assert len(chain[-1]) == 1  # square-free
         expected = isolate_by_chain(chain)
@@ -440,7 +440,7 @@ def _squarefree_case(rng):
         cs = [rng.randint(-(2**bits), 2**bits) for _ in range(rng.randint(2, 12))]
         p = Poly(cs + [rng.randint(1, 2**bits)])
         if poly_gcd(p, p.derivative()).degree() == 0 and sturm_isolate(p, 1):
-            return tuple(_primitive_ints(p)[1])
+            return p.prim
 
 
 def _intervals(cs):
@@ -573,7 +573,7 @@ class TestQuadraticRefinement:
         root = refine_root(RealRoot.isolated(lo, hi, poly), width)
         d = math.lcm(lo.denominator, hi.denominator)
         a, b, d = bisect_narrow(
-            _primitive_ints(poly)[1],
+            poly.prim,
             lo.numerator * (d // lo.denominator),
             hi.numerator * (d // hi.denominator),
             d,
@@ -642,7 +642,7 @@ class TestDisjointRoots:
 def _sturm_chain(p: Poly) -> list[Poly]:
     """The primitive pseudo-remainder sequence of p's integer model and its
     derivative, the chain `sturm_isolate` counts sign variations on."""
-    _, cs = _primitive_ints(p)
+    cs = p.prim
     return [Poly(q) for q in _prs(cs, _derivative(cs))]
 
 
@@ -798,7 +798,7 @@ class TestRationalRootsBelowOneOverLc:
         # 0.064 away from it, are told apart in cells below 1/6, where each
         # of the three roots has one candidate m/6
         p = P(-5, 6) * P(-29, 0, 36)
-        cs = tuple(_primitive_ints(p)[1])
+        cs = p.prim
         candidates = []
         sign_at = realroots._sign_at
         monkeypatch.setattr(realroots, "_sign_at", lambda q, n, d: (
