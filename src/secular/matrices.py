@@ -15,11 +15,12 @@ Eliminations run in place on fresh integer rows: Bareiss for determinants,
 fraction-free Gauss-Jordan on [M | I] for inverses and adjugates, and a
 symmetric Bareiss pass with swaps and Lagrange's add step for inertia
 (`secular.invariants`).  A pencil computes its determinant, real roots (per
-width), integer adjugate and integer model once, on first use.  The integer
-adjugate is what interpolation produces: one scale L^(n-1) and n^2 lists of
-n integer coefficients, so adj P = entries / scale; other modules read it
-only through `Pencil._adjugate_taylor` (Taylor coefficients at a rational
-point), and a `PolyMatrix` is built only when `adjugate_pencil` is called.
+width), integer adjugate, integer model and kernel at each rational point
+once, on first use.  The integer adjugate is what interpolation produces:
+one scale L^(n-1) and n^2 lists of n integer coefficients, so
+adj P = entries / scale; other modules read it only through
+`Pencil._adjugate_taylor` (Taylor coefficients at a rational point), and a
+`PolyMatrix` is built only when `adjugate_pencil` is called.
 Whether a factor's power divides the adjugate is not read off it but off a
 kernel: `Pencil._factor_rows` writes the characteristic matrix at the roots
 of a square-free factor as integer rows over Q (`secular.invariants` gives
@@ -30,9 +31,9 @@ determinant unless P is tridiagonal (as a loaded string's is), when the
 three-term recurrence of its leading minors gives it (and, for a Jacobi
 pencil, counts its roots, `_minor_count`, and with the trailing minors
 gives its null vector near a root, `_jacobi_null_vector`); at an exact
-root their elimination gives the nullspace, for eigenvectors and for the
-theta pieces of `secular.quadpairs`; the float path rounds them once per
-entry.  The
+root their elimination gives the nullspace, once per pencil and root
+(`Pencil._kernel`), for eigenvectors and for the theta pieces of
+`secular.quadpairs`; the float path rounds them once per entry.  The
 adjugate of a matrix M is the constant term of that of the pencil sI + M,
 over its scale.  Leading principal minors are the pivots of one Bareiss
 pass.  Integer tuples are built from lists: CPython sizes a tuple built from
@@ -666,6 +667,8 @@ class Pencil(Record):
     _adjugate = cached_property(lambda self: _int_adjugate_pencil(self))
     # the rows of a Jacobi pencil, or None (`_jacobi_rows`)
     _jacobi = cached_property(lambda self: _jacobi_rows(self))
+    # rational root -> kernel basis of the characteristic matrix there (`_kernel`)
+    _kernels = cached_property(lambda self: {})
 
     @cached_property
     def _int_model(self) -> tuple[int, list[list[int]], list[list[int]]]:
@@ -724,6 +727,16 @@ class Pencil(Record):
         _, X, Y = self._int_model
         return [[x * C[a][b] + y * lc * (a == b) for x, y in zip(row_x, row_y) for b in range(d)]
                 for row_x, row_y in zip(X, Y) for a in range(d)]
+
+    def _kernel(self, s) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """The exact nullspace basis of the characteristic matrix at the
+        rational point s, once per point: `_nullspace` on the rows of
+        `_numerators`, each vector frozen to (den, ints) for ints / den,
+        for the theta pieces and the exact eigenvectors to read."""
+        if s not in self._kernels:
+            self._kernels[s] = tuple([(d, tuple(v)) for d, v in
+                                      _nullspace(self._numerators(s)[1], self.size)])
+        return self._kernels[s]
 
     def evaluate(self, s) -> RatMatrix:
         """The characteristic matrix at a rational point, `_numerators` in

@@ -36,7 +36,7 @@ from ._record import Record
 from .errors import InternalError, PathUnavailableError, PreconditionError
 from .invariants import inertia
 from .matrices import Pencil, RatMatrix, _bilinear, _bilinear_float
-from .polynomials import ZERO, Poly, squarefree_decompose
+from .polynomials import Poly, squarefree_decompose
 from .realroots import RealRoot, root_sign
 from .spectral import _decide_path, _principal_part, spectral_decompose
 
@@ -206,15 +206,20 @@ def loaded_string_frequency_series(n: int, a) -> Poly:
     masses, as a polynomial in rho: sum_j C(n, j) a^j rho^(2j) / j!.
 
     The determinant of the string's frequency pencil, rewritten in rho via
-    K = -rho^2, equals this series up to a nonzero rational scalar.
+    K = -rho^2, equals this series up to a nonzero rational scalar.  A
+    negative or fractional n raises PreconditionError.
     """
+    n = Fraction(n)
+    if n.denominator != 1 or n < 0:
+        raise PreconditionError("frequency series needs a whole, non-negative number of masses")
+    n = int(n)
     a = Fraction(a)
     p, q = a.numerator, a.denominator
     # times n! q^n, the j-th term is C(n, j) n!/j! p^j q^(n-j)
     ints = [0] * (2 * n + 1)
     ints[::2] = [math.comb(n, j) * math.perm(n, n - j) * p**j * q ** (n - j)
                  for j in range(n + 1)]
-    return Poly._of(ints, den=factorial(n) * q**n) if n >= 0 else ZERO
+    return Poly._of(ints, den=factorial(n) * q**n)
 
 
 def frequency_poly_in_rho(model: MechModel) -> Poly:

@@ -15,8 +15,11 @@ Weierstrass's "remarkable circumstance", is that the kernel of
 s_mu*Phi - Psi has dimension lambda_mu (`remarkable_circumstance_check`;
 `secular.invariants` gives the argument), and then the pole is simple.  On
 the exact path theta_mu is read off a kernel basis V at the root, with no
-adjugate built: with P(s) = s*Phi - Psi = P(s_mu) + (s - s_mu) Phi, the
-Laurent series of P(s)^-1 gives P(s_mu) R_mu = R_mu P(s_mu) = 0 and
+adjugate built; V is the pencil's integer kernel at the root
+(`Pencil._kernel`), eliminated once per root and read again by the exact
+spectral vectors of `secular.spectral`.  With
+P(s) = s*Phi - Psi = P(s_mu) + (s - s_mu) Phi, the Laurent series of
+P(s)^-1 gives P(s_mu) R_mu = R_mu P(s_mu) = 0 and
 V^T Phi R_mu = V^T, as V^T P(s_mu) = 0 for P symmetric, so
 R_mu = V (V^T Phi V)^-1 V^T and theta_mu = (Phi V)(V^T Phi V)^-1 (Phi V)^T.
 A kernel smaller than lambda_mu is rejected.  The sums Phi = sum(theta) and
@@ -43,7 +46,7 @@ from typing import TYPE_CHECKING
 from ._record import Record
 from .errors import PreconditionError
 from .invariants import MinorDivisibility, _minor_divisibility, inertia
-from .matrices import Pencil, RatMatrix, _linear_combination, _nullspace
+from .matrices import Pencil, RatMatrix, _linear_combination
 from .realroots import RealRoot
 from .spectral import FLOAT_ROOT_WIDTH, _decide_path, _root_point
 
@@ -159,12 +162,12 @@ def _residue(pencil: Pencil, point: Fraction, mult: int) -> np.ndarray:
 
 def _exact_theta(pair: QuadraticPair, root: RealRoot) -> RatMatrix:
     """theta = (Phi V)(V^T Phi V)^-1 (Phi V)^T for the integer kernel basis V
-    (`_nullspace` without its denominators, which theta does not see) of the
-    characteristic matrix at the exact root, in `RatMatrix` products over
-    one denominator each.  A kernel of dimension below the multiplicity is a
+    (the pencil's `_kernel` at the exact root without its denominators,
+    which theta does not see), in `RatMatrix` products over one
+    denominator each.  A kernel of dimension below the multiplicity is a
     Jordan chain longer than one, which a definite pair does not have: the
     adjugate then is not divisible to the expected order."""
-    basis = _nullspace(pair.pencil()._numerators(root.value)[1], pair.size)
+    basis = pair.pencil()._kernel(root.value)
     if len(basis) != root.multiplicity:
         raise PreconditionError(
             "adjugate entry not divisible to the expected order; the"

@@ -2,12 +2,13 @@
 
 The exact path reads eigenvectors off the pencil's cached integer adjugate
 at a rational root (`Pencil._adjugate_taylor`, first non-null column) or
-off an exact nullspace of the characteristic matrix there, eliminated on the
-pencil's integer rows at the root, the nullspace from which Weierstrass's
-theta pieces are read as well (`secular.quadpairs`).  `_principal_part`
-reads the resolvent's principal part at an exact root off the adjugate's
-coefficients; its terms are the projector and nilpotent parts of the
-Jordan solver (`secular.oscillate`).  One rule picks the path of every
+off an exact nullspace of the characteristic matrix there, eliminated once
+per pencil and root on its integer rows (`Pencil._kernel`), the nullspace
+from which Weierstrass's theta pieces are read as well
+(`secular.quadpairs`); `spectral_decompose` orthogonalizes it in
+integers.  `_principal_part` reads the resolvent's principal part at an
+exact root off the adjugate's coefficients; its terms are the projector
+and nilpotent parts of the Jordan solver (`secular.oscillate`).  One rule picks the path of every
 entry point, this module's, the pair reduction's and the Jordan solver's:
 an unknown path raises PreconditionError, "exact" with an irrational root
 raises PathUnavailableError, and "auto" is exact exactly when every root
@@ -34,14 +35,15 @@ demand.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd as int_gcd
 from math import isqrt, sqrt
+from operator import mul
 from typing import TYPE_CHECKING
 
 from ._record import Record
 from .errors import InternalError, PathUnavailableError, PreconditionError
 from .invariants import inertia
-from .matrices import (Pencil, RatMatrix, _bilinear, _bilinear_float, _jacobi_null_vector,
-                       _nullspace)
+from .matrices import Pencil, RatMatrix, _bilinear, _bilinear_float, _jacobi_null_vector
 from .polynomials import Poly, _over_lcm
 from .realroots import DEFAULT_WIDTH as FLOAT_ROOT_WIDTH, RealRoot, refine_root
 
@@ -259,9 +261,10 @@ def nullspace_at_root(pencil: Pencil, root: RealRoot, path: str = "auto"):
     """Exact (or floating) basis of the nullspace of the characteristic
     matrix at a root; its size is the geometric multiplicity.
 
-    Exact path: the integer rows at the root, eliminated (`_nullspace`),
-    each vector sign-normalized.  Floating path, at the midpoint m/d of the
-    root refined to 10^-30: a Jacobi pencil, whose roots are all simple,
+    Exact path: the pencil's kernel at the root (`Pencil._kernel`, one
+    elimination of the integer rows there per pencil and root), each vector
+    as a sign-normalized Fraction tuple.  Floating path, at the midpoint m/d
+    of the root refined to 10^-30: a Jacobi pencil, whose roots are all simple,
     gives its one null vector in integers, an adjugate column from the
     leading minors of `matrices._minor_count` and the trailing ones
     (`matrices._jacobi_null_vector`), first entry positive, and each entry
@@ -276,9 +279,8 @@ def nullspace_at_root(pencil: Pencil, root: RealRoot, path: str = "auto"):
     """
     mode = _decide_path(path, root.is_exact)
     if mode == "exact":
-        rows = pencil._numerators(root.value)[1]
         return [_sign_normalize(tuple([Fraction(v, d) for v in vs]))
-                for d, vs in _nullspace(rows, pencil.size)]
+                for d, vs in pencil._kernel(root.value)]
     return _float_null_vectors(pencil, root)
 
 
@@ -332,23 +334,39 @@ def q_factor(p: Poly, root: RealRoot) -> QFactor:
     return QFactor(root, c1)
 
 
-def _gram_schmidt_exact(vectors, W: RatMatrix):
-    """W-orthogonalize exact vectors (no normalization); returns vectors with
-    their squared W-norms."""
+def _gram_schmidt_exact(basis, W: RatMatrix):
+    """W-orthogonalize a kernel basis given as (den, ints) per vector (no
+    normalization), in integers; returns sign-normalized Fraction vectors
+    with their squared W-norms.
+
+    With <u, v> = u^T N v on the numerators N of W, a vector v = ints / den
+    loses its part along each earlier u as
+    v <- (<u, u> v - <u, v> u) / (den <u, u>), over one gcd, and its squared
+    norm is <v, v> / (den^2 W.den); the denominators of u cancel.
+    """
+    rows = W._int_rows()
+    done = []  # per vector: its integers, u^T N and <u, u>
     out = []
     norms = []
-    for v in vectors:
-        v = list(Fraction(x) for x in v)
-        for u, nu in zip(out, norms):
-            c = _bilinear(W, u, v) / nu
-            if c:
-                v = [a - c * b for a, b in zip(v, u)]
-        v = _sign_normalize(tuple(v))
-        nv = _bilinear(W, v, v)
-        if nv == 0:
+    for den, v in basis:
+        for u, uN, uu in done:
+            uv = sum(map(mul, uN, v))
+            if uv:
+                if uu < 0:
+                    uu, uv = -uu, -uv
+                v = [uu * a - uv * b for a, b in zip(v, u)]
+                den *= uu
+                g = int_gcd(den, *v)
+                den, v = den // g, [a // g for a in v]
+        if next((a for a in v if a), 0) < 0:
+            v = [-a for a in v]
+        vN = [sum(map(mul, col, v)) for col in zip(*rows)]
+        vv = sum(map(mul, vN, v))
+        if vv == 0:
             raise InternalError("degenerate weight norm during orthogonalization")
-        out.append(tuple(v))
-        norms.append(nv)
+        done.append((v, vN, vv))
+        out.append(tuple([Fraction(a, den) for a in v]))
+        norms.append(Fraction(vv, den * den * W.den))
     return out, norms
 
 
@@ -373,7 +391,9 @@ def spectral_decompose(pencil: Pencil, path: str = "auto") -> SpectralDecomposit
 
     Vectors within a repeated root are orthogonalized in the leading matrix
     of the pencil; across distinct roots that orthogonality holds
-    automatically for symmetric pencils.
+    automatically for symmetric pencils.  The exact path orthogonalizes the
+    pencil's kernel at each root (`Pencil._kernel`) in integers, the
+    floating path the unit null vectors of `nullspace_at_root` in floats.
     """
     roots = char_roots(pencil)
     mode = _decide_path(path, all(r.is_exact for r in roots))
@@ -382,11 +402,10 @@ def spectral_decompose(pencil: Pencil, path: str = "auto") -> SpectralDecomposit
     vectors = []
     norms = []
     for root in roots:
-        basis = nullspace_at_root(pencil, root, path=mode)
         if mode == "exact":
-            vs, ns = _gram_schmidt_exact(basis, W)
+            vs, ns = _gram_schmidt_exact(pencil._kernel(root.value), W)
         else:
-            vs, ns = _gram_schmidt_float(basis, Wf)
+            vs, ns = _gram_schmidt_float(_float_null_vectors(pencil, root), Wf)
         vectors.append(tuple(vs))
         norms.append(tuple(ns))
     return SpectralDecomposition(tuple(roots), tuple(vectors), tuple(norms),

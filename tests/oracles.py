@@ -48,10 +48,12 @@ rational roots tested in cells narrowed below 1/lc, and a second narrowing
 from those cells or from the isolating interval.  The floating path keeps
 its numpy routes from before it ran on Python floats: the SVD null vectors
 Jacobi pencils took before their integer minors gave them, Gram-Schmidt
-on arrays, and the matrix exponential summed as arrays.  `Poly` keeps its
-form from before it stored content * prim: a tuple of Fraction
-coefficients (`FractionPoly`), converted to a primitive integer part and
-back around each product, division, gcd and Yun decomposition.  The small
+on arrays, and the matrix exponential summed as arrays.  The exact
+Gram-Schmidt keeps its `Fraction` form from before it ran on the kernel's
+integers.  `Poly` keeps its form from before it stored content * prim: a
+tuple of Fraction coefficients (`FractionPoly`), converted to a primitive
+integer part and back around each product, division, gcd and Yun
+decomposition.  The small
 constructors and products the tests build their inputs with live here too,
 outside the library.
 """
@@ -75,7 +77,8 @@ from secular.invariants import (
     invariant_factors,
     minor_gcd_chain,
 )
-from secular.matrices import Pencil, PolyMatrix, RatMatrix, adjugate_pencil, det_rational
+from secular.matrices import (Pencil, PolyMatrix, RatMatrix, _bilinear, adjugate_pencil,
+                              det_rational)
 from secular.oscillate import Trajectory, _principal_parts
 from secular.polynomials import (
     ONE,
@@ -99,6 +102,7 @@ from secular.quadpairs import (
     theta_components,
 )
 from secular.realroots import DEFAULT_WIDTH, RealRoot, _halve, _narrow, _sign_at, refine_root
+from secular.spectral import _sign_normalize
 
 
 def poly_gcd_by_euclid(p: Poly, q: Poly) -> Poly:
@@ -1287,6 +1291,26 @@ def null_vectors_by_svd(pencil: Pencil, root: RealRoot):
     Fractions, at the root's midpoint refined to 10^-30."""
     return float_nullspace_by_svd(
         float_char_matrix_by_fractions(pencil, refine_root(root, DEFAULT_WIDTH).approx()))
+
+
+def gram_schmidt_by_fractions(vectors, W: RatMatrix):
+    """W-orthogonalize exact vectors (no normalization); returns vectors with
+    their squared W-norms."""
+    out = []
+    norms = []
+    for v in vectors:
+        v = list(Fraction(x) for x in v)
+        for u, nu in zip(out, norms):
+            c = _bilinear(W, u, v) / nu
+            if c:
+                v = [a - c * b for a, b in zip(v, u)]
+        v = _sign_normalize(tuple(v))
+        nv = _bilinear(W, v, v)
+        if nv == 0:
+            raise InternalError("degenerate weight norm during orthogonalization")
+        out.append(tuple(v))
+        norms.append(nv)
+    return out, norms
 
 
 def gram_schmidt_by_numpy(vectors, W: np.ndarray):

@@ -784,6 +784,61 @@ NEGATIVE_CONTENT_ELEMENTARY_DIVISORS = (
     '  }\n'
     '}\n'
 )
+# mass [[2, 1], [1, 2]] + [1] and stiffness twice its upper block + [3]: the
+# double root 2 has the kernel e1, e2, and e2 loses its part along e1 in the
+# mass matrix, which gives the shape [1/2, -1, 0]
+REPEATED_MODE_SCENARIO = {
+    "kind": "custom",
+    "mass": {"rows": 3, "cols": 3, "entries": ["2", "1", "0", "1", "2", "0", "0", "0", "1"]},
+    "stiffness": {"rows": 3, "cols": 3, "entries": ["4", "2", "0", "2", "4", "0", "0", "0", "3"]},
+    "initial": {"positions": ["1", "0", "-1/2"], "velocities": ["0", "1/3", "1"]},
+}
+REPEATED_MODE_SOLVE_MODAL = (
+    '{\n'
+    '  "drift_modes": [],\n'
+    '  "modes": [\n'
+    '    {\n'
+    '      "amplitude": 1.0069204977995476,\n'
+    '      "omega": 1.4142135623730951,\n'
+    '      "phase": 1.4534863015803035,\n'
+    '      "shape": [\n'
+    '        "1/1",\n'
+    '        "0/1",\n'
+    '        "0/1"\n'
+    '      ],\n'
+    '      "squared_frequency": "2/1"\n'
+    '    },\n'
+    '    {\n'
+    '      "amplitude": 0.2357022603955158,\n'
+    '      "omega": 1.4142135623730951,\n'
+    '      "phase": 3.141592653589793,\n'
+    '      "shape": [\n'
+    '        "1/2",\n'
+    '        "-1/1",\n'
+    '        "0/1"\n'
+    '      ],\n'
+    '      "squared_frequency": "2/1"\n'
+    '    },\n'
+    '    {\n'
+    '      "amplitude": 0.7637626158259734,\n'
+    '      "omega": 1.7320508075688772,\n'
+    '      "phase": 5.569460928234821,\n'
+    '      "shape": [\n'
+    '        "0/1",\n'
+    '        "0/1",\n'
+    '        "1/1"\n'
+    '      ],\n'
+    '      "squared_frequency": "3/1"\n'
+    '    }\n'
+    '  ],\n'
+    '  "path": "exact",\n'
+    '  "provenance": {\n'
+    '    "algorithm": "modal-superposition",\n'
+    '    "source": "lagrange-1788"\n'
+    '  }\n'
+    '}\n'
+)
+
 
 @pytest.fixture
 def note23_file(tmp_path):
@@ -1393,6 +1448,11 @@ class TestDeterminism:
         path = write_json(tmp_path, "m.json", NEGATIVE_CONTENT_DOC)
         assert run([verb, "--input", path]) == 0
         assert capsys.readouterr().out == expected
+
+    def test_solve_modal_repeated_root_stdout_pinned(self, tmp_path, capsys):
+        doc = write_json(tmp_path, "s.json", REPEATED_MODE_SCENARIO)
+        assert run(["solve", "--method", "modal", "--input", doc]) == 0
+        assert capsys.readouterr().out == REPEATED_MODE_SOLVE_MODAL
 
     def test_eigvec_nullspace_stdout_pinned(self, tmp_path, capsys):
         path = write_json(tmp_path, "p.json", REPEATED_ROOT_PENCIL_DOC)

@@ -61,6 +61,11 @@ class TestBuildModel:
         series = loaded_string_frequency_series(3, Fraction(1, 2))
         assert frequency_poly_in_rho(model).monic() == series.monic()
 
+    @pytest.mark.parametrize("n, a", [(-1, 1), (-3, "1/2"), (Fraction(5, 2), 1), (2.5, 1)])
+    def test_series_rejects_a_count_that_is_not_a_whole_number(self, n, a):
+        with pytest.raises(PreconditionError, match="whole, non-negative number of masses"):
+            loaded_string_frequency_series(n, a)
+
     def test_springs_decoupled_frequencies(self):
         model = build_model("coupled-springs", {"m": 1, "k": 1, "k0": 1})
         roots = char_roots(model.pencil())

@@ -6,12 +6,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from secular.errors import PathUnavailableError, PreconditionError
+from secular.errors import InternalError, PathUnavailableError, PreconditionError
 from secular.matrices import Pencil, RatMatrix, _bilinear
 from secular.polynomials import Poly
 from secular.realroots import RealRoot, refine_root, sturm_isolate
 from secular.spectral import (
     FLOAT_ROOT_WIDTH,
+    _gram_schmidt_exact,
     _gram_schmidt_float,
     _principal_part,
     adjugate_eigenvector,
@@ -343,6 +344,63 @@ class TestSpectralDecompose:
             assert (geo == M.rows) == is_diagonalizable(M)[0]
 
 
+@st.composite
+def weighted_bases(draw):
+    """(W, basis): W = +-L L^T definite, L lower triangular with a positive
+    diagonal, and 1..n vectors (den, ints) in dimension n <= 4, with
+    denominators up to 10^15."""
+    n = draw(st.integers(1, 4))
+    big = st.integers(1, 10**15)
+    entry = st.integers(-10**9, 10**9)
+    L = [[Fraction(draw(st.integers(1, 10**9) if i == j else entry), draw(big)) if j <= i else 0
+          for j in range(n)] for i in range(n)]
+    sign = draw(st.sampled_from([1, -1]))
+    W = RatMatrix.from_rows([[sign * sum(a * b for a, b in zip(L[i], L[j])) for j in range(n)]
+                             for i in range(n)])
+    basis = [(draw(big), tuple(draw(st.lists(entry, min_size=n, max_size=n))))
+             for _ in range(draw(st.integers(1, n)))]
+    return W, basis
+
+
+class TestExactGramSchmidt:
+    """The integer Gram-Schmidt over a kernel basis gives the vectors and
+    norms of the Fraction one, exactly, and fails where it fails."""
+
+    @given(weighted_bases())
+    @example((RatMatrix.identity(2), [(1, (1, 0)), (1, (0, 3))]))  # orthogonal already
+    @example((-RatMatrix.identity(2), [(3, (1, 2)), (7, (1, 2))]))  # equal directions
+    @example((RatMatrix.identity(2), [(5, (2, -1)), (5, (2, -1))]))  # equal vectors
+    @example((RatMatrix.identity(3), [(1, (0, 0, 0))]))  # the zero vector
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_fraction_oracle(self, case):
+        from oracles import gram_schmidt_by_fractions
+
+        W, basis = case
+        vectors = [[Fraction(a, den) for a in v] for den, v in basis]
+        try:
+            want = gram_schmidt_by_fractions(vectors, W)
+        except InternalError:
+            with pytest.raises(InternalError, match="degenerate weight norm"):
+                _gram_schmidt_exact(basis, W)
+            return
+        assert _gram_schmidt_exact(basis, W) == want
+
+    def test_decomposition_matches_the_fraction_oracle(self):
+        # repeated roots of a planted positive and a negated pair
+        from oracles import gram_schmidt_by_fractions
+
+        S = RatMatrix.from_rows([[1, 1, 0, 2], [0, 1, 2, -1], [-1, 0, 1, 3], [0, 0, 1, 1]])
+        St = S.transpose()
+        phi = St @ RatMatrix.diagonal([3, Fraction(1, 2), 5, 7]) @ S
+        psi = St @ RatMatrix.diagonal([6, 1, 10, -7]) @ S
+        for pencil in (Pencil(phi, psi), Pencil(-phi, -psi)):
+            dec = spectral_decompose(pencil, path="exact")
+            assert [r.multiplicity for r in dec.roots] == [1, 3]
+            for root, vectors, norms in zip(dec.roots, dec.vectors, dec.sq_norms):
+                want = gram_schmidt_by_fractions(nullspace_at_root(pencil, root), pencil.leading())
+                assert (list(vectors), list(norms)) == want
+
+
 class TestUnknownPath:
     """Every entry point that takes a path applies one rule, and an unknown
     path is refused whatever the roots."""
@@ -500,6 +558,40 @@ class TestPencilWorkDoneOnce:
         assert spectral_decompose(pair.pencil()).path == "exact"
         # the double root 1 reads its kernel, for the circumstance and for theta
         assert pencil_work == {"det_pencil": 1, "_int_adjugate_pencil": 0, "sturm_isolate": 1}
+
+    def test_planted_pair_eliminates_once_per_root(self, monkeypatch):
+        # the exact-structure sequence on Phi = S^T S, Psi = S^T diag(2, 2, -1) S
+        # (the plantedpair.json document of the CI console-script step): theta,
+        # the spectral vectors and the eigenvector call read one kernel per root
+        import secular.matrices as matrices
+        import secular.quadpairs as quadpairs
+        import secular.spectral as spectral
+        from secular.quadpairs import (
+            QuadraticPair,
+            remarkable_circumstance_check,
+            theta_components,
+            verify_theorem,
+        )
+
+        eliminations = []
+        real = matrices._nullspace
+        # counted in every module that binds the name, however it imports it
+        for module in (matrices, quadpairs, spectral):
+            if hasattr(module, "_nullspace"):
+                monkeypatch.setattr(module, "_nullspace", lambda m, ncols: (
+                    eliminations.append(ncols) or real(m, ncols)))
+        pair = QuadraticPair.checked(
+            RatMatrix.from_rows([[2, 1, -1], [1, 2, 2], [-1, 2, 5]]),
+            RatMatrix.from_rows([[1, 2, 1], [2, 4, 4], [1, 4, 7]]),
+        )
+        assert remarkable_circumstance_check(pair).ok
+        dec = theta_components(pair)
+        assert verify_theorem(dec, pair).ok
+        spec = spectral_decompose(pair.pencil(), path="exact")
+        for root, vectors in zip(spec.roots, spec.vectors):
+            assert len(nullspace_at_root(pair.pencil(), root)) == len(vectors)
+        assert [(r.value, r.multiplicity) for r in spec.roots] == [(-1, 1), (2, 2)]
+        assert len(eliminations) == 2
 
 
 JACOBI_ENTRY = st.one_of(st.integers(-60, 60), st.builds(Fraction, st.integers(-60, 60), st.integers(1, 4)))
