@@ -28,7 +28,8 @@ elimination over Q[s]/(g) (`Pencil._factor_rows`): no root's kernel
 exceeds mu, so its rational nullity is at most mu * deg g, and equal to it
 exactly then (`_minor_divisibility`).  Jordan's test for simple elementary
 divisors and Weierstrass's "remarkable circumstance" for definite pairs are
-both this one test, and neither builds the adjugate.
+both this one test, and neither builds the adjugate; the elimination is
+the pencil's kernel at g (`Pencil._kernel`), which theta reads too.
 
 Inertia of a symmetric rational matrix is read off the pivot signs of one
 symmetric Bareiss pass with swaps and Lagrange's completing-the-square step;
@@ -42,7 +43,7 @@ from math import gcd as int_gcd
 
 from ._record import Record
 from .errors import InternalError, PreconditionError
-from .matrices import Pencil, PolyMatrix, RatMatrix, _bareiss_step, _rref
+from .matrices import Pencil, PolyMatrix, RatMatrix, _bareiss_step
 from .polynomials import (
     ONE,
     Poly,
@@ -119,6 +120,13 @@ class InertiaReport(Record, ignore=("matrix",)):
     @property
     def signature(self) -> tuple[int, int, int]:
         return (self.positives, self.negatives, self.zeros)
+
+    @property
+    def definite(self) -> int:
+        """+1 positive definite (as the 0 x 0 form is), -1 negative definite, else 0."""
+        if self.negatives == self.zeros == 0:
+            return 1
+        return -1 if self.positives == self.zeros == 0 else 0
 
     @property
     def minor_sequence(self) -> tuple[Fraction, ...]:
@@ -245,17 +253,12 @@ def elementary_divisors(inv: InvariantFactors) -> ElementaryDivisors:
 def _minor_divisibility(pencil: Pencil) -> MinorDivisibility:
     """One record per square-free factor g of the pencil's determinant, of
     degree d and multiplicity mu: whether g^(mu-1) divides every adjugate
-    entry, that is (see the module docstring) whether the rows of
-    `Pencil._factor_rows` have rational nullity mu*d, one `_rref` per
-    multiple factor.  g^0 divides everything, so a square-free determinant
-    eliminates nothing."""
+    entry, that is (see the module docstring) whether the pencil's kernel
+    at g (`Pencil._kernel`) has mu*d vectors.  g^0 divides everything, so a
+    square-free determinant eliminates nothing."""
     records = []
     for factor, mult in squarefree_decompose(pencil.char_poly()):
-        divisible = mult == 1
-        if not divisible:
-            g = factor.prim
-            size = pencil.size * (len(g) - 1)
-            divisible = size - len(_rref(pencil._factor_rows(g), size)) == mult * (len(g) - 1)
+        divisible = mult == 1 or len(pencil._kernel(factor.prim)) == mult * factor.degree()
         records.append((factor, mult, divisible))
     return MinorDivisibility(tuple(records))
 

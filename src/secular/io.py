@@ -151,7 +151,8 @@ def pencil_from_doc(doc: Any) -> Pencil:
 
 def pair_from_doc(doc: Any) -> QuadraticPair:
     """A quadratic pair: {"phi": matrix, "psi": matrix}, or a pencil document
-    read as (Phi, Psi) = (A, B)."""
+    read as (Phi, Psi) = (A, B) for "sA-B" and (B, A) for "A-sB", so that
+    s*Phi - Psi has the document's roots."""
     from .quadpairs import QuadraticPair
 
     if isinstance(doc, dict) and "phi" in doc and "psi" in doc:
@@ -160,7 +161,8 @@ def pair_from_doc(doc: Any) -> QuadraticPair:
         )
     if isinstance(doc, dict) and "A" in doc and "B" in doc:
         p = pencil_from_doc(doc)
-        return QuadraticPair.checked(p.A, p.B)
+        phi, psi = (p.A, p.B) if p.orientation == "sA-B" else (p.B, p.A)
+        return QuadraticPair.checked(phi, psi)
     raise ParseError("pair document needs phi/psi (or A/B) matrices")
 
 

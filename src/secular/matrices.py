@@ -15,7 +15,7 @@ Eliminations run in place on fresh integer rows: Bareiss for determinants,
 fraction-free Gauss-Jordan on [M | I] for inverses and adjugates, and a
 symmetric Bareiss pass with swaps and Lagrange's add step for inertia
 (`secular.invariants`).  A pencil computes its determinant, real roots (per
-width), integer adjugate, integer model and kernel at each rational point
+width), integer adjugate, integer model and kernel per square-free factor
 once, on first use.  The integer adjugate is what interpolation produces:
 one scale L^(n-1) and n^2 lists of n integer coefficients, so
 adj P = entries / scale; other modules read it only through
@@ -24,18 +24,18 @@ adj P = entries / scale; other modules read it only through
 Whether a factor's power divides the adjugate is not read off it but off a
 kernel: `Pencil._factor_rows` writes the characteristic matrix at the roots
 of a square-free factor as integer rows over Q (`secular.invariants` gives
-the argument).  One sampler, `Pencil._numerators`, gives the integer rows of
-P at a rational point: at the integers k they are the samples L*P(k) from
-which Newton interpolation in integers reads the adjugate, and the
-determinant unless P is tridiagonal (as a loaded string's is), when the
-three-term recurrence of its leading minors gives it (and, for a Jacobi
-pencil, counts its roots, `_minor_count`, and with the trailing minors
-gives its null vector near a root, `_jacobi_null_vector`); at an exact
-root their elimination gives the nullspace, once per pencil and root
-(`Pencil._kernel`), for eigenvectors and for the theta pieces of
-`secular.quadpairs`; the float path rounds them once per entry.  The
-adjugate of a matrix M is the constant term of that of the pencil sI + M,
-over its scale.  Leading principal minors are the pivots of one Bareiss
+the argument), and `Pencil._kernel` eliminates them once per factor: an
+exact root p/q is the factor (-p, q), so the divisibility test, the theta
+pieces and the exact eigenvectors read one kernel.  One sampler,
+`Pencil._numerators`, gives the integer rows of P at a rational point: at
+the integers k they are the samples L*P(k) from which Newton interpolation
+in integers reads the adjugate, and the determinant unless P is
+tridiagonal (as a loaded string's is), when the three-term recurrence of
+its leading minors gives it (and, for a Jacobi pencil, counts its roots,
+`_minor_count`, and with the trailing minors gives its null vector near a
+root, `_jacobi_null_vector`); the float path rounds them once per entry.
+The adjugate of a matrix M is the constant term of that of the pencil
+sI + M, over its scale.  Leading principal minors are the pivots of one Bareiss
 pass.  Integer tuples are built from lists: CPython sizes a tuple built from
 a generator by a guess and shrinks it, and the freed block then stays on the
 free list of the smaller size; over 250 rounds of the exact-structure
@@ -667,7 +667,7 @@ class Pencil(Record):
     _adjugate = cached_property(lambda self: _int_adjugate_pencil(self))
     # the rows of a Jacobi pencil, or None (`_jacobi_rows`)
     _jacobi = cached_property(lambda self: _jacobi_rows(self))
-    # rational root -> kernel basis of the characteristic matrix there (`_kernel`)
+    # square-free integer factor -> kernel basis of its rows (`_kernel`)
     _kernels = cached_property(lambda self: {})
 
     @cached_property
@@ -728,15 +728,14 @@ class Pencil(Record):
         return [[x * C[a][b] + y * lc * (a == b) for x, y in zip(row_x, row_y) for b in range(d)]
                 for row_x, row_y in zip(X, Y) for a in range(d)]
 
-    def _kernel(self, s) -> tuple[tuple[int, tuple[int, ...]], ...]:
-        """The exact nullspace basis of the characteristic matrix at the
-        rational point s, once per point: `_nullspace` on the rows of
-        `_numerators`, each vector frozen to (den, ints) for ints / den,
-        for the theta pieces and the exact eigenvectors to read."""
-        if s not in self._kernels:
-            self._kernels[s] = tuple([(d, tuple(v)) for d, v in
-                                      _nullspace(self._numerators(s)[1], self.size)])
-        return self._kernels[s]
+    def _kernel(self, g: tuple[int, ...]) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """The exact nullspace of `_factor_rows(g)`, once per square-free
+        factor g (a tuple in the form of `Poly.prim`; the root p/q is
+        (-p, q)), each vector frozen to (den, ints) for ints / den."""
+        if g not in self._kernels:
+            self._kernels[g] = tuple([(d, tuple(v)) for d, v in _nullspace(
+                self._factor_rows(g), self.size * (len(g) - 1))])
+        return self._kernels[g]
 
     def evaluate(self, s) -> RatMatrix:
         """The characteristic matrix at a rational point, `_numerators` in

@@ -345,16 +345,6 @@ class ModalSolution(Record):
         return min((m.omega for m in self.modes), default=0.0)
 
 
-def _mass_sign(model: MechModel) -> int:
-    """1 when A is positive definite, -1 when it is negative definite, else
-    0.  With A negative definite, A y'' + B y = 0 is the same equation as
-    (-A) y'' + (-B) y = 0, which is solved and judged in its place."""
-    a_inertia = inertia(model.mass)
-    if a_inertia.positives == model.size:
-        return 1
-    return -1 if a_inertia.negatives == model.size else 0
-
-
 def solve_modal(
     model: MechModel, ic: InitialConditions, path: str = "auto"
 ) -> ModalSolution:
@@ -369,7 +359,7 @@ def solve_modal(
     """
     if ic.size != model.size or len(ic.velocities) != model.size:
         raise PreconditionError("initial conditions have the wrong dimension")
-    sign = _mass_sign(model)
+    sign = inertia(model.mass).definite
     if not sign:
         raise PreconditionError(
             "modal solution needs a positive or negative definite kinetic matrix"
@@ -815,7 +805,7 @@ def classify_stability(model: MechModel) -> StabilityVerdict:
 
     n, stable, negated = model.size, False, False
     if pencil.is_symmetric():
-        sign = _mass_sign(model)
+        sign = inertia(model.mass).definite
         negated = sign < 0
         b_inertia = inertia(-model.stiffness if negated else model.stiffness)
         stable = sign != 0 and b_inertia.negatives == 0

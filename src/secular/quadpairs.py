@@ -15,9 +15,9 @@ Weierstrass's "remarkable circumstance", is that the kernel of
 s_mu*Phi - Psi has dimension lambda_mu (`remarkable_circumstance_check`;
 `secular.invariants` gives the argument), and then the pole is simple.  On
 the exact path theta_mu is read off a kernel basis V at the root, with no
-adjugate built; V is the pencil's integer kernel at the root
-(`Pencil._kernel`), eliminated once per root and read again by the exact
-spectral vectors of `secular.spectral`.  With
+adjugate built; V is the pencil's integer kernel at the factor (-p, q) of
+s_mu = p/q (`Pencil._kernel`), the one the circumstance check counts and
+the exact spectral vectors of `secular.spectral` read.  With
 P(s) = s*Phi - Psi = P(s_mu) + (s - s_mu) Phi, the Laurent series of
 P(s)^-1 gives P(s_mu) R_mu = R_mu P(s_mu) = 0 and
 V^T Phi R_mu = V^T, as V^T P(s_mu) = 0 for P symmetric, so
@@ -48,7 +48,7 @@ from .errors import PreconditionError
 from .invariants import MinorDivisibility, _minor_divisibility, inertia
 from .matrices import Pencil, RatMatrix, _linear_combination
 from .realroots import RealRoot
-from .spectral import FLOAT_ROOT_WIDTH, _decide_path, _root_point
+from .spectral import FLOAT_ROOT_WIDTH, _decide_path, _root_kernel, _root_point
 
 if TYPE_CHECKING:
     import numpy as np
@@ -83,16 +83,12 @@ class QuadraticPair(Record):
         rep = inertia(phi)
         if rep.zeros > 0:
             raise PreconditionError("Phi must have nonzero determinant")
-        if rep.positives == phi.rows:
-            kind = "positive"
-        elif rep.negatives == phi.rows:
-            kind = "negative"
-        else:
+        if not rep.definite:
             raise PreconditionError(
                 "Phi must be definite (positive or negative); indefinite"
                 " leading form rejected"
             )
-        return cls(phi, psi, kind)
+        return cls(phi, psi, "positive" if rep.definite > 0 else "negative")
 
     @property
     def size(self) -> int:
@@ -162,12 +158,12 @@ def _residue(pencil: Pencil, point: Fraction, mult: int) -> np.ndarray:
 
 def _exact_theta(pair: QuadraticPair, root: RealRoot) -> RatMatrix:
     """theta = (Phi V)(V^T Phi V)^-1 (Phi V)^T for the integer kernel basis V
-    (the pencil's `_kernel` at the exact root without its denominators,
-    which theta does not see), in `RatMatrix` products over one
+    (the pencil's kernel at the exact root, `_root_kernel`, without its
+    denominators, which theta does not see), in `RatMatrix` products over one
     denominator each.  A kernel of dimension below the multiplicity is a
     Jordan chain longer than one, which a definite pair does not have: the
     adjugate then is not divisible to the expected order."""
-    basis = pair.pencil()._kernel(root.value)
+    basis = _root_kernel(pair.pencil(), root)
     if len(basis) != root.multiplicity:
         raise PreconditionError(
             "adjugate entry not divisible to the expected order; the"

@@ -2,12 +2,12 @@
 
 The exact path reads eigenvectors off the pencil's cached integer adjugate
 at a rational root (`Pencil._adjugate_taylor`, first non-null column) or
-off an exact nullspace of the characteristic matrix there, eliminated once
-per pencil and root on its integer rows (`Pencil._kernel`), the nullspace
-from which Weierstrass's theta pieces are read as well
-(`secular.quadpairs`); `spectral_decompose` orthogonalizes it in
-integers.  `_principal_part` reads the resolvent's principal part at an
-exact root off the adjugate's coefficients; its terms are the projector
+off an exact nullspace of the characteristic matrix there, the pencil's
+kernel at the factor (-p, q) of the root p/q (`Pencil._kernel`), which
+`secular.invariants` and Weierstrass's theta pieces (`secular.quadpairs`)
+read as well; `spectral_decompose` orthogonalizes it in integers.
+`_principal_part` reads the resolvent's principal part at an exact root
+off the adjugate's coefficients; its terms are the projector
 and nilpotent parts of the Jordan solver (`secular.oscillate`).  One rule picks the path of every
 entry point, this module's, the pair reduction's and the Jordan solver's:
 an unknown path raises PreconditionError, "exact" with an irrational root
@@ -109,10 +109,8 @@ def char_roots(pencil: Pencil, target_width=FLOAT_ROOT_WIDTH) -> list[RealRoot]:
     """
     roots = pencil.roots(target_width)
     if pencil.is_symmetric():
-        rep = inertia(pencil.leading())
-        definite = pencil.size in (rep.positives, rep.negatives)
         degree = pencil.char_poly().degree()
-        if definite and sum(r.multiplicity for r in roots) != degree:
+        if inertia(pencil.leading()).definite and sum(r.multiplicity for r in roots) != degree:
             raise InternalError(
                 "symmetric definite pencil produced complex roots; this"
                 " contradicts the real-root theorem and signals a bug"
@@ -125,6 +123,11 @@ def _root_point(root: RealRoot) -> Fraction:
     if root.is_exact:
         return root.value
     return refine_root(root, FLOAT_ROOT_WIDTH).approx()
+
+
+def _root_kernel(pencil: Pencil, root: RealRoot):
+    """`Pencil._kernel` at the factor (-p, q) of the exact root p/q."""
+    return pencil._kernel((-root.value.numerator, root.value.denominator))
 
 
 def _decide_path(path: str, exact: bool) -> str:
@@ -261,8 +264,8 @@ def nullspace_at_root(pencil: Pencil, root: RealRoot, path: str = "auto"):
     """Exact (or floating) basis of the nullspace of the characteristic
     matrix at a root; its size is the geometric multiplicity.
 
-    Exact path: the pencil's kernel at the root (`Pencil._kernel`, one
-    elimination of the integer rows there per pencil and root), each vector
+    Exact path: the pencil's kernel at the root (`_root_kernel`, one
+    elimination per pencil and factor, shared with theta), each vector
     as a sign-normalized Fraction tuple.  Floating path, at the midpoint m/d
     of the root refined to 10^-30: a Jacobi pencil, whose roots are all simple,
     gives its one null vector in integers, an adjugate column from the
@@ -280,7 +283,7 @@ def nullspace_at_root(pencil: Pencil, root: RealRoot, path: str = "auto"):
     mode = _decide_path(path, root.is_exact)
     if mode == "exact":
         return [_sign_normalize(tuple([Fraction(v, d) for v in vs]))
-                for d, vs in pencil._kernel(root.value)]
+                for d, vs in _root_kernel(pencil, root)]
     return _float_null_vectors(pencil, root)
 
 
@@ -392,7 +395,7 @@ def spectral_decompose(pencil: Pencil, path: str = "auto") -> SpectralDecomposit
     Vectors within a repeated root are orthogonalized in the leading matrix
     of the pencil; across distinct roots that orthogonality holds
     automatically for symmetric pencils.  The exact path orthogonalizes the
-    pencil's kernel at each root (`Pencil._kernel`) in integers, the
+    pencil's kernel at each root (`_root_kernel`) in integers, the
     floating path the unit null vectors of `nullspace_at_root` in floats.
     """
     roots = char_roots(pencil)
@@ -403,7 +406,7 @@ def spectral_decompose(pencil: Pencil, path: str = "auto") -> SpectralDecomposit
     norms = []
     for root in roots:
         if mode == "exact":
-            vs, ns = _gram_schmidt_exact(pencil._kernel(root.value), W)
+            vs, ns = _gram_schmidt_exact(_root_kernel(pencil, root), W)
         else:
             vs, ns = _gram_schmidt_float(_float_null_vectors(pencil, root), Wf)
         vectors.append(tuple(vs))

@@ -971,6 +971,19 @@ class TestVerbs:
         assert doc["components"] == []
         assert doc["verified"] is True
 
+    def test_weierstrass_pencil_document_keeps_orientation(self, tmp_path, capsys):
+        # an "A-sB" document is the pair (Phi, Psi) = (B, A), whose pencil
+        # s*B - A has the document's roots: 1/2 (double), then 3
+        path = write_json(tmp_path, "p.json", REPEATED_ROOT_PENCIL_DOC)
+        assert run(["roots", "--input", path]) == 0
+        roots = [(r["value"], r["multiplicity"])
+                 for r in json.loads(capsys.readouterr().out)["roots"]]
+        assert roots == [("1/2", 2), ("3/1", 1)]
+        assert run(["weierstrass-reduce", "--input", path]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert [(c["root"]["value"], c["multiplicity"]) for c in doc["components"]] == roots
+        assert doc["verified"] is True
+
     def test_expm(self, tmp_path):
         mat = write_json(
             tmp_path,
@@ -1759,6 +1772,16 @@ class TestExitCodes:
                         "entries": ["1/1", "0/1", "0/1", "1/1"]},
             },
         )
+        assert run(["weierstrass-reduce", "--input", doc]) == 3
+
+    def test_precondition_indefinite_leading_pencil_document(self, tmp_path):
+        # A - sB with A = I and B = diag(1, -1): the pair is (B, A), indefinite
+        identity = {"rows": 2, "cols": 2, "entries": ["1", "0", "0", "1"]}
+        doc = write_json(tmp_path, "p.json", {
+            "A": identity,
+            "B": {"rows": 2, "cols": 2, "entries": ["1", "0", "0", "-1"]},
+            "orientation": "A-sB",
+        })
         assert run(["weierstrass-reduce", "--input", doc]) == 3
 
     def test_path_unavailable(self, tmp_path):

@@ -533,6 +533,18 @@ class TestInertia:
         with pytest.raises(PreconditionError):
             inertia(RatMatrix.from_rows([[0, 1], [0, 0]]))
 
+    @pytest.mark.parametrize("rows, definite", [
+        ([], 1),  # the 0 x 0 form is positive definite
+        ([[2, 1], [1, 2]], 1),
+        ([[-2, 1], [1, -2]], -1),
+        ([[1, 2], [2, 1]], 0),
+        ([[1, 1], [1, 1]], 0),  # singular positive semidefinite
+        ([[-1, 0], [0, 0]], 0),  # singular negative semidefinite
+    ])
+    def test_definite(self, rows, definite):
+        M = RatMatrix.from_rows(rows) if rows else RatMatrix.zeros(0, 0)
+        assert inertia(M).definite == definite
+
     def test_zero_leading_minor_forces_fallback(self):
         M = RatMatrix.from_rows([[0, 1], [1, 0]])
         rep = inertia(M)

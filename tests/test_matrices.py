@@ -793,11 +793,12 @@ class TestPencilIntegerForm:
             S = RatMatrix.identity(n)
         pencil = Pencil(S, S @ M) if orientation == "sA-B" else Pencil(S @ M, S, "A-sB")
         roots = [r.value for r in pencil.roots()]
+        # the kernel cache keys a root p/q by its factor (-p, q): the rows agree
+        for r in roots:
+            assert pencil._factor_rows((-r.numerator, r.denominator)) == pencil._numerators(r)[1]
         for factor, _mult in squarefree_decompose(pencil.char_poly()):
             g = factor.prim
             rows = pencil._factor_rows(g)
-            if len(g) == 2:
-                assert rows == pencil._numerators(Fraction(-g[0], g[1]))[1]
             size = n * (len(g) - 1)
             assert size - len(_rref(rows, size)) == sum(
                 len(nullspace_by_fractions(char_matrix_by_fractions(pencil, r)))

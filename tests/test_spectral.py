@@ -559,13 +559,28 @@ class TestPencilWorkDoneOnce:
         # the double root 1 reads its kernel, for the circumstance and for theta
         assert pencil_work == {"det_pencil": 1, "_int_adjugate_pencil": 0, "sturm_isolate": 1}
 
-    def test_planted_pair_eliminates_once_per_root(self, monkeypatch):
-        # the exact-structure sequence on Phi = S^T S, Psi = S^T diag(2, 2, -1) S
-        # (the plantedpair.json document of the CI console-script step): theta,
-        # the spectral vectors and the eigenvector call read one kernel per root
+    @staticmethod
+    def eliminations(monkeypatch) -> list[int]:
+        """The column count of every `_rref` call from now on, counted in
+        every module that binds the name, however it imports it."""
+        import secular.invariants as invariants
         import secular.matrices as matrices
         import secular.quadpairs as quadpairs
         import secular.spectral as spectral
+
+        counts = []
+        real = matrices._rref
+        for module in (matrices, invariants, quadpairs, spectral):
+            if hasattr(module, "_rref"):
+                monkeypatch.setattr(module, "_rref", lambda m, ncols: (
+                    counts.append(ncols) or real(m, ncols)))
+        return counts
+
+    def test_planted_pair_eliminates_once_per_root(self, monkeypatch):
+        # the exact-structure sequence on Phi = S^T S, Psi = S^T diag(2, 2, -1) S
+        # (the plantedpair.json document of the CI console-script step): the
+        # circumstance check, theta, the spectral vectors and the eigenvector
+        # call read one kernel per root
         from secular.quadpairs import (
             QuadraticPair,
             remarkable_circumstance_check,
@@ -573,13 +588,7 @@ class TestPencilWorkDoneOnce:
             verify_theorem,
         )
 
-        eliminations = []
-        real = matrices._nullspace
-        # counted in every module that binds the name, however it imports it
-        for module in (matrices, quadpairs, spectral):
-            if hasattr(module, "_nullspace"):
-                monkeypatch.setattr(module, "_nullspace", lambda m, ncols: (
-                    eliminations.append(ncols) or real(m, ncols)))
+        eliminations = self.eliminations(monkeypatch)
         pair = QuadraticPair.checked(
             RatMatrix.from_rows([[2, 1, -1], [1, 2, 2], [-1, 2, 5]]),
             RatMatrix.from_rows([[1, 2, 1], [2, 4, 4], [1, 4, 7]]),
@@ -591,7 +600,19 @@ class TestPencilWorkDoneOnce:
         for root, vectors in zip(spec.roots, spec.vectors):
             assert len(nullspace_at_root(pair.pencil(), root)) == len(vectors)
         assert [(r.value, r.multiplicity) for r in spec.roots] == [(-1, 1), (2, 2)]
-        assert len(eliminations) == 2
+        assert eliminations == [3, 3]
+
+    def test_nonsemisimple_eliminates_once(self, monkeypatch):
+        # the nonsemisimple.json matrix of the CI console-script step,
+        # [[C, I], [0, C]] with C = [[1, 1], [1, 0]] and determinant
+        # (x^2 - x - 1)^2: one elimination of 4 * 2 columns over Q[x]/(x^2 - x - 1)
+        from secular.invariants import is_diagonalizable
+
+        eliminations = self.eliminations(monkeypatch)
+        M = RatMatrix.from_rows([[1, 1, 1, 0], [1, 0, 0, 1], [0, 0, 1, 1], [0, 0, 1, 0]])
+        ok, witness = is_diagonalizable(M)
+        assert not ok and witness.records == ((Poly([-1, -1, 1]), 2, False),)
+        assert eliminations == [8]
 
 
 JACOBI_ENTRY = st.one_of(st.integers(-60, 60), st.builds(Fraction, st.integers(-60, 60), st.integers(1, 4)))
